@@ -117,10 +117,6 @@ def build_agraph(group, tri_index, vertices) -> AGraph:
     return AGraph(tri_index, table, members, socle)
 
 
-def socle(graph: AGraph) -> frozenset:
-    return graph.socle
-
-
 def _check_minimality_step(chart, graph):
     # a generator shifted down by one chart coordinate must leave the octant;
     # otherwise a smaller monomial of the same weight exists and the triangle
@@ -158,6 +154,8 @@ class ChartSet:
 
     def degree_on_curve(self, chi, edge_index):
         """Transition exponent of the weight-chi bundle across an interior edge."""
+        # unreduced probe first: callers pass reduced characters, so this is
+        # the hit path (695k calls at |A|=401) and skips a `reduce` per call
         hit = self._degree.get((chi, edge_index))
         if hit is not None:
             return hit

@@ -4,6 +4,11 @@ Exit codes: 0 all requested checks pass, 1 usage/input errors (including
 determinant-condition violations and order-cap overflows), 2 a
 verification check failed; the failing check is reported as a single
 JSON line on stderr and inside the report of any written document.
+
+`--check F` runs the pipeline only up to the checks of family F, so
+`--json` and `--svg` write only the artifacts that run built; asking a
+passing run for `--quiver-svg` when F stops before the quiver is an
+input error.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ def _add_common(p, with_check=True):
             "--check",
             default="all",
             choices=["all", "fan", "recipe", "relations", "cohomology"],
-            help="which verification family to report (default: all)",
+            help="which verification family to run; the run stops after its checks "
+            "(default: all)",
         )
     p.add_argument("--max-order", type=int, default=None, help="group order cap")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
@@ -80,16 +86,21 @@ def main(argv=None) -> int:
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 2
 
+    if args.quiver_svg and art.quiver is None and art.report.passed:
+        print(f"input error: --quiver-svg needs the quiver, which --check {which} "
+              "does not build", file=sys.stderr)
+        return 1
+
     wrote = []
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(to_json(art))
         wrote.append(args.json)
-    if args.svg:
+    if args.svg and art.triangulation is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(triangulation_svg(art))
         wrote.append(args.svg)
-    if getattr(args, "quiver_svg", None):
+    if args.quiver_svg and art.quiver is not None:
         with open(args.quiver_svg, "w", encoding="utf-8") as fh:
             fh.write(quiver_svg(art))
         wrote.append(args.quiver_svg)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .errors import CorrespondenceError, InvariantViolationError
-from .fan import QuotientMap, primitive_step
+from .fan import QuotientMap, angle_cmp, primitive_step
 from .group import MONO_ONE
 from .recipe import CASE_BLOWNUP, CASE_DP6, CASE_P2, CASE_SCROLL
 
@@ -55,28 +55,13 @@ def surface_star(triangulation, vertex, basis=None) -> CompactSurface:
     if min(vertex) == 0:
         raise InvariantViolationError("compact surfaces sit over interior vertices")
     qm = QuotientMap(g, vertex, basis or T.basis)
-    vmap = {}
-    for ei, e in enumerate(T.edges):
-        if e.a == vertex:
-            vmap[ei] = e.b
-        elif e.b == vertex:
-            vmap[ei] = e.a
     rays = []
-    for ei, w in vmap.items():
-        d = intmat.vec_sub(w, vertex)
+    for ei in T.vertex_edge_map()[vertex]:
+        e = T.edges[ei]
+        d = intmat.vec_sub(e.b if e.a == vertex else e.a, vertex)
         step, _ = primitive_step(g, d)
         rays.append((qm.proj(step), ei))
-
-    def angle_cmp(a, b):
-        d1, d2 = a[0], b[0]
-        h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
-        h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        c = intmat.cross2(d1, d2)
-        return -1 if c > 0 else (1 if c < 0 else 0)
-
-    rays.sort(key=functools.cmp_to_key(angle_cmp))
+    rays.sort(key=functools.cmp_to_key(lambda a, b: angle_cmp(a[0], b[0])))
     n = len(rays)
     selfint = []
     for i in range(n):
@@ -162,6 +147,7 @@ class SurfaceCalculus:
 
     def restrict_c1(self, chi):
         """Integer curve-coefficient vector pairing to the boundary degrees."""
+        # unreduced probe first, as in ChartSet.degree_on_curve: the hit path
         hit = self._classes.get(chi)
         if hit is not None:
             return hit
@@ -187,9 +173,6 @@ class SurfaceCalculus:
             for i in range(len(alpha))
             for j in range(len(beta))
         )
-
-    def pair_chars(self, chi1, chi2):
-        return self.intersect(self.restrict_c1(chi1), self.restrict_c1(chi2))
 
     def c2_pairing(self, bundle):
         """Second Chern number of a rank-0, c1-0 virtual bundle on the surface."""

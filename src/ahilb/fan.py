@@ -56,14 +56,14 @@ def direction_basis(group, basis=None):
 def primitive_step(group, d):
     """Largest lattice vector with d = r*step; returns (step, r)."""
     c = intmat.content(d)
-    for g in _divisors_desc(c):
+    for g in divisors_desc(c):
         cand = tuple(x // g for x in d)
         if group.in_lattice(cand):
             return cand, g
     raise InvariantViolationError(f"direction {d} is not a lattice vector")
 
 
-def _divisors_desc(n):
+def divisors_desc(n):
     out = []
     i = 1
     while i * i <= n:
@@ -87,7 +87,8 @@ class QuotientMap:
             raise InvariantViolationError(f"{w} is not primitive in the lattice")
         A, _ = intmat.complete_unimodular(coords)
         self.newbasis = [intmat.vec_mat(a, B) for a in A]  # rows; row 0 == w
-        assert self.newbasis[0] == tuple(w)
+        if self.newbasis[0] != tuple(w):
+            raise InvariantViolationError(f"completed basis does not start with {w}")
         m = [list(row) for row in self.newbasis]
         d = intmat.det3(m)
         adj = intmat.adjugate3(m)
@@ -224,12 +225,13 @@ def _lattice_points_in_triangle(PA, PB):
         y0 = lo.__ceil__() if isinstance(lo, Fraction) else lo
         y1 = hi.__floor__() if isinstance(hi, Fraction) else hi
         for y in range(y0, y1 + 1):
-            if (x, y) != (0, 0) and _in_triangle_2d((x, y), verts):
+            if (x, y) != (0, 0) and in_triangle_2d((x, y), verts):
                 out.append((x, y))
     return out
 
 
-def _in_triangle_2d(p, verts):
+def in_triangle_2d(p, verts):
+    """Whether p lies in the closed triangle verts, of either orientation."""
     sgn = 0
     for i in range(3):
         a, b = verts[i], verts[(i + 1) % 3]
@@ -575,15 +577,17 @@ def _extract_faces(group, lines, battles, basis):
     return regular
 
 
-def _walk_faces(adj):
-    def angle_cmp(d1, d2):
-        h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
-        h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        c = intmat.cross2(d1, d2)
-        return -1 if c > 0 else (1 if c < 0 else 0)
+def angle_cmp(d1, d2):
+    """Counter-clockwise order of plane directions, starting from the +x axis."""
+    h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
+    h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
+    if h1 != h2:
+        return -1 if h1 < h2 else 1
+    c = intmat.cross2(d1, d2)
+    return -1 if c > 0 else (1 if c < 0 else 0)
 
+
+def _walk_faces(adj):
     ordered = {}
     for v, nbrs in adj.items():
         ordered[v] = sorted(
@@ -815,11 +819,13 @@ class Triangulation:
         return [p for p in self.points if min(p) == 0]
 
     def vertex_edge_map(self):
-        out = {}
-        for ei, e in enumerate(self.edges):
-            out.setdefault(e.a, []).append(ei)
-            out.setdefault(e.b, []).append(ei)
-        return out
+        """vertex -> ids of its incident edges, ascending; built once."""
+        if not hasattr(self, "_vertex_edges"):
+            self._vertex_edges = {}
+            for ei, e in enumerate(self.edges):
+                self._vertex_edges.setdefault(e.a, []).append(ei)
+                self._vertex_edges.setdefault(e.b, []).append(ei)
+        return self._vertex_edges
 
     def interior_edges(self):
         if not hasattr(self, "_interior_edges"):
@@ -827,7 +833,13 @@ class Triangulation:
         return self._interior_edges
 
     def triangles_at(self, v):
-        return [ti for ti, t in enumerate(self.triangles) if v in t.vertices]
+        """Ids of the triangles with vertex v, ascending; the index is built once."""
+        if not hasattr(self, "_vertex_triangles"):
+            self._vertex_triangles = {}
+            for ti, t in enumerate(self.triangles):
+                for p in t.vertices:
+                    self._vertex_triangles.setdefault(p, []).append(ti)
+        return self._vertex_triangles.get(v, [])
 
 
 def triangulate(group) -> Triangulation:

@@ -289,10 +289,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
-
-
 def monomial_str(m: Monomial) -> str:
     if m == MONO_ONE:
         return "1"

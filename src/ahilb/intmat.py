@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from .errors import InvariantViolationError
+
 
 def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
@@ -180,10 +182,6 @@ def solve_int(rows, target):
     return tuple(sol)
 
 
-def in_row_span(rows, v):
-    return solve_int(rows, v) is not None
-
-
 def inverse_unimodular(m):
     n = len(m)
     if n == 3:
@@ -239,7 +237,8 @@ def complete_unimodular(c):
     if w[0] != 1 or any(w[1:]):
         raise ValueError("vector is not primitive")
     A = inverse_unimodular(V)
-    assert tuple(A[0]) == tuple(c)
+    if tuple(A[0]) != tuple(c):
+        raise InvariantViolationError(f"unimodular completion lost its first row {c}")
     return A, V
 
 
@@ -248,10 +247,6 @@ def mat_mul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
         for i in range(len(a))
     ]
-
-
-def mat_vec(m, v):
-    return tuple(vec_dot(row, v) for row in m)
 
 
 def vec_mat(v, m):

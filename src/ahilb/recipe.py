@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import intmat
 from .errors import InvariantViolationError, CorrespondenceError
+from .fan import in_triangle_2d, line_ratio
 from .group import MONO_ONE, monomial_mul
 
 CASE_P2 = "P2"
@@ -99,14 +99,6 @@ def mark_lines(triangulation):
     return marks
 
 
-def _vertex_edges(triangulation):
-    out = {}
-    for ei, e in enumerate(triangulation.edges):
-        out.setdefault(e.a, []).append(ei)
-        out.setdefault(e.b, []).append(ei)
-    return out
-
-
 def mark_vertex(triangulation, chart_set, vertex, edge_ids):
     """Apply the valency case analysis at one interior vertex."""
     T = triangulation
@@ -165,7 +157,7 @@ def mark_vertex(triangulation, chart_set, vertex, edge_ids):
     if case != CASE_DP6:
         # the mark generator sits in the socle of every chart at the vertex
         chi = marks[0]
-        for ti in _triangles_at(T, vertex):
+        for ti in T.triangles_at(vertex):
             graph = chart_set.agraphs[ti]
             if graph.table[chi] not in graph.socle:
                 raise InvariantViolationError(
@@ -176,13 +168,9 @@ def mark_vertex(triangulation, chart_set, vertex, edge_ids):
     return VertexMark(vertex, valency, case, marks, through, tuple(sorted(edge_ids)))
 
 
-def _triangles_at(T, vertex):
-    return [ti for ti, t in enumerate(T.triangles) if vertex in t.vertices]
-
-
 def _dp6_marks(T, chart_set, vertex, line_chars):
     g = T.group
-    tris = _triangles_at(T, vertex)
+    tris = T.triangles_at(vertex)
     if len(tris) != 6:
         raise InvariantViolationError("triple intersection without six triangles")
     socle_chars = None
@@ -222,7 +210,7 @@ def projection_pair(T, chart_set, vertex):
     maps to the plane.  Their common weights are the two marks.
     """
     g = T.group
-    vmap = _vertex_edges(T)
+    vmap = T.vertex_edge_map()
     lines = sorted({T.edges[ei].line for ei in vmap[vertex] if T.edges[ei].interior})
     pure = {}
     mixed = {}
@@ -272,7 +260,7 @@ def decorate(triangulation, chart_set) -> Decoration:
     T = triangulation
     g = T.group
     line_marks = mark_lines(T)
-    vmap = _vertex_edges(T)
+    vmap = T.vertex_edge_map()
     vertex_marks = {}
     for v in T.interior_vertices():
         edge_ids = sorted(ei for ei in vmap[v] if T.edges[ei].interior)
@@ -339,8 +327,6 @@ def corner_region_characters(triangulation, regular_index):
     side_lines = []
     for i in range(3):
         p, q = reg.vertices[i], reg.vertices[(i + 1) % 3]
-        from .fan import line_ratio
-
         u, plus, minus = line_ratio(g, p, q)
         side_lines.append((frozenset((p, q)), u, plus, minus))
     through = [sl for sl in side_lines if Ec in sl[0]]
@@ -410,7 +396,6 @@ def champion_identities(triangulation, regular_index):
     reg = T.regular_triangles[regular_index]
     if reg.kind != "champion":
         raise InvariantViolationError("not a meeting of champions")
-    from .fan import line_ratio
 
     by_pair = {}
     for i in range(3):
@@ -454,11 +439,10 @@ def quiver_embedding(triangulation, chart_set, decoration) -> QuiverEmbedding:
     T = triangulation
     g = T.group
     order = g.order
-    bc = (order, order, order)  # barycentre scaled by 3
+    bc = (order, order)  # barycentre scaled by 3, projected like the vertices
     chosen = None
     for ti, tri in enumerate(T.triangles):
-        v = [intmat.vec_scale(3, p) for p in tri.vertices]
-        if _in_triangle_3(bc, v):
+        if in_triangle_2d(bc, [(3 * p[0], 3 * p[1]) for p in tri.vertices]):
             chosen = ti
             break
     if chosen is None:
@@ -467,23 +451,6 @@ def quiver_embedding(triangulation, chart_set, decoration) -> QuiverEmbedding:
     placements = {chi: table[chi] for chi in g.characters()}
     _check_embedding(g, placements)
     return QuiverEmbedding(chosen, placements)
-
-
-def _in_triangle_3(p, verts):
-    p2 = (p[0], p[1])
-    v2 = [(v[0], v[1]) for v in verts]
-    sgn = 0
-    for i in range(3):
-        a, b = v2[i], v2[(i + 1) % 3]
-        c = intmat.cross2(intmat.vec_sub(b, a), intmat.vec_sub(p2, a))
-        if c == 0:
-            continue
-        s = 1 if c > 0 else -1
-        if sgn == 0:
-            sgn = s
-        elif s != sgn:
-            return False
-    return True
 
 
 def hexagon_position(monomial):

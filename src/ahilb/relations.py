@@ -21,13 +21,6 @@ class Relation:
     lhs: tuple  # characters (canonical representatives)
     rhs: tuple
 
-    def signature(self, group):
-        return (
-            self.case,
-            tuple(group.char_id(c) for c in self.lhs),
-            tuple(group.char_id(c) for c in self.rhs),
-        )
-
 
 def derive_relations(triangulation, decoration):
     """One relation per interior vertex, shaped by its marking case."""

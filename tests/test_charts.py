@@ -51,7 +51,7 @@ def test_explicit_chart_11(run11):
      "1/3(1,2,0);1/3(0,1,2)"],
 )
 def test_agraph_bijective_and_closed(spec):
-    art = run_pipeline(spec, which="fan")
+    art = run_pipeline(spec, which="recipe")
     g, C = art.group, art.charts
     for graph in C.agraphs:
         assert len(graph.table) == g.order
@@ -199,7 +199,7 @@ def test_corner_membership_iff_variable_absent():
     rng = random.Random(13)
     specs = ["1/11(1,2,8)", "1/14(1,9,4)", "1/9(1,3,5)", "1/3(1,2,0);1/3(0,1,2)"]
     for spec in specs:
-        art = run_pipeline(spec, which="fan")
+        art = run_pipeline(spec, which="recipe")
         g, T, C = art.group, art.triangulation, art.charts
         corner_tris = [
             set(T.triangles_at(tuple(g.order if i == c else 0 for i in range(3))))

@@ -49,6 +49,36 @@ def test_cli_check_families(capsys):
         assert main(["check", "1/7(1,2,4)", "--check", fam, "--quiet"]) == 0
 
 
+def test_cli_quiver_svg_needs_the_quiver(tmp_path, capsys):
+    qsvg = tmp_path / "q.svg"
+    assert main(["compute", "1/7(1,2,4)", "--check", "fan", "--quiver-svg", str(qsvg)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and "--quiver-svg" in err[0]
+    assert not qsvg.exists()
+    assert main(["compute", "1/7(1,2,4)", "--check", "recipe", "--quiver-svg", str(qsvg)]) == 0
+    assert qsvg.exists()
+
+
+@pytest.mark.parametrize("stage,check", [("decorate", "decoration"), ("triangulate", "euler")])
+def test_cli_failed_run_skips_missing_views(stage, check, tmp_path, capsys, monkeypatch):
+    import ahilb.pipeline as pipeline
+    from ahilb.errors import CorrespondenceError
+
+    def broken(*args):
+        raise CorrespondenceError(f"broken {stage}")
+
+    monkeypatch.setattr(pipeline, stage, broken)
+    out, svg, qsvg = tmp_path / "out.json", tmp_path / "fan.svg", tmp_path / "q.svg"
+    code = main(["compute", "1/7(1,2,4)", "--json", str(out), "--svg", str(svg),
+                 "--quiver-svg", str(qsvg)])
+    assert code == 2
+    failure = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert failure["failure"]["check"] == check
+    assert json.loads(out.read_text())["report"]["failure"]["check"] == check
+    assert svg.exists() == (stage == "decorate")
+    assert not qsvg.exists()
+
+
 def test_cli_30(capsys):
     assert main(["check", "1/30(25,2,3)", "--check", "all", "--quiet"]) == 0
 
