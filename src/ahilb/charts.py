@@ -5,7 +5,10 @@ coordinates are the invariant ratios dual to the vertex basis, and the
 torus-fixed point of the chart carries a monomial basis of the cluster
 ring: for each character the unique exponent-minimal monomial of that
 weight.  Those generators drive everything downstream, so they are built
-once per triangulation and cached in a ChartSet.
+once per triangulation and kept in a ChartSet, together with the degree of
+every tautological bundle on every compact curve.  That degree table is
+filled in one edge-major pass, which also checks that the support function
+is convex across every interior edge; a ChartSet is read-only once built.
 """
 
 from __future__ import annotations
@@ -132,6 +135,32 @@ def _check_minimality_step(chart, graph):
                 )
 
 
+def _transition_exponent(diff, u, e, chi):
+    """The d with diff = d * u, found component by component, naming any failure."""
+    d = None
+    for i in range(3):
+        if u[i]:
+            q, rem = divmod(diff[i], u[i])
+            if rem:
+                raise InvariantViolationError(
+                    "no integer transition exponent on edge",
+                    detail={"edge": (e.a, e.b), "character": chi},
+                )
+            if d is None:
+                d = q
+            elif d != q:
+                raise InvariantViolationError(
+                    "inconsistent transition exponent on edge",
+                    detail={"edge": (e.a, e.b), "character": chi},
+                )
+        elif diff[i]:
+            raise InvariantViolationError(
+                "generator difference is not a multiple of the edge ratio",
+                detail={"edge": (e.a, e.b), "character": chi},
+            )
+    return d if d is not None else 0
+
+
 class ChartSet:
     """Charts, monomial bases and curve degrees for a whole triangulation."""
 
@@ -146,69 +175,69 @@ class ChartSet:
             _check_minimality_step(chart, graph)
             self.charts.append(chart)
             self.agraphs.append(graph)
-        self._degree = {}
-        self._degree_rows = {}
+        # the one degree store: character -> degrees on interior_edges(), in order
+        self._degree = self._curve_degrees()
+        self._edge_column = {ei: j for j, ei in enumerate(triangulation.interior_edges())}
 
     def generator(self, chi, tri_index):
         return self.agraphs[tri_index].table[self.group.reduce(chi)]
 
+    def _curve_degrees(self):
+        """Degree of every character on every interior edge, in one edge-major pass.
+
+        Across an interior edge the two generators of weight chi differ by
+        d times the edge ratio u, and |d| is the degree of the weight-chi
+        bundle on the curve.  The same pass checks that the support function
+        is convex across the edge: each side's generator pairs no larger than
+        the other side's at its own opposite vertex (the edge-major form of
+        `support_convexity_violations`).
+        """
+        T = self.triangulation
+        chars = self.group.characters()
+        columns = []
+        for ei in T.interior_edges():
+            e = T.edges[ei]
+            t1, t2 = e.triangles
+            w1 = next(v for v in T.triangles[t1].vertices if v not in (e.a, e.b))
+            w2 = next(v for v in T.triangles[t2].vertices if v not in (e.a, e.b))
+            line = T.lines[e.line]
+            u = intmat.vec_sub(line.plus, line.minus)
+            u0, u1, u2 = u
+            k = next(i for i in range(3) if u[i])
+            uk = u[k]
+            # pairing of d * u at w1 and w2, per unit of d
+            s1, s2 = intmat.vec_dot(u, w1), intmat.vec_dot(u, w2)
+            tab1, tab2 = self.agraphs[t1].table, self.agraphs[t2].table
+            column = []
+            for chi in chars:
+                r1, r2 = tab1[chi], tab2[chi]
+                if r1 == r2:
+                    column.append(0)
+                    continue
+                diff = (r1[0] - r2[0], r1[1] - r2[1], r1[2] - r2[2])
+                d = diff[k] // uk
+                if diff != (d * u0, d * u1, d * u2):
+                    d = _transition_exponent(diff, u, e, chi)
+                if d * s2 < 0 or d * s1 > 0:
+                    raise InvariantViolationError(
+                        "support function is not convex",
+                        detail={"edge": (e.a, e.b), "character": chi},
+                    )
+                column.append(abs(d))
+            columns.append(column)
+        rows = zip(*columns) if columns else [()] * len(chars)
+        return dict(zip(chars, rows))
+
     def degree_on_curve(self, chi, edge_index):
         """Transition exponent of the weight-chi bundle across an interior edge."""
-        # unreduced probe first: callers pass reduced characters, so this is
-        # the hit path (695k calls at |A|=401) and skips a `reduce` per call
-        hit = self._degree.get((chi, edge_index))
-        if hit is not None:
-            return hit
-        chi = self.group.reduce(chi)
-        key = (chi, edge_index)
-        if key in self._degree:
-            return self._degree[key]
-        T = self.triangulation
-        e = T.edges[edge_index]
-        if not e.interior:
+        column = self._edge_column.get(edge_index)
+        if column is None:
             raise InvariantViolationError("degrees are defined on interior edges only")
-        t1, t2 = e.triangles
-        line = T.lines[e.line]
-        u = intmat.vec_sub(line.plus, line.minus)
-        r1 = self.agraphs[t1].table[chi]
-        r2 = self.agraphs[t2].table[chi]
-        diff = intmat.vec_sub(r1, r2)
-        d = None
-        for i in range(3):
-            if u[i]:
-                q, rem = divmod(diff[i], u[i])
-                if rem:
-                    raise InvariantViolationError(
-                        "no integer transition exponent on edge",
-                        detail={"edge": (e.a, e.b), "character": chi},
-                    )
-                if d is None:
-                    d = q
-                elif d != q:
-                    raise InvariantViolationError(
-                        "inconsistent transition exponent on edge",
-                        detail={"edge": (e.a, e.b), "character": chi},
-                    )
-            elif diff[i]:
-                raise InvariantViolationError(
-                    "generator difference is not a multiple of the edge ratio",
-                    detail={"edge": (e.a, e.b), "character": chi},
-                )
-        d = abs(d if d is not None else 0)
-        self._degree[key] = d
-        return d
+        return self.degree_row(chi)[column]
 
     def degree_row(self, chi):
         """Degrees of the weight-chi bundle on all interior edges, in order."""
-        row = self._degree_rows.get(chi)
-        if row is None:
-            chi = self.group.reduce(chi)
-            row = tuple(
-                self.degree_on_curve(chi, ei)
-                for ei in self.triangulation.interior_edges()
-            )
-            self._degree_rows[chi] = row
-        return row
+        return self._degree[self.group.reduce(chi)]
 
     def conv_region(self, chi, monomial):
         """Triangles whose generator of weight chi is the given monomial."""

@@ -8,7 +8,8 @@ JSON line on stderr and inside the report of any written document.
 `--check F` runs the pipeline only up to the checks of family F, so
 `--json` and `--svg` write only the artifacts that run built; asking a
 passing run for `--quiver-svg` when F stops before the quiver is an
-input error.
+input error.  `render` runs up to the `recipe` family, the last one whose
+artifacts the SVG views read.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def _max_order(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    which = getattr(args, "check", "all")
+    # render builds only what its views read: the recipe family ends at the quiver
+    which = getattr(args, "check", "recipe")
     try:
         art = run_pipeline(args.spec, which=which, max_order=_max_order(args), seed=args.seed)
     except InputError as exc:

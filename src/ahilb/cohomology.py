@@ -10,6 +10,7 @@ the degree rows of the surviving bundles must base the degree-2 lattice.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from . import intmat
@@ -135,36 +136,23 @@ class SurfaceCalculus:
         self.surface = surface
         self.Q = intersection_matrix(surface)
         self._classes = {}
-        self._degrees = {}
-
-    def degrees(self, chi):
-        hit = self._degrees.get(chi)
-        if hit is None:
-            C = self.chart_set
-            hit = tuple(C.degree_on_curve(chi, ei) for ei in self.surface.edge_ids)
-            self._degrees[chi] = hit
-        return hit
 
     def restrict_c1(self, chi):
         """Integer curve-coefficient vector pairing to the boundary degrees."""
-        # unreduced probe first, as in ChartSet.degree_on_curve: the hit path
-        hit = self._classes.get(chi)
-        if hit is not None:
-            return hit
-        chi = self.chart_set.group.reduce(chi)
-        if chi in self._classes:
-            return self._classes[chi]
-        d = self.degrees(chi)
-        if not any(d):
-            alpha = (0,) * len(d)
-        else:
-            alpha = intmat.solve_int(self.Q, d)
-            if alpha is None:
-                raise InvariantViolationError(
-                    "degree vector is not realised by a divisor class",
-                    detail={"vertex": self.surface.vertex, "character": chi},
-                )
-        self._classes[chi] = alpha
+        alpha = self._classes.get(chi)
+        if alpha is None:
+            C = self.chart_set
+            d = tuple(C.degree_on_curve(chi, ei) for ei in self.surface.edge_ids)
+            if not any(d):
+                alpha = (0,) * len(d)
+            else:
+                alpha = intmat.solve_int(self.Q, d)
+                if alpha is None:
+                    raise InvariantViolationError(
+                        "degree vector is not realised by a divisor class",
+                        detail={"vertex": self.surface.vertex, "character": C.group.reduce(chi)},
+                    )
+            self._classes[chi] = alpha
         return alpha
 
     def intersect(self, alpha, beta):
@@ -219,19 +207,20 @@ def build_virtual_bundles(group, decoration, relations):
     return out
 
 
+def degree_sum(chart_set, plus, minus):
+    """Degrees of (sum of L_plus) - (sum of L_minus) on each interior edge, in order."""
+    total = [0] * len(chart_set.triangulation.interior_edges())
+    for c in plus:
+        total = list(map(operator.add, total, chart_set.degree_row(c)))
+    for c in minus:
+        total = list(map(operator.sub, total, chart_set.degree_row(c)))
+    return total
+
+
 def check_bundle_degrees(chart_set, bundles):
     """Rank-0 bundles must have degree zero on every compact curve."""
-    T = chart_set.triangulation
-    n = len(T.interior_edges())
     for b in bundles:
-        total = [0] * n
-        for c in b.plus:
-            for j, x in enumerate(chart_set.degree_row(c)):
-                total[j] += x
-        for c in b.minus:
-            for j, x in enumerate(chart_set.degree_row(c)):
-                total[j] -= x
-        if any(total):
+        if any(degree_sum(chart_set, b.plus, b.minus)):
             raise InvariantViolationError(
                 "virtual bundle has nonzero degree on a curve",
                 detail={"index": b.index},
@@ -275,36 +264,21 @@ def h2_basis_check(group, chart_set, decoration, relations):
     surjective onto Z^b2 (all elementary divisors 1), and each type (ii)
     row must be the exact integer combination given by its relation.
     """
-    T = chart_set.triangulation
     basis_chars = sorted(
         set(decoration.partition["line"]) | set(decoration.partition["second"])
     )
-    edges = T.interior_edges()
-    rows = {
-        chi: chart_set.degree_row(chi)
-        for chi in set(basis_chars)
-        | {r for rel in relations for r in rel.lhs + rel.rhs}
-    }
+    edges = chart_set.triangulation.interior_edges()
     b2 = len(basis_chars)
     if b2 == 0:
         return {"b2": 0, "unimodular": True, "relation_rows": True}
-    columns = []
-    for j in range(len(edges)):
-        columns.append([rows[chi][j] for chi in basis_chars])
+    columns = [list(col) for col in zip(*(chart_set.degree_row(chi) for chi in basis_chars))]
     if not intmat.columns_generate_full_lattice(columns, b2):
         raise CorrespondenceError(
             "degree matrix of surviving bundles is not a unimodular basis",
             detail={"b2": b2, "edges": len(edges)},
         )
     for rel in relations:
-        total = [0] * len(edges)
-        for chi in rel.rhs:
-            for j, x in enumerate(rows[chi]):
-                total[j] += x
-        for chi in rel.lhs:
-            for j, x in enumerate(rows[chi]):
-                total[j] -= x
-        if any(total):
+        if any(degree_sum(chart_set, rel.rhs, rel.lhs)):
             raise CorrespondenceError(
                 "relation does not hold between degree rows",
                 detail={"vertex": rel.vertex},

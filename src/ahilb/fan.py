@@ -401,22 +401,23 @@ def knockout(group, fans=None, basis=None):
             point_parts.setdefault(pt, {})[i] = t
             point_parts.setdefault(pt, {})[j] = s
 
-    per_line = [
-        sorted((t, pt) for pt, parts in point_parts.items() for k, t in parts.items() if k == i)
-        for i in range(len(lines))
-    ]
+    # crossing points of each line by parameter along it; a point where
+    # three lines meet is entered once per line, not once per crossing pair
+    per_line = [[] for _ in lines]
+    for pt, parts in point_parts.items():
+        for k, t in parts.items():
+            per_line[k].append((t, pt))
+    for crossings in per_line:
+        crossings.sort()
 
     death = [None] * len(lines)
-
-    def reaches(k, pt):
-        return death[k] is None or death[k] >= point_parts[pt][k]
-
     for _ in range(2 * len(lines) + 8):
         changed = False
         for i, ln in enumerate(lines):
             new_death = None
             for t, pt in per_line[i]:
-                rivals = [k for k in point_parts[pt] if k != i and reaches(k, pt)]
+                parts = point_parts[pt]
+                rivals = [k for k in parts if k != i and _reaches(death, parts, k)]
                 if not rivals:
                     continue
                 if not all(
@@ -463,17 +464,19 @@ def knockout(group, fans=None, basis=None):
     return Partition(group, lines, regular, battles, champion_point)
 
 
+def _reaches(death, parts, k):
+    """Whether line k is still alive at a crossing; parts maps line -> its parameter there."""
+    return death[k] is None or death[k] >= parts[k]
+
+
 def _resolve_battles(group, lines, point_parts, death):
     order = group.order
     battles = []
     defeats = {i: [] for i in range(len(lines))}
 
-    def reaches(k, pt):
-        return death[k] is None or death[k] >= point_parts[pt][k]
-
     realized = []
     for pt, parts in point_parts.items():
-        ks = [k for k in parts if reaches(k, pt)]
+        ks = [k for k in parts if _reaches(death, parts, k)]
         if len(ks) >= 2:
             realized.append((pt, ks))
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ahilb import intmat
-from ahilb.charts import build_agraph, chart_coords
+from ahilb.charts import ChartSet, build_agraph, chart_coords
 from ahilb.errors import InvariantViolationError
 from ahilb.fan import triangulate
 from ahilb.group import MONO_ONE, build_group
@@ -166,6 +166,43 @@ def test_marked_line_degree_one(run30):
     for ei in T.interior_edges():
         line = T.lines[T.edges[ei].line]
         assert C.degree_on_curve(line.character, ei) == 1
+
+
+def _transition_exponent_oracle(C, chi, edge_index):
+    """Degree on one interior edge by the per-(character, edge) transition rule."""
+    T = C.triangulation
+    e = T.edges[edge_index]
+    t1, t2 = e.triangles
+    line = T.lines[e.line]
+    u = intmat.vec_sub(line.plus, line.minus)
+    diff = intmat.vec_sub(C.agraphs[t1].table[chi], C.agraphs[t2].table[chi])
+    d = None
+    for i in range(3):
+        if u[i]:
+            q, rem = divmod(diff[i], u[i])
+            assert rem == 0, "no integer transition exponent on edge"
+            assert d is None or d == q, "inconsistent transition exponent on edge"
+            d = q
+        else:
+            assert diff[i] == 0, "generator difference is not a multiple of the edge ratio"
+    return abs(d if d is not None else 0)
+
+
+@pytest.mark.parametrize(
+    "spec", ["1/11(1,2,8)", "1/30(25,2,3)", "1/3(1,2,0);1/3(0,1,2)", "1/101(1,2,98)"]
+)
+def test_degree_table_matches_transition_rule(spec):
+    C = ChartSet(triangulate(build_group(spec)))
+    T = C.triangulation
+    interior = T.interior_edges()
+    assert interior
+    for chi in C.group.characters():
+        expected = [_transition_exponent_oracle(C, chi, ei) for ei in interior]
+        assert [C.degree_on_curve(chi, ei) for ei in interior] == expected
+        assert list(C.degree_row(chi)) == expected
+    boundary = next(ei for ei, e in enumerate(T.edges) if not e.interior)
+    with pytest.raises(InvariantViolationError):
+        C.degree_on_curve(C.group.characters()[1], boundary)
 
 
 def test_socle_trivial(run_trivial):

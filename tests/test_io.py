@@ -79,6 +79,14 @@ def test_cli_failed_run_skips_missing_views(stage, check, tmp_path, capsys, monk
     assert not qsvg.exists()
 
 
+def test_cli_render_builds_only_the_views(tmp_path, capsys):
+    svg, qsvg = tmp_path / "fan.svg", tmp_path / "q.svg"
+    assert main(["render", "1/11(1,2,8)", "--svg", str(svg), "--quiver-svg", str(qsvg)]) == 0
+    summary = capsys.readouterr().out.split()
+    assert "quiver" in summary and "duality" not in summary
+    assert svg.exists() and qsvg.exists()
+
+
 def test_cli_30(capsys):
     assert main(["check", "1/30(25,2,3)", "--check", "all", "--quiet"]) == 0
 
