@@ -177,7 +177,8 @@ class ChartSet:
             self.agraphs.append(graph)
         # the one degree store: character -> degrees on interior_edges(), in order
         self._degree = self._curve_degrees()
-        self._edge_column = {ei: j for j, ei in enumerate(triangulation.interior_edges())}
+        # interior edge index -> its position in every degree row
+        self.edge_column = {ei: j for j, ei in enumerate(triangulation.interior_edges())}
 
     def generator(self, chi, tri_index):
         return self.agraphs[tri_index].table[self.group.reduce(chi)]
@@ -230,7 +231,7 @@ class ChartSet:
 
     def degree_on_curve(self, chi, edge_index):
         """Transition exponent of the weight-chi bundle across an interior edge."""
-        column = self._edge_column.get(edge_index)
+        column = self.edge_column.get(edge_index)
         if column is None:
             raise InvariantViolationError("degrees are defined on interior edges only")
         return self.degree_row(chi)[column]

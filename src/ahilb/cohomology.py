@@ -10,6 +10,7 @@ the degree rows of the surviving bundles must base the degree-2 lattice.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -131,56 +132,59 @@ def intersection_matrix(surface):
 class SurfaceCalculus:
     """Restriction classes and pairings on one compact surface."""
 
-    def __init__(self, chart_set, surface):
+    def __init__(self, chart_set, surface, mark_char):
         self.chart_set = chart_set
         self.surface = surface
+        self.mark_char = mark_char
         self.Q = intersection_matrix(surface)
-        self._classes = {}
+        # the boundary curves' entries of a degree row, as a tuple (n >= 3 curves)
+        self._boundary = operator.itemgetter(*map(chart_set.edge_column.get, surface.edge_ids))
+        self._zero = ((0,) * len(surface.rays),) * 2  # (alpha, d) of every degree-0 character
+        self._restrictions = {}  # character -> (alpha, d)
 
     def restrict_c1(self, chi):
         """Integer curve-coefficient vector pairing to the boundary degrees."""
-        alpha = self._classes.get(chi)
-        if alpha is None:
-            C = self.chart_set
-            d = tuple(C.degree_on_curve(chi, ei) for ei in self.surface.edge_ids)
-            if not any(d):
-                alpha = (0,) * len(d)
-            else:
-                alpha = intmat.solve_int(self.Q, d)
-                if alpha is None:
+        return self._restriction(chi)[0]
+
+    def _restriction(self, chi):
+        """Boundary degrees d and a class alpha with Q alpha = d, as (alpha, d).
+
+        Row i of Q alpha = d is the wall relation
+        alpha_{i-1} + C_i^2 alpha_i + alpha_{i+1} = d_i.  Principal divisors
+        span ker Q and take any values on the basis (u_0, u_1), so if any
+        rational solution exists, one has alpha_0 = alpha_1 = 0 and the
+        recurrence determines it: d is realised iff the recurrence closes up.
+        """
+        entry = self._restrictions.get(chi)
+        if entry is None:
+            d = self._boundary(self.chart_set.degree_row(chi))
+            entry = self._zero
+            if any(d):
+                selfint, n = self.surface.self_intersections, len(d)
+                alpha = [0, 0]
+                for i in range(1, n + 1):
+                    alpha.append(d[i % n] - alpha[i - 1] - selfint[i % n] * alpha[i])
+                if alpha[n] or alpha[n + 1]:
                     raise InvariantViolationError(
                         "degree vector is not realised by a divisor class",
-                        detail={"vertex": self.surface.vertex, "character": C.group.reduce(chi)},
+                        detail={"vertex": self.surface.vertex,
+                                "character": self.chart_set.group.reduce(chi)},
                     )
-            self._classes[chi] = alpha
-        return alpha
+                entry = (tuple(alpha[:n]), d)
+            self._restrictions[chi] = entry
+        return entry
 
     def intersect(self, alpha, beta):
-        return sum(
-            alpha[i] * self.Q[i][j] * beta[j]
-            for i in range(len(alpha))
-            for j in range(len(beta))
-        )
+        return intmat.vec_dot(alpha, intmat.vec_mat(beta, self.Q))
 
     def c2_pairing(self, bundle):
         """Second Chern number of a rank-0, c1-0 virtual bundle on the surface."""
-        plus = [self.restrict_c1(c) for c in bundle.plus]
-        minus = [self.restrict_c1(c) for c in bundle.minus]
-        nplus = [a for a in plus if any(a)]
-        if len(nplus) < 2 and len([a for a in minus if any(a)]) < 2:
-            return 0
-        total = 0
-        for i in range(len(plus)):
-            if not any(plus[i]):
-                continue
-            for j in range(i + 1, len(plus)):
-                total += self.intersect(plus[i], plus[j])
-        for i in range(len(minus)):
-            if not any(minus[i]):
-                continue
-            for j in range(i + 1, len(minus)):
-                total -= self.intersect(minus[i], minus[j])
-        return total
+        # each side adds alpha_i . Q alpha_j = alpha_i . d_j over its pairs i < j
+        return self._pair_sum(bundle.plus) - self._pair_sum(bundle.minus)
+
+    def _pair_sum(self, chars):
+        pairs = itertools.combinations(map(self._restriction, chars), 2)
+        return sum(intmat.vec_dot(alpha, d) for (alpha, _), (_, d) in pairs)
 
 
 def build_surfaces(triangulation, chart_set, decoration):
@@ -193,9 +197,7 @@ def build_surfaces(triangulation, chart_set, decoration):
                 "star-fan surface type disagrees with the marking case",
                 detail={"vertex": v, "star": surf.surface_type, "mark": vm.case},
             )
-        calc = SurfaceCalculus(chart_set, surf)
-        calc.mark_char = vm.mark_ii()
-        out[v] = calc
+        out[v] = SurfaceCalculus(chart_set, surf, vm.mark_ii())
     return out
 
 

@@ -34,9 +34,9 @@ def unproj(order, q):
 
 
 def lattice_basis(group):
-    """HNF rows of the scaled lattice |A|*N inside Z^3."""
+    """HNF rows of the scaled lattice |A|*N = |A|*Z^3 + (the generators) inside Z^3."""
     r = group.order
-    gens = [(r, 0, 0), (0, r, 0), (0, 0, r)] + list(group.elements)
+    gens = [(r, 0, 0), (0, r, 0), (0, 0, r)] + [g for g in group.scaled_generators if any(g)]
     H = intmat.hnf_rows(gens)
     if len(H) != 3:
         raise InvariantViolationError("scaled lattice is not of full rank")
@@ -80,9 +80,11 @@ class QuotientMap:
 
     def __init__(self, group, w, basis=None):
         B = basis or lattice_basis(group)
-        coords = intmat.solve_int(B, w)
-        if coords is None:
+        den = intmat.det3(B)
+        coords = intmat.vec_mat(w, intmat.adjugate3(B))  # den * (w in the basis B)
+        if any(x % den for x in coords):
             raise InvariantViolationError(f"{w} is not a lattice point")
+        coords = tuple(x // den for x in coords)
         if intmat.content(coords) != 1:
             raise InvariantViolationError(f"{w} is not primitive in the lattice")
         A, _ = intmat.complete_unimodular(coords)

@@ -88,9 +88,7 @@ class AbelianGroup:
         self.dual_basis = dual_basis
         self.distinguished = distinguished  # scaled generator used for labels
         self.is_cyclic = distinguished is not None
-        self.scaled_generators = tuple(
-            tuple((a * order) // r for a in w) for r, w in spec.generators
-        )
+        self.scaled_generators = _scaled_generators(spec, order)
         self._char_list = None
         self._char_index = None
 
@@ -237,7 +235,7 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER) -> AbelianGroup:
         elements.append(tuple(scaled))
     elements.sort()
 
-    dual = _invariant_lattice(elements, order)
+    dual = _invariant_lattice(_scaled_generators(spec, order), order)
 
     distinguished = None
     for r, w in spec.generators:
@@ -264,9 +262,14 @@ def _element_order(e, order):
     return order // gcd(g, order)
 
 
-def _invariant_lattice(elements, order):
-    """HNF rows of {m in Z^3 : m . e == 0 mod |A| for all elements e}."""
-    gens = [e for e in elements if e != (0, 0, 0)]
+def _scaled_generators(spec, order):
+    """The spec's generators as integer triples with denominator |A|."""
+    return tuple(tuple((a * order) // r for a in w) for r, w in spec.generators)
+
+
+def _invariant_lattice(generators, order):
+    """HNF rows of {m in Z^3 : m . g == 0 mod |A| for all generators g}, the invariants."""
+    gens = [g for g in generators if any(g)]
     if not gens:
         return [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     # m with gens @ m ~ 0 mod order: right-kernel of [gens | order*I]

@@ -258,8 +258,9 @@ class ZSpan:
 
     Supports the one question the verification suite needs: after feeding in
     integer vectors, does the span equal all of Z^n?  Insertion keeps a
-    pivot->vector echelon dictionary; the span is full exactly when every
-    index carries a pivot entry equal to 1.
+    pivot->vector echelon dictionary, not reduced above the pivots (fullness
+    does not depend on those): the span is full exactly when every index
+    carries a pivot entry equal to 1.
     """
 
     def __init__(self, n):
@@ -289,20 +290,9 @@ class ZSpan:
                 new_v = [(p[i] // g) * b - (v[i] // g) * a for a, b in zip(p, v)]
                 self.pivots[i] = new_p
                 v = new_v
-        self._reduce()
         self._full = len(self.pivots) == self.n and all(
             self.pivots[i][i] == 1 for i in range(self.n)
         )
-
-    def _reduce(self):
-        # keep entries above pivots small so coefficients stay bounded
-        for i in sorted(self.pivots, reverse=True):
-            p = self.pivots[i]
-            for j, row in self.pivots.items():
-                if j < i and row[i]:
-                    q = row[i] // p[i]
-                    if q:
-                        self.pivots[j] = [a - q * b for a, b in zip(row, p)]
 
     def is_full(self):
         return self._full

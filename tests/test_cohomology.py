@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
+from ahilb import intmat, pipeline
 from ahilb.cohomology import (
+    SurfaceCalculus,
     VirtualBundle,
     duality_matrix,
     intersection_matrix,
@@ -8,6 +12,7 @@ from ahilb.cohomology import (
 )
 from ahilb.errors import CorrespondenceError, InvariantViolationError
 from ahilb.group import MONO_ONE
+from ahilb.pipeline import run_pipeline
 from conftest import chi
 
 
@@ -178,3 +183,116 @@ def test_certificate(run11, run30, run_trivial):
     g30 = run30.group
     assert c30["b2"] == g30.age_counts()[1] and c30["b4"] == g30.age_counts()[2]
     assert 1 + c30["b2"] + c30["b4"] == g30.order
+
+
+# -- the wall-relation restriction and the alpha . d pairing against the
+#    lattice-solver path they replace, kept here as the oracle
+
+DIFFERENTIAL_SPECS = ("1/11(1,2,8)", "1/30(25,2,3)", "1/3(1,2,0);1/3(0,1,2)", "1/101(1,2,98)")
+
+
+@pytest.fixture(scope="module", params=DIFFERENTIAL_SPECS)
+def differential_run(request):
+    return run_pipeline(request.param)
+
+
+def _oracle_restriction(calc, chi):
+    """Boundary degrees one curve at a time, then an HNF solve of Q alpha = d."""
+    d = tuple(calc.chart_set.degree_on_curve(chi, ei) for ei in calc.surface.edge_ids)
+    if not any(d):
+        return (0,) * len(d), d
+    alpha = intmat.solve_int(intersection_matrix(calc.surface), d)
+    assert alpha is not None
+    return alpha, d
+
+
+def _oracle_intersect(Q, alpha, beta):
+    return sum(alpha[i] * Q[i][j] * beta[j] for i in range(len(alpha)) for j in range(len(beta)))
+
+
+def _oracle_c2(calc, bundle):
+    Q = intersection_matrix(calc.surface)
+    plus = [_oracle_restriction(calc, c)[0] for c in bundle.plus]
+    minus = [_oracle_restriction(calc, c)[0] for c in bundle.minus]
+    if sum(map(any, plus)) < 2 and sum(map(any, minus)) < 2:
+        return 0
+    total = 0
+    for side, sign in ((plus, 1), (minus, -1)):
+        for i in range(len(side)):
+            for j in range(i + 1, len(side)):
+                total += sign * _oracle_intersect(Q, side[i], side[j])
+    return total
+
+
+def test_restriction_and_pairing_match_the_solver_oracle(differential_run):
+    g = differential_run.group
+    chars = g.characters()
+    for calc in differential_run.surfaces.values():
+        Q = intersection_matrix(calc.surface)
+        new = {c: calc.restrict_c1(c) for c in chars}
+        old = {c: _oracle_restriction(calc, c) for c in chars}
+        for c in chars:
+            assert intmat.vec_mat(new[c], Q) == old[c][1], c
+        nonzero = [c for c in chars if any(old[c][0])]
+        assert all(not any(new[c]) for c in chars if c not in nonzero)
+        # pairs with a zero class pair to 0 on both paths
+        for c in nonzero:
+            for c2 in nonzero:
+                assert calc.intersect(new[c], new[c2]) == _oracle_intersect(
+                    Q, old[c][0], old[c2][0]
+                ), (c, c2)
+
+
+def test_c2_pairing_matches_the_solver_oracle(differential_run):
+    art = differential_run
+    g = art.group
+    chars = g.characters()
+    rng = random.Random(7)
+    bundles = list(art.bundles)
+    while len(bundles) < len(art.bundles) + 20:
+        plus = tuple(rng.choice(chars) for _ in range(rng.randint(1, 3)))
+        minus = tuple(rng.choice(chars) for _ in range(rng.randint(1, 3)))
+        if g.char_sum(plus) != g.char_sum(minus):
+            bundles.append(VirtualBundle(plus[0], (0, 0, 0), plus, minus))
+    for calc in art.surfaces.values():
+        for b in bundles:
+            assert calc.c2_pairing(b) == _oracle_c2(calc, b), (calc.surface.vertex, b)
+
+
+class _FixedDegreeCharts:
+    """Chart-set stand-in whose every character has the same boundary degrees."""
+
+    def __init__(self, group, surface, degrees):
+        self.group = group
+        self.edge_column = {ei: j for j, ei in enumerate(surface.edge_ids)}
+        self._degrees = tuple(degrees)
+
+    def degree_row(self, chi):
+        return self._degrees
+
+
+def test_unrealisable_degrees_are_reported(run11):
+    g = run11.group
+    plane = run11.surfaces[(3, 6, 2)].surface
+    calc = SurfaceCalculus(_FixedDegreeCharts(g, plane, (1, 0, 0)), plane, chi(g, 4))
+    with pytest.raises(InvariantViolationError) as err:
+        calc.restrict_c1(chi(g, 2))
+    assert err.value.detail["vertex"] == (3, 6, 2)
+    assert err.value.detail["character"] == chi(g, 2)
+
+
+def test_duality_and_h2_run_no_lattice_solver(monkeypatch):
+    art = run_pipeline("1/30(25,2,3)", which="relations")
+    calls = {"solve_int": 0, "hnf_transform": 0}
+    for name in calls:
+        original = getattr(intmat, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(intmat, name, counted)
+    pipeline._check_duality(art, random.Random(0))
+    pipeline._check_h2(art, random.Random(0))
+    assert art.duality and art.h2["unimodular"]
+    assert calls == {"solve_int": 0, "hnf_transform": 0}

@@ -3,8 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ahilb import intmat
 from ahilb.errors import InputError, ResourceLimitError
+from ahilb.fan import lattice_basis
 from ahilb.group import build_group, monomial_str, parse_group_spec
+from test_acceptance import _cyclic_family_up_to_30
 
 
 def test_parse_cyclic():
@@ -198,3 +201,35 @@ def test_equal_groups_from_different_generators():
     g2 = build_group("1/5(2,4,4)")
     assert g1.elements == g2.elements
     assert g1.dual_basis == g2.dual_basis
+
+
+def _all_elements_invariant_lattice(g):
+    """HNF rows of the exponents invariant under every element, one by one."""
+    elements = [e for e in g.elements if e != (0, 0, 0)]
+    if not elements:
+        return [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    k = len(elements)
+    rows = [[e[i] for e in elements] for i in range(3)]
+    rows += [[g.order if j == i else 0 for j in range(k)] for i in range(k)]
+    return [tuple(r) for r in intmat.hnf_rows([v[:3] for v in intmat.left_kernel(rows)])]
+
+
+def _all_elements_scaled_lattice(g):
+    r = g.order
+    return [tuple(row) for row in intmat.hnf_rows([(r, 0, 0), (0, r, 0), (0, 0, r)] + g.elements)]
+
+
+def test_lattices_from_generators_match_all_elements():
+    specs = _cyclic_family_up_to_30() + [
+        "1/3(1,2,0);1/3(0,1,2)",
+        "1/4(2,2,0)",
+        "1/5(0,0,0)",
+        "1/7(1,2,4);1/7(1,2,4)",
+        "1/2(1,1,0);1/2(0,1,1)",
+        "1/6(1,2,3);1/3(1,1,1)",
+        "1/4(1,1,2);1/2(1,1,0);1/2(0,1,1)",
+    ]
+    for spec in specs:
+        g = build_group(spec)
+        assert g.dual_basis == _all_elements_invariant_lattice(g), spec
+        assert lattice_basis(g) == _all_elements_scaled_lattice(g), spec

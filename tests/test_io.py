@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ahilb.cli import main
 from ahilb.errors import InputError
@@ -195,3 +196,24 @@ def test_report_failure_is_none_on_success(run11):
     assert run11.report.passed
     statuses = {entry["status"] for entry in run11.report.checks.values()}
     assert statuses == {"pass"}
+
+
+def _factor_text(r, a, b):
+    return f"1/{r}({a},{b},{(-a - b) % r})"
+
+
+_FACTOR = st.integers(1, 12).flatmap(
+    lambda r: st.builds(_factor_text, st.just(r), st.integers(0, r - 1), st.integers(0, r - 1))
+)
+_SPEC_TEXT = st.one_of(
+    st.lists(_FACTOR, min_size=1, max_size=3).map(";".join),
+    st.lists(st.one_of(_FACTOR, st.text(max_size=12)), min_size=1, max_size=3).map(";".join),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_SPEC_TEXT)
+def test_cli_check_exits_cleanly_on_any_spec_text(spec):
+    # "--" keeps a spec that starts with "-" from being read as an option
+    assert main(["check", "--quiet", "--max-order", "200", "--", spec]) in (0, 1, 2)
