@@ -28,6 +28,13 @@ from .serialize import jsonable, to_json
 ENV_MAX_ORDER = "AHILB_MAX_ORDER"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an InputError, so it exits 1 like any input error."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _add_common(p, with_check=True):
     p.add_argument("spec", help="group spec, e.g. '1/11(1,2,8)' or '1/3(1,2,0);1/3(0,1,2)'")
     p.add_argument("--json", metavar="PATH", help="write the full JSON document")
@@ -47,7 +54,7 @@ def _add_common(p, with_check=True):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ahilb",
         description=(
             "Compute the toric resolution of C^3 by a diagonal abelian subgroup of "
@@ -75,10 +82,10 @@ def _max_order(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # render builds only what its views read: the recipe family ends at the quiver
-    which = getattr(args, "check", "recipe")
     try:
+        args = build_parser().parse_args(argv)
+        # render builds only what its views read: the recipe family ends at the quiver
+        which = getattr(args, "check", "recipe")
         art = run_pipeline(args.spec, which=which, max_order=_max_order(args), seed=args.seed)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

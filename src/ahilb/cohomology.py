@@ -50,13 +50,13 @@ def virtual_bundle(group, vertex_mark, relation) -> VirtualBundle:
     return VirtualBundle(vertex_mark.mark_ii(), vertex_mark.vertex, plus, minus)
 
 
-def surface_star(triangulation, vertex, basis=None) -> CompactSurface:
+def surface_star(triangulation, vertex) -> CompactSurface:
     """Star fan of an interior vertex as a smooth complete toric surface."""
     T = triangulation
     g = T.group
     if min(vertex) == 0:
         raise InvariantViolationError("compact surfaces sit over interior vertices")
-    qm = QuotientMap(g, vertex, basis or T.basis)
+    qm = QuotientMap(g, vertex)
     rays = []
     for ei in T.vertex_edge_map()[vertex]:
         e = T.edges[ei]

@@ -1,9 +1,12 @@
 """Triangulation of the junior simplex.
 
-Pipeline: per-corner line fans with continued-fraction strengths, the
+Pipeline: per-corner line fans, whose rays and strengths come from the
+Hirzebruch-Jung continued-fraction recurrence of the corner cone, the
 knock-out tournament that partitions the simplex into regular triangles,
 and the regular tesselation into basic triangles.  Every edge is labelled
-with the minimal invariant monomial ratio vanishing on its line.
+with the minimal invariant monomial ratio vanishing on its line.  The
+scaled lattice is `AbelianGroup.lattice_basis`; no step solves a lattice
+system.
 
 All geometry is exact.  Points live in the plane {sum = |A|} with integer
 coordinates ("scaled" coordinates); the plane is embedded into Z^2 by
@@ -33,26 +36,6 @@ def unproj(order, q):
     return (q[0], q[1], order - q[0] - q[1])
 
 
-def lattice_basis(group):
-    """HNF rows of the scaled lattice |A|*N = |A|*Z^3 + (the generators) inside Z^3."""
-    r = group.order
-    gens = [(r, 0, 0), (0, r, 0), (0, 0, r)] + [g for g in group.scaled_generators if any(g)]
-    H = intmat.hnf_rows(gens)
-    if len(H) != 3:
-        raise InvariantViolationError("scaled lattice is not of full rank")
-    return [tuple(row) for row in H]
-
-
-def direction_basis(group, basis=None):
-    """Basis (2 rows) of the sum-zero directions inside the scaled lattice."""
-    B = basis or lattice_basis(group)
-    sums = [[sum(row)] for row in B]
-    kern = intmat.left_kernel(sums)
-    if len(kern) != 2:
-        raise InvariantViolationError("direction lattice is not of rank 2")
-    return [intmat.vec_mat(k, B) for k in kern]
-
-
 def primitive_step(group, d):
     """Largest lattice vector with d = r*step; returns (step, r)."""
     c = intmat.content(d)
@@ -78,8 +61,8 @@ def divisors_desc(n):
 class QuotientMap:
     """Exact coordinates on (scaled lattice)/Z*w for a primitive lattice w."""
 
-    def __init__(self, group, w, basis=None):
-        B = basis or lattice_basis(group)
+    def __init__(self, group, w):
+        B = group.lattice_basis
         den = intmat.det3(B)
         coords = intmat.vec_mat(w, intmat.adjugate3(B))  # den * (w in the basis B)
         if any(x % den for x in coords):
@@ -138,26 +121,23 @@ class CornerLine:
         return self.path[int(k) - 1]
 
 
-def corner_fan(group, corner, basis=None):
+def corner_fan(group, corner):
     """Interior lines from one corner with Jung-Hirzebruch strengths.
 
-    The rays are the lattice points on the compact boundary of the convex
-    hull of the nonzero quotient-lattice points in the projected simplex
-    cone; consecutive rays form bases, flats get strength 2.
+    The rays are the Hirzebruch-Jung continued-fraction chain of the
+    projected simplex cone in the corner quotient lattice (`_hj_chain`):
+    consecutive rays form bases and v_{j-1} + v_{j+1} = a_j v_j, where the
+    strength a_j >= 2 is the j-th continued-fraction digit.
     """
     order = group.order
     E = [tuple(order if i == c else 0 for i in range(3)) for c in CORNERS]
-    qm = QuotientMap(group, E[corner], basis)
+    qm = QuotientMap(group, E[corner])
     others = [c for c in CORNERS if c != corner]
     PA = qm.proj(E[others[0]])
     PB = qm.proj(E[others[1]])
-    if intmat.cross2(PA, PB) == 0:
-        raise InvariantViolationError("degenerate corner cone")
     if intmat.cross2(PA, PB) < 0:
         PA, PB = PB, PA
-
-    pts = _lattice_points_in_triangle(PA, PB)
-    chain = _hull_chain(pts, PA, PB)
+    chain = _hj_chain(intmat.primitive(PA), intmat.primitive(PB))
 
     lines = []
     for j in range(1, len(chain) - 1):
@@ -202,91 +182,31 @@ def _make_corner_line(group, corner, Ec, qm, ray, strength):
     return CornerLine(corner, ray, step, strength, u, plus, minus, path)
 
 
-def _lattice_points_in_triangle(PA, PB):
-    """Integer points of conv{0, PA, PB} except the origin."""
-    verts = [(0, 0), PA, PB]
-    xs = [v[0] for v in verts]
-    out = []
-    for x in range(min(xs), max(xs) + 1):
-        lo, hi = None, None
-        for i in range(3):
-            a, b = verts[i], verts[(i + 1) % 3]
-            if a[0] == b[0]:
-                if a[0] == x:
-                    ys = sorted((a[1], b[1]))
-                    lo = ys[0] if lo is None else min(lo, ys[0])
-                    hi = ys[1] if hi is None else max(hi, ys[1])
-                continue
-            if not (min(a[0], b[0]) <= x <= max(a[0], b[0])):
-                continue
-            y = Fraction(a[1] * (b[0] - x) + b[1] * (x - a[0]), b[0] - a[0])
-            lo = y if lo is None else min(lo, y)
-            hi = y if hi is None else max(hi, y)
-        if lo is None:
-            continue
-        y0 = lo.__ceil__() if isinstance(lo, Fraction) else lo
-        y1 = hi.__floor__() if isinstance(hi, Fraction) else hi
-        for y in range(y0, y1 + 1):
-            if (x, y) != (0, 0) and in_triangle_2d((x, y), verts):
-                out.append((x, y))
-    return out
+def _hj_chain(vA, vB):
+    """Rays of the Hirzebruch-Jung resolution of the cone (vA, vB), vA to vB.
 
-
-def in_triangle_2d(p, verts):
-    """Whether p lies in the closed triangle verts, of either orientation."""
-    sgn = 0
-    for i in range(3):
-        a, b = verts[i], verts[(i + 1) % 3]
-        c = intmat.cross2(intmat.vec_sub(b, a), intmat.vec_sub(p, a))
-        if c == 0:
-            continue
-        s = 1 if c > 0 else -1
-        if sgn == 0:
-            sgn = s
-        elif s != sgn:
-            return False
-    return True
-
-
-def _hull_chain(points, PA, PB):
-    """Radially visible boundary chain from ray PA to ray PB, flats kept."""
-    by_ray = {}
-    for p in points:
-        d = intmat.primitive(p)
-        cur = by_ray.get(d)
-        if cur is None or abs(p[0]) + abs(p[1]) < abs(cur[0]) + abs(cur[1]):
-            by_ray[d] = p
-    reps = sorted(
-        by_ray.values(),
-        key=functools.cmp_to_key(lambda a, b: -intmat.cross2(a, b)),
-    )
-    vA = intmat.primitive(PA)
-    vB = intmat.primitive(PB)
-    if reps[0] != vA or reps[-1] != vB:
-        raise InvariantViolationError("hull chain does not start and end on the sides")
-    stack = []
-    for p in reps:
-        while len(stack) >= 2 and intmat.cross2(
-            intmat.vec_sub(p, stack[-2]), intmat.vec_sub(stack[-1], stack[-2])
-        ) <= 0:
-            stack.pop()
-        stack.append(p)
-    # re-insert lattice points sitting on flat chain edges
-    chain = []
-    for i in range(len(stack) - 1):
-        a, b = stack[i], stack[i + 1]
-        chain.append(a)
-        flats = []
-        for q in by_ray.values():
-            if q in (a, b):
-                continue
-            d1 = intmat.vec_sub(b, a)
-            d2 = intmat.vec_sub(q, a)
-            if intmat.cross2(d1, d2) == 0 and 0 < intmat.vec_dot(d1, d2) < intmat.vec_dot(d1, d1):
-                flats.append(q)
-        flats.sort(key=lambda q: intmat.vec_dot(intmat.vec_sub(b, a), intmat.vec_sub(q, a)))
-        chain.extend(flats)
-    chain.append(stack[-1])
+    vA, vB are primitive with cross2(vA, vB) = D > 0.  v_1 is the lattice
+    point with cross2(vA, v_1) = 1 and 0 <= cross2(v_1, vB) < D; then
+    v_{j+1} = a_j v_j - v_{j-1} with a_j = ceil(cross2(v_{j-1}, vB) /
+    cross2(v_j, vB)) until vB (Fulton, Introduction to Toric Varieties, 2.6).
+    """
+    D = intmat.cross2(vA, vB)
+    if D <= 0:
+        raise InvariantViolationError("degenerate corner cone")
+    _, s, t = intmat.exgcd(vA[0], vA[1])
+    p0 = (-t, s)  # cross2(vA, p0) == 1
+    chain = [vA, intmat.vec_sub(p0, intmat.vec_scale(intmat.cross2(p0, vB) // D, vA))]
+    c_prev = D
+    while chain[-1] != vB:
+        c = intmat.cross2(chain[-1], vB)
+        if c <= 0:
+            raise InvariantViolationError(
+                "continued-fraction chain passes the far side of the corner cone",
+                detail={"from": vA, "to": vB, "ray": chain[-1]},
+            )
+        a = -(-c_prev // c)
+        chain.append(intmat.vec_sub(intmat.vec_scale(a, chain[-1]), chain[-2]))
+        c_prev = c
     return chain
 
 
@@ -373,12 +293,9 @@ class RegularTriangle:
     corner: int | None
 
 
-def knockout(group, fans=None, basis=None):
+def knockout(group):
     """Run the tournament and cut the simplex into regular triangles."""
-    basis = basis or lattice_basis(group)
-    if fans is None:
-        fans = [corner_fan(group, c, basis) for c in CORNERS]
-    lines = [ln for fan in fans for ln in fan]
+    lines = [ln for c in CORNERS for ln in corner_fan(group, c)]
     order = group.order
     E = [tuple(order if i == c else 0 for i in range(3)) for c in CORNERS]
 
@@ -457,7 +374,7 @@ def knockout(group, fans=None, basis=None):
                     "surviving line leaves the simplex at a non-lattice point"
                 )
 
-    regular = _extract_faces(group, lines, battles, basis)
+    regular = _extract_faces(group, lines, battles)
     total = sum(t.side * t.side for t in regular)
     if total != order:
         raise InvariantViolationError(
@@ -533,7 +450,7 @@ def _resolve_battles(group, lines, point_parts, death):
     return out
 
 
-def _extract_faces(group, lines, battles, basis):
+def _extract_faces(group, lines, battles):
     order = group.order
     E = [tuple(order if i == c else 0 for i in range(3)) for c in CORNERS]
 
@@ -562,7 +479,6 @@ def _extract_faces(group, lines, battles, basis):
             adj.setdefault(q, set()).add(p)
 
     faces = _walk_faces(adj)
-    dbasis = direction_basis(group, basis)
     regular = []
     champion_seen = False
     for cyc in faces:
@@ -572,7 +488,7 @@ def _extract_faces(group, lines, battles, basis):
                 f"knock-out face with {len(corners)} corners is not a triangle"
             )
         tri = [unproj(order, c) for c in corners]
-        reg = _regular_triangle(group, tri, dbasis)
+        reg = _regular_triangle(group, tri)
         if reg.kind == "champion":
             if champion_seen:
                 raise InvariantViolationError("two meeting-of-champions triangles")
@@ -636,7 +552,7 @@ def _cycle_corners(cyc):
     return corners
 
 
-def _regular_triangle(group, tri, dbasis):
+def _regular_triangle(group, tri):
     order = group.order
     # canonical rotation: lex-smallest corner first, cyclic (CCW) order kept,
     # so the output is independent of where the face walk started
@@ -653,15 +569,10 @@ def _regular_triangle(group, tri, dbasis):
     if len(set(sides)) != 1:
         raise InvariantViolationError(f"face with side counts {sides} is not regular")
     r = sides[0]
-    s1 = intmat.vec_sub(tri[1], tri[0])
-    s1 = tuple(x // r for x in s1)
-    s2 = intmat.vec_sub(tri[2], tri[0])
-    s2 = tuple(x // r for x in s2)
-    c1 = intmat.solve_int(dbasis, s1)
-    c2 = intmat.solve_int(dbasis, s2)
-    if c1 is None or c2 is None:
-        raise InvariantViolationError("regular triangle steps are not lattice vectors")
-    if abs(c1[0] * c2[1] - c1[1] * c2[0]) != 1:
+    s1, s2 = steps[0], intmat.vec_neg(steps[2])
+    # the sum-zero directions of the scaled lattice have d1 x d2 = +-|A|(1,1,1),
+    # so for p in the plane {sum = |A|}, det(p, s1, s2) = +-|A|^2 * [d1, d2 : s1, s2]
+    if abs(intmat.det3([tri[0], s1, s2])) != order * order:
         raise InvariantViolationError("face is not a regular (unimodular) triangle")
     corner_hits = [E[v] for v in tri if v in E]
     if corner_hits:
@@ -704,10 +615,9 @@ class Triangle:
 
 
 class Triangulation:
-    def __init__(self, group, partition, basis):
+    def __init__(self, group, partition):
         self.group = group
         self.partition = partition
-        self.basis = basis
         self.regular_triangles = partition.regular_triangles
         self.triangles = []
         self.points = set()
@@ -849,6 +759,4 @@ class Triangulation:
 
 def triangulate(group) -> Triangulation:
     """Full pipeline: corner fans, knock-out, tesselation, ratio labels."""
-    basis = lattice_basis(group)
-    part = knockout(group, basis=basis)
-    return Triangulation(group, part, basis)
+    return Triangulation(group, knockout(group))

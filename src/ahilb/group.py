@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InvariantViolationError, ResourceLimitError
 from . import intmat
 
 # x^i y^j z^k as a plain exponent triple
@@ -78,7 +78,7 @@ def parse_group_spec(text: str) -> GroupSpec:
 class AbelianGroup:
     """Immutable once built; all queries are pure."""
 
-    def __init__(self, spec, elements, order, dual_basis, distinguished):
+    def __init__(self, spec, elements, order, dual_basis, lattice_basis, distinguished):
         self.spec = spec
         self.order = order
         # integer triples scaled by `order`, sorted, identity first
@@ -86,6 +86,8 @@ class AbelianGroup:
         self.element_set = frozenset(elements)
         # HNF rows (upper echelon) of the invariant exponent lattice
         self.dual_basis = dual_basis
+        # HNF rows of the scaled lattice |A|*N = |A|*Z^3 + (the generators)
+        self.lattice_basis = lattice_basis
         self.distinguished = distinguished  # scaled generator used for labels
         self.is_cyclic = distinguished is not None
         self.scaled_generators = _scaled_generators(spec, order)
@@ -235,7 +237,9 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER) -> AbelianGroup:
         elements.append(tuple(scaled))
     elements.sort()
 
-    dual = _invariant_lattice(_scaled_generators(spec, order), order)
+    scaled = _scaled_generators(spec, order)
+    dual = _invariant_lattice(scaled, order)
+    lattice = _scaled_lattice(scaled, order)
 
     distinguished = None
     for r, w in spec.generators:
@@ -248,7 +252,7 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER) -> AbelianGroup:
                 distinguished = e
                 break
 
-    g = AbelianGroup(spec, elements, order, dual, distinguished)
+    g = AbelianGroup(spec, elements, order, dual, lattice, distinguished)
     # index checks: |A| = [N : Z^3] = [Z^3 : M]
     d = intmat.det3(dual)
     if abs(d) != order:
@@ -285,6 +289,15 @@ def _invariant_lattice(generators, order):
     H = intmat.hnf_rows(basis)
     if len(H) != 3:
         raise InputError("invariant lattice has rank < 3")
+    return [tuple(r) for r in H]
+
+
+def _scaled_lattice(generators, order):
+    """HNF rows of |A|*Z^3 + (the scaled generators) inside Z^3."""
+    rows = [(order, 0, 0), (0, order, 0), (0, 0, order)] + [g for g in generators if any(g)]
+    H = intmat.hnf_rows(rows)
+    if len(H) != 3:
+        raise InvariantViolationError("scaled lattice is not of full rank")
     return [tuple(r) for r in H]
 
 

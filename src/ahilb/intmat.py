@@ -183,24 +183,11 @@ def solve_int(rows, target):
 
 
 def inverse_unimodular(m):
-    n = len(m)
-    if n == 3:
-        d = det3(m)
-        adj = adjugate3(m)
-        if d == 1:
-            return [tuple(r) for r in adj]
-        if d == -1:
-            return [tuple(-x for x in r) for r in adj]
+    """Inverse of a 3x3 integer matrix of determinant +-1: det * adj(m)."""
+    d = det3(m)
+    if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    if n == 2:
-        d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if d not in (1, -1):
-            raise ValueError("matrix is not unimodular")
-        return [
-            (m[1][1] * d, -m[0][1] * d),
-            (-m[1][0] * d, m[0][0] * d),
-        ]
-    raise ValueError("only 2x2 and 3x3 supported")
+    return [tuple(d * x for x in r) for r in adjugate3(m)]
 
 
 def complete_unimodular(c):

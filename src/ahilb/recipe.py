@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import intmat
 from .errors import InvariantViolationError, CorrespondenceError
-from .fan import in_triangle_2d, line_ratio
+from .fan import line_ratio
 from .group import MONO_ONE, monomial_mul
 
 CASE_P2 = "P2"
@@ -442,7 +443,7 @@ def quiver_embedding(triangulation, chart_set, decoration) -> QuiverEmbedding:
     bc = (order, order)  # barycentre scaled by 3, projected like the vertices
     chosen = None
     for ti, tri in enumerate(T.triangles):
-        if in_triangle_2d(bc, [(3 * p[0], 3 * p[1]) for p in tri.vertices]):
+        if _in_triangle_2d(bc, [(3 * p[0], 3 * p[1]) for p in tri.vertices]):
             chosen = ti
             break
     if chosen is None:
@@ -451,6 +452,22 @@ def quiver_embedding(triangulation, chart_set, decoration) -> QuiverEmbedding:
     placements = {chi: table[chi] for chi in g.characters()}
     _check_embedding(g, placements)
     return QuiverEmbedding(chosen, placements)
+
+
+def _in_triangle_2d(p, verts):
+    """Whether p lies in the closed triangle verts, of either orientation."""
+    sgn = 0
+    for i in range(3):
+        a, b = verts[i], verts[(i + 1) % 3]
+        c = intmat.cross2(intmat.vec_sub(b, a), intmat.vec_sub(p, a))
+        if c == 0:
+            continue
+        s = 1 if c > 0 else -1
+        if sgn == 0:
+            sgn = s
+        elif s != sgn:
+            return False
+    return True
 
 
 def hexagon_position(monomial):

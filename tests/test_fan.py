@@ -1,12 +1,16 @@
+import functools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ahilb.errors import InputError
-from ahilb.fan import corner_fan, knockout, monomial_knockout, triangulate
+from ahilb import fan, intmat
+from ahilb.errors import InputError, InvariantViolationError
+from ahilb.fan import QuotientMap, corner_fan, knockout, monomial_knockout, triangulate
 from ahilb.group import build_group
-from ahilb import intmat
+from test_acceptance import _cyclic_family_up_to_30
 
 
 def hj_digits(n, q):
@@ -237,3 +241,170 @@ def test_strength_versus_monomial_rule_consistency():
         if gcd(gcd(a, gcd(b, c)), r) != 1:
             continue
         triangulate(build_group(f"1/{r}({a},{b},{c})"))
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the corner fans and the regular-triangle check against
+# the lattice-point hull and the direction-basis solve they replaced
+
+
+def _oracle_points_in_triangle(PA, PB):
+    """Integer points of conv{0, PA, PB} except the origin."""
+    verts = [(0, 0), PA, PB]
+    xs = [v[0] for v in verts]
+    out = []
+    for x in range(min(xs), max(xs) + 1):
+        lo, hi = None, None
+        for i in range(3):
+            a, b = verts[i], verts[(i + 1) % 3]
+            if a[0] == b[0]:
+                if a[0] == x:
+                    ys = sorted((a[1], b[1]))
+                    lo = ys[0] if lo is None else min(lo, ys[0])
+                    hi = ys[1] if hi is None else max(hi, ys[1])
+                continue
+            if not (min(a[0], b[0]) <= x <= max(a[0], b[0])):
+                continue
+            y = Fraction(a[1] * (b[0] - x) + b[1] * (x - a[0]), b[0] - a[0])
+            lo = y if lo is None else min(lo, y)
+            hi = y if hi is None else max(hi, y)
+        if lo is None:
+            continue
+        for y in range(lo.__ceil__(), hi.__floor__() + 1):
+            if (x, y) != (0, 0) and _oracle_in_triangle((x, y), verts):
+                out.append((x, y))
+    return out
+
+
+def _oracle_in_triangle(p, verts):
+    signs = set()
+    for i in range(3):
+        a, b = verts[i], verts[(i + 1) % 3]
+        c = intmat.cross2(intmat.vec_sub(b, a), intmat.vec_sub(p, a))
+        if c:
+            signs.add(c > 0)
+    return len(signs) <= 1
+
+
+def _oracle_hull_chain(points, PA, PB):
+    """Radially visible boundary chain from ray PA to ray PB, flats kept."""
+    by_ray = {}
+    for p in points:
+        d = intmat.primitive(p)
+        cur = by_ray.get(d)
+        if cur is None or abs(p[0]) + abs(p[1]) < abs(cur[0]) + abs(cur[1]):
+            by_ray[d] = p
+    reps = sorted(by_ray.values(), key=functools.cmp_to_key(lambda a, b: -intmat.cross2(a, b)))
+    assert reps[0] == intmat.primitive(PA) and reps[-1] == intmat.primitive(PB)
+    stack = []
+    for p in reps:
+        while len(stack) >= 2 and intmat.cross2(
+            intmat.vec_sub(p, stack[-2]), intmat.vec_sub(stack[-1], stack[-2])
+        ) <= 0:
+            stack.pop()
+        stack.append(p)
+    chain = []
+    for a, b in zip(stack, stack[1:]):
+        chain.append(a)
+        d1 = intmat.vec_sub(b, a)
+        flats = [
+            q for q in by_ray.values()
+            if q not in (a, b)
+            and intmat.cross2(d1, intmat.vec_sub(q, a)) == 0
+            and 0 < intmat.vec_dot(d1, intmat.vec_sub(q, a)) < intmat.vec_dot(d1, d1)
+        ]
+        flats.sort(key=lambda q: intmat.vec_dot(d1, intmat.vec_sub(q, a)))
+        chain.extend(flats)
+    chain.append(stack[-1])
+    return chain
+
+
+def _oracle_corner_dirs(g, corner):
+    E = [tuple(g.order if i == c else 0 for i in range(3)) for c in range(3)]
+    qm = QuotientMap(g, E[corner])
+    PA, PB = (qm.proj(E[c]) for c in range(3) if c != corner)
+    if intmat.cross2(PA, PB) < 0:
+        PA, PB = PB, PA
+    return _oracle_hull_chain(_oracle_points_in_triangle(PA, PB), PA, PB)[1:-1]
+
+
+def _oracle_direction_basis(g):
+    B = g.lattice_basis
+    kern = intmat.left_kernel([[sum(row)] for row in B])
+    return [intmat.vec_mat(k, B) for k in kern]
+
+
+def _oracle_unimodular(dbasis, s1, s2):
+    c1 = intmat.solve_int(dbasis, s1)
+    c2 = intmat.solve_int(dbasis, s2)
+    return c1 is not None and c2 is not None and abs(intmat.cross2(c1, c2)) == 1
+
+
+@functools.cache
+def _differential_specs():
+    return (
+        _cyclic_family_up_to_30()
+        + [f"1/401(1,{b},{400 - b})" for b in (7, 11, 13, 17, 19, 23)]
+        + [f"1/{r}(1,1,{r - 2})" for r in (299, 300, 301)]
+        + ["1/3(1,2,0);1/3(0,1,2)", "1/6(1,2,3);1/3(1,1,1)", "1/4(1,1,2);1/2(1,1,0);1/2(0,1,1)"]
+    )
+
+
+def test_corner_fans_match_the_lattice_point_hull():
+    for spec in _differential_specs():
+        g = build_group(spec)
+        for corner in range(3):
+            got = [ln.dir2 for ln in corner_fan(g, corner)]
+            assert got == _oracle_corner_dirs(g, corner), (spec, corner)
+
+
+def _primitive_vectors():
+    coord = st.integers(-40, 40)
+    return st.tuples(coord, coord).filter(lambda v: intmat.content(v) == 1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_primitive_vectors(), _primitive_vectors())
+def test_hj_chain_matches_the_lattice_point_hull(vA, vB):
+    if intmat.cross2(vA, vB) < 0:
+        vA, vB = vB, vA
+    if intmat.cross2(vA, vB) == 0:
+        return
+    want = _oracle_hull_chain(_oracle_points_in_triangle(vA, vB), vA, vB)
+    assert fan._hj_chain(vA, vB) == want
+
+
+def _accepts_face(g, tri):
+    try:
+        fan._regular_triangle(g, tri)
+    except InvariantViolationError as exc:
+        assert "not a regular (unimodular) triangle" in str(exc)
+        return False
+    return True
+
+
+def test_regular_triangle_check_matches_the_direction_basis_solve():
+    for spec in _differential_specs():
+        g = build_group(spec)
+        dbasis = _oracle_direction_basis(g)
+        for reg in knockout(g).regular_triangles:
+            v0, r = reg.vertices[0], reg.side
+            s1, s2 = reg.steps
+            # the face itself; a unimodular reshear; a face of index 3 whose
+            # sides s1 + s2, s2 - 2 s1, s1 - 2 s2 are still primitive
+            for a, b in [
+                (s1, s2),
+                (intmat.vec_add(s1, s2), s2),
+                (intmat.vec_add(s1, s2), intmat.vec_sub(intmat.vec_scale(2, s2), s1)),
+            ]:
+                tri = [v0] + [intmat.vec_add(v0, intmat.vec_scale(r, d)) for d in (a, b)]
+                assert _accepts_face(g, tri) == _oracle_unimodular(dbasis, a, b), (spec, a, b)
+            assert _accepts_face(g, list(reg.vertices))
+
+
+def test_scaled_face_is_rejected():
+    g = build_group("1/11(1,2,8)")
+    reg = max(knockout(g).regular_triangles, key=lambda t: t.side)
+    scaled = [intmat.vec_scale(2, v) for v in reg.vertices]
+    with pytest.raises(InvariantViolationError, match="not a regular .unimodular. triangle"):
+        fan._regular_triangle(g, scaled)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from ahilb import intmat
 from ahilb.errors import InputError, ResourceLimitError
-from ahilb.fan import lattice_basis
 from ahilb.group import build_group, monomial_str, parse_group_spec
 from test_acceptance import _cyclic_family_up_to_30
 
@@ -232,4 +231,4 @@ def test_lattices_from_generators_match_all_elements():
     for spec in specs:
         g = build_group(spec)
         assert g.dual_basis == _all_elements_invariant_lattice(g), spec
-        assert lattice_basis(g) == _all_elements_scaled_lattice(g), spec
+        assert g.lattice_basis == _all_elements_scaled_lattice(g), spec

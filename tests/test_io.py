@@ -35,6 +35,29 @@ def test_cli_rejects_garbage(capsys):
     assert main(["check", "eleven"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "-1/3(1,1,1)"],
+        ["check", "1/3(1,1,1)", "--max-order=abc"],
+        ["check", "1/3(1,1,1)", "--check", "nope"],
+        ["nope", "1/3(1,1,1)"],
+    ],
+)
+def test_cli_usage_errors_are_input_errors(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: ahilb" in capsys.readouterr().out
+
+
 def test_cli_max_order_flag(capsys):
     assert main(["check", "1/97(1,2,94)", "--max-order", "50"]) == 1
     assert main(["check", "1/97(1,2,94)", "--max-order", "97", "--quiet"]) == 0

@@ -1,4 +1,7 @@
+import traceback
+
 import ahilb.pipeline as pipeline
+from ahilb import intmat
 from ahilb.errors import CorrespondenceError
 from ahilb.pipeline import ALL_CHECKS, CHECK_GROUPS, checks_for, run_pipeline
 
@@ -60,3 +63,18 @@ def test_failure_ends_the_run(monkeypatch):
     assert list(art.report.timings) == list(ALL_CHECKS[:4])
     for name in ALL_CHECKS[4:]:
         assert checks[name] == {"status": "skipped", "detail": {}}
+
+def test_pipeline_solves_lattices_only_while_building_the_group(monkeypatch):
+    callers = {"solve_int": [], "hnf_transform": []}
+    for name, calls in callers.items():
+        original = getattr(intmat, name)
+
+        def counted(*args, _calls=calls, _original=original):
+            _calls.append({frame.name for frame in traceback.extract_stack()})
+            return _original(*args)
+
+        monkeypatch.setattr(intmat, name, counted)
+    assert run_pipeline("1/30(25,2,3)").report.passed
+    assert callers["solve_int"] == []
+    assert callers["hnf_transform"]
+    assert all("build_group" in names for names in callers["hnf_transform"])
