@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from ahilb.pipeline import run_pipeline
+
+# `pythonpath` in pyproject.toml reaches this process only; the CLI
+# subprocesses some tests start import the package from this checkout too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")
