@@ -6,9 +6,13 @@ torus-fixed point of the chart carries a monomial basis of the cluster
 ring: for each character the unique exponent-minimal monomial of that
 weight.  Those generators drive everything downstream, so they are built
 once per triangulation and kept in a ChartSet, together with the degree of
-every tautological bundle on every compact curve.  That degree table is
-filled in one edge-major pass, which also checks that the support function
-is convex across every interior edge; a ChartSet is read-only once built.
+every tautological bundle on every compact curve.  Only the first table
+comes from a best-first search (`build_agraph`); every other one follows
+from a neighbour's across their shared edge, walking the dual graph
+breadth-first, and every table passes the same checks either way.  The
+degree table is filled in one edge-major pass, which also checks that the
+support function is convex across every interior edge; a ChartSet is
+read-only once built.
 """
 
 from __future__ import annotations
@@ -70,6 +74,9 @@ def build_agraph(group, tri_index, vertices) -> AGraph:
     to the pairing sum.  Popping candidates in pairing-sum order therefore
     meets each class's generator strictly first, so the first monomial
     seen per character is final and everything else is discarded unexpanded.
+
+    `ChartSet` builds only its root table this way and derives the rest by
+    edge transitions; the tests keep this search as the oracle for those.
     """
     order = group.order
     P = vertices
@@ -97,42 +104,82 @@ def build_agraph(group, tri_index, vertices) -> AGraph:
                 continue  # xyz-multiples and huge exponents are never minimal
             seen.add(child)
             heappush(heap, (child[0] * S[0] + child[1] * S[1] + child[2] * S[2], child))
+    return _checked_agraph(order, tri_index, table)
+
+
+def _checked_agraph(order, tri_index, table) -> AGraph:
+    """The AGraph of a table, once its size and division closure check out."""
     if len(table) != order:
         raise InvariantViolationError(
             f"chart basis has {len(table)} monomials, expected {order}",
             detail={"triangle": tri_index},
         )
     members = frozenset(table.values())
+    socle = []
     for m in members:
-        for i in range(3):
-            if m[i]:
-                div = tuple(m[j] - (1 if j == i else 0) for j in range(3))
-                if div not in members:
-                    raise InvariantViolationError(
-                        "chart basis is not closed under division",
-                        detail={"triangle": tri_index, "monomial": m},
-                    )
-    socle = frozenset(
-        m for m in members
-        if all(tuple(m[j] + (1 if j == i else 0) for j in range(3)) not in members
-               for i in range(3))
-    )
-    return AGraph(tri_index, table, members, socle)
+        a, b, c = m
+        if ((a and (a - 1, b, c) not in members)
+                or (b and (a, b - 1, c) not in members)
+                or (c and (a, b, c - 1) not in members)):
+            raise InvariantViolationError(
+                "chart basis is not closed under division",
+                detail={"triangle": tri_index, "monomial": m},
+            )
+        if ((a + 1, b, c) not in members
+                and (a, b + 1, c) not in members
+                and (a, b, c + 1) not in members):
+            socle.append(m)
+    return AGraph(tri_index, table, members, frozenset(socle))
+
+
+def _transition_table(table, u, edge, far):
+    """The neighbour's table across `edge`, from this side's `table`.
+
+    The edge ratio u pairs to zero with both edge vertices, so along
+    m + k*u a generator keeps its weight and its pairings there; the
+    neighbour's generator is the octant point of that line that pairs
+    least with the neighbour's far vertex `far`.  With v = +-u oriented
+    so that v pairs positively with `far`, that is m - q*v for the
+    largest q the octant allows: q = min over v_i > 0 of m_i // v_i.
+    Generators with q = 0 are shared with this table, and so are the
+    character keys.
+    """
+    s = u[0] * far[0] + u[1] * far[1] + u[2] * far[2]
+    if s == 0 or intmat.vec_dot(u, edge.a) or intmat.vec_dot(u, edge.b):
+        raise InvariantViolationError(
+            "edge ratio does not separate the far vertex from the edge",
+            detail={"edge": (edge.a, edge.b)},
+        )
+    v0, v1, v2 = v = u if s > 0 else (-u[0], -u[1], -u[2])
+    # v vanishes on a nonzero vertex of the octant, so at most two v_i > 0
+    pos = [(i, v[i]) for i in range(3) if v[i] > 0]
+    (i, vi), (j, vj) = pos[0], pos[-1]
+    out = {}
+    for chi, m in table.items():
+        q = m[i] // vi
+        r = m[j] // vj
+        if r < q:
+            q = r
+        out[chi] = (m[0] - q * v0, m[1] - q * v1, m[2] - q * v2) if q else m
+    return out
 
 
 def _check_minimality_step(chart, graph):
     # a generator shifted down by one chart coordinate must leave the octant;
     # otherwise a smaller monomial of the same weight exists and the triangle
     # cannot have been basic
-    shifts = [intmat.vec_sub(den, num) for num, den in chart.coords]
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = [
+        intmat.vec_sub(den, num) for num, den in chart.coords
+    ]
     for m in graph.members:
-        for s in shifts:
-            down = intmat.vec_add(m, s)
-            if down[0] >= 0 and down[1] >= 0 and down[2] >= 0:
-                raise InvariantViolationError(
-                    "chart generator is not weight-minimal",
-                    detail={"triangle": chart.triangle, "monomial": m},
-                )
+        x, y, z = m
+        if ((x + a0 >= 0 and y + a1 >= 0 and z + a2 >= 0)
+                or (x + b0 >= 0 and y + b1 >= 0 and z + b2 >= 0)
+                or (x + c0 >= 0 and y + c1 >= 0 and z + c2 >= 0)):
+            raise InvariantViolationError(
+                "chart generator is not weight-minimal",
+                detail={"triangle": chart.triangle, "monomial": m},
+            )
 
 
 def _transition_exponent(diff, u, e, chi):
@@ -162,19 +209,55 @@ def _transition_exponent(diff, u, e, chi):
 
 
 class ChartSet:
-    """Charts, monomial bases and curve degrees for a whole triangulation."""
+    """Charts, monomial bases and curve degrees for a whole triangulation.
+
+    Triangle 0's table comes from `build_agraph`; a breadth-first walk
+    over the interior edges derives each other table from the table of
+    the triangle it was reached from (`_transition_table`).  Every table
+    is checked for size, division closure and minimality as it is built,
+    a triangle the walk cannot reach is an error, and `_curve_degrees`
+    then checks the transition across every interior edge, tree edges
+    included.
+    """
 
     def __init__(self, triangulation):
-        self.triangulation = triangulation
+        self.triangulation = T = triangulation
         self.group = triangulation.group
-        self.charts = []
-        self.agraphs = []
-        for ti, tri in enumerate(triangulation.triangles):
-            chart = Chart(ti, tri.vertices, chart_coords(self.group, tri.vertices))
-            graph = build_agraph(self.group, ti, tri.vertices)
-            _check_minimality_step(chart, graph)
-            self.charts.append(chart)
-            self.agraphs.append(graph)
+        order = self.group.order
+        tris = T.triangles
+        self.charts = [
+            Chart(ti, tri.vertices, chart_coords(self.group, tri.vertices))
+            for ti, tri in enumerate(tris)
+        ]
+        neighbours = [[] for _ in tris]
+        for ei in T.interior_edges():
+            e = T.edges[ei]
+            t1, t2 = e.triangles
+            neighbours[t1].append((t2, e))
+            neighbours[t2].append((t1, e))
+        self.agraphs = [None] * len(tris)
+        root = build_agraph(self.group, 0, tris[0].vertices)
+        _check_minimality_step(self.charts[0], root)
+        self.agraphs[0] = root
+        queue = [0]
+        for ti in queue:
+            table = self.agraphs[ti].table
+            for tj, e in neighbours[ti]:
+                if self.agraphs[tj] is not None:
+                    continue
+                line = T.lines[e.line]
+                u = intmat.vec_sub(line.plus, line.minus)
+                far = next(v for v in tris[tj].vertices if v not in (e.a, e.b))
+                graph = _checked_agraph(order, tj, _transition_table(table, u, e, far))
+                _check_minimality_step(self.charts[tj], graph)
+                self.agraphs[tj] = graph
+                queue.append(tj)
+        if len(queue) != len(tris):
+            missing = next(ti for ti, g in enumerate(self.agraphs) if g is None)
+            raise InvariantViolationError(
+                "triangle not reachable across interior edges",
+                detail={"triangle": missing},
+            )
         # the one degree store: character -> degrees on interior_edges(), in order
         self._degree = self._curve_degrees()
         # interior edge index -> its position in every degree row
@@ -190,8 +273,7 @@ class ChartSet:
         d times the edge ratio u, and |d| is the degree of the weight-chi
         bundle on the curve.  The same pass checks that the support function
         is convex across the edge: each side's generator pairs no larger than
-        the other side's at its own opposite vertex (the edge-major form of
-        `support_convexity_violations`).
+        the other side's at its own opposite vertex.
         """
         T = self.triangulation
         chars = self.group.characters()
@@ -251,74 +333,3 @@ class ChartSet:
         for ti, g in enumerate(self.agraphs):
             out.setdefault(g.table[chi], []).append(ti)
         return out
-
-    def region_is_convex(self, tri_indices):
-        """Exact convexity of a union of triangles inside the simplex."""
-        T = self.triangulation
-        pts = set()
-        for ti in tri_indices:
-            pts.update(T.triangles[ti].vertices)
-        hull = _hull_2d([(p[0], p[1]) for p in pts])
-        inside = set(tri_indices)
-        for ti, tri in enumerate(T.triangles):
-            if all(_in_hull((v[0], v[1]), hull) for v in tri.vertices):
-                if ti not in inside:
-                    return False
-        return True
-
-    def support_convexity_violations(self, chi):
-        """Wall crossings breaking convexity of the support function.
-
-        The support function evaluates each point through the generator of
-        a triangle containing it; minimality makes that the smallest value
-        among the neighbours, so across every interior edge the triangle
-        owning a vertex must pair <= the other side's generator there.
-        """
-        chi = self.group.reduce(chi)
-        T = self.triangulation
-        bad = []
-        for ei in T.interior_edges():
-            t1, t2 = T.edges[ei].triangles
-            for a, b in ((t1, t2), (t2, t1)):
-                ra = self.agraphs[a].table[chi]
-                rb = self.agraphs[b].table[chi]
-                for w in T.triangles[b].vertices:
-                    if intmat.vec_dot(rb, w) > intmat.vec_dot(ra, w):
-                        bad.append((ei, a, b, w))
-        return bad
-
-
-def _hull_2d(points):
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and intmat.cross2(
-            intmat.vec_sub(lower[-1], lower[-2]), intmat.vec_sub(p, lower[-2])
-        ) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and intmat.cross2(
-            intmat.vec_sub(upper[-1], upper[-2]), intmat.vec_sub(p, upper[-2])
-        ) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _in_hull(p, hull):
-    if len(hull) == 1:
-        return p == hull[0]
-    if len(hull) == 2:
-        a, b = hull
-        d = intmat.vec_sub(b, a)
-        w = intmat.vec_sub(p, a)
-        return intmat.cross2(d, w) == 0 and 0 <= intmat.vec_dot(d, w) <= intmat.vec_dot(d, d)
-    n = len(hull)
-    for i in range(n):
-        a, b = hull[i], hull[(i + 1) % n]
-        if intmat.cross2(intmat.vec_sub(b, a), intmat.vec_sub(p, a)) < 0:
-            return False
-    return True

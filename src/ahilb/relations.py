@@ -54,17 +54,20 @@ def verify_relation_chartwise(chart_set, relation):
 
     Returns (True, None) or (False, witness_triangle_index).
     """
-    g = chart_set.group
+    reduce = chart_set.group.reduce
+    lhs_chars = [reduce(chi) for chi in relation.lhs]
+    rhs_chars = [reduce(chi) for chi in relation.rhs]
     for ti, graph in enumerate(chart_set.agraphs):
+        table = graph.table
         lhs = [0, 0, 0]
-        for chi in relation.lhs:
-            m = graph.table[g.reduce(chi)]
+        for chi in lhs_chars:
+            m = table[chi]
             lhs[0] += m[0]
             lhs[1] += m[1]
             lhs[2] += m[2]
         rhs = [0, 0, 0]
-        for chi in relation.rhs:
-            m = graph.table[g.reduce(chi)]
+        for chi in rhs_chars:
+            m = table[chi]
             rhs[0] += m[0]
             rhs[1] += m[1]
             rhs[2] += m[2]

@@ -1,15 +1,18 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from ahilb import intmat
+from ahilb import charts, intmat
 from ahilb.charts import ChartSet, build_agraph, chart_coords
 from ahilb.errors import InvariantViolationError
 from ahilb.fan import triangulate
 from ahilb.group import MONO_ONE, build_group
 from ahilb.pipeline import run_pipeline
 from conftest import chi
+from test_acceptance import _cyclic_family_up_to_30
 
 
 def test_trivial_chart_is_xyz(run_trivial):
@@ -125,7 +128,7 @@ def test_six_conv_regions_chi3(run11):
     covered = sorted(ti for tis in regions.values() for ti in tis)
     assert covered == list(range(len(T.triangles)))
     for tis in regions.values():
-        assert C.region_is_convex(tis)
+        assert _region_is_convex(C, tis)
 
 
 def test_conv_region_trivial_character(run11):
@@ -317,13 +320,178 @@ def test_wedge_divisibility(run11):
                         assert gen_at[ti][2] >= zmin
 
 
+def _region_is_convex(C, tri_indices):
+    """Exact convexity of a union of triangles inside the simplex."""
+    T = C.triangulation
+    pts = set()
+    for ti in tri_indices:
+        pts.update(T.triangles[ti].vertices)
+    hull = _hull_2d([(p[0], p[1]) for p in pts])
+    inside = set(tri_indices)
+    for ti, tri in enumerate(T.triangles):
+        if all(_in_hull((v[0], v[1]), hull) for v in tri.vertices):
+            if ti not in inside:
+                return False
+    return True
+
+
+def _hull_2d(points):
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and intmat.cross2(
+            intmat.vec_sub(lower[-1], lower[-2]), intmat.vec_sub(p, lower[-2])
+        ) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and intmat.cross2(
+            intmat.vec_sub(upper[-1], upper[-2]), intmat.vec_sub(p, upper[-2])
+        ) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def _in_hull(p, hull):
+    if len(hull) == 1:
+        return p == hull[0]
+    if len(hull) == 2:
+        a, b = hull
+        d = intmat.vec_sub(b, a)
+        w = intmat.vec_sub(p, a)
+        return intmat.cross2(d, w) == 0 and 0 <= intmat.vec_dot(d, w) <= intmat.vec_dot(d, d)
+    n = len(hull)
+    for i in range(n):
+        a, b = hull[i], hull[(i + 1) % n]
+        if intmat.cross2(intmat.vec_sub(b, a), intmat.vec_sub(p, a)) < 0:
+            return False
+    return True
+
+
+def _support_convexity_violations(C, chi):
+    """Wall crossings breaking convexity of the support function.
+
+    The support function evaluates each point through the generator of
+    a triangle containing it; minimality makes that the smallest value
+    among the neighbours, so across every interior edge the triangle
+    owning a vertex must pair <= the other side's generator there.
+    """
+    chi = C.group.reduce(chi)
+    T = C.triangulation
+    bad = []
+    for ei in T.interior_edges():
+        t1, t2 = T.edges[ei].triangles
+        for a, b in ((t1, t2), (t2, t1)):
+            ra = C.agraphs[a].table[chi]
+            rb = C.agraphs[b].table[chi]
+            for w in T.triangles[b].vertices:
+                if intmat.vec_dot(rb, w) > intmat.vec_dot(ra, w):
+                    bad.append((ei, a, b, w))
+    return bad
+
+
 def test_support_convexity(run11):
     C = run11.charts
     for c in run11.group.characters():
-        assert C.support_convexity_violations(c) == []
+        assert _support_convexity_violations(C, c) == []
 
 
 def test_non_basic_triangle_rejected():
     g = build_group("1/11(1,2,8)")
     with pytest.raises(InvariantViolationError):
         chart_coords(g, ((11, 0, 0), (0, 11, 0), (1, 2, 8)))
+
+
+_WALK_SPECS = (
+    _cyclic_family_up_to_30()
+    + [f"1/401(1,{b},{400 - b})" for b in (7, 11, 13, 17, 19, 23)]
+    + ["1/3(1,2,0);1/3(0,1,2)", "1/6(1,2,3);1/3(1,1,1)", "1/4(1,1,2);1/2(1,1,0);1/2(0,1,1)"]
+)
+
+
+def test_walked_tables_match_the_heap():
+    """Every table the edge walk derives equals the best-first search's."""
+    for spec in _WALK_SPECS:
+        g = build_group(spec)
+        T = triangulate(g)
+        C = ChartSet(T)
+        for ti, tri in enumerate(T.triangles):
+            want = build_agraph(g, ti, tri.vertices)
+            got = C.agraphs[ti]
+            assert got.table == want.table, (spec, ti)
+            assert got.members == want.members and got.socle == want.socle, (spec, ti)
+
+
+def test_full_run_builds_one_heap_table_per_chart_set(monkeypatch):
+    calls = []
+    original = charts.build_agraph
+
+    def counted(group, tri_index, vertices):
+        calls.append(tri_index)
+        return original(group, tri_index, vertices)
+
+    monkeypatch.setattr(charts, "build_agraph", counted)
+    for spec in ("1/30(25,2,3)", "1/3(1,2,0);1/3(0,1,2)"):
+        calls.clear()
+        assert run_pipeline(spec).report.passed
+        assert calls == [0], spec
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_corrupted_derived_table_fails_decoration(monkeypatch, sign):
+    """Shift one generator of the first derived table along its edge ratio."""
+    original = charts._transition_table
+    corrupted = []
+
+    def corrupt(table, u, edge, far):
+        out = original(table, u, edge, far)
+        if not corrupted:
+            chi = sorted(out)[1]
+            out[chi] = tuple(a + sign * b for a, b in zip(out[chi], u))
+            corrupted.append(chi)
+        return out
+
+    monkeypatch.setattr(charts, "_transition_table", corrupt)
+    art = run_pipeline("1/30(25,2,3)", which="recipe")
+    failure = art.report.failure
+    assert failure is not None and failure["check"] == "decoration"
+    assert "triangle" in failure["detail"] or "edge" in failure["detail"]
+    assert art.report.checks["decoration"]["status"] == "fail"
+    corrupted.clear()
+    with pytest.raises(InvariantViolationError):
+        ChartSet(triangulate(build_group("1/30(25,2,3)")))
+
+
+_UNREACHABLE_UNDER_O = """
+from ahilb.charts import ChartSet
+from ahilb.errors import InvariantViolationError
+from ahilb.fan import triangulate
+from ahilb.group import build_group
+
+T = triangulate(build_group("1/11(1,2,8)"))
+cut = [ei for ei in T.interior_edges() if 5 not in T.edges[ei].triangles]
+T.interior_edges = lambda: cut
+try:
+    ChartSet(T)
+except InvariantViolationError as exc:
+    print(exc.detail["triangle"])
+"""
+
+
+def test_unreachable_triangle_is_an_error():
+    T = triangulate(build_group("1/11(1,2,8)"))
+    cut = [ei for ei in T.interior_edges() if 5 not in T.edges[ei].triangles]
+    T.interior_edges = lambda: cut
+    with pytest.raises(InvariantViolationError, match="not reachable") as err:
+        ChartSet(T)
+    assert err.value.detail == {"triangle": 5}
+    # the same under -O, which would strip an assert
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNREACHABLE_UNDER_O],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "5"

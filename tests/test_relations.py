@@ -62,6 +62,21 @@ def test_perturbed_relation_fails_with_witness(run11):
     assert "witness_triangle" in err.value.detail
 
 
+def test_relation_broken_on_one_chart_names_that_chart(monkeypatch):
+    art = run_pipeline("1/30(25,2,3)", which="relations")
+    C = art.charts
+    rel = next(r for r in art.relations if r.lhs[0] not in r.rhs)
+    ti = len(C.agraphs) // 2
+    table = dict(C.agraphs[ti].table)
+    m = table[rel.lhs[0]]
+    table[rel.lhs[0]] = (m[0] + 1, m[1], m[2])
+    monkeypatch.setattr(C.agraphs[ti], "table", table)
+    assert verify_relation_chartwise(C, rel) == (False, ti)
+    with pytest.raises(CorrespondenceError) as err:
+        verify_all_relations(C, art.relations)
+    assert err.value.detail == {"vertex": rel.vertex, "witness_triangle": ti}
+
+
 def test_completeness_counts(run11, run30, run_trivial):
     for art, b4 in ((run11, 5), (run30, 11), (run_trivial, 0)):
         report = completeness_check(art.triangulation, art.decoration, art.relations)
