@@ -405,16 +405,14 @@ def test_non_basic_triangle_rejected():
         chart_coords(g, ((11, 0, 0), (0, 11, 0), (1, 2, 8)))
 
 
-_WALK_SPECS = (
-    _cyclic_family_up_to_30()
-    + [f"1/401(1,{b},{400 - b})" for b in (7, 11, 13, 17, 19, 23)]
-    + ["1/3(1,2,0);1/3(0,1,2)", "1/6(1,2,3);1/3(1,1,1)", "1/4(1,1,2);1/2(1,1,0);1/2(0,1,1)"]
-)
-
-
 def test_walked_tables_match_the_heap():
     """Every table the edge walk derives equals the best-first search's."""
-    for spec in _WALK_SPECS:
+    specs = (
+        _cyclic_family_up_to_30()
+        + [f"1/401(1,{b},{400 - b})" for b in (7, 11, 13, 17, 19, 23)]
+        + ["1/3(1,2,0);1/3(0,1,2)", "1/6(1,2,3);1/3(1,1,1)", "1/4(1,1,2);1/2(1,1,0);1/2(0,1,1)"]
+    )
+    for spec in specs:
         g = build_group(spec)
         T = triangulate(g)
         C = ChartSet(T)
