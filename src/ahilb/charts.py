@@ -34,9 +34,7 @@ class Chart:
 
 @dataclass
 class AGraph:
-    triangle: int
     table: dict  # character -> generator monomial
-    members: frozenset
     socle: frozenset
 
 
@@ -129,7 +127,12 @@ def _checked_agraph(order, tri_index, table) -> AGraph:
                 and (a, b + 1, c) not in members
                 and (a, b, c + 1) not in members):
             socle.append(m)
-    return AGraph(tri_index, table, members, frozenset(socle))
+    return AGraph(table, frozenset(socle))
+
+
+def _far_vertex(tri, edge):
+    """The vertex of `tri` off `edge`."""
+    return next(v for v in tri.vertices if v not in (edge.a, edge.b))
 
 
 def _transition_table(table, u, edge, far):
@@ -171,7 +174,7 @@ def _check_minimality_step(chart, graph):
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = [
         intmat.vec_sub(den, num) for num, den in chart.coords
     ]
-    for m in graph.members:
+    for m in graph.table.values():
         x, y, z = m
         if ((x + a0 >= 0 and y + a1 >= 0 and z + a2 >= 0)
                 or (x + b0 >= 0 and y + b1 >= 0 and z + b2 >= 0)
@@ -245,10 +248,8 @@ class ChartSet:
             for tj, e in neighbours[ti]:
                 if self.agraphs[tj] is not None:
                     continue
-                line = T.lines[e.line]
-                u = intmat.vec_sub(line.plus, line.minus)
-                far = next(v for v in tris[tj].vertices if v not in (e.a, e.b))
-                graph = _checked_agraph(order, tj, _transition_table(table, u, e, far))
+                walked = _transition_table(table, T.lines[e.line].u, e, _far_vertex(tris[tj], e))
+                graph = _checked_agraph(order, tj, walked)
                 _check_minimality_step(self.charts[tj], graph)
                 self.agraphs[tj] = graph
                 queue.append(tj)
@@ -262,9 +263,6 @@ class ChartSet:
         self._degree = self._curve_degrees()
         # interior edge index -> its position in every degree row
         self.edge_column = {ei: j for j, ei in enumerate(triangulation.interior_edges())}
-
-    def generator(self, chi, tri_index):
-        return self.agraphs[tri_index].table[self.group.reduce(chi)]
 
     def _curve_degrees(self):
         """Degree of every character on every interior edge, in one edge-major pass.
@@ -281,10 +279,9 @@ class ChartSet:
         for ei in T.interior_edges():
             e = T.edges[ei]
             t1, t2 = e.triangles
-            w1 = next(v for v in T.triangles[t1].vertices if v not in (e.a, e.b))
-            w2 = next(v for v in T.triangles[t2].vertices if v not in (e.a, e.b))
-            line = T.lines[e.line]
-            u = intmat.vec_sub(line.plus, line.minus)
+            w1 = _far_vertex(T.triangles[t1], e)
+            w2 = _far_vertex(T.triangles[t2], e)
+            u = T.lines[e.line].u
             u0, u1, u2 = u
             k = next(i for i in range(3) if u[i])
             uk = u[k]

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 all requested checks pass, 1 usage/input errors (including
-determinant-condition violations and order-cap overflows), 2 a
+determinant-condition violations, order-cap overflows and output paths
+that cannot be written), 2 a
 verification check failed; the failing check is reported as a single
 JSON line on stderr and inside the report of any written document.
 
@@ -49,7 +50,8 @@ def _add_common(p, with_check=True):
             "(default: all)",
         )
     p.add_argument("--max-order", type=int, default=None, help="group order cap")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
+    p.add_argument("--seed", type=int, default=0,
+                   help="deprecated and without effect: no check samples at random")
     p.add_argument("--quiet", action="store_true", help="suppress the console summary")
 
 
@@ -86,7 +88,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         # render builds only what its views read: the recipe family ends at the quiver
         which = getattr(args, "check", "recipe")
-        art = run_pipeline(args.spec, which=which, max_order=_max_order(args), seed=args.seed)
+        art = run_pipeline(args.spec, which=which, max_order=_max_order(args))
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
@@ -100,19 +102,22 @@ def main(argv=None) -> int:
               "does not build", file=sys.stderr)
         return 1
 
-    wrote = []
+    outputs = []
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(to_json(art))
-        wrote.append(args.json)
+        outputs.append((args.json, to_json))
     if args.svg and art.triangulation is not None:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(triangulation_svg(art))
-        wrote.append(args.svg)
+        outputs.append((args.svg, triangulation_svg))
     if args.quiver_svg and art.quiver is not None:
-        with open(args.quiver_svg, "w", encoding="utf-8") as fh:
-            fh.write(quiver_svg(art))
-        wrote.append(args.quiver_svg)
+        outputs.append((args.quiver_svg, quiver_svg))
+    wrote = []
+    for path, view in outputs:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(view(art))
+        except OSError as exc:
+            print(f"input error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
+        wrote.append(path)
 
     report = art.report
     if not args.quiet:

@@ -118,17 +118,6 @@ def _surface_type(selfint):
     raise InvariantViolationError(f"star fan with {n} rays")
 
 
-def intersection_matrix(surface):
-    """Boundary-curve pairing: adjacency ones, the cycle on the diagonal."""
-    n = len(surface.rays)
-    Q = [[0] * n for _ in range(n)]
-    for i in range(n):
-        Q[i][i] = surface.self_intersections[i]
-        Q[i][(i + 1) % n] += 1
-        Q[(i + 1) % n][i] += 1
-    return Q
-
-
 class SurfaceCalculus:
     """Restriction classes and pairings on one compact surface."""
 
@@ -136,7 +125,6 @@ class SurfaceCalculus:
         self.chart_set = chart_set
         self.surface = surface
         self.mark_char = mark_char
-        self.Q = intersection_matrix(surface)
         # the boundary curves' entries of a degree row, as a tuple (n >= 3 curves)
         self._boundary = operator.itemgetter(*map(chart_set.edge_column.get, surface.edge_ids))
         self._zero = ((0,) * len(surface.rays),) * 2  # (alpha, d) of every degree-0 character
@@ -149,11 +137,12 @@ class SurfaceCalculus:
     def _restriction(self, chi):
         """Boundary degrees d and a class alpha with Q alpha = d, as (alpha, d).
 
-        Row i of Q alpha = d is the wall relation
-        alpha_{i-1} + C_i^2 alpha_i + alpha_{i+1} = d_i.  Principal divisors
-        span ker Q and take any values on the basis (u_0, u_1), so if any
-        rational solution exists, one has alpha_0 = alpha_1 = 0 and the
-        recurrence determines it: d is realised iff the recurrence closes up.
+        Q is the boundary curves' intersection matrix, so row i of Q alpha = d
+        is the wall relation alpha_{i-1} + C_i^2 alpha_i + alpha_{i+1} = d_i.
+        Principal divisors span ker Q and take any values on the basis
+        (u_0, u_1), so if any rational solution exists, one has
+        alpha_0 = alpha_1 = 0 and the recurrence determines it: d is realised
+        iff the recurrence closes up.
         """
         entry = self._restrictions.get(chi)
         if entry is None:
@@ -173,9 +162,6 @@ class SurfaceCalculus:
                 entry = (tuple(alpha[:n]), d)
             self._restrictions[chi] = entry
         return entry
-
-    def intersect(self, alpha, beta):
-        return intmat.vec_dot(alpha, intmat.vec_mat(beta, self.Q))
 
     def c2_pairing(self, bundle):
         """Second Chern number of a rank-0, c1-0 virtual bundle on the surface."""

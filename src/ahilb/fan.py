@@ -658,7 +658,6 @@ class Triangulation:
                 key = tuple(sorted((v[i], v[(i + 1) % 3])))
                 pairs.setdefault(key, []).append(ti)
         self.edges = []
-        self.edge_index = {}
         for key in sorted(pairs):
             a, b = key
             interior = not any(a[i] == 0 and b[i] == 0 for i in range(3))
@@ -667,7 +666,6 @@ class Triangulation:
                 raise InvariantViolationError(
                     f"edge {key} borders {n} triangles", detail={"interior": interior}
                 )
-            self.edge_index[key] = len(self.edges)
             self.edges.append(Edge(a, b, -1, interior, pairs[key]))
 
     def _group_lines(self):
@@ -679,7 +677,6 @@ class Triangulation:
             u, plus, minus = line_ratio(self.group, e.a, e.b)
             groups.setdefault((u, plus, minus), []).append(ei)
         self.lines = []
-        self.line_index = {}
         for (u, plus, minus) in sorted(groups):
             eids = groups[(u, plus, minus)]
             chi = self.group.weight(plus)
@@ -698,7 +695,6 @@ class Triangulation:
             self.lines.append(
                 Line(u, plus, minus, chi, kind, corner, s0, s1, sorted(eids), (pts[0], pts[-1]))
             )
-            self.line_index[u] = li
             for ei in eids:
                 self.edges[ei].line = li
 

@@ -305,18 +305,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
-def monomial_str(m: Monomial) -> str:
-    if m == MONO_ONE:
-        return "1"
-    parts = []
-    for name, e in zip("xyz", m):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "".join(parts)
-
-
 def ratio_split(u):
     """Split an invariant vector into (positive part, negative part)."""
     plus = tuple(x if x > 0 else 0 for x in u)

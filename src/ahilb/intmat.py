@@ -229,13 +229,6 @@ def complete_unimodular(c):
     return A, V
 
 
-def mat_mul(a, b):
-    return [
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    ]
-
-
 def vec_mat(v, m):
     return tuple(sum(v[k] * m[k][j] for k in range(len(m))) for j in range(len(m[0])))
 

@@ -8,12 +8,13 @@ what the requested checks depend on.  Stages before the family still run
 and are enforced, but are reported as skipped.  Construction-time
 invariant failures surface through the owning check (those of `ChartSet`,
 including support-function convexity and the curve degrees, through
-`decoration`), and a failure ends the run.
+`decoration`), and a failure ends the run.  Every stage is a function
+of `art` alone and no check samples at random, so a spec always gives the
+same report.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 
@@ -82,7 +83,7 @@ def checks_for(which):
     raise InputError(f"unknown check group {which!r}; use all|fan|recipe|relations|cohomology")
 
 
-def run_pipeline(spec, which="all", max_order=DEFAULT_MAX_ORDER, seed=0) -> Artifacts:
+def run_pipeline(spec, which="all", max_order=DEFAULT_MAX_ORDER) -> Artifacts:
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     requested = checks_for(which)
@@ -91,11 +92,10 @@ def run_pipeline(spec, which="all", max_order=DEFAULT_MAX_ORDER, seed=0) -> Arti
     )
     group = build_group(spec, max_order=max_order)
     art = Artifacts(spec.text(), group, report=report)
-    rng = random.Random(seed)
     for name, fn in STAGES[: ALL_CHECKS.index(requested[-1]) + 1]:
         t0 = time.perf_counter()
         try:
-            detail = fn(art, rng)
+            detail = fn(art)
         except AHilbError as exc:
             report.timings[name] = time.perf_counter() - t0
             report.checks[name] = {"status": "fail", "detail": {"error": str(exc), **exc.detail}}
@@ -131,7 +131,7 @@ def _counts(art):
     return counts
 
 
-def _build_fan(art, rng):
+def _build_fan(art):
     art.triangulation = triangulate(art.group)
     T = art.triangulation
     order = art.group.order
@@ -142,7 +142,7 @@ def _build_fan(art, rng):
     return {"triangles": len(T.triangles), "interior": I, "boundary": B}
 
 
-def _check_basic(art, rng):
+def _check_basic(art):
     T = art.triangulation
     order = art.group.order
     for t in T.triangles:
@@ -151,12 +151,25 @@ def _check_basic(art, rng):
     return {"triangles": len(T.triangles)}
 
 
-def _check_ratios(art, rng):
-    """Minimality certificates for every line label plus seeded spot checks."""
+def _check_ratios(art):
+    """The character map, then the minimality certificate of every line label.
+
+    Every dual basis row must pair to 0 mod |A| with every generator.
+    `build_group` has checked that the rows span a sublattice of index |A|,
+    so they then span exactly the invariant lattice, and `weight` is the
+    character homomorphism Z^3 -> A^ on every monomial.  The line checks
+    read `weight`, so this check comes first.
+    """
     T = art.triangulation
     g = art.group
+    for row in g.dual_basis:
+        for gen in g.scaled_generators:
+            if intmat.vec_dot(row, gen) % g.order:
+                raise InvariantViolationError(
+                    "weights are not multiplicative", detail={"row": row, "generator": gen}
+                )
     for ln in T.lines:
-        u = intmat.vec_sub(ln.plus, ln.minus)
+        u = ln.u
         a, b = ln.endpoints
         if intmat.vec_dot(u, a) or intmat.vec_dot(u, b):
             raise InvariantViolationError("ratio does not vanish on its line")
@@ -175,18 +188,11 @@ def _check_ratios(art, rng):
             corner_regions += 1
         else:
             champion_identities(T, ri)
-    chars = g.characters()
-    for _ in range(64):
-        m1 = tuple(rng.randrange(0, 2 * g.order + 1) for _ in range(3))
-        m2 = tuple(rng.randrange(0, 2 * g.order + 1) for _ in range(3))
-        lhs = g.weight(tuple(a + b for a, b in zip(m1, m2)))
-        if lhs != g.char_add(g.weight(m1), g.weight(m2)):
-            raise InvariantViolationError("weights are not multiplicative")
     return {"lines": len(T.lines), "corner_regions": corner_regions,
-            "characters": len(chars)}
+            "characters": len(g.characters())}
 
 
-def _build_decoration(art, rng):
+def _build_decoration(art):
     art.charts = ChartSet(art.triangulation)
     art.decoration = decorate(art.triangulation, art.charts)
     detail = _check_chart_properties(art)
@@ -215,7 +221,7 @@ def _check_chart_properties(art):
     return {"interior_edges": len(interior)}
 
 
-def _check_partition(art, rng):
+def _check_partition(art):
     part = art.decoration.partition
     g = art.group
     sizes = {k: len(v) for k, v in part.items()}
@@ -224,22 +230,22 @@ def _check_partition(art, rng):
     return sizes
 
 
-def _check_quiver(art, rng):
+def _check_quiver(art):
     art.quiver = quiver_embedding(art.triangulation, art.charts, art.decoration)
     return {"hexagons": len(art.quiver.placements), "chart": art.quiver.chart}
 
 
-def _check_relations(art, rng):
+def _check_relations(art):
     art.relations = derive_relations(art.triangulation, art.decoration)
     verify_all_relations(art.charts, art.relations)
     return {"relations": len(art.relations)}
 
 
-def _check_completeness(art, rng):
+def _check_completeness(art):
     return completeness_check(art.triangulation, art.decoration, art.relations)
 
 
-def _check_duality(art, rng):
+def _check_duality(art):
     art.surfaces = build_surfaces(art.triangulation, art.charts, art.decoration)
     art.bundles = build_virtual_bundles(art.group, art.decoration, art.relations)
     check_bundle_degrees(art.charts, art.bundles)
@@ -247,12 +253,12 @@ def _check_duality(art, rng):
     return {"size": len(art.duality)}
 
 
-def _check_h2(art, rng):
+def _check_h2(art):
     art.h2 = h2_basis_check(art.group, art.charts, art.decoration, art.relations)
     return art.h2
 
 
-def _check_certificate(art, rng):
+def _check_certificate(art):
     art.certificate = mckay_certificate(
         art.group, art.triangulation, art.decoration, art.relations, art.duality, art.h2
     )
@@ -260,7 +266,7 @@ def _check_certificate(art, rng):
 
 
 # One row per check, in run order.  Each stage builds its artifacts onto
-# `art`, may draw seeded spot checks from `rng`, and returns its detail dict.
+# `art`, checks them, and returns its detail dict.
 STAGES = (
     ("euler", _build_fan),
     ("basic", _check_basic),

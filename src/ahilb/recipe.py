@@ -43,9 +43,6 @@ class VertexMark:
         """The character that indexes the virtual bundle at this vertex."""
         return self.marks[-1]
 
-    def mark_iii(self):
-        return self.marks[0] if self.case == CASE_DP6 else None
-
 
 @dataclass
 class Decoration:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 
 from .errors import InputError
-from .group import build_group, parse_group_spec
 
 SCHEMA_VERSION = 1
 
@@ -184,18 +183,10 @@ def to_json(art) -> str:
 
 
 def from_json(text: str) -> dict:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"unsupported document: not JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise InputError("unsupported document: wrong or missing schema_version")
     return doc
-
-
-def group_from_document(doc, max_order=None):
-    gens = ";".join(
-        f"1/{r}({w[0]},{w[1]},{w[2]})" for r, w in doc["group"]["generators"]
-    )
-    spec = parse_group_spec(gens if gens else "1")
-    kwargs = {}
-    if max_order is not None:
-        kwargs["max_order"] = max_order
-    return build_group(spec, **kwargs)

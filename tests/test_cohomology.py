@@ -7,13 +7,28 @@ from ahilb.cohomology import (
     SurfaceCalculus,
     VirtualBundle,
     duality_matrix,
-    intersection_matrix,
     surface_star,
 )
 from ahilb.errors import CorrespondenceError, InvariantViolationError
 from ahilb.group import MONO_ONE
 from ahilb.pipeline import run_pipeline
 from conftest import chi
+
+
+def intersection_matrix(surface):
+    """Boundary-curve pairing: adjacency ones, the cycle on the diagonal."""
+    n = len(surface.rays)
+    Q = [[0] * n for _ in range(n)]
+    for i in range(n):
+        Q[i][i] = surface.self_intersections[i]
+        Q[i][(i + 1) % n] += 1
+        Q[(i + 1) % n][i] += 1
+    return Q
+
+
+def intersect(calc, alpha, beta):
+    """The intersection number of two curve-coefficient vectors on calc's surface."""
+    return intmat.vec_dot(alpha, intmat.vec_mat(beta, intersection_matrix(calc.surface)))
 
 
 def test_virtual_bundle_shapes_11(run11):
@@ -75,7 +90,7 @@ def test_intersections_on_plane(run11):
     g = run11.group
     # the through-line character restricts to the hyperplane class
     alpha = s.restrict_c1(chi(g, 2))
-    assert s.intersect(alpha, alpha) == 1
+    assert intersect(s, alpha, alpha) == 1
 
 
 def test_intersections_on_scroll(run11):
@@ -84,8 +99,8 @@ def test_intersections_on_scroll(run11):
     # the passing line's character restricts to a fibre: square zero
     alpha = s.restrict_c1(chi(g, 2))
     beta = s.restrict_c1(chi(g, 8))
-    assert s.intersect(alpha, alpha) == 0
-    assert s.intersect(alpha, beta) == 1
+    assert intersect(s, alpha, alpha) == 0
+    assert intersect(s, alpha, beta) == 1
 
 
 def test_intersections_on_dp6(run30):
@@ -96,11 +111,11 @@ def test_intersections_on_dp6(run30):
     )
     c1 = s.restrict_c1(chi(g, 14))
     c2 = s.restrict_c1(chi(g, 7))
-    assert s.intersect(c1, c2) == 2
-    assert s.intersect(c1, c1) == 1  # a plane image class on the sixth del Pezzo
+    assert intersect(s, c1, c2) == 2
+    assert intersect(s, c1, c1) == 1  # a plane image class on the sixth del Pezzo
     # the three through-line classes pair like the three fibrations
     d = [s.restrict_c1(chi(g, i)) for i in (4, 5, 12)]
-    assert sum(s.intersect(d[i], d[j]) for i in range(3) for j in range(i + 1, 3)) == 3
+    assert sum(intersect(s, d[i], d[j]) for i in range(3) for j in range(i + 1, 3)) == 3
 
 
 def test_trivial_character_restricts_to_zero(run11):
@@ -108,7 +123,7 @@ def test_trivial_character_restricts_to_zero(run11):
     triv = g.reduce(MONO_ONE)
     for s in run11.surfaces.values():
         alpha = s.restrict_c1(triv)
-        assert all(s.intersect(alpha, s.restrict_c1(c)) == 0 for c in g.characters())
+        assert all(intersect(s, alpha, s.restrict_c1(c)) == 0 for c in g.characters())
 
 
 def test_duality_identity(run11, run30, run_trivial):
@@ -238,7 +253,7 @@ def test_restriction_and_pairing_match_the_solver_oracle(differential_run):
         # pairs with a zero class pair to 0 on both paths
         for c in nonzero:
             for c2 in nonzero:
-                assert calc.intersect(new[c], new[c2]) == _oracle_intersect(
+                assert intersect(calc, new[c], new[c2]) == _oracle_intersect(
                     Q, old[c][0], old[c2][0]
                 ), (c, c2)
 
@@ -292,7 +307,7 @@ def test_duality_and_h2_run_no_lattice_solver(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(intmat, name, counted)
-    pipeline._check_duality(art, random.Random(0))
-    pipeline._check_h2(art, random.Random(0))
+    pipeline._check_duality(art)
+    pipeline._check_h2(art)
     assert art.duality and art.h2["unimodular"]
     assert calls == {"solve_int": 0, "hnf_transform": 0}

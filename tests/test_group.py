@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ahilb import intmat
 from ahilb.errors import InputError, ResourceLimitError
-from ahilb.group import build_group, monomial_str, parse_group_spec
+from ahilb.group import build_group, parse_group_spec
 from test_acceptance import _cyclic_family_up_to_30
 
 
@@ -186,12 +186,6 @@ def test_char_labels_non_cyclic():
     labels = {g.char_label(c) for c in g.characters()}
     assert len(labels) == 9
     assert all(l.startswith("χ(") for l in labels)
-
-
-def test_monomial_str():
-    assert monomial_str((0, 0, 0)) == "1"
-    assert monomial_str((2, 1, 0)) == "x^2y"
-    assert monomial_str((0, 1, 3)) == "yz^3"
 
 
 def test_equal_groups_from_different_generators():

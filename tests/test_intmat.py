@@ -7,6 +7,13 @@ from sympy.matrices.normalforms import smith_normal_form
 from ahilb import intmat
 
 
+def mat_mul(a, b):
+    return [
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    ]
+
+
 def rand_matrix(rng, m, n, lo=-6, hi=6):
     return [[rng.randrange(lo, hi + 1) for _ in range(n)] for _ in range(m)]
 
@@ -18,7 +25,7 @@ def test_hnf_transform_properties():
         A = rand_matrix(rng, m, n)
         H, U, r = intmat.hnf_transform(A)
         # U @ A == [H; 0] and U is unimodular
-        prod = intmat.mat_mul(U, A)
+        prod = mat_mul(U, A)
         assert [list(x) for x in prod[:r]] == [list(h) for h in H]
         assert all(all(x == 0 for x in row) for row in prod[r:])
         d = sympy.Matrix(U).det()
@@ -63,7 +70,7 @@ def test_complete_unimodular():
         A, Ainv = intmat.complete_unimodular(c)
         assert tuple(A[0]) == c
         assert intmat.det3(A) in (1, -1)
-        prod = intmat.mat_mul(A, Ainv)
+        prod = mat_mul(A, Ainv)
         assert prod == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
@@ -71,7 +78,7 @@ def test_adjugate():
     m = [(2, 0, 1), (1, 3, 0), (0, 1, 4)]
     adj = intmat.adjugate3(m)
     d = intmat.det3(m)
-    prod = intmat.mat_mul(m, adj)
+    prod = mat_mul(m, adj)
     assert prod == [(d, 0, 0), (0, d, 0), (0, 0, d)]
 
 

@@ -6,9 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from ahilb.cli import main
 from ahilb.errors import InputError
+from ahilb.group import build_group, parse_group_spec
 from ahilb.pipeline import run_pipeline
 from ahilb.render import quiver_svg, triangulation_svg
-from ahilb.serialize import build_document, from_json, group_from_document, to_json
+from ahilb.serialize import build_document, from_json, to_json
+
+
+def group_from_document(doc):
+    """The group of a JSON document, rebuilt from its generators."""
+    gens = ";".join(f"1/{r}({w[0]},{w[1]},{w[2]})" for r, w in doc["group"]["generators"])
+    return build_group(parse_group_spec(gens if gens else "1"))
 
 
 def test_cli_compute_ok(tmp_path, capsys):
@@ -111,6 +118,25 @@ def test_cli_render_builds_only_the_views(tmp_path, capsys):
     assert svg.exists() and qsvg.exists()
 
 
+@pytest.mark.parametrize("flag", ["--json", "--svg", "--quiver-svg"])
+def test_cli_unwritable_output_is_an_input_error(flag, tmp_path, capsys):
+    for path in (tmp_path / "missing" / "out", tmp_path):
+        assert main(["compute", "1/3(1,1,1)", flag, str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"input error: cannot write {path}: ")
+        assert "Traceback" not in captured.err
+
+
+def test_cli_seed_is_accepted_and_changes_nothing(capsys):
+    outs = []
+    for argv in (["check", "1/11(1,2,8)"], ["check", "1/11(1,2,8)", "--seed", "5"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        outs.append([line for line in out if not line.lstrip().startswith("time ")])
+    assert outs[0] == outs[1] and len(outs[0]) == 12
+
+
 def test_cli_30(capsys):
     assert main(["check", "1/30(25,2,3)", "--check", "all", "--quiet"]) == 0
 
@@ -189,6 +215,12 @@ def test_json_no_timings(run11):
 def test_from_json_rejects_wrong_schema():
     with pytest.raises(InputError):
         from_json(json.dumps({"schema_version": 99}))
+
+
+@pytest.mark.parametrize("text", ["{oops", "", "[1, 2"])
+def test_from_json_rejects_text_that_is_not_json(text):
+    with pytest.raises(InputError, match="not JSON"):
+        from_json(text)
 
 
 def test_svg_labels(run11):

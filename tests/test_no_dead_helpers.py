@@ -1,0 +1,76 @@
+"""Every function in the package is called from the package or exported.
+
+A helper that only the tests call belongs in the tests, and one that
+nothing calls is dead.  A function counts as used when some `Name` or
+`Attribute` in the package spells its name, or when `ahilb.__all__` lists it.
+"""
+
+import ast
+from pathlib import Path
+
+import ahilb
+
+ALLOWED = {
+    # conv_region(s): the conv-region reading of the chart tables, which the
+    # acceptance tests use and flat chart storage will keep
+    "ChartSet.conv_region",
+    "ChartSet.conv_regions",
+    # the restriction class itself; the package reads only its pairings
+    "SurfaceCalculus.restrict_c1",
+    # perfbench/tracer.py patches it to count lattice solves
+    "solve_int",
+    # argparse calls it on a usage error
+    "_Parser.error",
+}
+
+
+def _package_trees():
+    root = Path(ahilb.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _definitions(tree):
+    """(qualified name, bare name) of every function and method, nested ones included."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((prefix + child.name, child.name))
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def unreferenced_functions():
+    trees = list(_package_trees())
+    referenced = set(ahilb.__all__)
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    found = []
+    for filename, tree in trees:
+        for qualname, name in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue  # called by the interpreter
+            if name not in referenced and qualname not in ALLOWED:
+                found.append(f"{filename}:{qualname}")
+    return found
+
+
+def test_every_function_has_a_caller_in_the_package():
+    assert unreferenced_functions() == []
+
+
+def test_every_allowed_name_is_still_defined():
+    defined = {q for _, tree in _package_trees() for q, _ in _definitions(tree)}
+    assert ALLOWED <= defined

@@ -64,6 +64,28 @@ def test_failure_ends_the_run(monkeypatch):
     for name in ALL_CHECKS[4:]:
         assert checks[name] == {"status": "skipped", "detail": {}}
 
+
+def test_ratios_rejects_a_dual_basis_that_is_not_invariant(monkeypatch):
+    # negative control: one entry off, echelon shape kept, after the fan is built
+    corrupted = {}
+    triangulate = pipeline.triangulate
+
+    def triangulate_then_corrupt(group):
+        T = triangulate(group)
+        a, b, c = group.dual_basis[1]
+        group.dual_basis[1] = corrupted["row"] = (a, b, c + 1)
+        return T
+
+    monkeypatch.setattr(pipeline, "triangulate", triangulate_then_corrupt)
+    art = run_pipeline("1/11(1,2,8)", which="fan")
+    assert art.report.failure == {
+        "check": "ratios",
+        "error": "weights are not multiplicative",
+        "detail": {"row": corrupted["row"], "generator": (1, 2, 8)},
+    }
+    assert [art.report.checks[n]["status"] for n in ("basic", "ratios")] == ["pass", "fail"]
+
+
 def test_pipeline_solves_lattices_only_while_building_the_group(monkeypatch):
     callers = {"solve_int": [], "hnf_transform": []}
     for name, calls in callers.items():

@@ -46,6 +46,11 @@ def test_boundary_lines_unmarked(run11):
         assert (ln.kind == "boundary") == (li not in D.line_marks)
 
 
+def mark_iii(vm):
+    """The type-iii mark of a triple intersection, None at any other vertex."""
+    return vm.marks[0] if vm.case == CASE_DP6 else None
+
+
 def test_dp6_marks_30(run30):
     g, D = run30.group, run30.decoration
     dp6 = [vm for vm in D.vertex_marks.values() if vm.case == CASE_DP6]
@@ -58,7 +63,7 @@ def test_dp6_marks_30(run30):
     assert g.char_sum(target.marks) == g.char_sum(list(target.through))
     # under the lex tie-break on canonical representatives, chi_14 = (0,1,4)
     # stays in the degree-2 basis and chi_7 = (0,2,1) indexes the bundle
-    assert target.mark_iii() == chi(g, 14)
+    assert mark_iii(target) == chi(g, 14)
     assert target.mark_ii() == chi(g, 7)
 
 
@@ -121,13 +126,14 @@ def test_corner_region_characters_match_decoration(run11, run30):
             region = set(corner_region_characters(T, ri))
             assert len(corner_region_characters(T, ri)) == (reg.side + 1) ** 2 + reg.side + 1
             tris = [ti for ti, t in enumerate(T.triangles) if t.regular == ri]
+            edge_at = {(e.a, e.b): e for e in T.edges}
             verts, linechars = set(), set()
             for ti in tris:
                 t = T.triangles[ti]
                 verts.update(t.vertices)
                 for i in range(3):
                     key = tuple(sorted((t.vertices[i], t.vertices[(i + 1) % 3])))
-                    e = T.edges[T.edge_index[key]]
+                    e = edge_at[key]
                     linechars.add(T.lines[e.line].character)
             marks = set()
             for v in verts:
