@@ -5,18 +5,44 @@ reduced exponent triple and display label; every other reference is the
 integer id from that table (for cyclic groups the id equals the label
 index, so a relation prints as e.g. lhs [4], rhs [2, 2]).  Output is
 byte-stable: fixed key order, no timestamps, no timings.
+
+The layout is that of `json.dumps(doc, sort_keys=True, indent=1,
+ensure_ascii=False)` plus a final newline, where `doc` is
+`build_document(art)`; that expression is the reference `to_json` is
+tested against.  `to_json` writes the same text without building `doc`
+first: the |A| per-triangle `agraph` tables, which hold |A|^2 entries
+between them, share one key order and are filled into one `%d`
+template, and every other section goes through `_iterencode`.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .errors import InputError
 
 SCHEMA_VERSION = 1
 
+_encode_str = json.encoder.encode_basestring
+# what json.dumps(x) runs for x with its default arguments
+_encode_scalar = json.JSONEncoder().encode
+# depth of each triangle's agraph: document > "triangles" > entry > "agraph"
+_AGRAPH_LEVEL = 3
+
 
 def build_document(art) -> dict:
+    """The document as plain JSON values."""
+    cid = art.group.char_id
+
+    def agraph(table):
+        return {str(cid(chi)): list(m) for chi, m in sorted(table.items())}
+
+    return _document(art, agraph)
+
+
+def _document(art, agraph) -> dict:
+    """Every section of the document; `agraph(table)` lays out one chart table."""
     g = art.group
     cid = g.char_id
 
@@ -83,9 +109,7 @@ def build_document(art) -> dict:
                 chart = art.charts.charts[ti]
                 entry["chart"] = [[list(n), list(d)] for n, d in chart.coords]
                 graph = art.charts.agraphs[ti]
-                entry["agraph"] = {
-                    str(cid(chi)): list(m) for chi, m in sorted(graph.table.items())
-                }
+                entry["agraph"] = agraph(graph.table)
                 entry["socle"] = sorted(list(m) for m in graph.socle)
             tris.append(entry)
         doc["triangles"] = tris
@@ -178,8 +202,75 @@ def _key(k):
 
 
 def to_json(art) -> str:
-    doc = build_document(art)
-    return json.dumps(doc, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
+    """`build_document(art)` as indented JSON with sorted keys, and a newline."""
+    chunks = list(_iterencode(_document(art, _AgraphTemplate(art.group)), 0))
+    chunks.append("\n")  # a chunk, so the text is not copied to add it
+    return "".join(chunks)
+
+
+class _Raw(str):
+    """Text already laid out at its place in the document."""
+
+
+class _AgraphTemplate:
+    """Lays out agraph tables, all keyed by the |A| characters, from one template."""
+
+    def __init__(self, group):
+        keyed = sorted((str(group.char_id(c)), c) for c in group.characters())
+        self.order = [c for _, c in keyed]
+        key = "\n" + " " * (_AGRAPH_LEVEL + 1)
+        val = "\n" + " " * (_AGRAPH_LEVEL + 2)
+        item = ": [" + val + "%d," + val + "%d," + val + "%d" + key + "]"
+        self.template = (
+            "{" + key + ("," + key).join(_encode_str(k) + item for k, _ in keyed)
+            + "\n" + " " * _AGRAPH_LEVEL + "}"
+        )
+
+    def __call__(self, table):
+        return _Raw(self.template % tuple(chain.from_iterable(map(table.__getitem__, self.order))))
+
+
+def _iterencode(o, level):
+    """Chunks of `json.dumps(o, sort_keys=True, indent=1, ensure_ascii=False)`
+    for `o` nested `level` deep; `_Raw` text is copied as it is."""
+    if isinstance(o, str):
+        yield o if type(o) is _Raw else _encode_str(o)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            yield "[]"
+            return
+        inner = "\n" + " " * (level + 1)
+        close = "\n" + " " * level + "]"
+        if all(type(x) is int for x in o):
+            yield "[" + inner + ("," + inner).join(map(str, o)) + close
+            return
+        sep = "[" + inner
+        for x in o:
+            yield sep
+            sep = "," + inner
+            yield from _iterencode(x, level + 1)
+        yield close
+    elif isinstance(o, dict):
+        if not o:
+            yield "{}"
+            return
+        inner = "\n" + " " * (level + 1)
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            yield sep + _encode_str(_key_text(k)) + ": "
+            sep = "," + inner
+            yield from _iterencode(v, level + 1)
+        yield "\n" + " " * level + "}"
+    else:
+        yield _encode_scalar(o)
+
+
+def _key_text(k):
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _encode_scalar(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def from_json(text: str) -> dict:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,19 @@ from ahilb.errors import InputError
 from ahilb.group import build_group, parse_group_spec
 from ahilb.pipeline import run_pipeline
 from ahilb.render import quiver_svg, triangulation_svg
+from ahilb import serialize
 from ahilb.serialize import build_document, from_json, to_json
+
+from test_acceptance import _cyclic_family_up_to_30
+
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "digests.json").read_text()
+)
+
+
+def oracle(art):
+    """The reference layout `to_json` must reproduce byte for byte."""
+    return json.dumps(build_document(art), sort_keys=True, indent=1, ensure_ascii=False) + "\n"
 
 
 def group_from_document(doc):
@@ -172,6 +186,89 @@ def test_json_round_trip(run30):
     g = group_from_document(doc)
     assert g.elements == run30.group.elements
     assert json.dumps(doc, sort_keys=True, indent=1, ensure_ascii=False) + "\n" == text
+
+
+@pytest.mark.parametrize(
+    "spec", ["1/11(1,2,8)", "1/30(25,2,3)", "1/3(1,2,0);1/3(0,1,2)", "1/1(0,0,0)", "1/2(1,1,0)"]
+)
+def test_to_json_matches_the_oracle(spec):
+    art = run_pipeline(spec)
+    assert to_json(art) == oracle(art)
+
+
+@pytest.mark.parametrize("which", ["fan", "recipe", "relations", "cohomology", "all"])
+def test_to_json_matches_the_oracle_on_each_check_family(which):
+    art = run_pipeline("1/30(25,2,3)", which=which)
+    assert to_json(art) == oracle(art)
+
+
+def test_to_json_matches_the_oracle_on_a_failed_run(monkeypatch):
+    import ahilb.pipeline as pipeline
+    from ahilb.errors import CorrespondenceError
+
+    def broken(*args):
+        raise CorrespondenceError("broken decoration", detail={"why": "test"})
+
+    monkeypatch.setattr(pipeline, "decorate", broken)
+    art = run_pipeline("1/30(25,2,3)")
+    assert art.report.failure["check"] == "decoration" and art.charts is not None
+    assert to_json(art) == oracle(art)
+
+
+def test_to_json_matches_the_oracle_on_the_order_30_family():
+    differ = []
+    for spec in _cyclic_family_up_to_30():
+        art = run_pipeline(spec)
+        if to_json(art) != oracle(art):
+            differ.append(spec)
+    assert not differ, differ
+
+
+@pytest.mark.parametrize("spec", sorted(DIGESTS))
+def test_to_json_matches_the_bench_digests(spec):
+    text = to_json(run_pipeline(spec))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[spec]
+
+
+def test_cli_json_file_matches_the_bench_digest(tmp_path, capsys):
+    spec, out = "1/401(1,7,393)", tmp_path / "out.json"
+    assert main(["compute", spec, "--json", str(out), "--quiet"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[spec]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[], [{}]]],
+        [True, 1, 0, False], [1, True], [-1, 0, -20], [[1, 2], [3]],
+        None, True, 0, -7, 2**70, "χ", 'say "hi" \\ there\n', ["χ0", "a\tb"],
+        float("nan"), 1.5, [1.5, float("inf"), -0.0], (1, (2, 3)),
+        {"1": 1, "10": 10, "2": 2}, {2: "two", 10: "ten"}, {None: 0}, {True: 1, False: 0}, {1.5: 2, 0.5: 1},
+        {"b": [1, 2], "a": {"z": None, "y": [True, None]}},
+    ],
+)
+def test_iterencode_matches_json_dumps(value):
+    got = "".join(serialize._iterencode(value, 0))
+    assert got == json.dumps(value, sort_keys=True, indent=1, ensure_ascii=False)
+
+
+def test_iterencode_rejects_what_json_dumps_rejects():
+    for value in ({(1, 2): 0}, [object()], {1: {2}}):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=1, ensure_ascii=False)
+        with pytest.raises(TypeError):
+            "".join(serialize._iterencode(value, 0))
+
+
+def test_to_json_takes_the_templated_path(monkeypatch, run30):
+    expected = oracle(run30)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("to_json fell back to the document oracle")
+
+    monkeypatch.setattr(serialize, "build_document", forbidden)
+    monkeypatch.setattr(json, "dumps", forbidden)
+    assert to_json(run30) == expected
 
 
 def test_json_trivial(run_trivial):
