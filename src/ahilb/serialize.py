@@ -203,7 +203,7 @@ def _key(k):
 
 def to_json(art) -> str:
     """`build_document(art)` as indented JSON with sorted keys, and a newline."""
-    chunks = list(_iterencode(_document(art, _AgraphTemplate(art.group)), 0))
+    chunks = list(_iterencode(_document(art, _agraph_layout(art.group)), 0))
     chunks.append("\n")  # a chunk, so the text is not copied to add it
     return "".join(chunks)
 
@@ -212,27 +212,30 @@ class _Raw(str):
     """Text already laid out at its place in the document."""
 
 
-class _AgraphTemplate:
+def _agraph_layout(group):
     """Lays out agraph tables, all keyed by the |A| characters, from one template."""
+    keyed = sorted((str(group.char_id(c)), c) for c in group.characters())
+    order = [c for _, c in keyed]
+    key = "\n" + " " * (_AGRAPH_LEVEL + 1)
+    val = "\n" + " " * (_AGRAPH_LEVEL + 2)
+    item = ": [" + val + "%d," + val + "%d," + val + "%d" + key + "]"
+    template = (
+        "{" + key + ("," + key).join(_encode_str(k) + item for k, _ in keyed)
+        + "\n" + " " * _AGRAPH_LEVEL + "}"
+    )
 
-    def __init__(self, group):
-        keyed = sorted((str(group.char_id(c)), c) for c in group.characters())
-        self.order = [c for _, c in keyed]
-        key = "\n" + " " * (_AGRAPH_LEVEL + 1)
-        val = "\n" + " " * (_AGRAPH_LEVEL + 2)
-        item = ": [" + val + "%d," + val + "%d," + val + "%d" + key + "]"
-        self.template = (
-            "{" + key + ("," + key).join(_encode_str(k) + item for k, _ in keyed)
-            + "\n" + " " * _AGRAPH_LEVEL + "}"
-        )
+    def agraph(table):
+        return _Raw(template % tuple(chain.from_iterable(map(table.__getitem__, order))))
 
-    def __call__(self, table):
-        return _Raw(self.template % tuple(chain.from_iterable(map(table.__getitem__, self.order))))
+    return agraph
 
 
 def _iterencode(o, level):
     """Chunks of `json.dumps(o, sort_keys=True, indent=1, ensure_ascii=False)`
-    for `o` nested `level` deep; `_Raw` text is copied as it is."""
+    for `o` nested `level` deep; `_Raw` text is copied as it is.
+
+    Dict keys must be strings, as they are throughout the document.
+    """
     if isinstance(o, str):
         yield o if type(o) is _Raw else _encode_str(o)
     elif isinstance(o, (list, tuple)):
@@ -257,20 +260,12 @@ def _iterencode(o, level):
         inner = "\n" + " " * (level + 1)
         sep = "{" + inner
         for k, v in sorted(o.items()):
-            yield sep + _encode_str(_key_text(k)) + ": "
+            yield sep + _encode_str(k) + ": "
             sep = "," + inner
             yield from _iterencode(v, level + 1)
         yield "\n" + " " * level + "}"
     else:
         yield _encode_scalar(o)
-
-
-def _key_text(k):
-    if isinstance(k, str):
-        return k
-    if k is None or isinstance(k, (int, float)):
-        return _encode_scalar(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def from_json(text: str) -> dict:
