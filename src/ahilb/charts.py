@@ -28,7 +28,6 @@ from .group import MONO_ONE, ratio_split
 @dataclass
 class Chart:
     triangle: int
-    vertices: tuple
     coords: tuple  # three (numerator, denominator) monomial pairs, dual order
 
 
@@ -229,7 +228,7 @@ class ChartSet:
         order = self.group.order
         tris = T.triangles
         self.charts = [
-            Chart(ti, tri.vertices, chart_coords(self.group, tri.vertices))
+            Chart(ti, chart_coords(self.group, tri.vertices))
             for ti, tri in enumerate(tris)
         ]
         neighbours = [[] for _ in tris]

@@ -39,14 +39,15 @@ class CompactSurface:
 
 
 def virtual_bundle(group, vertex_mark, relation) -> VirtualBundle:
-    """Rank-0, degree-0 formal difference attached to one interior vertex."""
+    """Rank-0, degree-0 formal difference attached to one interior vertex.
+
+    Degree 0 is the relation's equal character sums, checked in `relations`.
+    """
     trivial = group.reduce(MONO_ONE)
     plus = tuple(sorted(relation.rhs))
     minus = tuple(sorted(relation.lhs + (trivial,)))
     if len(plus) != len(minus):
         raise InvariantViolationError("virtual bundle sides have different ranks")
-    if group.char_sum(plus) != group.char_sum(minus):
-        raise InvariantViolationError("virtual bundle has nonzero first Chern class")
     return VirtualBundle(vertex_mark.mark_ii(), vertex_mark.vertex, plus, minus)
 
 

@@ -11,6 +11,12 @@ including support-function convexity and the curve degrees, through
 `decoration`), and a failure ends the run.  Every stage is a function
 of `art` alone and no check samples at random, so a spec always gives the
 same report.
+
+Each fact is checked once, in the stage the report names for it: the fan's
+vertex set and Euler counts in `euler`, unimodular triangles in `basic`,
+equal weights of ratio monomials in `ratios`, chart table sizes in
+`decoration` (by `ChartSet`), the exact character cover in `partition`, and
+a relation's character sums (so its virtual bundle's) in `relations`.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .cohomology import (
 )
 from .errors import AHilbError, CorrespondenceError, InputError, InvariantViolationError
 from .fan import divisors_desc, triangulate
-from .group import DEFAULT_MAX_ORDER, build_group, parse_group_spec
+from .group import DEFAULT_MAX_ORDER, MONO_ONE, build_group, parse_group_spec
 from .recipe import champion_identities, corner_region_characters, decorate, quiver_embedding
 from .relations import completeness_check, derive_relations, verify_all_relations
 
@@ -132,9 +138,13 @@ def _counts(art):
 
 
 def _build_fan(art):
-    art.triangulation = triangulate(art.group)
-    T = art.triangulation
-    order = art.group.order
+    """Vertices are exactly the corners and the junior points; |A| triangles, 2I + B - 2 = |A|."""
+    g = art.group
+    art.triangulation = T = triangulate(g)
+    order = g.order
+    corners = {tuple(order if i == c else 0 for i in range(3)) for c in range(3)}
+    if set(T.points) != corners.union(g.junior_points()):
+        raise InvariantViolationError("fan vertices differ from the simplex lattice points")
     I = len(T.interior_vertices())
     B = len(T.boundary_vertices())
     if len(T.triangles) != order or 2 * I + B - 2 != order:
@@ -201,16 +211,14 @@ def _build_decoration(art):
 
 
 def _check_chart_properties(art):
-    """Chart basis sizes and the degree-one property of marked lines.
+    """The degree-one property of marked lines.
 
-    Support-function convexity and the transition exponents are checked
-    while `ChartSet` fills its degree table, so they fail this stage too.
+    `ChartSet` checks each table's size, division closure and minimality as
+    it builds it, and support-function convexity and the transition
+    exponents as it fills its degree table, so they fail this stage too.
     """
     T = art.triangulation
     C = art.charts
-    for graph in C.agraphs:
-        if len(graph.table) != art.group.order:
-            raise InvariantViolationError("chart basis of the wrong size")
     interior = T.interior_edges()
     for ei in interior:
         e = T.edges[ei]
@@ -222,11 +230,27 @@ def _check_chart_properties(art):
 
 
 def _check_partition(art):
-    part = art.decoration.partition
+    """Exact cover: line, vertex and second marks take each nontrivial character once."""
     g = art.group
+    part = art.decoration.partition
     sizes = {k: len(v) for k, v in part.items()}
-    if sizes["line"] + sizes["vertex"] + sizes["second"] != g.order - 1:
-        raise CorrespondenceError("partition does not cover the nontrivial characters")
+    expected_vertex = len(art.decoration.vertex_marks)
+    if sizes["vertex"] != expected_vertex:
+        raise CorrespondenceError(
+            "vertex marks are not pairwise distinct",
+            detail={"marked": sizes["vertex"], "vertices": expected_vertex},
+        )
+    trivial = g.reduce(MONO_ONE)
+    union = set().union(*part.values())
+    nontrivial = set(g.characters()) - {trivial}
+    if len(union) != sum(sizes.values()) or union != nontrivial:
+        buckets = [set(v) for v in part.values()]
+        raise CorrespondenceError(
+            "characters do not split into line/vertex/second marks",
+            detail={"missing": sorted(nontrivial - union),
+                    "duplicated": sorted(c for c in union if sum(c in b for b in buckets) > 1),
+                    "trivial_marked": trivial in union},
+        )
     return sizes
 
 

@@ -6,7 +6,8 @@ lines) determined by the valency case analysis; the triple-intersection
 pair is computed from the socles of the six incident charts and verified
 against the projection-monomial construction.  The result partitions the
 nontrivial characters: each marks exactly one line, vertex, or is the
-designated second character of a triple intersection.
+designated second character of a triple intersection, which the
+pipeline's `partition` stage checks.
 """
 
 from __future__ import annotations
@@ -256,7 +257,6 @@ def projection_pair(T, chart_set, vertex):
 
 def decorate(triangulation, chart_set) -> Decoration:
     T = triangulation
-    g = T.group
     line_marks = mark_lines(T)
     vmap = T.vertex_edge_map()
     vertex_marks = {}
@@ -265,14 +265,16 @@ def decorate(triangulation, chart_set) -> Decoration:
         if len(edge_ids) != len(vmap[v]):
             raise InvariantViolationError("interior vertex on a boundary edge")
         vertex_marks[v] = mark_vertex(T, chart_set, v, edge_ids)
-    partition = classify_characters(T, line_marks, vertex_marks)
+    partition = classify_characters(line_marks, vertex_marks)
     return Decoration(line_marks, vertex_marks, partition)
 
 
-def classify_characters(triangulation, line_marks, vertex_marks):
-    """Exact cover of the nontrivial characters by line/vertex/second marks."""
-    g = triangulation.group
-    trivial = g.reduce(MONO_ONE)
+def classify_characters(line_marks, vertex_marks):
+    """Buckets of line, vertex and second (dP6 type-iii) marks.
+
+    The `partition` stage checks that they cover the nontrivial characters
+    exactly once.
+    """
     buckets = {"line": set(line_marks.values()), "vertex": set(), "second": set()}
     for vm in vertex_marks.values():
         if vm.case == CASE_DP6:
@@ -280,27 +282,6 @@ def classify_characters(triangulation, line_marks, vertex_marks):
             buckets["vertex"].add(vm.marks[1])
         else:
             buckets["vertex"].add(vm.marks[0])
-    counts = {k: len(v) for k, v in buckets.items()}
-    expected_vertex = len(vertex_marks)
-    if counts["vertex"] != expected_vertex:
-        raise CorrespondenceError(
-            "vertex marks are not pairwise distinct",
-            detail={"marked": counts["vertex"], "vertices": expected_vertex},
-        )
-    union = buckets["line"] | buckets["vertex"] | buckets["second"]
-    total = counts["line"] + counts["vertex"] + counts["second"]
-    nontrivial = set(g.characters()) - {trivial}
-    if trivial in union or len(union) != total or union != nontrivial:
-        missing = sorted(nontrivial - union)
-        dup = sorted(
-            c for c in union
-            if (c in buckets["line"]) + (c in buckets["vertex"]) + (c in buckets["second"]) > 1
-        )
-        raise CorrespondenceError(
-            "characters do not split into line/vertex/second marks",
-            detail={"missing": missing, "duplicated": dup,
-                    "trivial_marked": trivial in union},
-        )
     return {k: sorted(v) for k, v in buckets.items()}
 
 

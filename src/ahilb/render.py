@@ -7,7 +7,7 @@ repeated runs emit identical bytes.
 
 from __future__ import annotations
 
-from math import sqrt
+from math import cos, pi, sin, sqrt
 
 from .recipe import CASE_DP6, hexagon_position
 
@@ -112,9 +112,7 @@ def _hex_center(cell):
 def _hex_corners(cx, cy):
     pts = []
     for k in range(6):
-        ang = (60.0 * k + 30.0) * 3.141592653589793 / 180.0
-        from math import cos, sin
-
+        ang = (60.0 * k + 30.0) * pi / 180.0
         pts.append((cx + _HEX_R * cos(ang), cy + _HEX_R * sin(ang)))
     return pts
 

@@ -1,8 +1,14 @@
+import dataclasses
+import re
 import traceback
+from pathlib import Path
 
 import ahilb.pipeline as pipeline
+import ahilb.recipe as recipe
 from ahilb import intmat
 from ahilb.errors import CorrespondenceError
+from ahilb.fan import triangulate
+from ahilb.group import AbelianGroup, build_group
 from ahilb.pipeline import ALL_CHECKS, CHECK_GROUPS, checks_for, run_pipeline
 
 
@@ -100,3 +106,105 @@ def test_pipeline_solves_lattices_only_while_building_the_group(monkeypatch):
     assert callers["solve_int"] == []
     assert callers["hnf_transform"]
     assert all("build_group" in names for names in callers["hnf_transform"])
+
+
+def test_euler_names_a_vertex_set_that_misses_a_junior_point(monkeypatch):
+    # negative control: one junior point more than the fan has
+    junior_points = AbelianGroup.junior_points
+    monkeypatch.setattr(
+        AbelianGroup, "junior_points", lambda self: junior_points(self) + [(1, 1, self.order - 2)]
+    )
+    art = run_pipeline("1/11(1,2,8)", which="fan")
+    assert art.report.failure == {
+        "check": "euler",
+        "error": "fan vertices differ from the simplex lattice points",
+        "detail": {},
+    }
+
+
+def test_basic_names_a_non_basic_triangle(monkeypatch):
+    # negative control: one triangle's determinant doubled, everything else as built
+    target = triangulate(build_group("1/11(1,2,8)")).triangles[3].vertices
+    det3 = intmat.det3
+
+    def doubled(m):
+        d = det3(m)
+        return 2 * d if tuple(map(tuple, m)) == target else d
+
+    monkeypatch.setattr(intmat, "det3", doubled)
+    art = run_pipeline("1/11(1,2,8)", which="fan")
+    assert art.report.failure == {
+        "check": "basic",
+        "error": "non-basic triangle",
+        "detail": {"triangle": target},
+    }
+    assert art.report.checks["euler"]["status"] == "pass"
+
+
+def test_ratios_names_unequal_ratio_weights(monkeypatch):
+    # negative control: the weight of one interior line's plus monomial shifted
+    T = triangulate(build_group("1/11(1,2,8)"))
+    plus = next(ln.plus for ln in T.lines if ln.kind != "boundary")
+    weight = AbelianGroup.weight
+
+    def shifted(self, m):
+        return weight(self, (m[0] + 1, m[1], m[2]) if m == plus else m)
+
+    monkeypatch.setattr(AbelianGroup, "weight", shifted)
+    art = run_pipeline("1/11(1,2,8)", which="fan")
+    assert art.report.failure == {
+        "check": "ratios",
+        "error": "ratio monomials differ in weight",
+        "detail": {},
+    }
+    assert [art.report.checks[n]["status"] for n in ("euler", "basic")] == ["pass", "pass"]
+
+
+def test_partition_names_a_repeated_vertex_mark(monkeypatch):
+    # negative control: the second non-dP6 vertex gets the first one's mark
+    seen = []
+    mark_vertex = recipe.mark_vertex
+
+    def repeated(*args):
+        vm = mark_vertex(*args)
+        if vm.case == recipe.CASE_DP6:
+            return vm
+        seen.append(vm.marks)
+        return dataclasses.replace(vm, marks=seen[0]) if len(seen) == 2 else vm
+
+    monkeypatch.setattr(recipe, "mark_vertex", repeated)
+    art = run_pipeline("1/30(25,2,3)", which="recipe")
+    failure = art.report.failure
+    assert (failure["check"], failure["error"]) == (
+        "partition", "vertex marks are not pairwise distinct"
+    )
+    n = len(art.decoration.vertex_marks)
+    assert failure["detail"] == {"marked": n - 1, "vertices": n}
+    assert art.report.checks["decoration"]["status"] == "pass"
+
+
+def test_partition_names_a_character_marked_twice(monkeypatch):
+    # negative control: one line character also listed as a second mark
+    classify_characters = recipe.classify_characters
+    twice = []
+
+    def doubled(*args):
+        part = classify_characters(*args)
+        twice.append(part["line"][0])
+        part["second"] = sorted(part["second"] + twice)
+        return part
+
+    monkeypatch.setattr(recipe, "classify_characters", doubled)
+    art = run_pipeline("1/11(1,2,8)", which="recipe")
+    assert art.report.failure == {
+        "check": "partition",
+        "error": "characters do not split into line/vertex/second marks",
+        "detail": {"missing": [], "duplicated": twice, "trivial_marked": False},
+    }
+
+
+def test_readme_names_every_check_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("Check names in the report:")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    assert tuple(re.findall(r"`(\w+)`\s+\(", paragraph)) == ALL_CHECKS
