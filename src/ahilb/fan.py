@@ -2,11 +2,13 @@
 
 Pipeline: per-corner line fans, whose rays and strengths come from the
 Hirzebruch-Jung continued-fraction recurrence of the corner cone, the
-knock-out tournament that partitions the simplex into regular triangles,
-and the regular tesselation into basic triangles.  Every edge is labelled
-with the minimal invariant monomial ratio vanishing on its line.  The
-scaled lattice is `AbelianGroup.lattice_basis`; no step solves a lattice
-system.
+knock-out tournament that decides how far each line runs, and the regular
+tesselation into basic triangles.  The regular triangles are the corner
+triangles, each between two consecutive rays of a corner's fan, and at
+most one champion triangle, the region they leave uncovered.  Every edge
+is labelled with the minimal invariant monomial ratio vanishing on its
+line.  The scaled lattice is `AbelianGroup.lattice_basis`; no step solves
+a lattice system.
 
 All geometry is exact.  Points live in the plane {sum = |A|} with integer
 coordinates ("scaled" coordinates); the plane is embedded into Z^2 by
@@ -15,7 +17,7 @@ dropping the last coordinate, which preserves all incidence predicates.
 
 from __future__ import annotations
 
-import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -30,10 +32,6 @@ from .group import AbelianGroup, ratio_split
 
 def proj2(p):
     return (p[0], p[1])
-
-
-def unproj(order, q):
-    return (q[0], q[1], order - q[0] - q[1])
 
 
 def primitive_step(group, d):
@@ -110,15 +108,17 @@ class CornerLine:
     u: tuple  # canonical invariant normal (ratio key)
     plus: tuple
     minus: tuple
-    path: list = field(default_factory=list)  # lattice points outward
+    origin: tuple  # the corner E_c
+    reach: int  # lattice steps from the corner to the simplex boundary
     # knock-out results
     death_t: Fraction | None = None
     final_strength: int | None = None
     battles: list = field(default_factory=list)
 
     def endpoint(self):
-        k = self.death_t if self.death_t is not None else len(self.path)
-        return self.path[int(k) - 1]
+        """Where the line dies, or else leaves the simplex."""
+        k = self.reach if self.death_t is None else int(self.death_t)
+        return intmat.vec_add(self.origin, intmat.vec_scale(k, self.step))
 
 
 def corner_fan(group, corner):
@@ -167,19 +167,11 @@ def _make_corner_line(group, corner, Ec, qm, ray, strength):
         step = intmat.vec_neg(step)
     if any(step[i] <= 0 for i in CORNERS if i != corner):
         raise InvariantViolationError("corner line does not point into the simplex")
-    path = []
-    p = Ec
-    while True:
-        p = intmat.vec_add(p, step)
-        if min(p) < 0:
-            break
-        path.append(p)
-        if min(p) == 0:
-            break
-    if not path:
+    reach = order // -step[corner]
+    if reach == 0:
         raise InvariantViolationError("corner line leaves the simplex immediately")
     u, plus, minus = line_ratio(group, Ec, intmat.vec_add(Ec, step))
-    return CornerLine(corner, ray, step, strength, u, plus, minus, path)
+    return CornerLine(corner, ray, step, strength, u, plus, minus, Ec, reach)
 
 
 def _hj_chain(vA, vB):
@@ -293,9 +285,9 @@ class RegularTriangle:
 
 def knockout(group):
     """Run the tournament and cut the simplex into regular triangles."""
-    lines = [ln for c in CORNERS for ln in corner_fan(group, c)]
+    fans = [corner_fan(group, c) for c in CORNERS]
+    lines = [ln for corner_lines in fans for ln in corner_lines]
     order = group.order
-    E = [tuple(order if i == c else 0 for i in range(3)) for c in CORNERS]
 
     # all pairwise crossings between lines from different corners
     point_parts = {}  # 2d fraction point -> {line index: param along that line}
@@ -304,7 +296,7 @@ def knockout(group):
             li, lj = lines[i], lines[j]
             if li.corner == lj.corner:
                 continue
-            ci, cj = proj2(E[li.corner]), proj2(E[lj.corner])
+            ci, cj = proj2(li.origin), proj2(lj.origin)
             di, dj = proj2(li.step), proj2(lj.step)
             den = intmat.cross2(di, dj)
             if den == 0:
@@ -353,32 +345,31 @@ def knockout(group):
         raise InvariantViolationError("knock-out tournament did not stabilise")
 
     battles = _resolve_battles(group, lines, point_parts, death)
-    champion_point = None
-    for b in battles:
-        if b.winner is None and len(b.participants) == 3:
-            if champion_point is not None:
-                raise InvariantViolationError("two side-0 champion meetings")
-            champion_point = b.lattice_point
+    meetings = [b.lattice_point for b in battles if b.winner is None and len(b.participants) == 3]
+    if len(meetings) > 1:
+        raise InvariantViolationError("two side-0 champion meetings")
 
     for i, ln in enumerate(lines):
         ln.death_t = death[i]
         if death[i] is not None:
             if death[i] != int(death[i]):
                 raise InvariantViolationError("line dies at a non-lattice parameter")
-        else:
-            exit_pt = ln.path[-1]
-            if min(exit_pt) != 0:
-                raise InvariantViolationError(
-                    "surviving line leaves the simplex at a non-lattice point"
-                )
+        elif order % -ln.step[ln.corner]:
+            raise InvariantViolationError(
+                "surviving line leaves the simplex at a non-lattice point"
+            )
 
-    regular = _extract_faces(group, lines, battles)
+    regular = _corner_triangles(group, fans)
+    champion = _champion_triangle(regular)
+    if champion is not None:
+        regular.append(_regular_triangle(group, champion))
+    regular.sort(key=lambda t: t.vertices)
     total = sum(t.side * t.side for t in regular)
     if total != order:
         raise InvariantViolationError(
             f"regular partition covers {total} basic triangles, expected {order}"
         )
-    return Partition(group, lines, regular, battles, champion_point)
+    return Partition(group, lines, regular, battles, meetings[0] if meetings else None)
 
 
 def _reaches(death, parts, k):
@@ -402,7 +393,8 @@ def _resolve_battles(group, lines, point_parts, death):
             raise InvariantViolationError("battle with repeated corners")
         if pt[0].denominator != 1 or pt[1].denominator != 1:
             raise InvariantViolationError(f"battle at non-lattice point {pt}")
-        lp = unproj(order, (int(pt[0]), int(pt[1])))
+        x, y = int(pt[0]), int(pt[1])
+        lp = (x, y, order - x - y)
         if not group.in_lattice(lp):
             raise InvariantViolationError(f"battle at non-lattice point {lp}")
         winner = None
@@ -448,124 +440,88 @@ def _resolve_battles(group, lines, point_parts, death):
     return out
 
 
-def _extract_faces(group, lines, battles):
+def _corner_triangles(group, fans):
+    """Regular triangles between consecutive rays at each corner E_c.
+
+    The rays are a simplex side, the corner's lines in `_hj_chain` order and
+    the other side, each as far as it runs (to the far corner, or to the
+    line's endpoint).  Rays of lattice steps s1, s2 and lengths k1, k2 bound
+    (E_c, E_c + r s1, E_c + r s2), r = min(k1, k2).  A triangle on a whole
+    simplex side comes from both its corners and is kept once.
+    """
     order = group.order
     E = [tuple(order if i == c else 0 for i in range(3)) for c in CORNERS]
+    found = {}
+    for c, lines in zip(CORNERS, fans):
+        a, b = (o for o in CORNERS if o != c)
+        # `corner_fan` may swap the ends of its chain: the side next to the
+        # first line turns toward it the way the chain turns
+        if len(lines) >= 2:
+            first = proj2(lines[0].step)
+            toward = intmat.cross2(proj2(intmat.vec_sub(E[a], E[c])), first) > 0
+            if toward != (intmat.cross2(first, proj2(lines[1].step)) > 0):
+                a, b = b, a
+        ends = [E[a]] + [ln.endpoint() for ln in lines] + [E[b]]
+        rays = [primitive_step(group, intmat.vec_sub(p, E[c])) for p in ends]
+        for (s1, k1), (s2, k2) in zip(rays, rays[1:]):
+            r = min(k1, k2)
+            tri = (E[c], intmat.vec_add(E[c], intmat.vec_scale(r, s1)),
+                   intmat.vec_add(E[c], intmat.vec_scale(r, s2)))
+            found.setdefault(frozenset(tri), tri)
+    return [_regular_triangle(group, tri) for tri in found.values()]
 
-    segments = [(E[0], E[1]), (E[1], E[2]), (E[0], E[2])]
-    for ln in lines:
-        segments.append((E[ln.corner], ln.endpoint()))
 
-    nodes = {proj2(E[c]) for c in CORNERS}
-    for ln in lines:
-        nodes.add(proj2(ln.endpoint()))
-    for b in battles:
-        nodes.add(proj2(b.lattice_point))
+def _champion_triangle(corner_triangles):
+    """Corners of the one region the corner triangles leave uncovered, or None.
 
-    adj = {}
-    for a3, b3 in segments:
-        a, b = proj2(a3), proj2(b3)
-        d = intmat.vec_sub(b, a)
-        onseg = []
-        for p in nodes:
-            w = intmat.vec_sub(p, a)
-            if intmat.cross2(d, w) == 0 and 0 <= intmat.vec_dot(d, w) <= intmat.vec_dot(d, d):
-                onseg.append((intmat.vec_dot(d, w), p))
-        onseg.sort()
-        for (_, p), (_, q) in zip(onseg, onseg[1:]):
-            adj.setdefault(p, set()).add(q)
-            adj.setdefault(q, set()).add(p)
-
-    faces = _walk_faces(adj)
-    regular = []
-    champion_seen = False
-    for cyc in faces:
-        corners = _cycle_corners(cyc)
-        if len(corners) != 3:
+    Its boundary is the unit lattice steps on exactly one corner triangle's
+    side and off the simplex boundary; its corners are where that turns.
+    """
+    cover = Counter()
+    for reg in corner_triangles:
+        p = reg.vertices[0]
+        s1, s2 = reg.steps
+        # once around the boundary, r unit steps a side
+        for d in (s1, intmat.vec_sub(s2, s1), intmat.vec_neg(s2)):
+            for _ in range(reg.side):
+                q = intmat.vec_add(p, d)
+                cover[min(p, q), max(p, q)] += 1
+                p = q
+    nbrs = {}
+    for (p, q), n in cover.items():
+        if n == 1 and not any(p[i] == 0 == q[i] for i in CORNERS):
+            nbrs.setdefault(p, []).append(q)
+            nbrs.setdefault(q, []).append(p)
+    if not nbrs:
+        return None
+    turns = []
+    for p, qs in nbrs.items():
+        if len(qs) != 2:
             raise InvariantViolationError(
-                f"knock-out face with {len(corners)} corners is not a triangle"
+                f"champion boundary has {len(qs)} steps at a point", detail={"point": p}
             )
-        tri = [unproj(order, c) for c in corners]
-        reg = _regular_triangle(group, tri)
-        if reg.kind == "champion":
-            if champion_seen:
-                raise InvariantViolationError("two meeting-of-champions triangles")
-            champion_seen = True
-        regular.append(reg)
-    regular.sort(key=lambda t: t.vertices)
-    return regular
-
-
-def angle_cmp(d1, d2):
-    """Counter-clockwise order of plane directions, starting from the +x axis."""
-    h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
-    h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
-    c = intmat.cross2(d1, d2)
-    return -1 if c > 0 else (1 if c < 0 else 0)
-
-
-def _walk_faces(adj):
-    ordered = {}
-    for v, nbrs in adj.items():
-        ordered[v] = sorted(
-            nbrs, key=functools.cmp_to_key(
-                lambda a, b: angle_cmp(intmat.vec_sub(a, v), intmat.vec_sub(b, v))
-            )
-        )
-
-    seen = set()
-    faces = []
-    for v in adj:
-        for w in adj[v]:
-            if (v, w) in seen:
-                continue
-            cyc = []
-            a, b = v, w
-            while (a, b) not in seen:
-                seen.add((a, b))
-                cyc.append(a)
-                nbrs = ordered[b]
-                idx = nbrs.index(a)
-                c = nbrs[(idx - 1) % len(nbrs)]
-                a, b = b, c
-            area2 = 0
-            for i in range(len(cyc)):
-                p, q = cyc[i], cyc[(i + 1) % len(cyc)]
-                area2 += intmat.cross2(p, q)
-            if area2 > 0:
-                faces.append(cyc)
-    return faces
-
-
-def _cycle_corners(cyc):
-    n = len(cyc)
-    corners = []
-    for i in range(n):
-        d1 = intmat.vec_sub(cyc[i], cyc[i - 1])
-        d2 = intmat.vec_sub(cyc[(i + 1) % n], cyc[i])
-        if intmat.cross2(d1, d2) != 0:
-            corners.append(cyc[i])
-    return corners
+        if intmat.cross3(intmat.vec_sub(qs[0], p), intmat.vec_sub(qs[1], p)) != (0, 0, 0):
+            turns.append(p)
+    if len(turns) != 3:
+        raise InvariantViolationError(f"champion region has {len(turns)} corners, not 3")
+    return turns
 
 
 def _regular_triangle(group, tri):
     order = group.order
-    # canonical rotation: lex-smallest corner first, cyclic (CCW) order kept,
-    # so the output is independent of where the face walk started
+    # canonical order: counterclockwise in the (x, y) projection, lex-smallest
+    # corner first, so the output is independent of how the corners came
+    tri = list(tri)
+    if intmat.cross2(*(proj2(intmat.vec_sub(v, tri[0])) for v in tri[1:])) < 0:
+        tri[1], tri[2] = tri[2], tri[1]
     start = min(range(3), key=lambda i: tri[i])
     tri = [tri[(start + i) % 3] for i in range(3)]
     E = {tuple(order if i == c else 0 for i in range(3)): c for c in CORNERS}
-    steps = []
-    sides = []
-    for i in range(3):
-        d = intmat.vec_sub(tri[(i + 1) % 3], tri[i])
-        step, r = primitive_step(group, d)
-        steps.append(step)
-        sides.append(r)
+    steps, sides = zip(*(
+        primitive_step(group, intmat.vec_sub(q, p)) for p, q in zip(tri, tri[1:] + tri[:1])
+    ))
     if len(set(sides)) != 1:
-        raise InvariantViolationError(f"face with side counts {sides} is not regular")
+        raise InvariantViolationError(f"face with side counts {list(sides)} is not regular")
     r = sides[0]
     s1, s2 = steps[0], intmat.vec_neg(steps[2])
     # the sum-zero directions of the scaled lattice have d1 x d2 = +-|A|(1,1,1),
@@ -615,8 +571,9 @@ class Triangle:
 class Triangulation:
     """Basic triangles, edges and ratio-labelled lines of the regular partition.
 
-    Construction checks how many triangles each edge borders.  The pipeline
-    checks the vertex set and Euler counts (`euler`), unimodularity
+    Construction checks how many triangles each edge borders and builds
+    every incidence index, so the object is not written to after it.  The
+    pipeline checks the vertex set and Euler counts (`euler`), unimodularity
     (`basic`), and the weights and minimality of line ratios (`ratios`).
     """
 
@@ -625,10 +582,10 @@ class Triangulation:
         self.partition = partition
         self.regular_triangles = partition.regular_triangles
         self.triangles = []
-        self.points = set()
         self._build_triangles()
         self._build_edges()
         self._group_lines()
+        self._build_indices()
 
     # -- construction ---------------------------------------------------------
 
@@ -650,9 +607,7 @@ class Triangulation:
                         )
                         self.triangles.append(Triangle(tuple(sorted(down)), "down", ri))
         self.triangles.sort(key=lambda t: t.vertices)
-        for t in self.triangles:
-            self.points.update(t.vertices)
-        self.points = sorted(self.points)
+        self.points = sorted({p for t in self.triangles for p in t.vertices})
 
     def _build_edges(self):
         pairs = {}
@@ -700,35 +655,36 @@ class Triangulation:
             for ei in eids:
                 self.edges[ei].line = li
 
+    def _build_indices(self):
+        self._interior_vertices = [p for p in self.points if min(p) > 0]
+        self._boundary_vertices = [p for p in self.points if min(p) == 0]
+        self._interior_edges = [ei for ei, e in enumerate(self.edges) if e.interior]
+        self._vertex_edges = {}
+        for ei, e in enumerate(self.edges):
+            self._vertex_edges.setdefault(e.a, []).append(ei)
+            self._vertex_edges.setdefault(e.b, []).append(ei)
+        self._vertex_triangles = {}
+        for ti, t in enumerate(self.triangles):
+            for p in t.vertices:
+                self._vertex_triangles.setdefault(p, []).append(ti)
+
     # -- queries ----------------------------------------------------------------
 
     def interior_vertices(self):
-        return [p for p in self.points if min(p) > 0]
+        return self._interior_vertices
 
     def boundary_vertices(self):
-        return [p for p in self.points if min(p) == 0]
+        return self._boundary_vertices
 
     def vertex_edge_map(self):
-        """vertex -> ids of its incident edges, ascending; built once."""
-        if not hasattr(self, "_vertex_edges"):
-            self._vertex_edges = {}
-            for ei, e in enumerate(self.edges):
-                self._vertex_edges.setdefault(e.a, []).append(ei)
-                self._vertex_edges.setdefault(e.b, []).append(ei)
+        """vertex -> ids of its incident edges, ascending."""
         return self._vertex_edges
 
     def interior_edges(self):
-        if not hasattr(self, "_interior_edges"):
-            self._interior_edges = [ei for ei, e in enumerate(self.edges) if e.interior]
         return self._interior_edges
 
     def triangles_at(self, v):
-        """Ids of the triangles with vertex v, ascending; the index is built once."""
-        if not hasattr(self, "_vertex_triangles"):
-            self._vertex_triangles = {}
-            for ti, t in enumerate(self.triangles):
-                for p in t.vertices:
-                    self._vertex_triangles.setdefault(p, []).append(ti)
+        """Ids of the triangles with vertex v, ascending."""
         return self._vertex_triangles.get(v, [])
 
 

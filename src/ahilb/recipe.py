@@ -34,7 +34,6 @@ class VertexMark:
     case: str
     marks: tuple  # one character, or the (type-iii, type-ii) ordered pair
     through: dict  # character -> sorted incident edge ids
-    edge_ids: tuple
 
     @property
     def case_number(self):
@@ -164,7 +163,7 @@ def mark_vertex(triangulation, chart_set, vertex, edge_ids):
                     detail={"vertex": vertex, "character": chi},
                 )
     through = {chi: sorted(eis) for chi, eis in by_char.items()}
-    return VertexMark(vertex, valency, case, marks, through, tuple(sorted(edge_ids)))
+    return VertexMark(vertex, valency, case, marks, through)
 
 
 def _dp6_marks(T, chart_set, vertex, line_chars):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ahilb import fan, intmat
+from ahilb.cohomology import angle_cmp
 from ahilb.errors import InputError, InvariantViolationError
 from ahilb.fan import QuotientMap, corner_fan, knockout, monomial_knockout, triangulate
 from ahilb.group import build_group
+from ahilb.pipeline import run_pipeline
 from test_acceptance import _cyclic_family_up_to_30
 
 
@@ -244,8 +246,9 @@ def test_strength_versus_monomial_rule_consistency():
 
 
 # ---------------------------------------------------------------------------
-# differential tests: the corner fans and the regular-triangle check against
-# the lattice-point hull and the direction-basis solve they replaced
+# differential tests: the corner fans, the regular partition and the
+# regular-triangle check against the lattice-point hull, the planar face
+# walk and the direction-basis solve they replaced
 
 
 def _oracle_points_in_triangle(PA, PB):
@@ -350,6 +353,90 @@ def _differential_specs():
     )
 
 
+@functools.cache
+def _knockout(spec):
+    """One knock-out per differential spec, shared by the tests that read it."""
+    return knockout(build_group(spec))
+
+
+def _oracle_regular_triangles(group, lines, battles):
+    """Faces of the planar graph of simplex sides and knocked-out lines."""
+    order = group.order
+    E = [tuple(order if i == c else 0 for i in range(3)) for c in range(3)]
+    segments = [(E[0], E[1]), (E[1], E[2]), (E[0], E[2])]
+    segments += [(E[ln.corner], ln.endpoint()) for ln in lines]
+    nodes = {fan.proj2(p) for p in E + [ln.endpoint() for ln in lines]}
+    nodes |= {fan.proj2(b.lattice_point) for b in battles}
+    adj = {}
+    for a3, b3 in segments:
+        a, b = fan.proj2(a3), fan.proj2(b3)
+        d = intmat.vec_sub(b, a)
+        onseg = sorted(
+            (intmat.vec_dot(d, intmat.vec_sub(p, a)), p)
+            for p in nodes
+            if intmat.cross2(d, intmat.vec_sub(p, a)) == 0
+            and 0 <= intmat.vec_dot(d, intmat.vec_sub(p, a)) <= intmat.vec_dot(d, d)
+        )
+        for (_, p), (_, q) in zip(onseg, onseg[1:]):
+            adj.setdefault(p, set()).add(q)
+            adj.setdefault(q, set()).add(p)
+    ordered = {
+        v: sorted(nbrs, key=functools.cmp_to_key(
+            lambda a, b: angle_cmp(intmat.vec_sub(a, v), intmat.vec_sub(b, v))))
+        for v, nbrs in adj.items()
+    }
+    seen = set()
+    regular = []
+    for v in adj:
+        for w in adj[v]:
+            cyc = []
+            a, b = v, w
+            while (a, b) not in seen:
+                seen.add((a, b))
+                cyc.append(a)
+                nbrs = ordered[b]
+                a, b = b, nbrs[(nbrs.index(a) - 1) % len(nbrs)]
+            area2 = sum(intmat.cross2(p, q) for p, q in zip(cyc, cyc[1:] + cyc[:1]))
+            if area2 <= 0:
+                continue
+            corners = [
+                q for p, q, r in zip(cyc[-1:] + cyc[:-1], cyc, cyc[1:] + cyc[:1])
+                if intmat.cross2(intmat.vec_sub(q, p), intmat.vec_sub(r, q))
+            ]
+            assert len(corners) == 3, corners
+            tri = [(x, y, order - x - y) for x, y in corners]
+            regular.append(fan._regular_triangle(group, tri))
+    assert sum(t.kind == "champion" for t in regular) <= 1
+    return sorted(regular, key=lambda t: t.vertices)
+
+
+def test_regular_triangles_match_the_face_walk():
+    for spec in _differential_specs():
+        part = _knockout(spec)
+        want = _oracle_regular_triangles(part.group, part.corner_lines, part.battles)
+        assert part.regular_triangles == want, spec
+
+
+def test_shortened_line_fails_euler(monkeypatch):
+    """A corner triangle cut one step short leaves a gap the partition check reports."""
+    spec = "1/10(1,4,5)"  # two lines from e3 survive to the far side
+    survivor = next(ln for ln in knockout(build_group(spec)).corner_lines if ln.death_t is None)
+    real_corner_fan = fan.corner_fan
+
+    def shortened(group, corner):
+        lines = real_corner_fan(group, corner)
+        for ln in lines:
+            if ln.dir2 == survivor.dir2 and ln.corner == survivor.corner:
+                ln.reach -= 1
+        return lines
+
+    monkeypatch.setattr(fan, "corner_fan", shortened)
+    report = run_pipeline(spec, which="fan").report
+    assert report.failure["check"] == "euler"
+    assert report.checks["euler"]["status"] == "fail"
+    assert report.failure["error"].startswith("champion boundary has")
+
+
 def test_corner_fans_match_the_lattice_point_hull():
     for spec in _differential_specs():
         g = build_group(spec)
@@ -387,7 +474,7 @@ def test_regular_triangle_check_matches_the_direction_basis_solve():
     for spec in _differential_specs():
         g = build_group(spec)
         dbasis = _oracle_direction_basis(g)
-        for reg in knockout(g).regular_triangles:
+        for reg in _knockout(spec).regular_triangles:
             v0, r = reg.vertices[0], reg.side
             s1, s2 = reg.steps
             # the face itself; a unimodular reshear; a face of index 3 whose

@@ -203,6 +203,31 @@ def test_partition_names_a_character_marked_twice(monkeypatch):
     }
 
 
+def test_duality_names_a_degree_row_that_breaks_a_relation(monkeypatch):
+    # negative control: after `relations` passes, one degree of a character
+    # on one side of a relation is raised by one
+    verify_all_relations = pipeline.verify_all_relations
+    broken = []
+
+    def verify_then_corrupt(charts, relations):
+        verify_all_relations(charts, relations)
+        rel = relations[0]
+        chi = next(c for c in rel.rhs if c not in rel.lhs)
+        row = charts._degree[chi]
+        charts._degree[chi] = (row[0] + 1,) + row[1:]
+        broken.append(chi)
+
+    monkeypatch.setattr(pipeline, "verify_all_relations", verify_then_corrupt)
+    art = run_pipeline("1/11(1,2,8)")
+    failure = art.report.failure
+    assert broken
+    assert (failure["check"], failure["error"]) == (
+        "duality", "virtual bundle has nonzero degree on a curve"
+    )
+    assert art.report.checks["relations"]["status"] == "pass"
+    assert art.report.checks["h2_basis"]["status"] == "skipped"
+
+
 def test_readme_names_every_check_in_order():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     start = readme.index("Check names in the report:")
