@@ -184,32 +184,6 @@ def _check_minimality_step(chart, graph):
             )
 
 
-def _transition_exponent(diff, u, e, chi):
-    """The d with diff = d * u, found component by component, naming any failure."""
-    d = None
-    for i in range(3):
-        if u[i]:
-            q, rem = divmod(diff[i], u[i])
-            if rem:
-                raise InvariantViolationError(
-                    "no integer transition exponent on edge",
-                    detail={"edge": (e.a, e.b), "character": chi},
-                )
-            if d is None:
-                d = q
-            elif d != q:
-                raise InvariantViolationError(
-                    "inconsistent transition exponent on edge",
-                    detail={"edge": (e.a, e.b), "character": chi},
-                )
-        elif diff[i]:
-            raise InvariantViolationError(
-                "generator difference is not a multiple of the edge ratio",
-                detail={"edge": (e.a, e.b), "character": chi},
-            )
-    return d if d is not None else 0
-
-
 class ChartSet:
     """Charts, monomial bases and curve degrees for a whole triangulation.
 
@@ -296,7 +270,10 @@ class ChartSet:
                 diff = (r1[0] - r2[0], r1[1] - r2[1], r1[2] - r2[2])
                 d = diff[k] // uk
                 if diff != (d * u0, d * u1, d * u2):
-                    d = _transition_exponent(diff, u, e, chi)
+                    raise InvariantViolationError(
+                        "generator difference is not an integer multiple of the edge ratio",
+                        detail={"edge": (e.a, e.b), "character": chi},
+                    )
                 if d * s2 < 0 or d * s1 > 0:
                     raise InvariantViolationError(
                         "support function is not convex",

@@ -50,8 +50,6 @@ def _add_common(p, with_check=True):
             "(default: all)",
         )
     p.add_argument("--max-order", type=int, default=None, help="group order cap")
-    p.add_argument("--seed", type=int, default=0,
-                   help="deprecated and without effect: no check samples at random")
     p.add_argument("--quiet", action="store_true", help="suppress the console summary")
 
 

@@ -99,6 +99,16 @@ class QuotientMap:
 CORNERS = (0, 1, 2)
 
 
+def simplex_corners(order):
+    """The corners E_c of the simplex {sum = order}, indexed by c in CORNERS."""
+    return tuple(tuple(order if i == c else 0 for i in CORNERS) for c in CORNERS)
+
+
+def on_simplex_side(p, q):
+    """Whether the segment from p to q lies on a side of the simplex."""
+    return any(p[i] == 0 == q[i] for i in CORNERS)
+
+
 @dataclass
 class CornerLine:
     corner: int
@@ -129,8 +139,7 @@ def corner_fan(group, corner):
     consecutive rays form bases and v_{j-1} + v_{j+1} = a_j v_j, where the
     strength a_j >= 2 is the j-th continued-fraction digit.
     """
-    order = group.order
-    E = [tuple(order if i == c else 0 for i in range(3)) for c in CORNERS]
+    E = simplex_corners(group.order)
     qm = QuotientMap(group, E[corner])
     others = [c for c in CORNERS if c != corner]
     PA = qm.proj(E[others[0]])
@@ -449,8 +458,7 @@ def _corner_triangles(group, fans):
     (E_c, E_c + r s1, E_c + r s2), r = min(k1, k2).  A triangle on a whole
     simplex side comes from both its corners and is kept once.
     """
-    order = group.order
-    E = [tuple(order if i == c else 0 for i in range(3)) for c in CORNERS]
+    E = simplex_corners(group.order)
     found = {}
     for c, lines in zip(CORNERS, fans):
         a, b = (o for o in CORNERS if o != c)
@@ -489,7 +497,7 @@ def _champion_triangle(corner_triangles):
                 p = q
     nbrs = {}
     for (p, q), n in cover.items():
-        if n == 1 and not any(p[i] == 0 == q[i] for i in CORNERS):
+        if n == 1 and not on_simplex_side(p, q):
             nbrs.setdefault(p, []).append(q)
             nbrs.setdefault(q, []).append(p)
     if not nbrs:
@@ -516,7 +524,7 @@ def _regular_triangle(group, tri):
         tri[1], tri[2] = tri[2], tri[1]
     start = min(range(3), key=lambda i: tri[i])
     tri = [tri[(start + i) % 3] for i in range(3)]
-    E = {tuple(order if i == c else 0 for i in range(3)): c for c in CORNERS}
+    E = {Ec: c for c, Ec in zip(CORNERS, simplex_corners(order))}
     steps, sides = zip(*(
         primitive_step(group, intmat.vec_sub(q, p)) for p, q in zip(tri, tri[1:] + tri[:1])
     ))
@@ -619,7 +627,7 @@ class Triangulation:
         self.edges = []
         for key in sorted(pairs):
             a, b = key
-            interior = not any(a[i] == 0 and b[i] == 0 for i in range(3))
+            interior = not on_simplex_side(a, b)
             n = len(pairs[key])
             if interior and n != 2 or not interior and n != 1:
                 raise InvariantViolationError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .errors import InvariantViolationError, CorrespondenceError
-from .fan import line_ratio
+from .fan import line_ratio, simplex_corners
 from .group import MONO_ONE, monomial_mul
 
 CASE_P2 = "P2"
@@ -301,7 +301,7 @@ def corner_region_characters(triangulation, regular_index):
     if reg.kind != "corner":
         raise InvariantViolationError("character rectangle needs a corner triangle")
     corner = reg.corner
-    Ec = tuple(g.order if i == corner else 0 for i in range(3))
+    Ec = simplex_corners(g.order)[corner]
     side_lines = []
     for i in range(3):
         p, q = reg.vertices[i], reg.vertices[(i + 1) % 3]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from math import cos, pi, sin, sqrt
 
+from .fan import simplex_corners
 from .recipe import CASE_DP6, hexagon_position
 
 _SIZE = 640.0
@@ -81,14 +82,8 @@ def triangulation_svg(art) -> str:
                 )
         out.append("</g>")
     out.append('<g font-family="sans-serif" font-size="15" fill="#000">')
-    order = g.order
-    corner_pts = [
-        (order, 0, 0),
-        (0, order, 0),
-        (0, 0, order),
-    ]
     offsets = [(-22.0, 16.0), (6.0, 16.0), (-8.0, -10.0)]
-    for i, (cp, off) in enumerate(zip(corner_pts, offsets)):
+    for i, (cp, off) in enumerate(zip(simplex_corners(g.order), offsets)):
         x, y = pos(cp)
         out.append(f'<text x="{_fmt(x + off[0])}" y="{_fmt(y + off[1])}">e{i + 1}</text>')
     out.append("</g>")

@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from ahilb.fan import triangulate
 from ahilb.group import MONO_ONE, build_group
 from ahilb.pipeline import run_pipeline
 from conftest import chi
-from test_acceptance import _cyclic_family_up_to_30
+from test_acceptance import _cyclic_family_runs
 
 
 def test_trivial_chart_is_xyz(run_trivial):
@@ -207,6 +208,24 @@ def test_degree_table_matches_transition_rule(spec):
     boundary = next(ei for ei, e in enumerate(T.edges) if not e.interior)
     with pytest.raises(InvariantViolationError):
         C.degree_on_curve(C.group.characters()[1], boundary)
+
+
+def test_transition_off_the_edge_ratio_is_reported():
+    C = ChartSet(triangulate(build_group("1/11(1,2,8)")))
+    T = C.triangulation
+    ti = T.edges[T.interior_edges()[0]].triangles[0]
+    own_edges = {
+        (T.edges[ei].a, T.edges[ei].b) for ei in T.interior_edges() if ti in T.edges[ei].triangles
+    }
+    character = chi(C.group, 3)
+    table = C.agraphs[ti].table
+    # (1, 0, 0) is no multiple of an edge ratio, whose two monomials are both nonconstant
+    table[character] = intmat.vec_add(table[character], (1, 0, 0))
+    with pytest.raises(InvariantViolationError) as err:
+        C._curve_degrees()
+    assert str(err.value) == "generator difference is not an integer multiple of the edge ratio"
+    assert err.value.detail["character"] == character
+    assert err.value.detail["edge"] in own_edges
 
 
 def test_socle_trivial(run_trivial):
@@ -408,17 +427,18 @@ def test_non_basic_triangle_rejected():
 
 def test_walked_tables_match_the_heap():
     """Every table the edge walk derives equals the best-first search's."""
-    specs = (
-        _cyclic_family_up_to_30()
-        + [f"1/401(1,{b},{400 - b})" for b in (7, 11, 13, 17, 19, 23)]
+    runs, _ = _cyclic_family_runs()
+    others = (
+        [f"1/401(1,{b},{400 - b})" for b in (7, 11, 13, 17, 19, 23)]
         + ["1/3(1,2,0);1/3(0,1,2)", "1/6(1,2,3);1/3(1,1,1)", "1/4(1,1,2);1/2(1,1,0);1/2(0,1,1)"]
     )
-    for spec in specs:
-        g = build_group(spec)
-        T = triangulate(g)
-        C = ChartSet(T)
-        for ti, tri in enumerate(T.triangles):
-            want = build_agraph(g, ti, tri.vertices)
+    chart_sets = itertools.chain(
+        ((spec, art.charts) for spec, art in runs.items()),
+        ((spec, ChartSet(triangulate(build_group(spec)))) for spec in others),
+    )
+    for spec, C in chart_sets:
+        for ti, tri in enumerate(C.triangulation.triangles):
+            want = build_agraph(C.group, ti, tri.vertices)
             got = C.agraphs[ti]
             assert got.table == want.table and got.socle == want.socle, (spec, ti)
 

@@ -144,6 +144,20 @@ def test_perturbed_duality_entry_reported(run11):
         duality_matrix(g, [doctored] + bundles[1:], run11.surfaces)
     assert set(err.value.detail) >= {"m", "n", "entry", "expected"}
     assert err.value.detail["m"] == g.char_label(bad.index)
+    # the same fault in the last bundle: every earlier row passes, so the
+    # first failing entry is in the last row
+    last = bundles[-1]
+    doctored = VirtualBundle(last.index, last.vertex, (chi(g, 5), chi(g, 5)), last.minus)
+    with pytest.raises(CorrespondenceError) as err:
+        duality_matrix(g, bundles[:-1] + [doctored], run11.surfaces)
+    row = {v: s.c2_pairing(doctored) for v, s in sorted(run11.surfaces.items())}
+    v = next(v for v, entry in row.items() if entry != int(v == last.vertex))
+    assert err.value.detail == {
+        "m": g.char_label(last.index),
+        "n": g.char_label(run11.surfaces[v].mark_char),
+        "entry": row[v],
+        "expected": int(v == last.vertex),
+    }
 
 
 def test_surface_star_rejects_boundary_vertex(run11):
@@ -163,7 +177,7 @@ def test_intersection_matrix_symmetry(run30):
 def test_h2_basis(run11, run30, run_trivial):
     assert run11.h2 == {"b2": 5, "unimodular": True, "relation_rows": True}
     assert run30.h2["b2"] == 18 and run30.h2["unimodular"]
-    assert run_trivial.h2["b2"] == 0
+    assert run_trivial.h2 == {"b2": 0, "unimodular": True, "relation_rows": True}
 
 
 def test_h2_smith_oracle(run11):

@@ -14,7 +14,7 @@ from ahilb.pipeline import run_pipeline
 from ahilb.render import quiver_svg, triangulation_svg
 from ahilb.serialize import build_document, from_json, to_json
 
-from test_acceptance import _cyclic_family_up_to_30
+from test_acceptance import _cyclic_family_runs
 
 DIGESTS = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "digests.json").read_text()
@@ -142,13 +142,10 @@ def test_cli_unwritable_output_is_an_input_error(flag, tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
-def test_cli_seed_is_accepted_and_changes_nothing(capsys):
-    outs = []
-    for argv in (["check", "1/11(1,2,8)"], ["check", "1/11(1,2,8)", "--seed", "5"]):
-        assert main(argv) == 0
-        out = capsys.readouterr().out.splitlines()
-        outs.append([line for line in out if not line.lstrip().startswith("time ")])
-    assert outs[0] == outs[1] and len(outs[0]) == 12
+def test_cli_seed_is_an_input_error(capsys):
+    assert main(["check", "1/11(1,2,8)", "--seed", "5"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
 
 
 def test_cli_30(capsys):
@@ -217,11 +214,8 @@ def test_to_json_matches_the_oracle_on_a_failed_run(monkeypatch):
 
 
 def test_to_json_matches_the_oracle_on_the_order_30_family():
-    differ = []
-    for spec in _cyclic_family_up_to_30():
-        art = run_pipeline(spec)
-        if to_json(art) != oracle(art):
-            differ.append(spec)
+    runs, _ = _cyclic_family_runs()
+    differ = [spec for spec, art in runs.items() if to_json(art) != oracle(art)]
     assert not differ, differ
 
 
