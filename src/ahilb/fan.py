@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from . import intmat
@@ -121,13 +120,13 @@ class CornerLine:
     origin: tuple  # the corner E_c
     reach: int  # lattice steps from the corner to the simplex boundary
     # knock-out results
-    death_t: Fraction | None = None
+    death_t: int | None = None
     final_strength: int | None = None
     battles: list = field(default_factory=list)
 
     def endpoint(self):
         """Where the line dies, or else leaves the simplex."""
-        k = self.reach if self.death_t is None else int(self.death_t)
+        k = self.reach if self.death_t is None else self.death_t
         return intmat.vec_add(self.origin, intmat.vec_scale(k, self.step))
 
 
@@ -293,52 +292,58 @@ class RegularTriangle:
 
 
 def knockout(group):
-    """Run the tournament and cut the simplex into regular triangles."""
+    """Run the tournament and cut the simplex into regular triangles.
+
+    Steps are primitive in the group lattice, so lines can fight only where
+    they cross a whole number of steps from their corners: the battle table
+    holds those crossings by lattice point.  Any other crossing keeps the
+    first whole step past it on each line, which an integer death reaches
+    exactly when the line runs through it; no two lines may both do so.
+    On every tested group the tournament's first pass finds each death and
+    the second confirms it; the pass bound stays as a guard.
+    """
     fans = [corner_fan(group, c) for c in CORNERS]
     lines = [ln for corner_lines in fans for ln in corner_lines]
     order = group.order
 
-    # all pairwise crossings between lines from different corners
-    point_parts = {}  # 2d fraction point -> {line index: param along that line}
-    for i in range(len(lines)):
+    # each pair of lines from different corners crosses once, inside
+    point_parts = {}  # lattice point -> {line index: steps along that line}
+    per_line = [{} for _ in lines]  # steps along the line -> lattice point
+    off_lattice = []  # {line index: first whole step past the crossing}
+    for i, li in enumerate(lines):
+        ci, di = proj2(li.origin), proj2(li.step)
         for j in range(i + 1, len(lines)):
-            li, lj = lines[i], lines[j]
+            lj = lines[j]
             if li.corner == lj.corner:
                 continue
-            ci, cj = proj2(li.origin), proj2(lj.origin)
-            di, dj = proj2(li.step), proj2(lj.step)
+            dj = proj2(lj.step)
             den = intmat.cross2(di, dj)
             if den == 0:
                 raise InvariantViolationError("parallel interior lines cannot occur")
-            dc = intmat.vec_sub(cj, ci)
-            t = Fraction(intmat.cross2(dc, dj), den)
-            s = Fraction(intmat.cross2(dc, di), den)
-            if t <= 0 or s <= 0:
+            dc = intmat.vec_sub(proj2(lj.origin), ci)
+            tn, sn = intmat.cross2(dc, dj), intmat.cross2(dc, di)
+            if den < 0:
+                den, tn, sn = -den, -tn, -sn
+            if tn <= 0 or sn <= 0:
                 raise InvariantViolationError("interior lines must cross inside")
-            pt = (ci[0] + t * di[0], ci[1] + t * di[1])
-            point_parts.setdefault(pt, {})[i] = t
-            point_parts.setdefault(pt, {})[j] = s
-
-    # crossing points of each line by parameter along it; a point where
-    # three lines meet is entered once per line, not once per crossing pair
-    per_line = [[] for _ in lines]
-    for pt, parts in point_parts.items():
-        for k, t in parts.items():
-            per_line[k].append((t, pt))
-    for crossings in per_line:
-        crossings.sort()
+            if tn % den:
+                off_lattice.append({i: -(-tn // den), j: -(-sn // den)})
+                continue
+            t, s = tn // den, sn // den
+            pt = intmat.vec_add(li.origin, intmat.vec_scale(t, li.step))
+            point_parts.setdefault(pt, {}).update({i: t, j: s})
+            per_line[i][t] = per_line[j][s] = pt
+    crossings = [sorted(steps.items()) for steps in per_line]
 
     death = [None] * len(lines)
     for _ in range(2 * len(lines) + 8):
         changed = False
         for i, ln in enumerate(lines):
             new_death = None
-            for t, pt in per_line[i]:
+            for t, pt in crossings[i]:
                 parts = point_parts[pt]
                 rivals = [k for k in parts if k != i and _reaches(death, parts, k)]
-                if not rivals:
-                    continue
-                if not all(
+                if rivals and not all(
                     monomial_knockout((ln.plus, ln.minus), (lines[k].plus, lines[k].minus))
                     == "first"
                     for k in rivals
@@ -353,17 +358,21 @@ def knockout(group):
     else:
         raise InvariantViolationError("knock-out tournament did not stabilise")
 
-    battles = _resolve_battles(group, lines, point_parts, death)
+    for parts in off_lattice:
+        if all(_reaches(death, parts, k) for k in parts):
+            raise InvariantViolationError(
+                "two lines meet off the lattice",
+                detail={"lines": [{"corner": lines[k].corner, "step": lines[k].step}
+                                  for k in parts]},
+            )
+    battles = _resolve_battles(lines, point_parts, death)
     meetings = [b.lattice_point for b in battles if b.winner is None and len(b.participants) == 3]
     if len(meetings) > 1:
         raise InvariantViolationError("two side-0 champion meetings")
 
     for i, ln in enumerate(lines):
         ln.death_t = death[i]
-        if death[i] is not None:
-            if death[i] != int(death[i]):
-                raise InvariantViolationError("line dies at a non-lattice parameter")
-        elif order % -ln.step[ln.corner]:
+        if death[i] is None and order % -ln.step[ln.corner]:
             raise InvariantViolationError(
                 "surviving line leaves the simplex at a non-lattice point"
             )
@@ -382,30 +391,19 @@ def knockout(group):
 
 
 def _reaches(death, parts, k):
-    """Whether line k is still alive at a crossing; parts maps line -> its parameter there."""
+    """Whether line k is still alive at a crossing; parts maps line -> its steps there."""
     return death[k] is None or death[k] >= parts[k]
 
 
-def _resolve_battles(group, lines, point_parts, death):
-    order = group.order
+def _resolve_battles(lines, point_parts, death):
     battles = []
     defeats = {i: [] for i in range(len(lines))}
-
-    realized = []
     for pt, parts in point_parts.items():
         ks = [k for k in parts if _reaches(death, parts, k)]
-        if len(ks) >= 2:
-            realized.append((pt, ks))
-
-    for pt, ks in realized:
+        if len(ks) < 2:
+            continue
         if len(ks) > 3 or len({lines[k].corner for k in ks}) != len(ks):
             raise InvariantViolationError("battle with repeated corners")
-        if pt[0].denominator != 1 or pt[1].denominator != 1:
-            raise InvariantViolationError(f"battle at non-lattice point {pt}")
-        x, y = int(pt[0]), int(pt[1])
-        lp = (x, y, order - x - y)
-        if not group.in_lattice(lp):
-            raise InvariantViolationError(f"battle at non-lattice point {lp}")
         winner = None
         for i in ks:
             if all(
@@ -418,16 +416,14 @@ def _resolve_battles(group, lines, point_parts, death):
             ):
                 winner = i
                 break
-        for i in ks:
-            if i != winner:
-                if death[i] != point_parts[pt][i]:
-                    raise InvariantViolationError("defeated line does not die in place")
+        if any(death[i] != parts[i] for i in ks if i != winner):
+            raise InvariantViolationError("defeated line does not die in place")
         if winner is not None:
-            defeats[winner].append((point_parts[pt][winner], len(ks) - 1))
-        battles.append((pt, ks, winner, lp))
+            defeats[winner].append((parts[winner], len(ks) - 1))
+        battles.append((pt, ks, winner))
 
     out = []
-    for pt, ks, winner, lp in sorted(battles, key=lambda b: (b[0][0], b[0][1])):
+    for pt, ks, winner in sorted(battles, key=lambda b: b[0]):
         strengths = {}
         for k in ks:
             t = point_parts[pt][k]
@@ -438,11 +434,11 @@ def _resolve_battles(group, lines, point_parts, death):
         if strength_winner != winner:
             raise InvariantViolationError(
                 "strength rule disagrees with the monomial rule",
-                detail={"point": lp, "strengths": strengths},
+                detail={"point": pt, "strengths": strengths},
             )
-        out.append(Battle(lp, ks, winner))
+        out.append(Battle(pt, ks, winner))
         for k in ks:
-            lines[k].battles.append((lp, strengths[k], winner == k))
+            lines[k].battles.append((pt, strengths[k], winner == k))
 
     for i, ln in enumerate(lines):
         ln.final_strength = ln.strength - sum(c for _, c in defeats[i])

@@ -273,6 +273,8 @@ def from_json(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"unsupported document: not JSON ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    # `True == 1.0 == 1` in Python, so the type is checked before the value
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise InputError("unsupported document: wrong or missing schema_version")
     return doc

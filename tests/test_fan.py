@@ -495,3 +495,139 @@ def test_scaled_face_is_rejected():
     scaled = [intmat.vec_scale(2, v) for v in reg.vertices]
     with pytest.raises(InvariantViolationError, match="not a regular .unimodular. triangle"):
         fan._regular_triangle(g, scaled)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the integer knock-out against the `Fraction` crossing
+# table, tournament and battle resolution it replaced
+
+
+def _oracle_knockout(group):
+    """The knock-out on `Fraction` crossings, with its three lattice checks."""
+    fans = [corner_fan(group, c) for c in range(3)]
+    lines = [ln for corner_lines in fans for ln in corner_lines]
+    order = group.order
+
+    point_parts = {}  # 2d fraction point -> {line index: param along that line}
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            li, lj = lines[i], lines[j]
+            if li.corner == lj.corner:
+                continue
+            ci, cj = fan.proj2(li.origin), fan.proj2(lj.origin)
+            di, dj = fan.proj2(li.step), fan.proj2(lj.step)
+            den = intmat.cross2(di, dj)
+            assert den != 0
+            dc = intmat.vec_sub(cj, ci)
+            t = Fraction(intmat.cross2(dc, dj), den)
+            s = Fraction(intmat.cross2(dc, di), den)
+            assert t > 0 and s > 0
+            pt = (ci[0] + t * di[0], ci[1] + t * di[1])
+            point_parts.setdefault(pt, {})[i] = t
+            point_parts.setdefault(pt, {})[j] = s
+
+    per_line = [[] for _ in lines]
+    for pt, parts in point_parts.items():
+        for k, t in parts.items():
+            per_line[k].append((t, pt))
+    for crossings in per_line:
+        crossings.sort()
+
+    death = [None] * len(lines)
+
+    def reaches(parts, k):
+        return death[k] is None or death[k] >= parts[k]
+
+    def beats_all(i, ks):
+        ratio = (lines[i].plus, lines[i].minus)
+        return all(monomial_knockout(ratio, (lines[k].plus, lines[k].minus)) == "first"
+                   for k in ks if k != i)
+
+    for _ in range(2 * len(lines) + 8):
+        changed = False
+        for i in range(len(lines)):
+            new_death = None
+            for t, pt in per_line[i]:
+                parts = point_parts[pt]
+                rivals = [k for k in parts if k != i and reaches(parts, k)]
+                if rivals and not beats_all(i, rivals):
+                    new_death = t
+                    break
+            if new_death != death[i]:
+                death[i] = new_death
+                changed = True
+        if not changed:
+            break
+    else:
+        raise AssertionError("tournament did not stabilise")
+
+    defeats = {i: [] for i in range(len(lines))}
+    realized = []
+    for pt, parts in point_parts.items():
+        ks = [k for k in parts if reaches(parts, k)]
+        if len(ks) < 2:
+            continue
+        assert len({lines[k].corner for k in ks}) == len(ks) <= 3
+        assert pt[0].denominator == 1 and pt[1].denominator == 1, "battle off the lattice"
+        lp = (int(pt[0]), int(pt[1]), order - int(pt[0]) - int(pt[1]))
+        assert group.in_lattice(lp), "battle off the lattice"
+        winner = next((i for i in ks if beats_all(i, ks)), None)
+        assert all(death[i] == parts[i] for i in ks if i != winner)
+        if winner is not None:
+            defeats[winner].append((parts[winner], len(ks) - 1))
+        realized.append((pt, ks, winner, lp))
+
+    battles = []
+    for pt, ks, winner, lp in sorted(realized, key=lambda b: (b[0][0], b[0][1])):
+        strengths = {
+            k: lines[k].strength
+            - sum(c for tt, c in defeats[k] if tt < point_parts[pt][k])
+            for k in ks
+        }
+        top = [k for k, s in strengths.items() if s == max(strengths.values())]
+        assert (top[0] if len(top) == 1 else None) == winner, "strength rule disagrees"
+        battles.append(fan.Battle(lp, ks, winner))
+        for k in ks:
+            lines[k].battles.append((lp, strengths[k], winner == k))
+    meetings = [b.lattice_point for b in battles if b.winner is None and len(b.participants) == 3]
+    assert len(meetings) <= 1
+
+    for i, ln in enumerate(lines):
+        ln.final_strength = ln.strength - sum(c for _, c in defeats[i])
+        if death[i] is not None:
+            assert death[i].denominator == 1, "line dies at a non-lattice parameter"
+            ln.death_t = int(death[i])
+    regular = fan._corner_triangles(group, fans)
+    champion = fan._champion_triangle(regular)
+    if champion is not None:
+        regular.append(fan._regular_triangle(group, champion))
+    regular.sort(key=lambda t: t.vertices)
+    return fan.Partition(group, lines, regular, battles, meetings[0] if meetings else None)
+
+
+def test_integer_knockout_matches_the_fraction_oracle():
+    for spec in _differential_specs():
+        part = _knockout(spec)
+        want = _oracle_knockout(part.group)
+        assert [(ln.death_t, ln.final_strength, ln.battles) for ln in part.corner_lines] == [
+            (ln.death_t, ln.final_strength, ln.battles) for ln in want.corner_lines
+        ], spec
+        assert all(type(ln.death_t) in (int, type(None)) for ln in part.corner_lines), spec
+        assert part.battles == want.battles, spec
+        assert part.regular_triangles == want.regular_triangles, spec
+        assert part.champion_point == want.champion_point, spec
+
+
+def test_lines_that_meet_off_the_lattice_fail_euler(monkeypatch):
+    """With a knock-out rule under which no line dies, lines run through
+    crossings between lattice points, and the one off-lattice check names them."""
+    spec = "1/11(1,2,8)"
+    g = build_group(spec)
+    all_lines = {(ln.corner, ln.step) for c in range(3) for ln in corner_fan(g, c)}
+    monkeypatch.setattr(fan, "monomial_knockout", lambda ratio_a, ratio_b: "first")
+    report = run_pipeline(spec, which="fan").report
+    assert report.failure["check"] == "euler"
+    assert report.failure["error"] == "two lines meet off the lattice"
+    named = [(ln["corner"], ln["step"]) for ln in report.failure["detail"]["lines"]]
+    assert len(named) == 2 and named[0][0] != named[1][0]
+    assert set(named) <= all_lines

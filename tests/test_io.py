@@ -304,9 +304,10 @@ def test_json_no_timings(run11):
     assert "timings" not in json.dumps(doc)
 
 
-def test_from_json_rejects_wrong_schema():
+@pytest.mark.parametrize("version", [99, True, 1.0])
+def test_from_json_rejects_wrong_schema(version):
     with pytest.raises(InputError):
-        from_json(json.dumps({"schema_version": 99}))
+        from_json(json.dumps({"schema_version": version}))
 
 
 @pytest.mark.parametrize("text", ["{oops", "", "[1, 2"])
