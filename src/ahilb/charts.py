@@ -232,8 +232,9 @@ class ChartSet:
                 "triangle not reachable across interior edges",
                 detail={"triangle": missing},
             )
-        # the one degree store: character -> degrees on interior_edges(), in order
-        self._degree = self._curve_degrees()
+        # the one degree store: character -> degrees on interior_edges(), in order;
+        # and its sparse support: per edge column, the characters of nonzero degree
+        self._degree, self.curve_support = self._curve_degrees()
         # interior edge index -> its position in every degree row
         self.edge_column = {ei: j for j, ei in enumerate(triangulation.interior_edges())}
 
@@ -244,11 +245,14 @@ class ChartSet:
         d times the edge ratio u, and |d| is the degree of the weight-chi
         bundle on the curve.  The same pass checks that the support function
         is convex across the edge: each side's generator pairs no larger than
-        the other side's at its own opposite vertex.
+        the other side's at its own opposite vertex.  Returns the rows by
+        character and, per column, the characters whose generators differ
+        across the edge, which are exactly those of nonzero degree.
         """
         T = self.triangulation
         chars = self.group.characters()
         columns = []
+        support = []
         for ei in T.interior_edges():
             e = T.edges[ei]
             t1, t2 = e.triangles
@@ -262,6 +266,7 @@ class ChartSet:
             s1, s2 = intmat.vec_dot(u, w1), intmat.vec_dot(u, w2)
             tab1, tab2 = self.agraphs[t1].table, self.agraphs[t2].table
             column = []
+            nonzero = []
             for chi in chars:
                 r1, r2 = tab1[chi], tab2[chi]
                 if r1 == r2:
@@ -280,9 +285,11 @@ class ChartSet:
                         detail={"edge": (e.a, e.b), "character": chi},
                     )
                 column.append(abs(d))
+                nonzero.append(chi)
             columns.append(column)
+            support.append(tuple(nonzero))
         rows = zip(*columns) if columns else [()] * len(chars)
-        return dict(zip(chars, rows))
+        return dict(zip(chars, rows)), tuple(support)
 
     def degree_on_curve(self, chi, edge_index):
         """Transition exponent of the weight-chi bundle across an interior edge."""

@@ -7,6 +7,15 @@ Chern classes and surfaces must be the identity (`duality_matrix`), and
 the degree rows of the surviving bundles must base the degree-2 lattice
 (`h2_basis_check`).  `mckay_certificate` then states the result from the
 partition, without checking anything again.
+
+Both checks read the sparse support of the degree table
+(`ChartSet.curve_support`), so they cost time in proportion to its
+nonzeros.  A character with degree 0 on every boundary curve of a
+surface restricts to the zero class there (Fulton, *Intersection
+Theory*, 3.2), so a bundle none of whose characters meets a surface's
+boundary pairs to 0 with it, and only the other pairs are computed.
+The degree-2 lattice is certified by a unitriangular peel of the degree
+matrix where one exists, and by `intmat.ZSpan` otherwise.
 """
 
 from __future__ import annotations
@@ -138,8 +147,11 @@ class SurfaceCalculus:
         self.chart_set = chart_set
         self.surface = surface
         self.mark_char = mark_char
+        columns = [chart_set.edge_column[ei] for ei in surface.edge_ids]
         # the boundary curves' entries of a degree row, as a tuple (n >= 3 curves)
-        self._boundary = operator.itemgetter(*map(chart_set.edge_column.get, surface.edge_ids))
+        self._boundary = operator.itemgetter(*columns)
+        # characters of nonzero degree on some boundary curve; all others restrict to 0
+        self.support = frozenset().union(*(chart_set.curve_support[j] for j in columns))
         self._zero = ((0,) * len(surface.rays),) * 2  # (alpha, d) of every degree-0 character
         self._restrictions = {}  # character -> (alpha, d)
 
@@ -177,12 +189,20 @@ class SurfaceCalculus:
         return entry
 
     def c2_pairing(self, bundle):
-        """Second Chern number of a rank-0, c1-0 virtual bundle on the surface."""
-        # each side adds alpha_i . Q alpha_j = alpha_i . d_j over its pairs i < j
+        """Second Chern number of a rank-0, c1-0 virtual bundle on the surface.
+
+        The bundle's characters are canonical, as `virtual_bundle` takes
+        them from the relations.
+        """
         return self._pair_sum(bundle.plus) - self._pair_sum(bundle.minus)
 
     def _pair_sum(self, chars):
-        pairs = itertools.combinations(map(self._restriction, chars), 2)
+        # each side adds alpha_i . Q alpha_j = alpha_i . d_j over its pairs i < j;
+        # a character outside the support has alpha = 0, so its pairs add 0
+        live = [chi for chi in chars if chi in self.support]
+        if len(live) < 2:
+            return 0
+        pairs = itertools.combinations(map(self._restriction, live), 2)
         return sum(intmat.vec_dot(alpha, d) for (alpha, _), (_, d) in pairs)
 
 
@@ -231,15 +251,28 @@ def duality_matrix(group, bundles, surfaces):
 
     Rows and columns are ordered by vertex; each entry is compared with the
     identity as it is computed, and the first failing one is reported by
-    its characters.
+    its characters.  `c2_pairing` runs only where one of the bundle's
+    characters meets the surface's boundary (`SurfaceCalculus.support`);
+    every other entry is 0, which the identity expects off the diagonal.
     """
     verts = sorted(surfaces)
+    column = {v: j for j, v in enumerate(verts)}
+    touching = {}  # character -> columns of the surfaces in whose support it lies
+    for j, v in enumerate(verts):
+        for chi in surfaces[v].support:
+            touching.setdefault(chi, set()).add(j)
     matrix = []
     for b in bundles:
-        row = []
-        for v in verts:
-            entry = surfaces[v].c2_pairing(b)
-            expected = 1 if b.vertex == v else 0
+        hits = set()
+        for chi in b.plus + b.minus:
+            hits.update(touching.get(chi, ()))
+        own = column.get(b.vertex)
+        checked = hits if own is None else hits | {own}
+        row = [0] * len(verts)
+        for j in sorted(checked):
+            v = verts[j]
+            entry = surfaces[v].c2_pairing(b) if j in hits else 0
+            expected = 1 if j == own else 0
             if entry != expected:
                 raise CorrespondenceError(
                     "duality pairing is not the identity",
@@ -250,31 +283,69 @@ def duality_matrix(group, bundles, surfaces):
                         "expected": expected,
                     },
                 )
-            row.append(entry)
+            row[j] = entry
         matrix.append(row)
     return matrix
+
+
+def unitriangular_peel(chart_set, basis_chars):
+    """Basis characters paired with edge columns in a unitriangular minor.
+
+    Repeatedly take an edge column in which exactly one live character has
+    nonzero degree, that degree being 1, and retire that character.  Listed
+    in retirement order, the characters and their columns index a square
+    minor of the degree matrix with ones on the diagonal and zeros below
+    it, so when every character retires, the columns generate Z^b2.  A
+    shorter list means the peel stalled, which proves nothing either way.
+    """
+    live = set(basis_chars)
+    support = chart_set.curve_support
+    count = [0] * len(support)  # live characters of nonzero degree, per column
+    columns_of = {chi: [] for chi in live}
+    for j, chars in enumerate(support):
+        for chi in chars:
+            if chi in live:
+                count[j] += 1
+                columns_of[chi].append(j)
+    ready = [j for j in reversed(range(len(support))) if count[j] == 1]
+    peeled = []
+    while ready:
+        j = ready.pop()
+        if count[j] != 1:
+            continue
+        chi = next(c for c in support[j] if c in live)
+        if chart_set.degree_row(chi)[j] != 1:
+            continue
+        live.remove(chi)
+        peeled.append((chi, j))
+        for k in columns_of[chi]:
+            count[k] -= 1
+            if count[k] == 1:
+                ready.append(k)
+    return peeled
 
 
 def h2_basis_check(chart_set, decoration):
     """Degree rows of the surviving bundles base the degree-2 lattice.
 
     The matrix of curve degrees of the type (i)/(iii) characters must be
-    surjective onto Z^b2 (all elementary divisors 1).  That each type (ii)
-    row is the integer combination given by its relation is the degree-zero
-    check of its virtual bundle (`check_bundle_degrees`, in `duality`),
-    because the trivial character's degree row is zero.
+    surjective onto Z^b2 (all elementary divisors 1): shown by a complete
+    `unitriangular_peel`, or else by `intmat.ZSpan` on every edge column.
+    That each type (ii) row is the integer combination given by its relation
+    is the degree-zero check of its virtual bundle (`check_bundle_degrees`,
+    in `duality`), because the trivial character's degree row is zero.
     """
     basis_chars = sorted(
         set(decoration.partition["line"]) | set(decoration.partition["second"])
     )
-    edges = chart_set.triangulation.interior_edges()
     b2 = len(basis_chars)
-    columns = [list(col) for col in zip(*(chart_set.degree_row(chi) for chi in basis_chars))]
-    if not intmat.columns_generate_full_lattice(columns, b2):
-        raise CorrespondenceError(
-            "degree matrix of surviving bundles is not a unimodular basis",
-            detail={"b2": b2, "edges": len(edges)},
-        )
+    if len(unitriangular_peel(chart_set, basis_chars)) < b2:
+        columns = [list(col) for col in zip(*(chart_set.degree_row(chi) for chi in basis_chars))]
+        if not intmat.columns_generate_full_lattice(columns, b2):
+            raise CorrespondenceError(
+                "degree matrix of surviving bundles is not a unimodular basis",
+                detail={"b2": b2, "edges": len(chart_set.curve_support)},
+            )
     return {"b2": b2, "unimodular": True, "relation_rows": True}
 
 

@@ -306,28 +306,32 @@ def knockout(group):
     lines = [ln for corner_lines in fans for ln in corner_lines]
     order = group.order
 
-    # each pair of lines from different corners crosses once, inside
+    # each pair of lines from different corners crosses once, inside; lines
+    # start at their corners, so the offsets between origins are corner differences
+    corners = [proj2(e) for e in simplex_corners(order)]
+    corner_diff = [[intmat.vec_sub(b, a) for b in corners] for a in corners]
+    step2 = [proj2(ln.step) for ln in lines]
+    # the lines are listed corner by corner; fan_end[c] is past corner c's last
+    fan_end = [sum(map(len, fans[:c + 1])) for c in CORNERS]
     point_parts = {}  # lattice point -> {line index: steps along that line}
     per_line = [{} for _ in lines]  # steps along the line -> lattice point
-    off_lattice = []  # {line index: first whole step past the crossing}
+    off_lattice = []  # (i, first whole step past the crossing on i, j, the same on j)
     for i, li in enumerate(lines):
-        ci, di = proj2(li.origin), proj2(li.step)
-        for j in range(i + 1, len(lines)):
-            lj = lines[j]
-            if li.corner == lj.corner:
-                continue
-            dj = proj2(lj.step)
-            den = intmat.cross2(di, dj)
+        di0, di1 = step2[i]
+        diffs = corner_diff[li.corner]
+        for j in range(fan_end[li.corner], len(lines)):
+            dj0, dj1 = step2[j]
+            den = di0 * dj1 - di1 * dj0
             if den == 0:
                 raise InvariantViolationError("parallel interior lines cannot occur")
-            dc = intmat.vec_sub(proj2(lj.origin), ci)
-            tn, sn = intmat.cross2(dc, dj), intmat.cross2(dc, di)
+            dc0, dc1 = diffs[lines[j].corner]
+            tn, sn = dc0 * dj1 - dc1 * dj0, dc0 * di1 - dc1 * di0
             if den < 0:
                 den, tn, sn = -den, -tn, -sn
             if tn <= 0 or sn <= 0:
                 raise InvariantViolationError("interior lines must cross inside")
             if tn % den:
-                off_lattice.append({i: -(-tn // den), j: -(-sn // den)})
+                off_lattice.append((i, -(-tn // den), j, -(-sn // den)))
                 continue
             t, s = tn // den, sn // den
             pt = intmat.vec_add(li.origin, intmat.vec_scale(t, li.step))
@@ -342,7 +346,7 @@ def knockout(group):
             new_death = None
             for t, pt in crossings[i]:
                 parts = point_parts[pt]
-                rivals = [k for k in parts if k != i and _reaches(death, parts, k)]
+                rivals = [k for k in parts if k != i and _reaches(death, k, parts[k])]
                 if rivals and not all(
                     monomial_knockout((ln.plus, ln.minus), (lines[k].plus, lines[k].minus))
                     == "first"
@@ -358,12 +362,12 @@ def knockout(group):
     else:
         raise InvariantViolationError("knock-out tournament did not stabilise")
 
-    for parts in off_lattice:
-        if all(_reaches(death, parts, k) for k in parts):
+    for i, ti, j, tj in off_lattice:
+        if _reaches(death, i, ti) and _reaches(death, j, tj):
             raise InvariantViolationError(
                 "two lines meet off the lattice",
                 detail={"lines": [{"corner": lines[k].corner, "step": lines[k].step}
-                                  for k in parts]},
+                                  for k in (i, j)]},
             )
     battles = _resolve_battles(lines, point_parts, death)
     meetings = [b.lattice_point for b in battles if b.winner is None and len(b.participants) == 3]
@@ -390,16 +394,16 @@ def knockout(group):
     return Partition(group, lines, regular, battles, meetings[0] if meetings else None)
 
 
-def _reaches(death, parts, k):
-    """Whether line k is still alive at a crossing; parts maps line -> its steps there."""
-    return death[k] is None or death[k] >= parts[k]
+def _reaches(death, k, t):
+    """Whether line k is still alive t steps from its corner."""
+    return death[k] is None or death[k] >= t
 
 
 def _resolve_battles(lines, point_parts, death):
     battles = []
     defeats = {i: [] for i in range(len(lines))}
     for pt, parts in point_parts.items():
-        ks = [k for k in parts if _reaches(death, parts, k)]
+        ks = [k for k in parts if _reaches(death, k, parts[k])]
         if len(ks) < 2:
             continue
         if len(ks) > 3 or len({lines[k].corner for k in ks}) != len(ks):
@@ -635,10 +639,17 @@ class Triangulation:
         corner_by_u = {}
         for ln in self.partition.corner_lines:
             corner_by_u[ln.u] = ln
+        # line_ratio depends on an edge only through the normal cross3(a, b),
+        # and every edge of a line has the same one: each is one primitive
+        # lattice step b - a along it, and cross3(a, b) = cross3(a, b - a)
+        ratios = {}  # cross3(a, b) -> (u, plus, minus)
         groups = {}
         for ei, e in enumerate(self.edges):
-            u, plus, minus = line_ratio(self.group, e.a, e.b)
-            groups.setdefault((u, plus, minus), []).append(ei)
+            normal = intmat.cross3(e.a, e.b)
+            ratio = ratios.get(normal)
+            if ratio is None:
+                ratio = ratios[normal] = line_ratio(self.group, e.a, e.b)
+            groups.setdefault(ratio, []).append(ei)
         self.lines = []
         for (u, plus, minus) in sorted(groups):
             eids = groups[(u, plus, minus)]

@@ -7,7 +7,9 @@ from ahilb.cohomology import (
     SurfaceCalculus,
     VirtualBundle,
     duality_matrix,
+    h2_basis_check,
     surface_star,
+    unitriangular_peel,
 )
 from ahilb.errors import CorrespondenceError, InvariantViolationError
 from ahilb.group import MONO_ONE
@@ -295,6 +297,7 @@ class _FixedDegreeCharts:
         self.group = group
         self.edge_column = {ei: j for j, ei in enumerate(surface.edge_ids)}
         self._degrees = tuple(degrees)
+        self.curve_support = tuple(tuple(group.characters()) if d else () for d in degrees)
 
     def degree_row(self, chi):
         return self._degrees
@@ -325,3 +328,198 @@ def test_duality_and_h2_run_no_lattice_solver(monkeypatch):
     pipeline._check_h2(art)
     assert art.duality and art.h2["unimodular"]
     assert calls == {"solve_int": 0, "hnf_transform": 0}
+
+
+# -- the sparse duality scan against the dense one it replaces, kept here as
+#    the oracle: every bundle paired with every surface
+
+
+def _dense_duality_matrix(group, bundles, surfaces):
+    verts = sorted(surfaces)
+    matrix = []
+    for b in bundles:
+        row = []
+        for v in verts:
+            entry = surfaces[v].c2_pairing(b)
+            expected = 1 if b.vertex == v else 0
+            if entry != expected:
+                raise CorrespondenceError(
+                    "duality pairing is not the identity",
+                    detail={
+                        "m": group.char_label(b.index),
+                        "n": group.char_label(surfaces[v].mark_char),
+                        "entry": entry,
+                        "expected": expected,
+                    },
+                )
+            row.append(entry)
+        matrix.append(row)
+    return matrix
+
+
+def _duality_outcome(matrix_fn, group, bundles, surfaces):
+    """The matrix, or the message and detail of the failure it raises."""
+    try:
+        return matrix_fn(group, bundles, surfaces)
+    except CorrespondenceError as err:
+        return str(err), err.detail
+
+
+def _assert_duality_paths_agree(art, perturbations):
+    g = art.group
+    assert duality_matrix(g, art.bundles, art.surfaces) == _dense_duality_matrix(
+        g, art.bundles, art.surfaces
+    )
+    # one character of one bundle swapped for a random one: both paths must
+    # name the same first failing entry, or both pass
+    rng = random.Random(11)
+    chars = g.characters()
+    for _ in range(perturbations if art.bundles else 0):
+        k = rng.randrange(len(art.bundles))
+        b = art.bundles[k]
+        plus = list(b.plus)
+        plus[rng.randrange(len(plus))] = rng.choice(chars)
+        bundles = list(art.bundles)
+        bundles[k] = VirtualBundle(b.index, b.vertex, tuple(plus), b.minus)
+        assert _duality_outcome(duality_matrix, g, bundles, art.surfaces) == _duality_outcome(
+            _dense_duality_matrix, g, bundles, art.surfaces
+        ), b
+
+
+def test_sparse_duality_matches_the_dense_oracle(differential_run):
+    _assert_duality_paths_agree(differential_run, 30)
+
+
+def test_sparse_duality_matches_the_dense_oracle_at_199():
+    _assert_duality_paths_agree(run_pipeline("1/199(1,5,193)"), 10)
+
+
+def test_doctored_bundles_fail_alike_on_both_paths(run11):
+    g = run11.group
+    bundles = list(run11.bundles)
+    triv = g.reduce(MONO_ONE)
+    for k, plus, minus in (
+        (0, (chi(g, 5), chi(g, 5)), bundles[0].minus),
+        (len(bundles) - 1, (chi(g, 5), chi(g, 5)), bundles[-1].minus),
+        # degree 0 everywhere: no surface is touched, so the diagonal entry 0 fails
+        (2, (triv, triv), (triv, triv)),
+    ):
+        bad = bundles[k]
+        doctored = list(bundles)
+        doctored[k] = VirtualBundle(bad.index, bad.vertex, plus, minus)
+        with pytest.raises(CorrespondenceError) as sparse:
+            duality_matrix(g, doctored, run11.surfaces)
+        with pytest.raises(CorrespondenceError) as dense:
+            _dense_duality_matrix(g, doctored, run11.surfaces)
+        assert str(sparse.value) == str(dense.value)
+        assert sparse.value.detail == dense.value.detail
+        assert sparse.value.detail["m"] == g.char_label(bad.index)
+
+
+def test_duality_pairs_only_the_touching_surfaces(run30, monkeypatch):
+    """Bundle-surface pairs with no character on the surface's boundary are skipped."""
+    calls = []
+    original = SurfaceCalculus.c2_pairing
+
+    def counted(self, bundle):
+        calls.append((self.surface.vertex, bundle.vertex))
+        return original(self, bundle)
+
+    monkeypatch.setattr(SurfaceCalculus, "c2_pairing", counted)
+    duality_matrix(run30.group, run30.bundles, run30.surfaces)
+    touching = {
+        (v, b.vertex)
+        for v, calc in run30.surfaces.items()
+        for b in run30.bundles
+        if calc.support.intersection(b.plus + b.minus)
+    }
+    assert sorted(calls) == sorted(touching)
+    assert len(calls) < len(run30.bundles) * len(run30.surfaces)
+
+
+# -- h2: the unitriangular peel, and the ZSpan fallback when it stalls
+
+
+def _basis_characters(art):
+    part = art.decoration.partition
+    return sorted(set(part["line"]) | set(part["second"]))
+
+
+def test_peel_retires_every_basis_character(differential_run):
+    C = differential_run.charts
+    basis = _basis_characters(differential_run)
+    peeled = unitriangular_peel(C, basis)
+    assert sorted(chi for chi, _ in peeled) == basis
+    # a unitriangular minor: degree 1 on the diagonal, 0 below it
+    for k, (chi, j) in enumerate(peeled):
+        assert C.degree_row(chi)[j] == 1
+        assert all(C.degree_row(later)[j] == 0 for later, _ in peeled[k + 1:])
+    columns = [list(col) for col in zip(*(C.degree_row(chi) for chi in basis))]
+    assert intmat.columns_generate_full_lattice(columns, len(basis))
+
+
+class _DegreeColumns:
+    """Chart-set stand-in given by its degree matrix, one list per edge column."""
+
+    def __init__(self, chars, columns):
+        rows = list(zip(*columns))
+        self._rows = dict(zip(chars, rows))
+        self.curve_support = tuple(
+            tuple(c for c, d in zip(chars, col) if d) for col in columns
+        )
+
+    def degree_row(self, chi):
+        return self._rows[chi]
+
+
+class _Partition:
+    def __init__(self, line, second):
+        self.partition = {"line": line, "second": second, "vertex": []}
+
+
+def _zspan_calls(monkeypatch):
+    calls = []
+    original = intmat.columns_generate_full_lattice
+
+    def counted(columns, n):
+        calls.append(n)
+        return original(columns, n)
+
+    monkeypatch.setattr(intmat, "columns_generate_full_lattice", counted)
+    return calls
+
+
+def test_stalled_peel_falls_back_to_zspan(monkeypatch):
+    a, b = (1, 0, 0), (2, 0, 0)
+    charts = _DegreeColumns([a, b], [[1, 1], [1, 2]])  # no column has one live entry
+    assert unitriangular_peel(charts, [a, b]) == []
+    calls = _zspan_calls(monkeypatch)
+    assert h2_basis_check(charts, _Partition([a], [b])) == {
+        "b2": 2, "unimodular": True, "relation_rows": True,
+    }
+    assert calls == [2]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [[1, 1], [1, 3]],  # determinant 2, no column with one live entry
+        [[2, 0], [1, 1]],  # determinant 2; the lone entry of the first column is 2
+    ],
+)
+def test_stalled_peel_on_a_non_unimodular_matrix_fails(monkeypatch, columns):
+    a, b = (1, 0, 0), (2, 0, 0)
+    charts = _DegreeColumns([a, b], columns)
+    assert unitriangular_peel(charts, [a, b]) == []
+    calls = _zspan_calls(monkeypatch)
+    with pytest.raises(CorrespondenceError) as err:
+        h2_basis_check(charts, _Partition([a], [b]))
+    assert str(err.value) == "degree matrix of surviving bundles is not a unimodular basis"
+    assert err.value.detail == {"b2": 2, "edges": 2}
+    assert calls == [2]
+
+
+def test_complete_peel_needs_no_zspan(run30, monkeypatch):
+    calls = _zspan_calls(monkeypatch)
+    assert h2_basis_check(run30.charts, run30.decoration) == run30.h2
+    assert calls == []

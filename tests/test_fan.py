@@ -631,3 +631,16 @@ def test_lines_that_meet_off_the_lattice_fail_euler(monkeypatch):
     named = [(ln["corner"], ln["step"]) for ln in report.failure["detail"]["lines"]]
     assert len(named) == 2 and named[0][0] != named[1][0]
     assert set(named) <= all_lines
+
+
+def test_line_lookup_matches_the_per_edge_ratio():
+    """Edges grouped by a cached ratio per line normal, against one `line_ratio` per edge."""
+    for spec in _differential_specs():
+        part = _knockout(spec)
+        T = fan.Triangulation(part.group, part)
+        groups = {}
+        for ei, e in enumerate(T.edges):
+            groups.setdefault(fan.line_ratio(part.group, e.a, e.b), []).append(ei)
+        assert [(ln.u, ln.plus, ln.minus, ln.edges) for ln in T.lines] == [
+            (*key, groups[key]) for key in sorted(groups)
+        ], spec
