@@ -21,7 +21,6 @@ from .relations import (
     Relation,
     completeness_check,
     derive_relations,
-    verify_relation_chartwise,
 )
 from .cohomology import (
     CompactSurface,
@@ -66,7 +65,6 @@ __all__ = [
     "Relation",
     "completeness_check",
     "derive_relations",
-    "verify_relation_chartwise",
     "CompactSurface",
     "VirtualBundle",
     "build_surfaces",

@@ -301,15 +301,3 @@ class ChartSet:
     def degree_row(self, chi):
         """Degrees of the weight-chi bundle on all interior edges, in order."""
         return self._degree[self.group.reduce(chi)]
-
-    def conv_region(self, chi, monomial):
-        """Triangles whose generator of weight chi is the given monomial."""
-        chi = self.group.reduce(chi)
-        return [ti for ti, g in enumerate(self.agraphs) if g.table.get(chi) == monomial]
-
-    def conv_regions(self, chi):
-        chi = self.group.reduce(chi)
-        out = {}
-        for ti, g in enumerate(self.agraphs):
-            out.setdefault(g.table[chi], []).append(ti)
-        return out

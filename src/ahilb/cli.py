@@ -70,15 +70,18 @@ def build_parser():
 
 
 def _max_order(args):
-    if args.max_order is not None:
-        return args.max_order
-    env = os.environ.get(ENV_MAX_ORDER)
-    if env:
+    cap = args.max_order
+    if cap is None:
+        env = os.environ.get(ENV_MAX_ORDER)
+        if not env:
+            return DEFAULT_MAX_ORDER
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise InputError(f"bad {ENV_MAX_ORDER} value {env!r}") from exc
-    return DEFAULT_MAX_ORDER
+    if cap < 1:
+        raise InputError(f"the order cap must be positive, got {cap}")
+    return cap
 
 
 def main(argv=None) -> int:

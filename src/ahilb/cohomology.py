@@ -155,10 +155,6 @@ class SurfaceCalculus:
         self._zero = ((0,) * len(surface.rays),) * 2  # (alpha, d) of every degree-0 character
         self._restrictions = {}  # character -> (alpha, d)
 
-    def restrict_c1(self, chi):
-        """Integer curve-coefficient vector pairing to the boundary degrees."""
-        return self._restriction(chi)[0]
-
     def _restriction(self, chi):
         """Boundary degrees d and a class alpha with Q alpha = d, as (alpha, d).
 
@@ -223,27 +219,6 @@ def build_surfaces(triangulation, chart_set, decoration):
 def build_virtual_bundles(group, decoration, relations):
     """One bundle per relation, in the relations' order (by vertex)."""
     return [virtual_bundle(group, decoration.vertex_marks[r.vertex], r) for r in relations]
-
-
-def degree_sum(chart_set, plus, minus):
-    """Degrees of (sum of L_plus) - (sum of L_minus) on each interior edge, in order."""
-    total = [0] * len(chart_set.triangulation.interior_edges())
-    for c in plus:
-        total = list(map(operator.add, total, chart_set.degree_row(c)))
-    for c in minus:
-        total = list(map(operator.sub, total, chart_set.degree_row(c)))
-    return total
-
-
-def check_bundle_degrees(chart_set, bundles):
-    """Rank-0 bundles must have degree zero on every compact curve."""
-    for b in bundles:
-        if any(degree_sum(chart_set, b.plus, b.minus)):
-            raise InvariantViolationError(
-                "virtual bundle has nonzero degree on a curve",
-                detail={"index": b.index},
-            )
-    return True
 
 
 def duality_matrix(group, bundles, surfaces):
@@ -332,8 +307,8 @@ def h2_basis_check(chart_set, decoration):
     surjective onto Z^b2 (all elementary divisors 1): shown by a complete
     `unitriangular_peel`, or else by `intmat.ZSpan` on every edge column.
     That each type (ii) row is the integer combination given by its relation
-    is the degree-zero check of its virtual bundle (`check_bundle_degrees`,
-    in `duality`), because the trivial character's degree row is zero.
+    is the degree-row check of the relations (`check_bundle_degrees`, in
+    `relations`).
     """
     basis_chars = sorted(
         set(decoration.partition["line"]) | set(decoration.partition["second"])

@@ -16,9 +16,10 @@ Each fact is checked once, in the stage the report names for it: the
 regular partition's area, the fan's vertex set and Euler counts in `euler`,
 unimodular triangles in `basic`, equal weights of ratio monomials in
 `ratios`, chart table sizes in `decoration` (by `ChartSet`), the exact
-character cover in `partition`, a relation's character sums (so its
-virtual bundle's) in `relations`, and its degree rows (its virtual bundle's
-degree zero on every curve) in `duality`.  `certificate` states the result
+character cover in `partition`, and a relation's character sums, its
+monomial identity on triangle 0's chart and its degree rows (its virtual
+bundle's degree zero on every curve) in `relations`, which together give
+the identity on every chart.  `certificate` states the result
 that `completeness`, `duality` and `h2_basis` proved and checks nothing.
 """
 
@@ -32,7 +33,6 @@ from .charts import ChartSet
 from .cohomology import (
     build_surfaces,
     build_virtual_bundles,
-    check_bundle_degrees,
     duality_matrix,
     h2_basis_check,
     mckay_certificate,
@@ -41,7 +41,12 @@ from .errors import AHilbError, CorrespondenceError, InputError, InvariantViolat
 from .fan import divisors_desc, simplex_corners, triangulate
 from .group import DEFAULT_MAX_ORDER, MONO_ONE, build_group, parse_group_spec
 from .recipe import champion_identities, corner_region_characters, decorate, quiver_embedding
-from .relations import completeness_check, derive_relations, verify_all_relations
+from .relations import (
+    check_bundle_degrees,
+    completeness_check,
+    derive_relations,
+    verify_all_relations,
+)
 
 # Each family is a contiguous slice of ALL_CHECKS, in table order (see STAGES).
 CHECK_GROUPS = {
@@ -258,6 +263,7 @@ def _check_quiver(art):
 def _check_relations(art):
     art.relations = derive_relations(art.triangulation, art.decoration)
     verify_all_relations(art.charts, art.relations)
+    check_bundle_degrees(art.charts, art.relations)
     return {"relations": len(art.relations)}
 
 
@@ -268,7 +274,6 @@ def _check_completeness(art):
 def _check_duality(art):
     art.surfaces = build_surfaces(art.triangulation, art.charts, art.decoration)
     art.bundles = build_virtual_bundles(art.group, art.decoration, art.relations)
-    check_bundle_degrees(art.charts, art.bundles)
     art.duality = duality_matrix(art.group, art.bundles, art.surfaces)
     return {"size": len(art.duality)}
 

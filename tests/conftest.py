@@ -32,3 +32,45 @@ def chi(group, index):
         if group.char_label_index(c) == index:
             return c
     raise AssertionError(f"no character with index {index}")
+
+
+def conv_region(charts, chi, monomial):
+    """Triangles whose generator of weight chi is the given monomial."""
+    chi = charts.group.reduce(chi)
+    return [ti for ti, g in enumerate(charts.agraphs) if g.table.get(chi) == monomial]
+
+
+def conv_regions(charts, chi):
+    """Generator of weight chi -> the triangles where it generates."""
+    chi = charts.group.reduce(chi)
+    out = {}
+    for ti, g in enumerate(charts.agraphs):
+        out.setdefault(g.table[chi], []).append(ti)
+    return out
+
+
+def verify_relation_chartwise(chart_set, relation):
+    """Check the literal monomial identity on every chart: the oracle of `relations`.
+
+    Returns (True, None) or (False, witness_triangle_index).
+    """
+    reduce = chart_set.group.reduce
+    lhs_chars = [reduce(chi) for chi in relation.lhs]
+    rhs_chars = [reduce(chi) for chi in relation.rhs]
+    for ti, graph in enumerate(chart_set.agraphs):
+        table = graph.table
+        lhs = [0, 0, 0]
+        for chi in lhs_chars:
+            m = table[chi]
+            lhs[0] += m[0]
+            lhs[1] += m[1]
+            lhs[2] += m[2]
+        rhs = [0, 0, 0]
+        for chi in rhs_chars:
+            m = table[chi]
+            rhs[0] += m[0]
+            rhs[1] += m[1]
+            rhs[2] += m[2]
+        if lhs != rhs:
+            return False, ti
+    return True, None

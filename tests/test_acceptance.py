@@ -16,9 +16,9 @@ from ahilb.cli import main
 from ahilb.cohomology import VirtualBundle, duality_matrix
 from ahilb.errors import CorrespondenceError
 from ahilb.pipeline import run_pipeline
-from ahilb.relations import Relation, verify_all_relations, verify_relation_chartwise
+from ahilb.relations import Relation, verify_all_relations
 from ahilb.serialize import to_json
-from conftest import chi
+from conftest import chi, conv_region, conv_regions, verify_relation_chartwise
 
 
 def _report(name, ok):
@@ -62,8 +62,8 @@ def test_criterion_1_golden_11():
 
     # generator xy of weight chi3 on exactly 4 triangles; 6 regions
     chi3 = chi(g, 3)
-    assert len(C.conv_region(chi3, (1, 1, 0))) == 4
-    assert len(C.conv_regions(chi3)) == 6
+    assert len(conv_region(C, chi3, (1, 1, 0))) == 4
+    assert len(conv_regions(C, chi3)) == 6
 
     # degree three on one of the curves with ratio y : z^3
     degs = [

@@ -12,7 +12,7 @@ from ahilb.errors import InvariantViolationError
 from ahilb.fan import triangulate
 from ahilb.group import MONO_ONE, build_group
 from ahilb.pipeline import run_pipeline
-from conftest import chi
+from conftest import chi, conv_region, conv_regions
 from test_acceptance import _cyclic_family_runs
 
 
@@ -116,13 +116,13 @@ def _assert_minimisers(g, triangles):
 def test_r3_equals_xy_on_four_triangles(run11):
     g, C = run11.group, run11.charts
     chi3 = chi(g, 3)
-    assert len(C.conv_region(chi3, (1, 1, 0))) == 4
+    assert len(conv_region(C, chi3, (1, 1, 0))) == 4
 
 
 def test_six_conv_regions_chi3(run11):
     g, T, C = run11.group, run11.triangulation, run11.charts
     chi3 = chi(g, 3)
-    regions = C.conv_regions(chi3)
+    regions = conv_regions(C, chi3)
     assert len(regions) == 6
     assert set(regions) == {
         (3, 0, 0), (1, 1, 0), (0, 7, 0), (1, 0, 3), (0, 0, 10), (0, 3, 1)
@@ -135,7 +135,7 @@ def test_six_conv_regions_chi3(run11):
 
 def test_conv_region_trivial_character(run11):
     g, T, C = run11.group, run11.triangulation, run11.charts
-    regions = C.conv_regions(g.reduce(MONO_ONE))
+    regions = conv_regions(C, g.reduce(MONO_ONE))
     assert set(regions) == {MONO_ONE}
     assert len(regions[MONO_ONE]) == len(T.triangles)
 
@@ -145,7 +145,7 @@ def test_conv_region_never_generator_is_empty(run11):
     # y^2 z^4 has weight chi_3 but generates nowhere (it is never minimal)
     chi3 = chi(g, 3)
     assert g.weight((0, 2, 4)) == chi3
-    assert C.conv_region(chi3, (0, 2, 4)) == []
+    assert conv_region(C, chi3, (0, 2, 4)) == []
 
 
 def test_degree_three_on_y_z3_curve(run11):
@@ -266,7 +266,7 @@ def test_corner_membership_iff_variable_absent():
             for c in range(3)
         ]
         for c in g.characters():
-            regions = C.conv_regions(c)
+            regions = conv_regions(C, c)
             for m, tis in regions.items():
                 for corner in range(3):
                     touches = bool(corner_tris[corner] & set(tis))
@@ -305,7 +305,7 @@ def test_wedge_divisibility(run11):
     order = g.order
     E1, E2 = (order, 0, 0), (0, order, 0)
     for c in g.characters():
-        regions = C.conv_regions(c)
+        regions = conv_regions(C, c)
         gen_at = {}
         for m, tis in regions.items():
             for ti in tis:

@@ -28,6 +28,11 @@ def intersection_matrix(surface):
     return Q
 
 
+def restrict_c1(calc, chi):
+    """Integer curve-coefficient vector pairing to the boundary degrees."""
+    return calc._restriction(chi)[0]
+
+
 def intersect(calc, alpha, beta):
     """The intersection number of two curve-coefficient vectors on calc's surface."""
     return intmat.vec_dot(alpha, intmat.vec_mat(beta, intersection_matrix(calc.surface)))
@@ -91,7 +96,7 @@ def test_intersections_on_plane(run11):
     s = run11.surfaces[(3, 6, 2)]
     g = run11.group
     # the through-line character restricts to the hyperplane class
-    alpha = s.restrict_c1(chi(g, 2))
+    alpha = restrict_c1(s, chi(g, 2))
     assert intersect(s, alpha, alpha) == 1
 
 
@@ -99,8 +104,8 @@ def test_intersections_on_scroll(run11):
     s = run11.surfaces[(1, 2, 8)]
     g = run11.group
     # the passing line's character restricts to a fibre: square zero
-    alpha = s.restrict_c1(chi(g, 2))
-    beta = s.restrict_c1(chi(g, 8))
+    alpha = restrict_c1(s, chi(g, 2))
+    beta = restrict_c1(s, chi(g, 8))
     assert intersect(s, alpha, alpha) == 0
     assert intersect(s, alpha, beta) == 1
 
@@ -111,12 +116,12 @@ def test_intersections_on_dp6(run30):
         ss for v, ss in run30.surfaces.items()
         if ss.surface.surface_type == "dP6" and ss.mark_char == chi(g, 7)
     )
-    c1 = s.restrict_c1(chi(g, 14))
-    c2 = s.restrict_c1(chi(g, 7))
+    c1 = restrict_c1(s, chi(g, 14))
+    c2 = restrict_c1(s, chi(g, 7))
     assert intersect(s, c1, c2) == 2
     assert intersect(s, c1, c1) == 1  # a plane image class on the sixth del Pezzo
     # the three through-line classes pair like the three fibrations
-    d = [s.restrict_c1(chi(g, i)) for i in (4, 5, 12)]
+    d = [restrict_c1(s, chi(g, i)) for i in (4, 5, 12)]
     assert sum(intersect(s, d[i], d[j]) for i in range(3) for j in range(i + 1, 3)) == 3
 
 
@@ -124,8 +129,8 @@ def test_trivial_character_restricts_to_zero(run11):
     g = run11.group
     triv = g.reduce(MONO_ONE)
     for s in run11.surfaces.values():
-        alpha = s.restrict_c1(triv)
-        assert all(intersect(s, alpha, s.restrict_c1(c)) == 0 for c in g.characters())
+        alpha = restrict_c1(s, triv)
+        assert all(intersect(s, alpha, restrict_c1(s, c)) == 0 for c in g.characters())
 
 
 def test_duality_identity(run11, run30, run_trivial):
@@ -260,7 +265,7 @@ def test_restriction_and_pairing_match_the_solver_oracle(differential_run):
     chars = g.characters()
     for calc in differential_run.surfaces.values():
         Q = intersection_matrix(calc.surface)
-        new = {c: calc.restrict_c1(c) for c in chars}
+        new = {c: restrict_c1(calc, c) for c in chars}
         old = {c: _oracle_restriction(calc, c) for c in chars}
         for c in chars:
             assert intmat.vec_mat(new[c], Q) == old[c][1], c
@@ -308,7 +313,7 @@ def test_unrealisable_degrees_are_reported(run11):
     plane = run11.surfaces[(3, 6, 2)].surface
     calc = SurfaceCalculus(_FixedDegreeCharts(g, plane, (1, 0, 0)), plane, chi(g, 4))
     with pytest.raises(InvariantViolationError) as err:
-        calc.restrict_c1(chi(g, 2))
+        restrict_c1(calc, chi(g, 2))
     assert err.value.detail["vertex"] == (3, 6, 2)
     assert err.value.detail["character"] == chi(g, 2)
 

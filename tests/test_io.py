@@ -89,6 +89,23 @@ def test_cli_env_cap(monkeypatch, capsys):
     assert main(["check", "1/11(1,2,8)"]) == 1
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--max-order", "0"], None),
+    (["--max-order=-3"], None),
+    ([], "0"),
+    ([], "-3"),
+])
+def test_cli_non_positive_cap_is_a_usage_error(argv, env, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("AHILB_MAX_ORDER", env)
+    assert main(["check", "1/7(1,2,4)", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+    assert "must be positive" in captured.err
+    assert "above the cap" not in captured.err
+
+
 def test_cli_check_families(capsys):
     for fam in ("fan", "recipe", "relations", "cohomology"):
         assert main(["check", "1/7(1,2,4)", "--check", fam, "--quiet"]) == 0

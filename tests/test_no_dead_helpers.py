@@ -11,12 +11,6 @@ from pathlib import Path
 import ahilb
 
 ALLOWED = {
-    # conv_region(s): the conv-region reading of the chart tables, which the
-    # acceptance tests use and flat chart storage will keep
-    "ChartSet.conv_region",
-    "ChartSet.conv_regions",
-    # the restriction class itself; the package reads only its pairings
-    "SurfaceCalculus.restrict_c1",
     # perfbench/tracer.py patches it to count lattice solves
     "solve_int",
     # argparse calls it on a usage error

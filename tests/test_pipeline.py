@@ -203,9 +203,9 @@ def test_partition_names_a_character_marked_twice(monkeypatch):
     }
 
 
-def test_duality_names_a_degree_row_that_breaks_a_relation(monkeypatch):
-    # negative control: after `relations` passes, one degree of a character
-    # on one side of a relation is raised by one
+def test_relations_names_a_degree_row_that_breaks_a_relation(monkeypatch):
+    # negative control: after the root-chart identities pass, one nonzero
+    # degree of a character on one side of a relation is raised by one
     verify_all_relations = pipeline.verify_all_relations
     broken = []
 
@@ -213,19 +213,24 @@ def test_duality_names_a_degree_row_that_breaks_a_relation(monkeypatch):
         verify_all_relations(charts, relations)
         rel = relations[0]
         chi = next(c for c in rel.rhs if c not in rel.lhs)
+        j = next(j for j, chars in enumerate(charts.curve_support) if chi in chars)
         row = charts._degree[chi]
-        charts._degree[chi] = (row[0] + 1,) + row[1:]
-        broken.append(chi)
+        charts._degree[chi] = row[:j] + (row[j] + 1,) + row[j + 1:]
+        broken.append((rel.vertex, charts.triangulation.interior_edges()[j]))
 
     monkeypatch.setattr(pipeline, "verify_all_relations", verify_then_corrupt)
     art = run_pipeline("1/11(1,2,8)")
     failure = art.report.failure
     assert broken
-    assert (failure["check"], failure["error"]) == (
-        "duality", "virtual bundle has nonzero degree on a curve"
-    )
-    assert art.report.checks["relations"]["status"] == "pass"
-    assert art.report.checks["h2_basis"]["status"] == "skipped"
+    vertex, ei = broken[0]
+    e = art.triangulation.edges[ei]
+    assert failure == {
+        "check": "relations",
+        "error": "virtual bundle has nonzero degree on a curve",
+        "detail": {"vertex": vertex, "edge": (e.a, e.b)},
+    }
+    assert art.report.checks["completeness"]["status"] == "skipped"
+    assert art.report.checks["duality"]["status"] == "skipped"
 
 
 def test_readme_names_every_check_in_order():

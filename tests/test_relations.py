@@ -1,15 +1,20 @@
+import itertools
+import random
+
 import pytest
 
-from ahilb.errors import CorrespondenceError
+from ahilb import pipeline
+from ahilb.errors import CorrespondenceError, InvariantViolationError
 from ahilb.group import MONO_ONE
 from ahilb.pipeline import run_pipeline
 from ahilb.relations import (
     Relation,
+    check_bundle_degrees,
     completeness_check,
     verify_all_relations,
-    verify_relation_chartwise,
 )
-from conftest import chi
+from conftest import chi, verify_relation_chartwise
+from test_cohomology import DIFFERENTIAL_SPECS
 
 
 def rel_set(art):
@@ -62,19 +67,123 @@ def test_perturbed_relation_fails_with_witness(run11):
     assert "witness_triangle" in err.value.detail
 
 
-def test_relation_broken_on_one_chart_names_that_chart(monkeypatch):
-    art = run_pipeline("1/30(25,2,3)", which="relations")
-    C = art.charts
-    rel = next(r for r in art.relations if r.lhs[0] not in r.rhs)
-    ti = len(C.agraphs) // 2
-    table = dict(C.agraphs[ti].table)
-    m = table[rel.lhs[0]]
-    table[rel.lhs[0]] = (m[0] + 1, m[1], m[2])
-    monkeypatch.setattr(C.agraphs[ti], "table", table)
-    assert verify_relation_chartwise(C, rel) == (False, ti)
-    with pytest.raises(CorrespondenceError) as err:
-        verify_all_relations(C, art.relations)
-    assert err.value.detail == {"vertex": rel.vertex, "witness_triangle": ti}
+# -- the two halves of the `relations` stage against the chartwise oracle
+
+
+def _halves(charts, rel):
+    """Whether `rel` passes the root-chart half and the degree-row half."""
+    out = []
+    for check in (verify_all_relations, check_bundle_degrees):
+        try:
+            check(charts, [rel])
+        except (CorrespondenceError, InvariantViolationError):
+            out.append(False)
+        else:
+            out.append(True)
+    return tuple(out)
+
+
+def _monomial(table, chars):
+    return tuple(map(sum, zip(*(table[c] for c in chars))))
+
+
+def _seeded_relations(art, rng, count):
+    """Relations with equal character sums: random ones, and ones true on triangle 0."""
+    g = art.group
+    chars = g.characters()
+    root = art.charts.agraphs[0].table
+    out = []
+    for _ in range(count):
+        lhs = tuple(rng.choice(chars) for _ in range(rng.randint(1, 2)))
+        rest = tuple(rng.choice(chars) for _ in range(rng.randint(0, 2)))
+        last = next(c for c in chars if g.char_sum(rest + (c,)) == g.char_sum(lhs))
+        out.append(Relation((0, 0, 0), 1, lhs, rest + (last,)))
+    # two pairs with one product on triangle 0 have equal character sums too
+    by_product = {}
+    for pair in itertools.combinations_with_replacement(chars, 2):
+        by_product.setdefault(_monomial(root, pair), []).append(pair)
+    shared = [pairs for pairs in by_product.values() if len(pairs) > 1]
+    for _ in range(count if shared else 0):
+        lhs, rhs = rng.sample(rng.choice(shared), 2)
+        out.append(Relation((0, 0, 0), 2, lhs, rhs))
+    return out
+
+
+def test_stage_halves_accept_exactly_what_the_chartwise_oracle_accepts():
+    rng = random.Random(14)
+    rows_only = 0
+    for spec in DIFFERENTIAL_SPECS:
+        art = run_pipeline(spec, which="relations")
+        g, C = art.group, art.charts
+        for rel in art.relations:
+            assert _halves(C, rel) == (True, True)
+            assert verify_relation_chartwise(C, rel) == (True, None)
+        for rel in _seeded_relations(art, rng, 150):
+            assert g.char_sum(rel.lhs) == g.char_sum(rel.rhs)
+            root_ok, rows_ok = _halves(C, rel)
+            ok, _ = verify_relation_chartwise(C, rel)
+            assert ok == (root_ok and rows_ok), (spec, rel)
+            rows_only += root_ok and not rows_ok
+    assert rows_only > 0
+
+
+def _doctored_run(monkeypatch, spec, pick):
+    """Run `relations` on `spec` with one relation chosen by `pick(art, first_real)`."""
+    art = run_pipeline(spec, which="recipe")
+    real = pipeline.derive_relations(art.triangulation, art.decoration)
+    doctored = pick(art, real[0])
+    monkeypatch.setattr(pipeline, "derive_relations", lambda T, D: [doctored])
+    return doctored, run_pipeline(spec, which="relations")
+
+
+def test_relation_broken_on_the_root_chart_names_triangle_0(monkeypatch):
+    def pick(art, real):
+        g, root = art.group, art.charts.agraphs[0].table
+        for lhs, rhs in itertools.combinations(
+            itertools.combinations(g.characters(), 2), 2
+        ):
+            if g.char_sum(lhs) == g.char_sum(rhs) and _monomial(root, lhs) != _monomial(root, rhs):
+                return Relation(real.vertex, real.case, lhs, rhs)
+
+    rel, art = _doctored_run(monkeypatch, "1/30(25,2,3)", pick)
+    assert verify_relation_chartwise(art.charts, rel) == (False, 0)
+    assert art.report.failure == {
+        "check": "relations",
+        "error": "relation fails on a chart",
+        "detail": {"vertex": rel.vertex, "witness_triangle": 0},
+    }
+
+
+def test_relation_broken_off_the_root_chart_names_a_curve(monkeypatch):
+    def pick(art, real):
+        g, C = art.group, art.charts
+        root = C.agraphs[0].table
+        for lhs, rhs in itertools.combinations(
+            itertools.combinations(g.characters(), 2), 2
+        ):
+            if _monomial(root, lhs) == _monomial(root, rhs):
+                rel = Relation(real.vertex, real.case, lhs, rhs)
+                if not verify_relation_chartwise(C, rel)[0]:
+                    return rel
+
+    rel, art = _doctored_run(monkeypatch, "1/30(25,2,3)", pick)
+    g, T, C = art.group, art.triangulation, art.charts
+    assert g.char_sum(rel.lhs) == g.char_sum(rel.rhs)
+    ok, witness = verify_relation_chartwise(C, rel)
+    assert not ok and witness > 0
+
+    def gap(ti):  # lhs minus rhs exponents on one chart
+        table = C.agraphs[ti].table
+        return tuple(a - b for a, b in zip(_monomial(table, rel.lhs), _monomial(table, rel.rhs)))
+
+    # the first interior edge across which the identity's gap changes
+    e = next(T.edges[ei] for ei in T.interior_edges()
+             if gap(T.edges[ei].triangles[0]) != gap(T.edges[ei].triangles[1]))
+    assert art.report.failure == {
+        "check": "relations",
+        "error": "virtual bundle has nonzero degree on a curve",
+        "detail": {"vertex": rel.vertex, "edge": (e.a, e.b)},
+    }
 
 
 def test_completeness_counts(run11, run30, run_trivial):
