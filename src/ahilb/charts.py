@@ -10,9 +10,9 @@ every tautological bundle on every compact curve.  Only the first table
 comes from a best-first search (`build_agraph`); every other one follows
 from a neighbour's across their shared edge, walking the dual graph
 breadth-first, and every table passes the same checks either way.  The
-degree table is filled in one edge-major pass, which also checks that the
-support function is convex across every interior edge; a ChartSet is
-read-only once built.
+walk crosses each interior edge once, and that crossing also gives the
+edge's degrees and checks that the support function is convex there; a
+ChartSet is read-only once built.
 """
 
 from __future__ import annotations
@@ -134,17 +134,20 @@ def _far_vertex(tri, edge):
     return next(v for v in tri.vertices if v not in (edge.a, edge.b))
 
 
-def _transition_table(table, u, edge, far):
-    """The neighbour's table across `edge`, from this side's `table`.
+def _transition_table(table, u, edge, near, far):
+    """The neighbour's table across `edge`, from this side's `table`, and its degrees.
 
     The edge ratio u pairs to zero with both edge vertices, so along
     m + k*u a generator keeps its weight and its pairings there; the
     neighbour's generator is the octant point of that line that pairs
     least with the neighbour's far vertex `far`.  With v = +-u oriented
     so that v pairs positively with `far`, that is m - q*v for the
-    largest q the octant allows: q = min over v_i > 0 of m_i // v_i.
-    Generators with q = 0 are shared with this table, and so are the
-    character keys.
+    largest q the octant allows: q = min over v_i > 0 of m_i // v_i,
+    which is the degree of the weight-chi bundle on the edge's curve.
+    This side's far vertex `near` must pair negatively with v, or the
+    support function is not convex across the edge.  Returns the table
+    and {chi: q} for the generators that move (q > 0); the others, and
+    the character keys, are shared with this table.
     """
     s = u[0] * far[0] + u[1] * far[1] + u[2] * far[2]
     if s == 0 or intmat.vec_dot(u, edge.a) or intmat.vec_dot(u, edge.b):
@@ -153,17 +156,47 @@ def _transition_table(table, u, edge, far):
             detail={"edge": (edge.a, edge.b)},
         )
     v0, v1, v2 = v = u if s > 0 else (-u[0], -u[1], -u[2])
+    if intmat.vec_dot(v, near) >= 0:
+        raise InvariantViolationError(
+            "support function is not convex", detail={"edge": (edge.a, edge.b)}
+        )
     # v vanishes on a nonzero vertex of the octant, so at most two v_i > 0
     pos = [(i, v[i]) for i in range(3) if v[i] > 0]
     (i, vi), (j, vj) = pos[0], pos[-1]
     out = {}
+    moved = {}
     for chi, m in table.items():
         q = m[i] // vi
         r = m[j] // vj
         if r < q:
             q = r
-        out[chi] = (m[0] - q * v0, m[1] - q * v1, m[2] - q * v2) if q else m
-    return out
+        if q:
+            out[chi] = (m[0] - q * v0, m[1] - q * v1, m[2] - q * v2)
+            moved[chi] = q
+        else:
+            out[chi] = m
+    return out, moved
+
+
+def _check_same_table(walked, table, u, edge):
+    """Across an edge off the walk's tree, the transitioned table is the stored one.
+
+    The first generator that differs is reported by whether it differs by
+    a multiple of u: on the edge's line it is the wrong extreme point, so
+    the support function is not convex; off it, no transition joins them.
+    """
+    if walked == table:
+        return
+    chi = next(c for c, m in walked.items() if table[c] != m)
+    diff = intmat.vec_sub(table[chi], walked[chi])
+    k = next(i for i in range(3) if u[i])
+    d = diff[k] // u[k]
+    on_u = diff == (d * u[0], d * u[1], d * u[2])
+    raise InvariantViolationError(
+        "support function is not convex" if on_u
+        else "generator difference is not an integer multiple of the edge ratio",
+        detail={"edge": (edge.a, edge.b), "character": chi},
+    )
 
 
 def _check_minimality_step(chart, graph):
@@ -188,12 +221,12 @@ class ChartSet:
     """Charts, monomial bases and curve degrees for a whole triangulation.
 
     Triangle 0's table comes from `build_agraph`; a breadth-first walk
-    over the interior edges derives each other table from the table of
-    the triangle it was reached from (`_transition_table`).  Every table
-    is checked for size, division closure and minimality as it is built,
-    a triangle the walk cannot reach is an error, and `_curve_degrees`
-    then checks the transition across every interior edge, tree edges
-    included.
+    crosses every interior edge once, from whichever of its triangles it
+    built first (`_transition_table`).  Across a tree edge of the walk the
+    transitioned table becomes the neighbour's, checked for size, division
+    closure and minimality; across any other edge it must equal the table
+    already stored.  Either way the crossing gives the edge's column of the
+    degree table.  A triangle the walk cannot reach is an error.
     """
 
     def __init__(self, triangulation):
@@ -205,23 +238,33 @@ class ChartSet:
             Chart(ti, chart_coords(self.group, tri.vertices))
             for ti, tri in enumerate(tris)
         ]
+        interior = T.interior_edges()
+        # interior edge index -> its position in every degree row
+        self.edge_column = {ei: j for j, ei in enumerate(interior)}
         neighbours = [[] for _ in tris]
-        for ei in T.interior_edges():
+        for j, ei in enumerate(interior):
             e = T.edges[ei]
             t1, t2 = e.triangles
-            neighbours[t1].append((t2, e))
-            neighbours[t2].append((t1, e))
+            neighbours[t1].append((t2, j, e))
+            neighbours[t2].append((t1, j, e))
         self.agraphs = [None] * len(tris)
         root = build_agraph(self.group, 0, tris[0].vertices)
         _check_minimality_step(self.charts[0], root)
         self.agraphs[0] = root
+        columns = [None] * len(interior)  # per edge column: character -> nonzero degree
         queue = [0]
         for ti in queue:
             table = self.agraphs[ti].table
-            for tj, e in neighbours[ti]:
-                if self.agraphs[tj] is not None:
+            for tj, j, e in neighbours[ti]:
+                if columns[j] is not None:
                     continue
-                walked = _transition_table(table, T.lines[e.line].u, e, _far_vertex(tris[tj], e))
+                u = T.lines[e.line].u
+                walked, columns[j] = _transition_table(
+                    table, u, e, _far_vertex(tris[ti], e), _far_vertex(tris[tj], e)
+                )
+                if self.agraphs[tj] is not None:
+                    _check_same_table(walked, self.agraphs[tj].table, u, e)
+                    continue
                 graph = _checked_agraph(order, tj, walked)
                 _check_minimality_step(self.charts[tj], graph)
                 self.agraphs[tj] = graph
@@ -234,62 +277,14 @@ class ChartSet:
             )
         # the one degree store: character -> degrees on interior_edges(), in order;
         # and its sparse support: per edge column, the characters of nonzero degree
-        self._degree, self.curve_support = self._curve_degrees()
-        # interior edge index -> its position in every degree row
-        self.edge_column = {ei: j for j, ei in enumerate(triangulation.interior_edges())}
-
-    def _curve_degrees(self):
-        """Degree of every character on every interior edge, in one edge-major pass.
-
-        Across an interior edge the two generators of weight chi differ by
-        d times the edge ratio u, and |d| is the degree of the weight-chi
-        bundle on the curve.  The same pass checks that the support function
-        is convex across the edge: each side's generator pairs no larger than
-        the other side's at its own opposite vertex.  Returns the rows by
-        character and, per column, the characters whose generators differ
-        across the edge, which are exactly those of nonzero degree.
-        """
-        T = self.triangulation
-        chars = self.group.characters()
-        columns = []
-        support = []
-        for ei in T.interior_edges():
-            e = T.edges[ei]
-            t1, t2 = e.triangles
-            w1 = _far_vertex(T.triangles[t1], e)
-            w2 = _far_vertex(T.triangles[t2], e)
-            u = T.lines[e.line].u
-            u0, u1, u2 = u
-            k = next(i for i in range(3) if u[i])
-            uk = u[k]
-            # pairing of d * u at w1 and w2, per unit of d
-            s1, s2 = intmat.vec_dot(u, w1), intmat.vec_dot(u, w2)
-            tab1, tab2 = self.agraphs[t1].table, self.agraphs[t2].table
-            column = []
-            nonzero = []
-            for chi in chars:
-                r1, r2 = tab1[chi], tab2[chi]
-                if r1 == r2:
-                    column.append(0)
-                    continue
-                diff = (r1[0] - r2[0], r1[1] - r2[1], r1[2] - r2[2])
-                d = diff[k] // uk
-                if diff != (d * u0, d * u1, d * u2):
-                    raise InvariantViolationError(
-                        "generator difference is not an integer multiple of the edge ratio",
-                        detail={"edge": (e.a, e.b), "character": chi},
-                    )
-                if d * s2 < 0 or d * s1 > 0:
-                    raise InvariantViolationError(
-                        "support function is not convex",
-                        detail={"edge": (e.a, e.b), "character": chi},
-                    )
-                column.append(abs(d))
-                nonzero.append(chi)
-            columns.append(column)
-            support.append(tuple(nonzero))
-        rows = zip(*columns) if columns else [()] * len(chars)
-        return dict(zip(chars, rows)), tuple(support)
+        rows = {chi: [0] * len(interior) for chi in self.group.characters()}
+        for j, column in enumerate(columns):
+            for chi, q in column.items():
+                rows[chi][j] = q
+        for chi, row in rows.items():
+            rows[chi] = tuple(row)
+        self._degree = rows
+        self.curve_support = tuple(map(tuple, columns))
 
     def degree_on_curve(self, chi, edge_index):
         """Transition exponent of the weight-chi bundle across an interior edge."""

@@ -215,8 +215,9 @@ def _check_chart_properties(art):
     """The degree-one property of marked lines.
 
     `ChartSet` checks each table's size, division closure and minimality as
-    it builds it, and support-function convexity and the transition
-    exponents as it fills its degree table, so they fail this stage too.
+    it builds it, and support-function convexity and the transition across
+    every interior edge as it crosses that edge, which also gives the
+    edge's degrees; so they fail this stage too.
     """
     T = art.triangulation
     C = art.charts

@@ -173,8 +173,8 @@ def _dp6_marks(T, chart_set, vertex, line_chars):
         raise InvariantViolationError("triple intersection without six triangles")
     socle_chars = None
     for ti in tris:
-        graph = chart_set.agraphs[ti]
-        chars = {chi for chi, m in graph.table.items() if m in graph.socle}
+        # each table key is its generator's weight
+        chars = {g.weight(m) for m in chart_set.agraphs[ti].socle}
         socle_chars = chars if socle_chars is None else socle_chars & chars
     cands = socle_chars - set(line_chars) - {g.reduce(MONO_ONE)}
     if len(cands) != 2:

@@ -59,15 +59,15 @@ def verify_all_relations(chart_set, relations):
     """Each relation is a literal monomial identity on triangle 0's chart.
 
     With `check_bundle_degrees` this is the identity on every chart.
-    Across an interior edge with ratio u, the generator of each character
-    moves by d*u, and the transition check in `ChartSet` makes d an integer
-    whose sign is the same for every character on that edge (convexity).
-    So the stored degrees |d| add up like the signed d, and when the two
-    sides of a relation have equal degree rows, their products move by the
-    same multiple of u across every interior edge.  The identity then
-    passes from triangle 0 to each neighbour, and the walk that built the
-    tables reaches every triangle from triangle 0.  Conversely, an identity
-    on both charts of an edge forces equal degree sums there.
+    `ChartSet` crosses each interior edge once, from the triangle it built
+    first, and moves the generator of each character to m - q*v: one v
+    (the edge ratio, oriented toward the other triangle) for the whole
+    edge, and q >= 0 the stored degree.  So the degrees add up like the
+    moves, and when the two sides of a relation have equal degree rows,
+    their products move by the same multiple of v across every interior
+    edge.  The identity then passes from triangle 0 to each neighbour, and
+    the walk reaches every triangle from triangle 0.  Conversely, an
+    identity on both charts of an edge forces equal degree sums there.
     """
     reduce = chart_set.group.reduce
     table = chart_set.agraphs[0].table

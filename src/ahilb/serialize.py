@@ -271,7 +271,7 @@ def _iterencode(o, level):
 def from_json(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"unsupported document: not JSON ({exc})") from exc
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     # `True == 1.0 == 1` in Python, so the type is checked before the value

@@ -210,22 +210,107 @@ def test_degree_table_matches_transition_rule(spec):
         C.degree_on_curve(C.group.characters()[1], boundary)
 
 
-def test_transition_off_the_edge_ratio_is_reported():
-    C = ChartSet(triangulate(build_group("1/11(1,2,8)")))
+def _pairwise_degrees(C):
+    """Degree rows and sparse support by comparing the two tables of every interior edge.
+
+    Across an interior edge the two generators of weight chi differ by
+    d times the edge ratio u, and |d| is the degree of the weight-chi
+    bundle on the curve; each side's generator must pair no larger than
+    the other side's at its own far vertex.  Returns the rows by character
+    and, per column, the characters whose generators differ across the edge.
+    """
     T = C.triangulation
-    ti = T.edges[T.interior_edges()[0]].triangles[0]
-    own_edges = {
-        (T.edges[ei].a, T.edges[ei].b) for ei in T.interior_edges() if ti in T.edges[ei].triangles
-    }
-    character = chi(C.group, 3)
-    table = C.agraphs[ti].table
+    chars = C.group.characters()
+    columns = []
+    support = []
+    for ei in T.interior_edges():
+        e = T.edges[ei]
+        t1, t2 = e.triangles
+        w1 = charts._far_vertex(T.triangles[t1], e)
+        w2 = charts._far_vertex(T.triangles[t2], e)
+        u = T.lines[e.line].u
+        k = next(i for i in range(3) if u[i])
+        s1, s2 = intmat.vec_dot(u, w1), intmat.vec_dot(u, w2)
+        tab1, tab2 = C.agraphs[t1].table, C.agraphs[t2].table
+        column = []
+        nonzero = []
+        for c in chars:
+            r1, r2 = tab1[c], tab2[c]
+            if r1 == r2:
+                column.append(0)
+                continue
+            diff = intmat.vec_sub(r1, r2)
+            d = diff[k] // u[k]
+            assert diff == tuple(d * x for x in u), "generator difference is not a multiple of u"
+            assert d * s2 >= 0 and d * s1 <= 0, "support function is not convex"
+            column.append(abs(d))
+            nonzero.append(c)
+        columns.append(column)
+        support.append(tuple(nonzero))
+    rows = zip(*columns) if columns else [()] * len(chars)
+    return dict(zip(chars, rows)), tuple(support)
+
+
+def _shift_first_cross_edge(monkeypatch, shift):
+    """Make the walk shift one generator on its first edge off the spanning tree.
+
+    Such an edge joins two triangles the walk has already built, so the
+    shifted table is compared with the stored one, not stored.  Returns a
+    list that receives the edge and the character that were shifted.
+    """
+    original = charts._transition_table
+    built = {0}
+    shifted = []
+
+    def corrupt(table, u, edge, near, far):
+        out, moved = original(table, u, edge, near, far)
+        if not shifted and built.issuperset(edge.triangles):
+            c = sorted(out)[1]
+            out[c] = intmat.vec_add(out[c], shift(u))
+            shifted.append(((edge.a, edge.b), c))
+        built.update(edge.triangles)
+        return out, moved
+
+    monkeypatch.setattr(charts, "_transition_table", corrupt)
+    return shifted
+
+
+def test_transition_off_the_edge_ratio_is_reported(monkeypatch):
     # (1, 0, 0) is no multiple of an edge ratio, whose two monomials are both nonconstant
-    table[character] = intmat.vec_add(table[character], (1, 0, 0))
+    shifted = _shift_first_cross_edge(monkeypatch, lambda u: (1, 0, 0))
     with pytest.raises(InvariantViolationError) as err:
-        C._curve_degrees()
+        ChartSet(triangulate(build_group("1/11(1,2,8)")))
     assert str(err.value) == "generator difference is not an integer multiple of the edge ratio"
-    assert err.value.detail["character"] == character
-    assert err.value.detail["edge"] in own_edges
+    edge, character = shifted[0]
+    assert err.value.detail == {"edge": edge, "character": character}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_transition_along_the_edge_ratio_is_not_convex(monkeypatch, sign):
+    """The stored generator lies on the transition's line but is not its extreme point."""
+    shifted = _shift_first_cross_edge(monkeypatch, lambda u: tuple(sign * x for x in u))
+    with pytest.raises(InvariantViolationError) as err:
+        ChartSet(triangulate(build_group("1/11(1,2,8)")))
+    assert str(err.value) == "support function is not convex"
+    edge, character = shifted[0]
+    assert err.value.detail == {"edge": edge, "character": character}
+
+
+def test_far_vertices_on_one_side_of_an_edge_are_not_convex(run11):
+    T, C = run11.triangulation, run11.charts
+    for ei in T.interior_edges():
+        e = T.edges[ei]
+        t1, t2 = e.triangles
+        w1 = charts._far_vertex(T.triangles[t1], e)
+        w2 = charts._far_vertex(T.triangles[t2], e)
+        u = T.lines[e.line].u
+        table, _ = charts._transition_table(C.agraphs[t1].table, u, e, w1, w2)
+        assert table == C.agraphs[t2].table
+        # the other far vertex on the same side, or on the edge's plane
+        for near in (w2, e.a):
+            with pytest.raises(InvariantViolationError, match="^support function is not convex$") as err:
+                charts._transition_table(C.agraphs[t1].table, u, e, near, w2)
+            assert err.value.detail == {"edge": (e.a, e.b)}
 
 
 def test_socle_trivial(run_trivial):
@@ -426,7 +511,11 @@ def test_non_basic_triangle_rejected():
 
 
 def test_walked_tables_match_the_heap():
-    """Every table the edge walk derives equals the best-first search's."""
+    """Every table the edge walk derives equals the best-first search's.
+
+    The degree table and its sparse support equal those found by comparing
+    the two tables of every interior edge.
+    """
     runs, _ = _cyclic_family_runs()
     others = (
         [f"1/401(1,{b},{400 - b})" for b in (7, 11, 13, 17, 19, 23)]
@@ -441,6 +530,9 @@ def test_walked_tables_match_the_heap():
             want = build_agraph(C.group, ti, tri.vertices)
             got = C.agraphs[ti]
             assert got.table == want.table and got.socle == want.socle, (spec, ti)
+        rows, support = _pairwise_degrees(C)
+        assert C._degree == rows, spec
+        assert list(map(set, C.curve_support)) == list(map(set, support)), spec
 
 
 def test_full_run_builds_one_heap_table_per_chart_set(monkeypatch):
@@ -464,13 +556,13 @@ def test_corrupted_derived_table_fails_decoration(monkeypatch, sign):
     original = charts._transition_table
     corrupted = []
 
-    def corrupt(table, u, edge, far):
-        out = original(table, u, edge, far)
+    def corrupt(table, u, edge, near, far):
+        out, moved = original(table, u, edge, near, far)
         if not corrupted:
             chi = sorted(out)[1]
             out[chi] = tuple(a + sign * b for a, b in zip(out[chi], u))
             corrupted.append(chi)
-        return out
+        return out, moved
 
     monkeypatch.setattr(charts, "_transition_table", corrupt)
     art = run_pipeline("1/30(25,2,3)", which="recipe")

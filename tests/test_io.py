@@ -327,7 +327,9 @@ def test_from_json_rejects_wrong_schema(version):
         from_json(json.dumps({"schema_version": version}))
 
 
-@pytest.mark.parametrize("text", ["{oops", "", "[1, 2"])
+@pytest.mark.parametrize(
+    "text", ["{oops", "", "[1, 2", pytest.param("[" * 200000, id="nested-200000-deep")]
+)
 def test_from_json_rejects_text_that_is_not_json(text):
     with pytest.raises(InputError, match="not JSON"):
         from_json(text)
