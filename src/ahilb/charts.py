@@ -11,8 +11,10 @@ comes from a best-first search (`build_agraph`); every other one follows
 from a neighbour's across their shared edge, walking the dual graph
 breadth-first, and every table passes the same checks either way.  The
 walk crosses each interior edge once, and that crossing also gives the
-edge's degrees and checks that the support function is convex there; a
-ChartSet is read-only once built.
+edge's degrees and checks that the support function is convex there.
+The degrees are kept as the crossings give them, one sparse column per
+interior edge (`ChartSet._degree`), and read in that form by `relations`
+and `cohomology`; a ChartSet is read-only once built.
 """
 
 from __future__ import annotations
@@ -226,7 +228,9 @@ class ChartSet:
     transitioned table becomes the neighbour's, checked for size, division
     closure and minimality; across any other edge it must equal the table
     already stored.  Either way the crossing gives the edge's column of the
-    degree table.  A triangle the walk cannot reach is an error.
+    degree table, {chi: q} for the characters of nonzero degree q on the
+    edge's curve; `_degree` holds these columns in `interior_edges()` order.
+    A triangle the walk cannot reach is an error.
     """
 
     def __init__(self, triangulation):
@@ -239,7 +243,7 @@ class ChartSet:
             for ti, tri in enumerate(tris)
         ]
         interior = T.interior_edges()
-        # interior edge index -> its position in every degree row
+        # interior edge index -> its column of the degree table
         self.edge_column = {ei: j for j, ei in enumerate(interior)}
         neighbours = [[] for _ in tris]
         for j, ei in enumerate(interior):
@@ -275,24 +279,11 @@ class ChartSet:
                 "triangle not reachable across interior edges",
                 detail={"triangle": missing},
             )
-        # the one degree store: character -> degrees on interior_edges(), in order;
-        # and its sparse support: per edge column, the characters of nonzero degree
-        rows = {chi: [0] * len(interior) for chi in self.group.characters()}
-        for j, column in enumerate(columns):
-            for chi, q in column.items():
-                rows[chi][j] = q
-        for chi, row in rows.items():
-            rows[chi] = tuple(row)
-        self._degree = rows
-        self.curve_support = tuple(map(tuple, columns))
+        self._degree = tuple(columns)
 
     def degree_on_curve(self, chi, edge_index):
         """Transition exponent of the weight-chi bundle across an interior edge."""
         column = self.edge_column.get(edge_index)
         if column is None:
             raise InvariantViolationError("degrees are defined on interior edges only")
-        return self.degree_row(chi)[column]
-
-    def degree_row(self, chi):
-        """Degrees of the weight-chi bundle on all interior edges, in order."""
-        return self._degree[self.group.reduce(chi)]
+        return self._degree[column].get(self.group.reduce(chi), 0)

@@ -8,12 +8,13 @@ the degree rows of the surviving bundles must base the degree-2 lattice
 (`h2_basis_check`).  `mckay_certificate` then states the result from the
 partition, without checking anything again.
 
-Both checks read the sparse support of the degree table
-(`ChartSet.curve_support`), so they cost time in proportion to its
-nonzeros.  A character with degree 0 on every boundary curve of a
-surface restricts to the zero class there (Fulton, *Intersection
-Theory*, 3.2), so a bundle none of whose characters meets a surface's
-boundary pairs to 0 with it, and only the other pairs are computed.
+Both checks read the degree table's sparse columns (`ChartSet._degree`,
+one {chi: q} dict of nonzero degrees per interior edge), so they cost
+time in proportion to its nonzeros.  A character with degree 0 on every
+boundary curve of a surface restricts to the zero class there (Fulton,
+*Intersection Theory*, 3.2), so a bundle none of whose characters meets
+a surface's boundary pairs to 0 with it, and only the other pairs are
+computed.
 The degree-2 lattice is certified by a unitriangular peel of the degree
 matrix where one exists, and by `intmat.ZSpan` otherwise.
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 
 from . import intmat
@@ -144,14 +144,12 @@ class SurfaceCalculus:
     """Restriction classes and pairings on one compact surface."""
 
     def __init__(self, chart_set, surface, mark_char):
-        self.chart_set = chart_set
         self.surface = surface
         self.mark_char = mark_char
-        columns = [chart_set.edge_column[ei] for ei in surface.edge_ids]
-        # the boundary curves' entries of a degree row, as a tuple (n >= 3 curves)
-        self._boundary = operator.itemgetter(*columns)
+        # the boundary curves' degree columns, in ray order (n >= 3 curves)
+        self._columns = [chart_set._degree[chart_set.edge_column[ei]] for ei in surface.edge_ids]
         # characters of nonzero degree on some boundary curve; all others restrict to 0
-        self.support = frozenset().union(*(chart_set.curve_support[j] for j in columns))
+        self.support = frozenset().union(*self._columns)
         self._zero = ((0,) * len(surface.rays),) * 2  # (alpha, d) of every degree-0 character
         self._restrictions = {}  # character -> (alpha, d)
 
@@ -167,7 +165,7 @@ class SurfaceCalculus:
         """
         entry = self._restrictions.get(chi)
         if entry is None:
-            d = self._boundary(self.chart_set.degree_row(chi))
+            d = tuple([column.get(chi, 0) for column in self._columns])
             entry = self._zero
             if any(d):
                 selfint, n = self.surface.self_intersections, len(d)
@@ -177,8 +175,7 @@ class SurfaceCalculus:
                 if alpha[n] or alpha[n + 1]:
                     raise InvariantViolationError(
                         "degree vector is not realised by a divisor class",
-                        detail={"vertex": self.surface.vertex,
-                                "character": self.chart_set.group.reduce(chi)},
+                        detail={"vertex": self.surface.vertex, "character": chi},
                     )
                 entry = (tuple(alpha[:n]), d)
             self._restrictions[chi] = entry
@@ -274,22 +271,22 @@ def unitriangular_peel(chart_set, basis_chars):
     shorter list means the peel stalled, which proves nothing either way.
     """
     live = set(basis_chars)
-    support = chart_set.curve_support
-    count = [0] * len(support)  # live characters of nonzero degree, per column
+    columns = chart_set._degree
+    count = [0] * len(columns)  # live characters of nonzero degree, per column
     columns_of = {chi: [] for chi in live}
-    for j, chars in enumerate(support):
-        for chi in chars:
+    for j, column in enumerate(columns):
+        for chi in column:
             if chi in live:
                 count[j] += 1
                 columns_of[chi].append(j)
-    ready = [j for j in reversed(range(len(support))) if count[j] == 1]
+    ready = [j for j in reversed(range(len(columns))) if count[j] == 1]
     peeled = []
     while ready:
         j = ready.pop()
         if count[j] != 1:
             continue
-        chi = next(c for c in support[j] if c in live)
-        if chart_set.degree_row(chi)[j] != 1:
+        chi = next(c for c in columns[j] if c in live)
+        if columns[j][chi] != 1:
             continue
         live.remove(chi)
         peeled.append((chi, j))
@@ -315,11 +312,11 @@ def h2_basis_check(chart_set, decoration):
     )
     b2 = len(basis_chars)
     if len(unitriangular_peel(chart_set, basis_chars)) < b2:
-        columns = [list(col) for col in zip(*(chart_set.degree_row(chi) for chi in basis_chars))]
+        columns = [[column.get(chi, 0) for chi in basis_chars] for column in chart_set._degree]
         if not intmat.columns_generate_full_lattice(columns, b2):
             raise CorrespondenceError(
                 "degree matrix of surviving bundles is not a unimodular basis",
-                detail={"b2": b2, "edges": len(chart_set.curve_support)},
+                detail={"b2": b2, "edges": len(columns)},
             )
     return {"b2": b2, "unimodular": True, "relation_rows": True}
 

@@ -67,9 +67,11 @@ def parse_group_spec(text: str) -> GroupSpec:
         m = _GEN_RE.match(part)
         if not m:
             raise InputError(f"cannot parse group factor {part!r}; expected 1/r(a,b,c)")
-        r = int(m.group(1))
-        w = (int(m.group(2)), int(m.group(3)), int(m.group(4)))
-        gens.append((r, w))
+        try:
+            r, *w = map(int, m.groups())
+        except ValueError as exc:  # more digits than `int` converts
+            raise InputError(f"cannot parse group factor: {exc}") from exc
+        gens.append((r, tuple(w)))
     spec = GroupSpec(tuple(gens))
     spec.validate()
     return spec

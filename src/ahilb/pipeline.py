@@ -81,7 +81,7 @@ class Artifacts:
     decoration: object = None
     quiver: object = None
     relations: list = None
-    surfaces: dict = None
+    surfaces: dict = None  # interior vertex -> CompactSurface
     bundles: list = None
     duality: list = None
     h2: dict = None
@@ -273,9 +273,11 @@ def _check_completeness(art):
 
 
 def _check_duality(art):
-    art.surfaces = build_surfaces(art.triangulation, art.charts, art.decoration)
+    # the calculators live for this stage only; the document reads the star fans
+    calculators = build_surfaces(art.triangulation, art.charts, art.decoration)
+    art.surfaces = {v: calc.surface for v, calc in calculators.items()}
     art.bundles = build_virtual_bundles(art.group, art.decoration, art.relations)
-    art.duality = duality_matrix(art.group, art.bundles, art.surfaces)
+    art.duality = duality_matrix(art.group, art.bundles, calculators)
     return {"size": len(art.duality)}
 
 

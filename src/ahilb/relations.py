@@ -84,30 +84,34 @@ def check_bundle_degrees(chart_set, relations):
     """The two sides of each relation have equal degree rows.
 
     That is its virtual bundle's degree zero on every compact curve, since
-    the trivial character's row is zero.  The rows are compared on the
-    sparse support of the degree table, and a failure names the first
-    interior edge where the two sides differ.
+    the trivial character's row is zero.  One pass over the nonzeros of
+    the degree table's sparse columns adds each degree to the relations
+    that use its character, and a failure names the first relation whose
+    sides differ, at the first interior edge where they do.
     """
     reduce = chart_set.group.reduce
-    columns_of = {}  # character -> edge columns of its nonzero degrees
-    for j, chars in enumerate(chart_set.curve_support):
-        for chi in chars:
-            columns_of.setdefault(chi, []).append(j)
-    for rel in relations:
-        excess = {}  # edge column -> lhs degree sum minus rhs degree sum
+    uses = {}  # character -> (relation index, +1 on the lhs or -1 on the rhs), per use
+    for r, rel in enumerate(relations):
         for sign, side in ((1, rel.lhs), (-1, rel.rhs)):
             for chi in map(reduce, side):
-                row = chart_set.degree_row(chi)
-                for j in columns_of.get(chi, ()):
-                    excess[j] = excess.get(j, 0) + sign * row[j]
-        differ = [j for j, d in excess.items() if d]
-        if differ:
-            T = chart_set.triangulation
-            e = T.edges[T.interior_edges()[min(differ)]]
-            raise InvariantViolationError(
-                "virtual bundle has nonzero degree on a curve",
-                detail={"vertex": rel.vertex, "edge": (e.a, e.b)},
-            )
+                uses.setdefault(chi, []).append((r, sign))
+    first_differ = {}  # relation index -> first edge column where its sides differ
+    for j, column in enumerate(chart_set._degree):
+        excess = {}  # relation index -> lhs degree sum minus rhs degree sum
+        for chi, q in column.items():
+            for r, sign in uses.get(chi, ()):
+                excess[r] = excess.get(r, 0) + sign * q
+        for r, d in excess.items():
+            if d and r not in first_differ:
+                first_differ[r] = j
+    if first_differ:
+        r = min(first_differ)
+        T = chart_set.triangulation
+        e = T.edges[T.interior_edges()[first_differ[r]]]
+        raise InvariantViolationError(
+            "virtual bundle has nonzero degree on a curve",
+            detail={"vertex": relations[r].vertex, "edge": (e.a, e.b)},
+        )
     return True
 
 

@@ -159,11 +159,11 @@ def _document(art, agraph) -> dict:
         doc["surfaces"] = [
             {
                 "vertex": list(v),
-                "type": calc.surface.surface_type,
-                "cycle": list(calc.surface.self_intersections),
-                "curves": list(calc.surface.edge_ids),
+                "type": surf.surface_type,
+                "cycle": list(surf.self_intersections),
+                "curves": list(surf.edge_ids),
             }
-            for v, calc in sorted(art.surfaces.items())
+            for v, surf in sorted(art.surfaces.items())
         ]
     if art.duality is not None:
         doc["duality_matrix"] = [list(row) for row in art.duality]
@@ -271,7 +271,7 @@ def _iterencode(o, level):
 def from_json(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InputError(f"unsupported document: not JSON ({exc})") from exc
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     # `True == 1.0 == 1` in Python, so the type is checked before the value

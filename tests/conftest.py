@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ahilb.cohomology import build_surfaces
 from ahilb.pipeline import run_pipeline
 
 # `pythonpath` in pyproject.toml reaches this process only; the CLI
@@ -32,6 +33,11 @@ def chi(group, index):
         if group.char_label_index(c) == index:
             return c
     raise AssertionError(f"no character with index {index}")
+
+
+def surface_calculators(art):
+    """Vertex -> SurfaceCalculus, as the duality stage builds and then drops them."""
+    return build_surfaces(art.triangulation, art.charts, art.decoration)
 
 
 def conv_region(charts, chi, monomial):

@@ -18,7 +18,13 @@ from ahilb.errors import CorrespondenceError
 from ahilb.pipeline import run_pipeline
 from ahilb.relations import Relation, verify_all_relations
 from ahilb.serialize import to_json
-from conftest import chi, conv_region, conv_regions, verify_relation_chartwise
+from conftest import (
+    chi,
+    conv_region,
+    conv_regions,
+    surface_calculators,
+    verify_relation_chartwise,
+)
 
 
 def _report(name, ok):
@@ -237,7 +243,7 @@ def test_criterion_4_negative_controls(run11, capsys):
     b0 = run11.bundles[0]
     doctored = VirtualBundle(b0.index, b0.vertex, (chi(g, 5), chi(g, 5)), b0.minus)
     with pytest.raises(CorrespondenceError) as err:
-        duality_matrix(g, [doctored] + run11.bundles[1:], run11.surfaces)
+        duality_matrix(g, [doctored] + run11.bundles[1:], surface_calculators(run11))
     detail = err.value.detail
     assert "m" in detail and "n" in detail
     _report("4 (negative controls)", True)

@@ -204,25 +204,23 @@ def test_degree_table_matches_transition_rule(spec):
     for chi in C.group.characters():
         expected = [_transition_exponent_oracle(C, chi, ei) for ei in interior]
         assert [C.degree_on_curve(chi, ei) for ei in interior] == expected
-        assert list(C.degree_row(chi)) == expected
     boundary = next(ei for ei, e in enumerate(T.edges) if not e.interior)
     with pytest.raises(InvariantViolationError):
         C.degree_on_curve(C.group.characters()[1], boundary)
 
 
 def _pairwise_degrees(C):
-    """Degree rows and sparse support by comparing the two tables of every interior edge.
+    """Degree columns by comparing the two tables of every interior edge.
 
     Across an interior edge the two generators of weight chi differ by
     d times the edge ratio u, and |d| is the degree of the weight-chi
     bundle on the curve; each side's generator must pair no larger than
-    the other side's at its own far vertex.  Returns the rows by character
-    and, per column, the characters whose generators differ across the edge.
+    the other side's at its own far vertex.  Returns, per interior edge in
+    order, {chi: |d|} for the characters whose generators differ across it.
     """
     T = C.triangulation
     chars = C.group.characters()
     columns = []
-    support = []
     for ei in T.interior_edges():
         e = T.edges[ei]
         t1, t2 = e.triangles
@@ -232,23 +230,18 @@ def _pairwise_degrees(C):
         k = next(i for i in range(3) if u[i])
         s1, s2 = intmat.vec_dot(u, w1), intmat.vec_dot(u, w2)
         tab1, tab2 = C.agraphs[t1].table, C.agraphs[t2].table
-        column = []
-        nonzero = []
+        column = {}
         for c in chars:
             r1, r2 = tab1[c], tab2[c]
             if r1 == r2:
-                column.append(0)
                 continue
             diff = intmat.vec_sub(r1, r2)
             d = diff[k] // u[k]
             assert diff == tuple(d * x for x in u), "generator difference is not a multiple of u"
             assert d * s2 >= 0 and d * s1 <= 0, "support function is not convex"
-            column.append(abs(d))
-            nonzero.append(c)
+            column[c] = abs(d)
         columns.append(column)
-        support.append(tuple(nonzero))
-    rows = zip(*columns) if columns else [()] * len(chars)
-    return dict(zip(chars, rows)), tuple(support)
+    return tuple(columns)
 
 
 def _shift_first_cross_edge(monkeypatch, shift):
@@ -513,8 +506,8 @@ def test_non_basic_triangle_rejected():
 def test_walked_tables_match_the_heap():
     """Every table the edge walk derives equals the best-first search's.
 
-    The degree table and its sparse support equal those found by comparing
-    the two tables of every interior edge.
+    The degree table's columns equal those found by comparing the two
+    tables of every interior edge.
     """
     runs, _ = _cyclic_family_runs()
     others = (
@@ -530,9 +523,7 @@ def test_walked_tables_match_the_heap():
             want = build_agraph(C.group, ti, tri.vertices)
             got = C.agraphs[ti]
             assert got.table == want.table and got.socle == want.socle, (spec, ti)
-        rows, support = _pairwise_degrees(C)
-        assert C._degree == rows, spec
-        assert list(map(set, C.curve_support)) == list(map(set, support)), spec
+        assert C._degree == _pairwise_degrees(C), spec
 
 
 def test_full_run_builds_one_heap_table_per_chart_set(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from ahilb import intmat, pipeline
 from ahilb.cohomology import (
+    CompactSurface,
     SurfaceCalculus,
     VirtualBundle,
     duality_matrix,
@@ -14,7 +15,7 @@ from ahilb.cohomology import (
 from ahilb.errors import CorrespondenceError, InvariantViolationError
 from ahilb.group import MONO_ONE
 from ahilb.pipeline import run_pipeline
-from conftest import chi
+from conftest import chi, surface_calculators
 
 
 def intersection_matrix(surface):
@@ -64,10 +65,10 @@ def test_virtual_bundles_rank_and_c1_zero(run30):
 
 
 def test_surface_types(run11):
-    types = {v: s.surface.surface_type for v, s in run11.surfaces.items()}
+    types = {v: s.surface_type for v, s in run11.surfaces.items()}
     assert types[(3, 6, 2)] == "P2"
     assert types[(1, 2, 8)] == "scroll"
-    cycles = {v: s.surface.self_intersections for v, s in run11.surfaces.items()}
+    cycles = {v: s.self_intersections for v, s in run11.surfaces.items()}
     assert sorted(cycles[(3, 6, 2)]) == [1, 1, 1]
     # the valency-4 vertex carries the scroll with fibre square zero
     c = list(cycles[(1, 2, 8)])
@@ -79,21 +80,21 @@ def test_surface_types(run11):
 
 
 def test_dp6_surface_cycle(run30):
-    dp6 = [s for s in run30.surfaces.values() if s.surface.surface_type == "dP6"]
+    dp6 = [s for s in run30.surfaces.values() if s.surface_type == "dP6"]
     assert len(dp6) == 2
     for s in dp6:
-        assert s.surface.self_intersections == (-1, -1, -1, -1, -1, -1)
-        assert len(s.surface.rays) == 6
+        assert s.self_intersections == (-1, -1, -1, -1, -1, -1)
+        assert len(s.rays) == 6
 
 
 def test_noether_cycle_sum(run30):
     for s in run30.surfaces.values():
-        n = len(s.surface.rays)
-        assert sum(s.surface.self_intersections) == 12 - 3 * n
+        n = len(s.rays)
+        assert sum(s.self_intersections) == 12 - 3 * n
 
 
 def test_intersections_on_plane(run11):
-    s = run11.surfaces[(3, 6, 2)]
+    s = surface_calculators(run11)[(3, 6, 2)]
     g = run11.group
     # the through-line character restricts to the hyperplane class
     alpha = restrict_c1(s, chi(g, 2))
@@ -101,7 +102,7 @@ def test_intersections_on_plane(run11):
 
 
 def test_intersections_on_scroll(run11):
-    s = run11.surfaces[(1, 2, 8)]
+    s = surface_calculators(run11)[(1, 2, 8)]
     g = run11.group
     # the passing line's character restricts to a fibre: square zero
     alpha = restrict_c1(s, chi(g, 2))
@@ -113,7 +114,7 @@ def test_intersections_on_scroll(run11):
 def test_intersections_on_dp6(run30):
     g = run30.group
     s = next(
-        ss for v, ss in run30.surfaces.items()
+        ss for ss in surface_calculators(run30).values()
         if ss.surface.surface_type == "dP6" and ss.mark_char == chi(g, 7)
     )
     c1 = restrict_c1(s, chi(g, 14))
@@ -128,7 +129,7 @@ def test_intersections_on_dp6(run30):
 def test_trivial_character_restricts_to_zero(run11):
     g = run11.group
     triv = g.reduce(MONO_ONE)
-    for s in run11.surfaces.values():
+    for s in surface_calculators(run11).values():
         alpha = restrict_c1(s, triv)
         assert all(intersect(s, alpha, restrict_c1(s, c)) == 0 for c in g.characters())
 
@@ -144,11 +145,12 @@ def test_duality_identity(run11, run30, run_trivial):
 def test_perturbed_duality_entry_reported(run11):
     g = run11.group
     bundles = list(run11.bundles)
+    calcs = surface_calculators(run11)
     # swap one character in one bundle: pairing must fail with named (m, n)
     bad = bundles[0]
     doctored = VirtualBundle(bad.index, bad.vertex, (chi(g, 5), chi(g, 5)), bad.minus)
     with pytest.raises(CorrespondenceError) as err:
-        duality_matrix(g, [doctored] + bundles[1:], run11.surfaces)
+        duality_matrix(g, [doctored] + bundles[1:], calcs)
     assert set(err.value.detail) >= {"m", "n", "entry", "expected"}
     assert err.value.detail["m"] == g.char_label(bad.index)
     # the same fault in the last bundle: every earlier row passes, so the
@@ -156,12 +158,12 @@ def test_perturbed_duality_entry_reported(run11):
     last = bundles[-1]
     doctored = VirtualBundle(last.index, last.vertex, (chi(g, 5), chi(g, 5)), last.minus)
     with pytest.raises(CorrespondenceError) as err:
-        duality_matrix(g, bundles[:-1] + [doctored], run11.surfaces)
-    row = {v: s.c2_pairing(doctored) for v, s in sorted(run11.surfaces.items())}
+        duality_matrix(g, bundles[:-1] + [doctored], calcs)
+    row = {v: s.c2_pairing(doctored) for v, s in sorted(calcs.items())}
     v = next(v for v, entry in row.items() if entry != int(v == last.vertex))
     assert err.value.detail == {
         "m": g.char_label(last.index),
-        "n": g.char_label(run11.surfaces[v].mark_char),
+        "n": g.char_label(calcs[v].mark_char),
         "entry": row[v],
         "expected": int(v == last.vertex),
     }
@@ -174,7 +176,7 @@ def test_surface_star_rejects_boundary_vertex(run11):
 
 def test_intersection_matrix_symmetry(run30):
     for s in run30.surfaces.values():
-        Q = intersection_matrix(s.surface)
+        Q = intersection_matrix(s)
         n = len(Q)
         assert all(Q[i][j] == Q[j][i] for i in range(n) for j in range(n))
         for i in range(n):
@@ -232,12 +234,12 @@ def differential_run(request):
     return run_pipeline(request.param)
 
 
-def _oracle_restriction(calc, chi):
+def _oracle_restriction(chart_set, surface, chi):
     """Boundary degrees one curve at a time, then an HNF solve of Q alpha = d."""
-    d = tuple(calc.chart_set.degree_on_curve(chi, ei) for ei in calc.surface.edge_ids)
+    d = tuple(chart_set.degree_on_curve(chi, ei) for ei in surface.edge_ids)
     if not any(d):
         return (0,) * len(d), d
-    alpha = intmat.solve_int(intersection_matrix(calc.surface), d)
+    alpha = intmat.solve_int(intersection_matrix(surface), d)
     assert alpha is not None
     return alpha, d
 
@@ -246,10 +248,10 @@ def _oracle_intersect(Q, alpha, beta):
     return sum(alpha[i] * Q[i][j] * beta[j] for i in range(len(alpha)) for j in range(len(beta)))
 
 
-def _oracle_c2(calc, bundle):
-    Q = intersection_matrix(calc.surface)
-    plus = [_oracle_restriction(calc, c)[0] for c in bundle.plus]
-    minus = [_oracle_restriction(calc, c)[0] for c in bundle.minus]
+def _oracle_c2(chart_set, surface, bundle):
+    Q = intersection_matrix(surface)
+    plus = [_oracle_restriction(chart_set, surface, c)[0] for c in bundle.plus]
+    minus = [_oracle_restriction(chart_set, surface, c)[0] for c in bundle.minus]
     if sum(map(any, plus)) < 2 and sum(map(any, minus)) < 2:
         return 0
     total = 0
@@ -263,10 +265,10 @@ def _oracle_c2(calc, bundle):
 def test_restriction_and_pairing_match_the_solver_oracle(differential_run):
     g = differential_run.group
     chars = g.characters()
-    for calc in differential_run.surfaces.values():
+    for calc in surface_calculators(differential_run).values():
         Q = intersection_matrix(calc.surface)
         new = {c: restrict_c1(calc, c) for c in chars}
-        old = {c: _oracle_restriction(calc, c) for c in chars}
+        old = {c: _oracle_restriction(differential_run.charts, calc.surface, c) for c in chars}
         for c in chars:
             assert intmat.vec_mat(new[c], Q) == old[c][1], c
         nonzero = [c for c in chars if any(old[c][0])]
@@ -290,27 +292,24 @@ def test_c2_pairing_matches_the_solver_oracle(differential_run):
         minus = tuple(rng.choice(chars) for _ in range(rng.randint(1, 3)))
         if g.char_sum(plus) != g.char_sum(minus):
             bundles.append(VirtualBundle(plus[0], (0, 0, 0), plus, minus))
-    for calc in art.surfaces.values():
+    for calc in surface_calculators(art).values():
         for b in bundles:
-            assert calc.c2_pairing(b) == _oracle_c2(calc, b), (calc.surface.vertex, b)
+            assert calc.c2_pairing(b) == _oracle_c2(art.charts, calc.surface, b), (
+                calc.surface.vertex, b
+            )
 
 
 class _FixedDegreeCharts:
     """Chart-set stand-in whose every character has the same boundary degrees."""
 
     def __init__(self, group, surface, degrees):
-        self.group = group
         self.edge_column = {ei: j for j, ei in enumerate(surface.edge_ids)}
-        self._degrees = tuple(degrees)
-        self.curve_support = tuple(tuple(group.characters()) if d else () for d in degrees)
-
-    def degree_row(self, chi):
-        return self._degrees
+        self._degree = tuple(dict.fromkeys(group.characters(), d) if d else {} for d in degrees)
 
 
 def test_unrealisable_degrees_are_reported(run11):
     g = run11.group
-    plane = run11.surfaces[(3, 6, 2)].surface
+    plane = run11.surfaces[(3, 6, 2)]
     calc = SurfaceCalculus(_FixedDegreeCharts(g, plane, (1, 0, 0)), plane, chi(g, 4))
     with pytest.raises(InvariantViolationError) as err:
         restrict_c1(calc, chi(g, 2))
@@ -372,9 +371,8 @@ def _duality_outcome(matrix_fn, group, bundles, surfaces):
 
 def _assert_duality_paths_agree(art, perturbations):
     g = art.group
-    assert duality_matrix(g, art.bundles, art.surfaces) == _dense_duality_matrix(
-        g, art.bundles, art.surfaces
-    )
+    calcs = surface_calculators(art)
+    assert duality_matrix(g, art.bundles, calcs) == _dense_duality_matrix(g, art.bundles, calcs)
     # one character of one bundle swapped for a random one: both paths must
     # name the same first failing entry, or both pass
     rng = random.Random(11)
@@ -386,8 +384,8 @@ def _assert_duality_paths_agree(art, perturbations):
         plus[rng.randrange(len(plus))] = rng.choice(chars)
         bundles = list(art.bundles)
         bundles[k] = VirtualBundle(b.index, b.vertex, tuple(plus), b.minus)
-        assert _duality_outcome(duality_matrix, g, bundles, art.surfaces) == _duality_outcome(
-            _dense_duality_matrix, g, bundles, art.surfaces
+        assert _duality_outcome(duality_matrix, g, bundles, calcs) == _duality_outcome(
+            _dense_duality_matrix, g, bundles, calcs
         ), b
 
 
@@ -402,6 +400,7 @@ def test_sparse_duality_matches_the_dense_oracle_at_199():
 def test_doctored_bundles_fail_alike_on_both_paths(run11):
     g = run11.group
     bundles = list(run11.bundles)
+    calcs = surface_calculators(run11)
     triv = g.reduce(MONO_ONE)
     for k, plus, minus in (
         (0, (chi(g, 5), chi(g, 5)), bundles[0].minus),
@@ -413,16 +412,22 @@ def test_doctored_bundles_fail_alike_on_both_paths(run11):
         doctored = list(bundles)
         doctored[k] = VirtualBundle(bad.index, bad.vertex, plus, minus)
         with pytest.raises(CorrespondenceError) as sparse:
-            duality_matrix(g, doctored, run11.surfaces)
+            duality_matrix(g, doctored, calcs)
         with pytest.raises(CorrespondenceError) as dense:
-            _dense_duality_matrix(g, doctored, run11.surfaces)
+            _dense_duality_matrix(g, doctored, calcs)
         assert str(sparse.value) == str(dense.value)
         assert sparse.value.detail == dense.value.detail
         assert sparse.value.detail["m"] == g.char_label(bad.index)
 
 
 def test_duality_pairs_only_the_touching_surfaces(run30, monkeypatch):
-    """Bundle-surface pairs with no character on the surface's boundary are skipped."""
+    """Bundle-surface pairs with no character on the surface's boundary are skipped.
+
+    The run keeps only the star fans; the calculators are rebuilt here.
+    """
+    assert run30.surfaces
+    assert all(type(s) is CompactSurface for s in run30.surfaces.values())
+    calcs = surface_calculators(run30)
     calls = []
     original = SurfaceCalculus.c2_pairing
 
@@ -431,15 +436,15 @@ def test_duality_pairs_only_the_touching_surfaces(run30, monkeypatch):
         return original(self, bundle)
 
     monkeypatch.setattr(SurfaceCalculus, "c2_pairing", counted)
-    duality_matrix(run30.group, run30.bundles, run30.surfaces)
+    duality_matrix(run30.group, run30.bundles, calcs)
     touching = {
         (v, b.vertex)
-        for v, calc in run30.surfaces.items()
+        for v, calc in calcs.items()
         for b in run30.bundles
         if calc.support.intersection(b.plus + b.minus)
     }
     assert sorted(calls) == sorted(touching)
-    assert len(calls) < len(run30.bundles) * len(run30.surfaces)
+    assert len(calls) < len(run30.bundles) * len(calcs)
 
 
 # -- h2: the unitriangular peel, and the ZSpan fallback when it stalls
@@ -457,9 +462,10 @@ def test_peel_retires_every_basis_character(differential_run):
     assert sorted(chi for chi, _ in peeled) == basis
     # a unitriangular minor: degree 1 on the diagonal, 0 below it
     for k, (chi, j) in enumerate(peeled):
-        assert C.degree_row(chi)[j] == 1
-        assert all(C.degree_row(later)[j] == 0 for later, _ in peeled[k + 1:])
-    columns = [list(col) for col in zip(*(C.degree_row(chi) for chi in basis))]
+        column = C._degree[j]
+        assert column[chi] == 1
+        assert all(column.get(later, 0) == 0 for later, _ in peeled[k + 1:])
+    columns = [[column.get(chi, 0) for chi in basis] for column in C._degree]
     assert intmat.columns_generate_full_lattice(columns, len(basis))
 
 
@@ -467,14 +473,7 @@ class _DegreeColumns:
     """Chart-set stand-in given by its degree matrix, one list per edge column."""
 
     def __init__(self, chars, columns):
-        rows = list(zip(*columns))
-        self._rows = dict(zip(chars, rows))
-        self.curve_support = tuple(
-            tuple(c for c, d in zip(chars, col) if d) for col in columns
-        )
-
-    def degree_row(self, chi):
-        return self._rows[chi]
+        self._degree = tuple({c: d for c, d in zip(chars, col) if d} for col in columns)
 
 
 class _Partition:

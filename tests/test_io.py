@@ -63,6 +63,7 @@ def test_cli_rejects_garbage(capsys):
         ["check", "1/3(1,1,1)", "--max-order=abc"],
         ["check", "1/3(1,1,1)", "--check", "nope"],
         ["nope", "1/3(1,1,1)"],
+        ["check", "1/" + "9" * 5000 + "(1,1,1)"],  # more digits than `int` converts
     ],
 )
 def test_cli_usage_errors_are_input_errors(argv, capsys):
@@ -328,7 +329,14 @@ def test_from_json_rejects_wrong_schema(version):
 
 
 @pytest.mark.parametrize(
-    "text", ["{oops", "", "[1, 2", pytest.param("[" * 200000, id="nested-200000-deep")]
+    "text",
+    [
+        "{oops",
+        "",
+        "[1, 2",
+        pytest.param("[" * 200000, id="nested-200000-deep"),
+        pytest.param('{"schema_version": ' + "9" * 5000 + "}", id="int-of-5000-digits"),
+    ],
 )
 def test_from_json_rejects_text_that_is_not_json(text):
     with pytest.raises(InputError, match="not JSON"):

@@ -213,9 +213,8 @@ def test_relations_names_a_degree_row_that_breaks_a_relation(monkeypatch):
         verify_all_relations(charts, relations)
         rel = relations[0]
         chi = next(c for c in rel.rhs if c not in rel.lhs)
-        j = next(j for j, chars in enumerate(charts.curve_support) if chi in chars)
-        row = charts._degree[chi]
-        charts._degree[chi] = row[:j] + (row[j] + 1,) + row[j + 1:]
+        j = next(j for j, column in enumerate(charts._degree) if chi in column)
+        charts._degree[j][chi] += 1
         broken.append((rel.vertex, charts.triangulation.interior_edges()[j]))
 
     monkeypatch.setattr(pipeline, "verify_all_relations", verify_then_corrupt)
