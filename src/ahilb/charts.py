@@ -6,15 +6,18 @@ torus-fixed point of the chart carries a monomial basis of the cluster
 ring: for each character the unique exponent-minimal monomial of that
 weight.  Those generators drive everything downstream, so they are built
 once per triangulation and kept in a ChartSet, together with the degree of
-every tautological bundle on every compact curve.  Only the first table
-comes from a best-first search (`build_agraph`); every other one follows
-from a neighbour's across their shared edge, walking the dual graph
-breadth-first, and every table passes the same checks either way.  The
-walk crosses each interior edge once, and that crossing also gives the
-edge's degrees and checks that the support function is convex there.
-The degrees are kept as the crossings give them, one sparse column per
-interior edge (`ChartSet._degree`), and read in that form by `relations`
-and `cohomology`; a ChartSet is read-only once built.
+every tautological bundle on every compact curve.  Each chart's table is a
+tuple of its |A| generators indexed by character id (`group.char_id`, the
+order of `group.characters()`).  Only the first table comes from a
+best-first search (`build_agraph`); every other one follows from a
+neighbour's across their shared edge, walking the dual graph
+breadth-first, and shares each generator that does not move with it.
+Every table passes the same checks either way.  The walk crosses each
+interior edge once, and that crossing also gives the edge's degrees and
+checks that the support function is convex there.  The degrees are kept
+as the crossings give them, one sparse column per interior edge
+(`ChartSet._degree`, keyed by character), and read in that form by
+`relations` and `cohomology`; a ChartSet is read-only once built.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class Chart:
 
 @dataclass
 class AGraph:
-    table: dict  # character -> generator monomial
+    table: tuple  # generator monomial of each character, indexed by `group.char_id`
     socle: frozenset
 
 
@@ -44,8 +47,9 @@ def chart_coords(group, vertices) -> tuple:
     m = [list(v) for v in vertices]
     d = intmat.det3(m)
     order = group.order
+    where = {"vertices": tuple(vertices)}
     if abs(d) != order * order:
-        raise InvariantViolationError("chart requested for a non-basic triangle")
+        raise InvariantViolationError("chart requested for a non-basic triangle", detail=where)
     adj = intmat.adjugate3(m)
     # rows of order * m^{-1}: integer because the unscaled vertices base N
     duals = []
@@ -54,11 +58,11 @@ def chart_coords(group, vertices) -> tuple:
         for j in range(3):
             q, rem = divmod(order * adj[j][i], d)
             if rem:
-                raise InvariantViolationError("dual basis is not integral")
+                raise InvariantViolationError("dual basis is not integral", detail=where)
             vec.append(q)
         u = tuple(vec)
         if not group.is_invariant(u):
-            raise InvariantViolationError("chart coordinate is not invariant")
+            raise InvariantViolationError("chart coordinate is not invariant", detail=where)
         duals.append(ratio_split(u))
     return tuple(duals)
 
@@ -85,15 +89,15 @@ def build_agraph(group, tri_index, vertices) -> AGraph:
         P[0][2] + P[1][2] + P[2][2],
     )
     reduce = group.reduce
-    table = {}
+    found = {}  # character -> generator
     heap = [(0, MONO_ONE)]
     seen = {MONO_ONE}
-    while heap and len(table) < order:
+    while heap and len(found) < order:
         _, m = heappop(heap)
         chi = reduce(m)
-        if chi in table:
+        if chi in found:
             continue
-        table[chi] = m
+        found[chi] = m
         for child in (
             (m[0] + 1, m[1], m[2]),
             (m[0], m[1] + 1, m[2]),
@@ -103,17 +107,25 @@ def build_agraph(group, tri_index, vertices) -> AGraph:
                 continue  # xyz-multiples and huge exponents are never minimal
             seen.add(child)
             heappush(heap, (child[0] * S[0] + child[1] * S[1] + child[2] * S[2], child))
-    return _checked_agraph(order, tri_index, table)
-
-
-def _checked_agraph(order, tri_index, table) -> AGraph:
-    """The AGraph of a table, once its size and division closure check out."""
-    if len(table) != order:
+    if len(found) != order:
         raise InvariantViolationError(
-            f"chart basis has {len(table)} monomials, expected {order}",
+            f"chart basis has {len(found)} monomials, expected {order}",
             detail={"triangle": tri_index},
         )
-    members = frozenset(table.values())
+    table = tuple(map(found.__getitem__, group.characters()))
+    return _checked_agraph(tri_index, table, chart_coords(group, vertices))
+
+
+def _checked_agraph(tri_index, table, coords) -> AGraph:
+    """The AGraph of a table, once its division closure and minimality check out.
+
+    Minimality takes one membership test per chart coordinate num/den.  A
+    generator m has the smaller monomial m + den - num of its weight
+    exactly when num divides m, because `ratio_split` gives num and den
+    disjoint supports; and in a table closed under division some generator
+    is divisible by num exactly when num is itself a generator.
+    """
+    members = frozenset(table)
     socle = []
     for m in members:
         a, b, c = m
@@ -128,6 +140,12 @@ def _checked_agraph(order, tri_index, table) -> AGraph:
                 and (a, b + 1, c) not in members
                 and (a, b, c + 1) not in members):
             socle.append(m)
+    for num, _ in coords:
+        if num in members:
+            raise InvariantViolationError(
+                "chart generator is not weight-minimal",
+                detail={"triangle": tri_index, "monomial": num},
+            )
     return AGraph(table, frozenset(socle))
 
 
@@ -136,7 +154,7 @@ def _far_vertex(tri, edge):
     return next(v for v in tri.vertices if v not in (edge.a, edge.b))
 
 
-def _transition_table(table, u, edge, near, far):
+def _transition_table(table, u, edge, near, far, chars):
     """The neighbour's table across `edge`, from this side's `table`, and its degrees.
 
     The edge ratio u pairs to zero with both edge vertices, so along
@@ -148,8 +166,9 @@ def _transition_table(table, u, edge, near, far):
     which is the degree of the weight-chi bundle on the edge's curve.
     This side's far vertex `near` must pair negatively with v, or the
     support function is not convex across the edge.  Returns the table
-    and {chi: q} for the generators that move (q > 0); the others, and
-    the character keys, are shared with this table.
+    and {chi: q} for the generators that move (q > 0), keyed by the
+    characters `chars` in table order; the generators that do not move
+    are shared with this table.
     """
     s = u[0] * far[0] + u[1] * far[1] + u[2] * far[2]
     if s == 0 or intmat.vec_dot(u, edge.a) or intmat.vec_dot(u, edge.b):
@@ -165,58 +184,39 @@ def _transition_table(table, u, edge, near, far):
     # v vanishes on a nonzero vertex of the octant, so at most two v_i > 0
     pos = [(i, v[i]) for i in range(3) if v[i] > 0]
     (i, vi), (j, vj) = pos[0], pos[-1]
-    out = {}
+    out = list(table)
     moved = {}
-    for chi, m in table.items():
+    for k, m in enumerate(table):
         q = m[i] // vi
         r = m[j] // vj
         if r < q:
             q = r
         if q:
-            out[chi] = (m[0] - q * v0, m[1] - q * v1, m[2] - q * v2)
-            moved[chi] = q
-        else:
-            out[chi] = m
-    return out, moved
+            out[k] = (m[0] - q * v0, m[1] - q * v1, m[2] - q * v2)
+            moved[chars[k]] = q
+    return tuple(out), moved
 
 
-def _check_same_table(walked, table, u, edge):
+def _check_same_table(walked, table, u, edge, chars):
     """Across an edge off the walk's tree, the transitioned table is the stored one.
 
-    The first generator that differs is reported by whether it differs by
-    a multiple of u: on the edge's line it is the wrong extreme point, so
-    the support function is not convex; off it, no transition joins them.
+    The first generator that differs is reported, by its character in
+    `chars`, and by whether it differs by a multiple of u: on the edge's
+    line it is the wrong extreme point, so the support function is not
+    convex; off it, no transition joins them.
     """
     if walked == table:
         return
-    chi = next(c for c, m in walked.items() if table[c] != m)
-    diff = intmat.vec_sub(table[chi], walked[chi])
-    k = next(i for i in range(3) if u[i])
-    d = diff[k] // u[k]
+    k = next(k for k, m in enumerate(walked) if table[k] != m)
+    diff = intmat.vec_sub(table[k], walked[k])
+    n = next(i for i in range(3) if u[i])
+    d = diff[n] // u[n]
     on_u = diff == (d * u[0], d * u[1], d * u[2])
     raise InvariantViolationError(
         "support function is not convex" if on_u
         else "generator difference is not an integer multiple of the edge ratio",
-        detail={"edge": (edge.a, edge.b), "character": chi},
+        detail={"edge": (edge.a, edge.b), "character": chars[k]},
     )
-
-
-def _check_minimality_step(chart, graph):
-    # a generator shifted down by one chart coordinate must leave the octant;
-    # otherwise a smaller monomial of the same weight exists and the triangle
-    # cannot have been basic
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = [
-        intmat.vec_sub(den, num) for num, den in chart.coords
-    ]
-    for m in graph.table.values():
-        x, y, z = m
-        if ((x + a0 >= 0 and y + a1 >= 0 and z + a2 >= 0)
-                or (x + b0 >= 0 and y + b1 >= 0 and z + b2 >= 0)
-                or (x + c0 >= 0 and y + c1 >= 0 and z + c2 >= 0)):
-            raise InvariantViolationError(
-                "chart generator is not weight-minimal",
-                detail={"triangle": chart.triangle, "monomial": m},
-            )
 
 
 class ChartSet:
@@ -225,7 +225,7 @@ class ChartSet:
     Triangle 0's table comes from `build_agraph`; a breadth-first walk
     crosses every interior edge once, from whichever of its triangles it
     built first (`_transition_table`).  Across a tree edge of the walk the
-    transitioned table becomes the neighbour's, checked for size, division
+    transitioned table becomes the neighbour's, checked for division
     closure and minimality; across any other edge it must equal the table
     already stored.  Either way the crossing gives the edge's column of the
     degree table, {chi: q} for the characters of nonzero degree q on the
@@ -236,7 +236,7 @@ class ChartSet:
     def __init__(self, triangulation):
         self.triangulation = T = triangulation
         self.group = triangulation.group
-        order = self.group.order
+        chars = self.group.characters()
         tris = T.triangles
         self.charts = [
             Chart(ti, chart_coords(self.group, tri.vertices))
@@ -252,9 +252,7 @@ class ChartSet:
             neighbours[t1].append((t2, j, e))
             neighbours[t2].append((t1, j, e))
         self.agraphs = [None] * len(tris)
-        root = build_agraph(self.group, 0, tris[0].vertices)
-        _check_minimality_step(self.charts[0], root)
-        self.agraphs[0] = root
+        self.agraphs[0] = build_agraph(self.group, 0, tris[0].vertices)
         columns = [None] * len(interior)  # per edge column: character -> nonzero degree
         queue = [0]
         for ti in queue:
@@ -264,14 +262,12 @@ class ChartSet:
                     continue
                 u = T.lines[e.line].u
                 walked, columns[j] = _transition_table(
-                    table, u, e, _far_vertex(tris[ti], e), _far_vertex(tris[tj], e)
+                    table, u, e, _far_vertex(tris[ti], e), _far_vertex(tris[tj], e), chars
                 )
                 if self.agraphs[tj] is not None:
-                    _check_same_table(walked, self.agraphs[tj].table, u, e)
+                    _check_same_table(walked, self.agraphs[tj].table, u, e, chars)
                     continue
-                graph = _checked_agraph(order, tj, walked)
-                _check_minimality_step(self.charts[tj], graph)
-                self.agraphs[tj] = graph
+                self.agraphs[tj] = _checked_agraph(tj, walked, self.charts[tj].coords)
                 queue.append(tj)
         if len(queue) != len(tris):
             missing = next(ti for ti, g in enumerate(self.agraphs) if g is None)
@@ -285,5 +281,8 @@ class ChartSet:
         """Transition exponent of the weight-chi bundle across an interior edge."""
         column = self.edge_column.get(edge_index)
         if column is None:
-            raise InvariantViolationError("degrees are defined on interior edges only")
+            e = self.triangulation.edges[edge_index]
+            raise InvariantViolationError(
+                "degrees are defined on interior edges only", detail={"edge": (e.a, e.b)}
+            )
         return self._degree[column].get(self.group.reduce(chi), 0)

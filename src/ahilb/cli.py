@@ -27,6 +27,7 @@ from .render import quiver_svg, triangulation_svg
 from .serialize import jsonable, to_json
 
 ENV_MAX_ORDER = "AHILB_MAX_ORDER"
+WRITE_SLICE = 1 << 20  # characters per `write`, see `_write_sliced`
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,6 +85,12 @@ def _max_order(args):
     return cap
 
 
+def _write_sliced(fh, text):
+    """Write `text` in slices, so that no encoded copy of all of it is made."""
+    for start in range(0, len(text), WRITE_SLICE):
+        fh.write(text[start:start + WRITE_SLICE])
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -114,7 +121,7 @@ def main(argv=None) -> int:
     for path, view in outputs:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(view(art))
+                _write_sliced(fh, view(art))
         except OSError as exc:
             print(f"input error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
             return 1

@@ -155,9 +155,10 @@ def mark_vertex(triangulation, chart_set, vertex, edge_ids):
     if case != CASE_DP6:
         # the mark generator sits in the socle of every chart at the vertex
         chi = marks[0]
+        k = g.char_id(chi)
         for ti in T.triangles_at(vertex):
             graph = chart_set.agraphs[ti]
-            if graph.table[chi] not in graph.socle:
+            if graph.table[k] not in graph.socle:
                 raise InvariantViolationError(
                     "vertex mark generator missing from a socle",
                     detail={"vertex": vertex, "character": chi},
@@ -425,8 +426,7 @@ def quiver_embedding(triangulation, chart_set, decoration) -> QuiverEmbedding:
             break
     if chosen is None:
         raise InvariantViolationError("no chart contains the barycentre")
-    table = chart_set.agraphs[chosen].table
-    placements = {chi: table[chi] for chi in g.characters()}
+    placements = dict(zip(g.characters(), chart_set.agraphs[chosen].table))
     _check_embedding(g, placements)
     return QuiverEmbedding(chosen, placements)
 

@@ -50,9 +50,9 @@ def derive_relations(triangulation, decoration):
     return out
 
 
-def _monomial(table, chars):
-    """Product of the generators of `chars` in one chart's table, as an exponent triple."""
-    return tuple(map(sum, zip(*(table[chi] for chi in chars))))
+def _monomial(table, ids):
+    """Product of the generators of the character ids `ids` in one chart's table."""
+    return tuple(map(sum, zip(*(table[k] for k in ids))))
 
 
 def verify_all_relations(chart_set, relations):
@@ -69,10 +69,10 @@ def verify_all_relations(chart_set, relations):
     the walk reaches every triangle from triangle 0.  Conversely, an
     identity on both charts of an edge forces equal degree sums there.
     """
-    reduce = chart_set.group.reduce
+    cid = chart_set.group.char_id
     table = chart_set.agraphs[0].table
     for rel in relations:
-        if _monomial(table, map(reduce, rel.lhs)) != _monomial(table, map(reduce, rel.rhs)):
+        if _monomial(table, map(cid, rel.lhs)) != _monomial(table, map(cid, rel.rhs)):
             raise CorrespondenceError(
                 "relation fails on a chart",
                 detail={"vertex": rel.vertex, "witness_triangle": 0},

@@ -11,14 +11,16 @@ ensure_ascii=False)` plus a final newline, where `doc` is
 `build_document(art)`; that expression is the reference `to_json` is
 tested against.  `to_json` writes the same text without building `doc`
 first: the |A| per-triangle `agraph` tables, which hold |A|^2 entries
-between them, share one key order and are filled into one `%d`
-template, and every other section goes through `_iterencode`.
+between them, are tuples indexed by character id that share one key
+order, so each is filled into one `%d` template by one `itemgetter`
+call, and every other section goes through `_iterencode`.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
+from operator import itemgetter
 
 from .errors import InputError
 
@@ -33,12 +35,7 @@ _AGRAPH_LEVEL = 3
 
 def build_document(art) -> dict:
     """The document as plain JSON values."""
-    cid = art.group.char_id
-
-    def agraph(table):
-        return {str(cid(chi)): list(m) for chi, m in sorted(table.items())}
-
-    return _document(art, agraph)
+    return _document(art, lambda table: {str(k): list(m) for k, m in enumerate(table)})
 
 
 def _document(art, agraph) -> dict:
@@ -213,19 +210,21 @@ class _Raw(str):
 
 
 def _agraph_layout(group):
-    """Lays out agraph tables, all keyed by the |A| characters, from one template."""
-    keyed = sorted((str(group.char_id(c)), c) for c in group.characters())
-    order = [c for _, c in keyed]
+    """Lays out agraph tables, all indexed by the |A| character ids, from one template."""
+    ids = sorted(range(group.order), key=str)  # the document's key order
     key = "\n" + " " * (_AGRAPH_LEVEL + 1)
     val = "\n" + " " * (_AGRAPH_LEVEL + 2)
     item = ": [" + val + "%d," + val + "%d," + val + "%d" + key + "]"
     template = (
-        "{" + key + ("," + key).join(_encode_str(k) + item for k, _ in keyed)
+        "{" + key + ("," + key).join(_encode_str(str(k)) + item for k in ids)
         + "\n" + " " * _AGRAPH_LEVEL + "}"
     )
+    if len(ids) == 1:  # `itemgetter` of one index returns the item, not a tuple
+        return lambda table: _Raw(template % table[0])
+    pick = itemgetter(*ids)
 
     def agraph(table):
-        return _Raw(template % tuple(chain.from_iterable(map(table.__getitem__, order))))
+        return _Raw(template % tuple(chain.from_iterable(pick(table))))
 
     return agraph
 

@@ -42,16 +42,16 @@ def surface_calculators(art):
 
 def conv_region(charts, chi, monomial):
     """Triangles whose generator of weight chi is the given monomial."""
-    chi = charts.group.reduce(chi)
-    return [ti for ti, g in enumerate(charts.agraphs) if g.table.get(chi) == monomial]
+    k = charts.group.char_id(chi)
+    return [ti for ti, g in enumerate(charts.agraphs) if g.table[k] == monomial]
 
 
 def conv_regions(charts, chi):
     """Generator of weight chi -> the triangles where it generates."""
-    chi = charts.group.reduce(chi)
+    k = charts.group.char_id(chi)
     out = {}
     for ti, g in enumerate(charts.agraphs):
-        out.setdefault(g.table[chi], []).append(ti)
+        out.setdefault(g.table[k], []).append(ti)
     return out
 
 
@@ -60,20 +60,20 @@ def verify_relation_chartwise(chart_set, relation):
 
     Returns (True, None) or (False, witness_triangle_index).
     """
-    reduce = chart_set.group.reduce
-    lhs_chars = [reduce(chi) for chi in relation.lhs]
-    rhs_chars = [reduce(chi) for chi in relation.rhs]
+    cid = chart_set.group.char_id
+    lhs_ids = [cid(chi) for chi in relation.lhs]
+    rhs_ids = [cid(chi) for chi in relation.rhs]
     for ti, graph in enumerate(chart_set.agraphs):
         table = graph.table
         lhs = [0, 0, 0]
-        for chi in lhs_chars:
-            m = table[chi]
+        for k in lhs_ids:
+            m = table[k]
             lhs[0] += m[0]
             lhs[1] += m[1]
             lhs[2] += m[2]
         rhs = [0, 0, 0]
-        for chi in rhs_chars:
-            m = table[chi]
+        for k in rhs_ids:
+            m = table[k]
             rhs[0] += m[0]
             rhs[1] += m[1]
             rhs[2] += m[2]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ahilb import charts, intmat
-from ahilb.charts import ChartSet, build_agraph, chart_coords
+from ahilb.charts import AGraph, Chart, ChartSet, build_agraph, chart_coords
 from ahilb.errors import InvariantViolationError
 from ahilb.fan import triangulate
 from ahilb.group import MONO_ONE, build_group
@@ -59,8 +59,8 @@ def test_agraph_bijective_and_closed(spec):
     g, C = art.group, art.charts
     for graph in C.agraphs:
         assert len(graph.table) == g.order
-        assert graph.table[g.reduce(MONO_ONE)] == MONO_ONE
-        members = set(graph.table.values())
+        assert graph.table[g.char_id(MONO_ONE)] == MONO_ONE
+        members = set(graph.table)
         assert len(members) == g.order
         for m in members:
             for i in range(3):
@@ -72,8 +72,9 @@ def test_agraph_bijective_and_closed(spec):
 def test_generator_weights(run30):
     g, C = run30.group, run30.charts
     for graph in C.agraphs:
-        for c, m in graph.table.items():
-            assert g.weight(m) == c
+        assert len(graph.table) == g.order
+        for c in g.characters():
+            assert g.weight(graph.table[g.char_id(c)]) == c
 
 
 def test_minimiser_consistency_brute_force():
@@ -105,7 +106,8 @@ def _assert_minimisers(g, triangles):
         by_char.setdefault(g.reduce(m), []).append(m)
     for vertices in triangles:
         graph = build_agraph(g, 0, vertices)
-        for c, gen in graph.table.items():
+        for c in g.characters():
+            gen = graph.table[g.char_id(c)]
             pair = [intmat.vec_dot(gen, P) for P in vertices]
             for m in by_char[c]:
                 assert all(
@@ -180,7 +182,8 @@ def _transition_exponent_oracle(C, chi, edge_index):
     t1, t2 = e.triangles
     line = T.lines[e.line]
     u = intmat.vec_sub(line.plus, line.minus)
-    diff = intmat.vec_sub(C.agraphs[t1].table[chi], C.agraphs[t2].table[chi])
+    k = C.group.char_id(chi)
+    diff = intmat.vec_sub(C.agraphs[t1].table[k], C.agraphs[t2].table[k])
     d = None
     for i in range(3):
         if u[i]:
@@ -205,8 +208,10 @@ def test_degree_table_matches_transition_rule(spec):
         expected = [_transition_exponent_oracle(C, chi, ei) for ei in interior]
         assert [C.degree_on_curve(chi, ei) for ei in interior] == expected
     boundary = next(ei for ei, e in enumerate(T.edges) if not e.interior)
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(InvariantViolationError, match="interior edges only") as err:
         C.degree_on_curve(C.group.characters()[1], boundary)
+    e = T.edges[boundary]
+    assert err.value.detail == {"edge": (e.a, e.b)}
 
 
 def _pairwise_degrees(C):
@@ -231,8 +236,7 @@ def _pairwise_degrees(C):
         s1, s2 = intmat.vec_dot(u, w1), intmat.vec_dot(u, w2)
         tab1, tab2 = C.agraphs[t1].table, C.agraphs[t2].table
         column = {}
-        for c in chars:
-            r1, r2 = tab1[c], tab2[c]
+        for c, r1, r2 in zip(chars, tab1, tab2):  # tables are in character-id order
             if r1 == r2:
                 continue
             diff = intmat.vec_sub(r1, r2)
@@ -255,17 +259,24 @@ def _shift_first_cross_edge(monkeypatch, shift):
     built = {0}
     shifted = []
 
-    def corrupt(table, u, edge, near, far):
-        out, moved = original(table, u, edge, near, far)
+    def corrupt(table, u, edge, near, far, chars):
+        out, moved = original(table, u, edge, near, far, chars)
         if not shifted and built.issuperset(edge.triangles):
-            c = sorted(out)[1]
-            out[c] = intmat.vec_add(out[c], shift(u))
+            c = sorted(chars)[1]
+            out = _shifted(out, chars.index(c), shift(u))
             shifted.append(((edge.a, edge.b), c))
         built.update(edge.triangles)
         return out, moved
 
     monkeypatch.setattr(charts, "_transition_table", corrupt)
     return shifted
+
+
+def _shifted(table, k, step):
+    """`table` with its generator at index k moved by `step`."""
+    out = list(table)
+    out[k] = intmat.vec_add(out[k], step)
+    return tuple(out)
 
 
 def test_transition_off_the_edge_ratio_is_reported(monkeypatch):
@@ -297,12 +308,13 @@ def test_far_vertices_on_one_side_of_an_edge_are_not_convex(run11):
         w1 = charts._far_vertex(T.triangles[t1], e)
         w2 = charts._far_vertex(T.triangles[t2], e)
         u = T.lines[e.line].u
-        table, _ = charts._transition_table(C.agraphs[t1].table, u, e, w1, w2)
+        chars = C.group.characters()
+        table, _ = charts._transition_table(C.agraphs[t1].table, u, e, w1, w2, chars)
         assert table == C.agraphs[t2].table
         # the other far vertex on the same side, or on the edge's plane
         for near in (w2, e.a):
             with pytest.raises(InvariantViolationError, match="^support function is not convex$") as err:
-                charts._transition_table(C.agraphs[t1].table, u, e, near, w2)
+                charts._transition_table(C.agraphs[t1].table, u, e, near, w2, chars)
             assert err.value.detail == {"edge": (e.a, e.b)}
 
 
@@ -317,19 +329,19 @@ def test_socle_y2_at_valency3_vertex(run11):
     gens = set()
     for ti in T.triangles_at(v):
         graph = C.agraphs[ti]
-        m = graph.table[chi4]
+        m = graph.table[g.char_id(chi4)]
         assert m in graph.socle
         gens.add(m)
     assert (0, 2, 0) in gens  # y^2 = y^{2b} with b = 1
 
 
 def test_vertex_mark_in_socle_everywhere(run30):
-    T, C, D = run30.triangulation, run30.charts, run30.decoration
+    g, T, C, D = run30.group, run30.triangulation, run30.charts, run30.decoration
     for v, vm in D.vertex_marks.items():
         for ti in T.triangles_at(v):
             graph = C.agraphs[ti]
             for m in vm.marks:
-                assert graph.table[m] in graph.socle
+                assert graph.table[g.char_id(m)] in graph.socle
 
 
 def test_corner_membership_iff_variable_absent():
@@ -477,14 +489,14 @@ def _support_convexity_violations(C, chi):
     among the neighbours, so across every interior edge the triangle
     owning a vertex must pair <= the other side's generator there.
     """
-    chi = C.group.reduce(chi)
+    k = C.group.char_id(chi)
     T = C.triangulation
     bad = []
     for ei in T.interior_edges():
         t1, t2 = T.edges[ei].triangles
         for a, b in ((t1, t2), (t2, t1)):
-            ra = C.agraphs[a].table[chi]
-            rb = C.agraphs[b].table[chi]
+            ra = C.agraphs[a].table[k]
+            rb = C.agraphs[b].table[k]
             for w in T.triangles[b].vertices:
                 if intmat.vec_dot(rb, w) > intmat.vec_dot(ra, w):
                     bad.append((ei, a, b, w))
@@ -499,14 +511,69 @@ def test_support_convexity(run11):
 
 def test_non_basic_triangle_rejected():
     g = build_group("1/11(1,2,8)")
-    with pytest.raises(InvariantViolationError):
-        chart_coords(g, ((11, 0, 0), (0, 11, 0), (1, 2, 8)))
+    vertices = ((11, 0, 0), (0, 11, 0), (1, 2, 8))
+    with pytest.raises(InvariantViolationError, match="^chart requested for a non-basic triangle$") as err:
+        chart_coords(g, vertices)
+    assert err.value.detail == {"vertices": vertices}
+
+
+def _dict_walk(T):
+    """The chart walk on dict tables, character -> generator: the oracle of `ChartSet`.
+
+    Triangle 0's table is the search's; across each interior edge, from
+    the triangle built first, every generator m moves to m - q*v, with v
+    the edge ratio oriented toward the other far vertex and q the largest
+    the octant allows.  Returns each triangle's table and socle, and the
+    nonzero q of each interior edge as {chi: q} in `interior_edges()` order.
+    """
+    g, tris = T.group, T.triangles
+    interior = T.interior_edges()
+    neighbours = [[] for _ in tris]
+    for j, ei in enumerate(interior):
+        e = T.edges[ei]
+        t1, t2 = e.triangles
+        neighbours[t1].append((t2, j, e))
+        neighbours[t2].append((t1, j, e))
+    tables = [None] * len(tris)
+    tables[0] = dict(zip(g.characters(), build_agraph(g, 0, tris[0].vertices).table))
+    columns = [None] * len(interior)
+    queue = [0]
+    for ti in queue:
+        for tj, j, e in neighbours[ti]:
+            if columns[j] is not None:
+                continue
+            u = T.lines[e.line].u
+            v = u if intmat.vec_dot(u, charts._far_vertex(tris[tj], e)) > 0 else intmat.vec_neg(u)
+            pos = [(i, v[i]) for i in range(3) if v[i] > 0]
+            (i, vi), (k, vk) = pos[0], pos[-1]
+            walked, columns[j] = {}, {}
+            for c, m in tables[ti].items():
+                q = min(m[i] // vi, m[k] // vk)
+                walked[c] = (m[0] - q * v[0], m[1] - q * v[1], m[2] - q * v[2])
+                if q:
+                    columns[j][c] = q
+            if tables[tj] is None:
+                tables[tj] = walked
+                queue.append(tj)
+            else:
+                assert walked == tables[tj]
+    socles = []
+    for table in tables:
+        members = set(table.values())
+        socles.append(frozenset(
+            (a, b, c) for a, b, c in members
+            if (a + 1, b, c) not in members
+            and (a, b + 1, c) not in members
+            and (a, b, c + 1) not in members
+        ))
+    return tables, socles, tuple(columns)
 
 
 def test_walked_tables_match_the_heap():
     """Every table the edge walk derives equals the best-first search's.
 
-    The degree table's columns equal those found by comparing the two
+    Each table, socle and degree column also equals the dict-table walk's,
+    and the degree table's columns equal those found by comparing the two
     tables of every interior edge.
     """
     runs, _ = _cyclic_family_runs()
@@ -519,11 +586,92 @@ def test_walked_tables_match_the_heap():
         ((spec, ChartSet(triangulate(build_group(spec)))) for spec in others),
     )
     for spec, C in chart_sets:
+        g = C.group
+        tables, socles, columns = _dict_walk(C.triangulation)
         for ti, tri in enumerate(C.triangulation.triangles):
-            want = build_agraph(C.group, ti, tri.vertices)
+            want = build_agraph(g, ti, tri.vertices)
             got = C.agraphs[ti]
             assert got.table == want.table and got.socle == want.socle, (spec, ti)
+            assert len(got.table) == g.order, (spec, ti)
+            assert dict(zip(g.characters(), got.table)) == tables[ti], (spec, ti)
+            assert got.socle == socles[ti], (spec, ti)
+        assert C._degree == columns, spec
         assert C._degree == _pairwise_degrees(C), spec
+
+
+def _check_minimality_step(chart, graph):
+    """Every generator against every chart coordinate: the oracle of the membership test.
+
+    A generator shifted down by one chart coordinate must leave the
+    octant; otherwise a smaller monomial of the same weight exists and
+    the triangle cannot have been basic.
+    """
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = [
+        intmat.vec_sub(den, num) for num, den in chart.coords
+    ]
+    for m in graph.table:
+        x, y, z = m
+        if ((x + a0 >= 0 and y + a1 >= 0 and z + a2 >= 0)
+                or (x + b0 >= 0 and y + b1 >= 0 and z + b2 >= 0)
+                or (x + c0 >= 0 and y + c1 >= 0 and z + c2 >= 0)):
+            raise InvariantViolationError(
+                "chart generator is not weight-minimal",
+                detail={"triangle": chart.triangle, "monomial": m},
+            )
+
+
+def _is_weight_minimal(check):
+    try:
+        check()
+    except InvariantViolationError as exc:
+        assert str(exc) == "chart generator is not weight-minimal"
+        return False
+    return True
+
+
+def test_minimality_membership_test_agrees_with_the_generator_scan():
+    """On each chart's own table and on both neighbours' tables across every interior edge."""
+    runs, _ = _cyclic_family_runs()
+    rejected = 0
+    for spec, art in runs.items():
+        T, C = art.triangulation, art.charts
+        pairs = [(ti, ti) for ti in range(len(T.triangles))]
+        for ei in T.interior_edges():
+            t1, t2 = T.edges[ei].triangles
+            pairs += [(t1, t2), (t2, t1)]
+        for ti, tj in pairs:
+            chart, graph = C.charts[tj], C.agraphs[ti]
+            scan = _is_weight_minimal(lambda: _check_minimality_step(chart, graph))
+            member = _is_weight_minimal(
+                lambda: charts._checked_agraph(tj, graph.table, chart.coords)
+            )
+            assert scan == member, (spec, ti, tj)
+            assert scan == (ti == tj), (spec, ti, tj)
+            rejected += not scan
+    assert rejected > 0
+
+
+def test_table_holding_a_coordinate_numerator_is_not_weight_minimal(monkeypatch):
+    """A derived table left equal to its parent's holds a numerator of the new chart."""
+    original = charts._transition_table
+
+    def unmoved(table, u, edge, near, far, chars):
+        return table, original(table, u, edge, near, far, chars)[1]
+
+    monkeypatch.setattr(charts, "_transition_table", unmoved)
+    g = build_group("1/11(1,2,8)")
+    T = triangulate(g)
+    with pytest.raises(InvariantViolationError, match="^chart generator is not weight-minimal$") as err:
+        ChartSet(T)
+    # the walk's first tree edge leaves triangle 0
+    e = next(T.edges[ei] for ei in T.interior_edges() if 0 in T.edges[ei].triangles)
+    tj = next(t for t in e.triangles if t != 0)
+    root = build_agraph(g, 0, T.triangles[0].vertices)
+    coords = chart_coords(g, T.triangles[tj].vertices)
+    num = next(n for n, _ in coords if n in root.table)
+    assert err.value.detail == {"triangle": tj, "monomial": num}
+    with pytest.raises(InvariantViolationError, match="not weight-minimal"):
+        _check_minimality_step(Chart(tj, coords), AGraph(root.table, root.socle))
 
 
 def test_full_run_builds_one_heap_table_per_chart_set(monkeypatch):
@@ -547,11 +695,11 @@ def test_corrupted_derived_table_fails_decoration(monkeypatch, sign):
     original = charts._transition_table
     corrupted = []
 
-    def corrupt(table, u, edge, near, far):
-        out, moved = original(table, u, edge, near, far)
+    def corrupt(table, u, edge, near, far, chars):
+        out, moved = original(table, u, edge, near, far, chars)
         if not corrupted:
-            chi = sorted(out)[1]
-            out[chi] = tuple(a + sign * b for a, b in zip(out[chi], u))
+            chi = sorted(chars)[1]
+            out = _shifted(out, chars.index(chi), tuple(sign * b for b in u))
             corrupted.append(chi)
         return out, moved
 

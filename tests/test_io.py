@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ahilb import serialize
+from ahilb import cli, serialize
 from ahilb.cli import main
 from ahilb.errors import InputError
 from ahilb.group import build_group, parse_group_spec
@@ -247,6 +247,14 @@ def test_cli_json_file_matches_the_bench_digest(tmp_path, capsys):
     spec, out = "1/401(1,7,393)", tmp_path / "out.json"
     assert main(["compute", spec, "--json", str(out), "--quiet"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[spec]
+
+
+def test_cli_json_file_joins_its_slices(tmp_path, monkeypatch, capsys):
+    # slices far shorter than a line, across the labels' χ, two bytes in UTF-8
+    monkeypatch.setattr(cli, "WRITE_SLICE", 7)
+    spec, out = "1/11(1,2,8)", tmp_path / "out.json"
+    assert main(["compute", spec, "--json", str(out), "--quiet"]) == 0
+    assert out.read_bytes() == to_json(run_pipeline(spec)).encode("utf-8")
 
 
 @pytest.mark.parametrize(

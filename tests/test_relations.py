@@ -83,8 +83,8 @@ def _halves(charts, rel):
     return tuple(out)
 
 
-def _monomial(table, chars):
-    return tuple(map(sum, zip(*(table[c] for c in chars))))
+def _monomial(g, table, chars):
+    return tuple(map(sum, zip(*(table[g.char_id(c)] for c in chars))))
 
 
 def _seeded_relations(art, rng, count):
@@ -101,7 +101,7 @@ def _seeded_relations(art, rng, count):
     # two pairs with one product on triangle 0 have equal character sums too
     by_product = {}
     for pair in itertools.combinations_with_replacement(chars, 2):
-        by_product.setdefault(_monomial(root, pair), []).append(pair)
+        by_product.setdefault(_monomial(g, root, pair), []).append(pair)
     shared = [pairs for pairs in by_product.values() if len(pairs) > 1]
     for _ in range(count if shared else 0):
         lhs, rhs = rng.sample(rng.choice(shared), 2)
@@ -142,7 +142,7 @@ def test_relation_broken_on_the_root_chart_names_triangle_0(monkeypatch):
         for lhs, rhs in itertools.combinations(
             itertools.combinations(g.characters(), 2), 2
         ):
-            if g.char_sum(lhs) == g.char_sum(rhs) and _monomial(root, lhs) != _monomial(root, rhs):
+            if g.char_sum(lhs) == g.char_sum(rhs) and _monomial(g, root, lhs) != _monomial(g, root, rhs):
                 return Relation(real.vertex, real.case, lhs, rhs)
 
     rel, art = _doctored_run(monkeypatch, "1/30(25,2,3)", pick)
@@ -161,7 +161,7 @@ def test_relation_broken_off_the_root_chart_names_a_curve(monkeypatch):
         for lhs, rhs in itertools.combinations(
             itertools.combinations(g.characters(), 2), 2
         ):
-            if _monomial(root, lhs) == _monomial(root, rhs):
+            if _monomial(g, root, lhs) == _monomial(g, root, rhs):
                 rel = Relation(real.vertex, real.case, lhs, rhs)
                 if not verify_relation_chartwise(C, rel)[0]:
                     return rel
@@ -174,7 +174,8 @@ def test_relation_broken_off_the_root_chart_names_a_curve(monkeypatch):
 
     def gap(ti):  # lhs minus rhs exponents on one chart
         table = C.agraphs[ti].table
-        return tuple(a - b for a, b in zip(_monomial(table, rel.lhs), _monomial(table, rel.rhs)))
+        lhs, rhs = _monomial(g, table, rel.lhs), _monomial(g, table, rel.rhs)
+        return tuple(a - b for a, b in zip(lhs, rhs))
 
     # the first interior edge across which the identity's gap changes
     e = next(T.edges[ei] for ei in T.interior_edges()
