@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .errors import CorrespondenceError, InvariantViolationError
-from .fan import QuotientMap, primitive_step
+from .fan import QuotientMap
 from .group import MONO_ONE
 from .recipe import CASE_BLOWNUP, CASE_DP6, CASE_P2, CASE_SCROLL
 
@@ -82,9 +82,8 @@ def surface_star(triangulation, vertex) -> CompactSurface:
     rays = []
     for ei in T.vertex_edge_map()[vertex]:
         e = T.edges[ei]
-        d = intmat.vec_sub(e.b if e.a == vertex else e.a, vertex)
-        step, _ = primitive_step(g, d)
-        rays.append((qm.proj(step), ei))
+        # a basic triangle's edge is one primitive lattice step (the `basic` check)
+        rays.append((qm.proj(intmat.vec_sub(e.b if e.a == vertex else e.a, vertex)), ei))
     rays.sort(key=functools.cmp_to_key(lambda a, b: angle_cmp(a[0], b[0])))
     n = len(rays)
     selfint = []

@@ -206,7 +206,7 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER) -> AbelianGroup:
             detail={"bound": bound, "max_order": max_order},
         )
 
-    # closure over triples scaled by the lcm of the generator orders
+    # closure over triples scaled by the lcm of the generator orders; |A| <= bound
     gens_L = [tuple((L // r) * a for a in w) for r, w in spec.generators]
     identity = (0, 0, 0)
     seen = {identity}
@@ -220,11 +220,6 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER) -> AbelianGroup:
                     seen.add(f)
                     nxt.append(f)
         frontier = nxt
-        if len(seen) > max_order:
-            raise ResourceLimitError(
-                f"group closure exceeds the cap {max_order}",
-                detail={"max_order": max_order},
-            )
     order = len(seen)
 
     # rescale from denominator L to denominator |A| (orders divide |A|)

@@ -7,7 +7,9 @@ pair is computed from the socles of the six incident charts and verified
 against the projection-monomial construction.  The result partitions the
 nontrivial characters: each marks exactly one line, vertex, or is the
 designated second character of a triple intersection, which the
-pipeline's `partition` stage checks.
+pipeline's `partition` stage checks.  Each regular triangle's side ratios
+are checked against the tesselation's side-ratio identity, which the
+`ratios` stage runs.
 """
 
 from __future__ import annotations
@@ -286,67 +288,81 @@ def classify_characters(line_marks, vertex_marks):
 
 
 # ---------------------------------------------------------------------------
-# corner-region character lists
+# regular triangles: the side-ratio identity
+
+
+def _side_ratios(T, regular_index, kind):
+    """The three side ratios of a regular triangle of side r, checked.
+
+    Side i runs from vertex i to vertex i+1; its ratio is the `line_ratio`
+    vector u, signed positive at the opposite vertex.  A vertex and the unit
+    steps along its two sides are a basis of the scaled lattice (det = |A|^2),
+    and u is primitive in the invariant lattice, so u is r|A| at the opposite
+    vertex, r steps from its side, and 0 at the other two.  The three ratios
+    thus sum to a vector that agrees with r(1,1,1) on the vertices, which span
+    Q^3: they sum to r(1,1,1), and at r = 1 they are a basic triangle's dual
+    basis.  In a corner frame (z the corner variable) the sum reads
+    d-a = e-b-c = f = r, and in a meeting of champions the cyclic identities.
+    Every side lies on a line from a simplex corner E_c, where u_c = 0: a
+    corner triangle has E_c as a vertex, and a champion's ratios have one
+    zero each, at three different coordinates.
+    """
+    g = T.group
+    reg = T.regular_triangles[regular_index]
+    where = {"regular": regular_index}
+    if reg.kind != kind:
+        raise InvariantViolationError(
+            f"regular triangle is not a {kind} triangle", detail={**where, "kind": reg.kind}
+        )
+    if kind == "corner" and simplex_corners(g.order)[reg.corner] not in reg.vertices:
+        raise InvariantViolationError(
+            "corner triangle without its corner as a vertex", detail={**where, "corner": reg.corner}
+        )
+    v = reg.vertices
+    ratios = []
+    for p, q, opposite in zip(v, v[1:] + v[:1], v[2:] + v[:2]):
+        u = line_ratio(g, p, q)[0]
+        if intmat.vec_dot(u, opposite) < 0:
+            u = intmat.vec_neg(u)
+        if 0 not in u:
+            raise InvariantViolationError(
+                "side of a regular triangle on no line from a simplex corner",
+                detail={**where, "side": (p, q), "ratio": u},
+            )
+        ratios.append(u)
+    zeros = sorted(tuple(j for j in range(3) if u[j] == 0) for u in ratios)
+    if kind == "champion" and zeros != [(0,), (1,), (2,)]:
+        raise InvariantViolationError(
+            "champion sides not on lines from three different corners",
+            detail={**where, "ratios": ratios},
+        )
+    total = tuple(map(sum, zip(*ratios)))
+    if total != (reg.side,) * 3:
+        raise InvariantViolationError(
+            "side ratios of a regular triangle do not sum to r(1,1,1)",
+            detail={**where, "r": reg.side, "sum": total},
+        )
+    return ratios
 
 
 def corner_region_characters(triangulation, regular_index):
     """Weights of the monomial rectangle attached to a corner regular triangle.
 
-    Extracts the side ratios in the corner's frame, checks the index
-    identities d-a = e-b-c = f = r, and returns the characters of
-    z^(f-k) and x^(d-i) z^(f-k) for i,k = 0..r (in frame variables).
+    In the corner's frame z is the corner variable and x the first other
+    variable missing from the far side's ratio; f is the far side's
+    z-exponent and d the largest x-exponent of the side ratios.  Returns,
+    for k = 0..r in turn, the characters of z^(f-k) and x^(d-i) z^(f-k)
+    for i = 0..r.
     """
-    T = triangulation
-    g = T.group
-    reg = T.regular_triangles[regular_index]
-    if reg.kind != "corner":
-        raise InvariantViolationError("character rectangle needs a corner triangle")
-    corner = reg.corner
-    Ec = simplex_corners(g.order)[corner]
-    side_lines = []
-    for i in range(3):
-        p, q = reg.vertices[i], reg.vertices[(i + 1) % 3]
-        u, plus, minus = line_ratio(g, p, q)
-        side_lines.append((frozenset((p, q)), u, plus, minus))
-    through = [sl for sl in side_lines if Ec in sl[0]]
-    across = [sl for sl in side_lines if Ec not in sl[0]]
-    if len(through) != 2 or len(across) != 1:
-        raise InvariantViolationError("corner triangle sides are mislabeled")
-
-    others = [i for i in range(3) if i != corner]
-    _, _, plus3, minus3 = across[0]
-    # the far side carries the pure power of the corner variable
-    for m_pure, m_other in ((plus3, minus3), (minus3, plus3)):
-        if m_pure[corner] and all(m_pure[i] == 0 for i in others):
-            break
-    else:
-        raise InvariantViolationError("far side of corner triangle has no pure power")
-    f = m_pure[corner]
-    support = [i for i in others if m_other[i]]
-    if len(support) > 1 or m_other[corner]:
-        raise InvariantViolationError("far side mixes both non-corner variables")
-    r = reg.side
-
-    def try_frame(xvar, yvar):
-        c = m_other[yvar]
-        if support and support[0] != yvar:
-            return None
-        exps = []
-        for _, _, plus, minus in through:
-            exps.append((plus[xvar] + minus[xvar], plus[yvar] + minus[yvar]))
-        exps.sort()
-        (a, e), (d, b) = exps
-        if d - a == e - b - c == f == r:
-            return a, b, c, d, e, xvar
-        return None
-
-    frame = try_frame(others[0], others[1]) or try_frame(others[1], others[0])
-    if frame is None:
-        raise InvariantViolationError(
-            "corner triangle violates the side-ratio identities",
-            detail={"regular": regular_index, "side": r},
-        )
-    a, b, c, d, e, xvar = frame
+    g = triangulation.group
+    ratios = _side_ratios(triangulation, regular_index, "corner")
+    reg = triangulation.regular_triangles[regular_index]
+    corner, r = reg.corner, reg.side
+    # the two sides through E_c have no z; the far side is the other one
+    far = next(u for u in ratios if u[corner])
+    f = far[corner]
+    xvar = next(i for i in range(3) if i != corner and far[i] == 0)
+    d = max(u[xvar] for u in ratios)
 
     def mono(xe, ze):
         m = [0, 0, 0]
@@ -354,47 +370,13 @@ def corner_region_characters(triangulation, regular_index):
         m[corner] = ze
         return tuple(m)
 
-    chars = []
-    for k in range(r + 1):
-        chars.append(g.weight(mono(0, f - k)))
-        for i in range(r + 1):
-            chars.append(g.weight(mono(d - i, f - k)))
-    return chars
+    x_exponents = (0, *range(d, d - r - 1, -1))
+    return [g.weight(mono(xe, f - k)) for k in range(r + 1) for xe in x_exponents]
 
 
 def champion_identities(triangulation, regular_index):
-    """Check the cyclic side-ratio identities of a meeting of champions.
-
-    The three sides are cut out by two-variable ratios covering the pairs
-    {x,y}, {y,z}, {z,x}; for each variable the difference of its exponents
-    in the two incident ratios must equal the side length, with one
-    consistent cyclic orientation.
-    """
-    T = triangulation
-    g = T.group
-    reg = T.regular_triangles[regular_index]
-    if reg.kind != "champion":
-        raise InvariantViolationError("not a meeting of champions")
-
-    by_pair = {}
-    for i in range(3):
-        p, q = reg.vertices[i], reg.vertices[(i + 1) % 3]
-        _, plus, minus = line_ratio(g, p, q)
-        exps = tuple(plus[j] + minus[j] for j in range(3))
-        sup = frozenset(j for j in range(3) if exps[j])
-        if len(sup) != 2 or sup in by_pair:
-            raise InvariantViolationError("champion sides are not two-variable ratios")
-        by_pair[sup] = exps
-    if set(by_pair) != {frozenset((0, 1)), frozenset((1, 2)), frozenset((0, 2))}:
-        raise InvariantViolationError("champion sides do not cover the variable pairs")
-    r = reg.side
-    xy, yz, zx = (by_pair[frozenset(p)] for p in ((0, 1), (1, 2), (0, 2)))
-    diffs = (xy[0] - zx[0], yz[1] - xy[1], zx[2] - yz[2])
-    if not (diffs == (r, r, r) or diffs == (-r, -r, -r)):
-        raise InvariantViolationError(
-            "champion triangle violates the cyclic side identities",
-            detail={"differences": diffs, "side": r},
-        )
+    """Check the side-ratio identity of a meeting of champions (see `_side_ratios`)."""
+    _side_ratios(triangulation, regular_index, "champion")
     return True
 
 
@@ -452,6 +434,11 @@ def hexagon_position(monomial):
     return (monomial[0] - monomial[2], monomial[1] - monomial[2])
 
 
+# the six neighbours of a hexagon; the edge to neighbour k runs between its
+# drawn corners k and k+1
+HEX_STEPS = ((1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1), (1, 0))
+
+
 def _check_embedding(group, placements):
     if len(placements) != group.order:
         raise CorrespondenceError("quiver domain does not have |A| hexagons")
@@ -471,10 +458,9 @@ def _check_embedding(group, placements):
     start = next(iter(cells))
     stack = [start]
     reached = {start}
-    steps = [(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)]
     while stack:
         c = stack.pop()
-        for dx, dy in steps:
+        for dx, dy in HEX_STEPS:
             n = (c[0] + dx, c[1] + dy)
             if n in cells and n not in reached:
                 reached.add(n)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import cos, pi, sin, sqrt
 
 from .fan import simplex_corners
-from .recipe import CASE_DP6, hexagon_position
+from .recipe import CASE_DP6, HEX_STEPS, hexagon_position
 
 _SIZE = 640.0
 _MARGIN = 48.0
@@ -137,9 +137,8 @@ def quiver_svg(art) -> str:
         pts = _hex_corners(cx, cy)
         path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
         out.append(f'<polygon class="hex" points="{path}"/>')
-        for k in range(6):
-            nbr = _hex_neighbor(cell, k)
-            if nbr not in cells:
+        for k, (dx, dy) in enumerate(HEX_STEPS):
+            if (cell[0] + dx, cell[1] + dy) not in cells:
                 a, b = pts[k], pts[(k + 1) % 6]
                 boundary.append((a, b))
     out.append("</g>")
@@ -156,10 +155,3 @@ def quiver_svg(art) -> str:
     out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def _hex_neighbor(cell, k):
-    # neighbors in corner order: between corner k and k+1 lies one edge
-    steps = [(1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1), (1, 0)]
-    dx, dy = steps[k]
-    return (cell[0] + dx, cell[1] + dy)

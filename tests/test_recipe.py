@@ -1,7 +1,14 @@
+import dataclasses
+import functools
+import random
+from types import SimpleNamespace
+
 import pytest
 
+from ahilb import pipeline
 from ahilb.errors import InvariantViolationError
-from ahilb.group import MONO_ONE
+from ahilb.fan import line_ratio, simplex_corners, triangulate
+from ahilb.group import MONO_ONE, build_group
 from ahilb.pipeline import run_pipeline
 from ahilb.recipe import (
     CASE_DP6,
@@ -12,6 +19,7 @@ from ahilb.recipe import (
     projection_pair,
 )
 from conftest import chi
+from test_fan import _differential_specs
 
 
 def test_line_marks_11(run11):
@@ -155,8 +163,232 @@ def test_corner_region_requires_corner_kind():
     art = run_pipeline("1/7(1,2,4)", which="fan")
     T = art.triangulation
     champ = next(i for i, r in enumerate(T.regular_triangles) if r.kind == "champion")
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(InvariantViolationError, match="not a corner triangle") as exc:
         corner_region_characters(T, champ)
+    assert exc.value.detail == {"regular": champ, "kind": "champion"}
+
+
+# ---------------------------------------------------------------------------
+# the side-ratio identity, against the two case analyses it replaced
+
+
+def _oracle_corner_region_characters(triangulation, regular_index):
+    """The corner-frame search: both frames tried, the far side's pure power found."""
+    T = triangulation
+    g = T.group
+    reg = T.regular_triangles[regular_index]
+    if reg.kind != "corner":
+        raise InvariantViolationError("character rectangle needs a corner triangle")
+    corner = reg.corner
+    Ec = simplex_corners(g.order)[corner]
+    side_lines = []
+    for i in range(3):
+        p, q = reg.vertices[i], reg.vertices[(i + 1) % 3]
+        u, plus, minus = line_ratio(g, p, q)
+        side_lines.append((frozenset((p, q)), u, plus, minus))
+    through = [sl for sl in side_lines if Ec in sl[0]]
+    across = [sl for sl in side_lines if Ec not in sl[0]]
+    if len(through) != 2 or len(across) != 1:
+        raise InvariantViolationError("corner triangle sides are mislabeled")
+
+    others = [i for i in range(3) if i != corner]
+    _, _, plus3, minus3 = across[0]
+    for m_pure, m_other in ((plus3, minus3), (minus3, plus3)):
+        if m_pure[corner] and all(m_pure[i] == 0 for i in others):
+            break
+    else:
+        raise InvariantViolationError("far side of corner triangle has no pure power")
+    f = m_pure[corner]
+    support = [i for i in others if m_other[i]]
+    if len(support) > 1 or m_other[corner]:
+        raise InvariantViolationError("far side mixes both non-corner variables")
+    r = reg.side
+
+    def try_frame(xvar, yvar):
+        c = m_other[yvar]
+        if support and support[0] != yvar:
+            return None
+        exps = []
+        for _, _, plus, minus in through:
+            exps.append((plus[xvar] + minus[xvar], plus[yvar] + minus[yvar]))
+        exps.sort()
+        (a, e), (d, b) = exps
+        if d - a == e - b - c == f == r:
+            return a, b, c, d, e, xvar
+        return None
+
+    frame = try_frame(others[0], others[1]) or try_frame(others[1], others[0])
+    if frame is None:
+        raise InvariantViolationError("corner triangle violates the side-ratio identities")
+    a, b, c, d, e, xvar = frame
+
+    def mono(xe, ze):
+        m = [0, 0, 0]
+        m[xvar] = xe
+        m[corner] = ze
+        return tuple(m)
+
+    chars = []
+    for k in range(r + 1):
+        chars.append(g.weight(mono(0, f - k)))
+        for i in range(r + 1):
+            chars.append(g.weight(mono(d - i, f - k)))
+    return chars
+
+
+def _oracle_champion_identities(triangulation, regular_index):
+    """The variable-pair dictionary: cyclic exponent differences all +r or all -r."""
+    T = triangulation
+    g = T.group
+    reg = T.regular_triangles[regular_index]
+    if reg.kind != "champion":
+        raise InvariantViolationError("not a meeting of champions")
+    by_pair = {}
+    for i in range(3):
+        p, q = reg.vertices[i], reg.vertices[(i + 1) % 3]
+        _, plus, minus = line_ratio(g, p, q)
+        exps = tuple(plus[j] + minus[j] for j in range(3))
+        sup = frozenset(j for j in range(3) if exps[j])
+        if len(sup) != 2 or sup in by_pair:
+            raise InvariantViolationError("champion sides are not two-variable ratios")
+        by_pair[sup] = exps
+    if set(by_pair) != {frozenset((0, 1)), frozenset((1, 2)), frozenset((0, 2))}:
+        raise InvariantViolationError("champion sides do not cover the variable pairs")
+    r = reg.side
+    xy, yz, zx = (by_pair[frozenset(p)] for p in ((0, 1), (1, 2), (0, 2)))
+    diffs = (xy[0] - zx[0], yz[1] - xy[1], zx[2] - yz[2])
+    if not (diffs == (r, r, r) or diffs == (-r, -r, -r)):
+        raise InvariantViolationError("champion triangle violates the cyclic side identities")
+    return True
+
+
+def _outcome(fn, T, regular_index):
+    try:
+        return fn(T, regular_index)
+    except InvariantViolationError:
+        return "raises"
+
+
+def _assert_agrees_with_oracle(T, regular_index, label):
+    for new, old in (
+        (corner_region_characters, _oracle_corner_region_characters),
+        (champion_identities, _oracle_champion_identities),
+    ):
+        assert _outcome(new, T, regular_index) == _outcome(old, T, regular_index), (label, new)
+
+
+@functools.cache
+def _triangulation(spec):
+    return triangulate(build_group(spec))
+
+
+def test_side_ratios_agree_with_the_case_analyses():
+    """Both functions, on every regular triangle of the fan's differential specs."""
+    kinds = set()
+    for spec in _differential_specs():
+        T = _triangulation(spec)
+        for ri, reg in enumerate(T.regular_triangles):
+            _assert_agrees_with_oracle(T, ri, (spec, ri))
+            kinds.add(reg.kind)
+    assert kinds == {"corner", "champion"}
+
+
+def _with_regular(T, regular_index, **changes):
+    """T's group and regular triangles, with one regular triangle changed."""
+    regs = list(T.regular_triangles)
+    regs[regular_index] = dataclasses.replace(regs[regular_index], **changes)
+    return SimpleNamespace(group=T.group, regular_triangles=regs)
+
+
+def _doctoring(rng, T, reg):
+    """Changes to reg: its side, one vertex moved to another fan point, or its kind swapped."""
+    how = rng.choice(["side", "vertex", "kind"])
+    if how == "side":
+        return {"side": reg.side + rng.choice([-1, 1, 2])}
+    if how == "vertex":
+        i = rng.randrange(3)
+        verts = list(reg.vertices)
+        verts[i] = rng.choice([p for p in T.points if p != verts[i]])
+        return {"vertices": tuple(verts)}
+    if reg.kind == "corner":
+        return {"kind": "champion", "corner": None}
+    return {"kind": "corner", "corner": rng.randrange(3)}
+
+
+def test_side_ratios_reject_what_the_case_analyses_reject():
+    """Seeded doctored regular triangles: both paths raise on the same ones."""
+    rng = random.Random(0)
+    specs = _differential_specs()
+    outcomes = set()
+    for _ in range(3000):
+        T = _triangulation(rng.choice(specs))
+        ri = rng.randrange(len(T.regular_triangles))
+        fake = _with_regular(T, ri, **_doctoring(rng, T, T.regular_triangles[ri]))
+        _assert_agrees_with_oracle(fake, ri, (T.group.order, fake.regular_triangles[ri]))
+        outcomes.add(_outcome(corner_region_characters, fake, ri) == "raises")
+    assert outcomes == {True, False}
+
+
+def test_champion_identities_require_champion_kind():
+    T = _triangulation("1/7(1,2,4)")
+    assert T.regular_triangles[0].kind == "corner"
+    with pytest.raises(InvariantViolationError, match="not a champion triangle") as exc:
+        champion_identities(T, 0)
+    assert exc.value.detail == {"regular": 0, "kind": "corner"}
+
+
+def test_corner_triangle_without_its_corner_is_rejected():
+    T = _triangulation("1/7(1,2,4)")
+    assert T.regular_triangles[0].corner == 1  # the corner (0, 7, 0); (7, 0, 0) is no vertex
+    with pytest.raises(InvariantViolationError, match="without its corner") as exc:
+        corner_region_characters(_with_regular(T, 0, corner=0), 0)
+    assert exc.value.detail == {"regular": 0, "corner": 0}
+
+
+def test_side_off_the_corner_lines_is_rejected():
+    T = _triangulation("1/11(1,2,8)")
+    reg = T.regular_triangles[4]
+    assert reg.vertices == ((0, 11, 0), (2, 4, 5), (3, 6, 2))
+    # (2,4,5)-(6,1,4) lies on x y^2 = z^2, which passes through no simplex corner
+    moved = _with_regular(T, 4, vertices=((0, 11, 0), (2, 4, 5), (6, 1, 4)))
+    with pytest.raises(InvariantViolationError, match="no line from a simplex corner") as exc:
+        corner_region_characters(moved, 4)
+    assert exc.value.detail == {"regular": 4, "side": ((2, 4, 5), (6, 1, 4)), "ratio": (1, 2, -2)}
+
+
+def test_champion_sides_from_one_corner_are_rejected():
+    T = _triangulation("1/7(1,2,4)")
+    swapped = _with_regular(T, 0, kind="champion", corner=None)
+    with pytest.raises(InvariantViolationError, match="three different corners") as exc:
+        champion_identities(swapped, 0)
+    assert exc.value.detail["regular"] == 0
+    assert [u.count(0) for u in exc.value.detail["ratios"]] == [1, 1, 2]
+
+
+def test_side_ratios_off_r_are_rejected():
+    T = _triangulation("1/11(1,2,8)")
+    assert T.regular_triangles[7].side == 2
+    with pytest.raises(InvariantViolationError, match=r"do not sum to r\(1,1,1\)") as exc:
+        corner_region_characters(_with_regular(T, 7, side=3), 7)
+    assert exc.value.detail == {"regular": 7, "r": 3, "sum": (2, 2, 2)}
+
+
+def test_wrong_regular_side_fails_the_ratios_check(monkeypatch):
+    real_triangulate = pipeline.triangulate
+
+    def lengthened(group):
+        T = real_triangulate(group)
+        T.regular_triangles[7] = dataclasses.replace(T.regular_triangles[7], side=3)
+        return T
+
+    monkeypatch.setattr(pipeline, "triangulate", lengthened)
+    art = run_pipeline("1/11(1,2,8)", which="fan")
+    failure = art.report.failure
+    assert failure["check"] == "ratios"
+    assert failure["error"] == "side ratios of a regular triangle do not sum to r(1,1,1)"
+    assert failure["detail"] == {"regular": 7, "r": 3, "sum": (2, 2, 2)}
+    assert art.report.checks["basic"]["status"] == "pass"
+    assert art.report.checks["ratios"]["status"] == "fail"
 
 
 def test_quiver_embedding_counts(run11, run30, run_trivial):
