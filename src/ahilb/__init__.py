@@ -9,7 +9,7 @@ from .errors import (
 )
 from .group import AbelianGroup, GroupSpec, build_group, parse_group_spec
 from .fan import Triangulation, corner_fan, knockout, monomial_knockout, triangulate
-from .charts import AGraph, Chart, ChartSet, build_agraph, chart_coords
+from .charts import AGraph, Chart, ChartSet, build_agraph
 from .recipe import (
     Decoration,
     VertexMark,
@@ -56,7 +56,6 @@ __all__ = [
     "Chart",
     "ChartSet",
     "build_agraph",
-    "chart_coords",
     "Decoration",
     "VertexMark",
     "corner_region_characters",

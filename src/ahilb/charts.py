@@ -1,23 +1,17 @@
 """Per-triangle chart data: coordinates, monomial bases, curve degrees.
 
-Every basic triangle gives an affine chart of the resolution.  Its three
-coordinates are the invariant ratios dual to the vertex basis, and the
-torus-fixed point of the chart carries a monomial basis of the cluster
-ring: for each character the unique exponent-minimal monomial of that
-weight.  Those generators drive everything downstream, so they are built
-once per triangulation and kept in a ChartSet, together with the degree of
-every tautological bundle on every compact curve.  Each chart's table is a
-tuple of its |A| generators indexed by character id (`group.char_id`, the
-order of `group.characters()`).  Only the first table comes from a
-best-first search (`build_agraph`); every other one follows from a
-neighbour's across their shared edge, walking the dual graph
-breadth-first, and shares each generator that does not move with it.
-Every table passes the same checks either way.  The walk crosses each
-interior edge once, and that crossing also gives the edge's degrees and
-checks that the support function is convex there.  The degrees are kept
-as the crossings give them, one sparse column per interior edge
-(`ChartSet._degree`, keyed by character), and read in that form by
-`relations` and `cohomology`; a ChartSet is read-only once built.
+Every basic triangle gives an affine chart of the resolution, with three
+coordinates read off the line table (see `ChartSet`).  The torus-fixed
+point of the chart carries a monomial basis of the cluster ring: for each
+character the unique exponent-minimal monomial of that weight.  Those
+generators drive everything downstream, so they are built once per
+triangulation and kept in a ChartSet, together with the degree of every
+tautological bundle on every compact curve, which `relations` and
+`cohomology` read.  Each chart's table is a tuple of its |A| generators
+indexed by character id (`group.char_id`, the order of
+`group.characters()`); a table walked across an edge shares each
+generator that does not move with its parent's.  A ChartSet is read-only
+once built.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ from heapq import heappop, heappush
 
 from . import intmat
 from .errors import InvariantViolationError
-from .group import MONO_ONE, ratio_split
+from .group import MONO_ONE
 
 
 @dataclass
@@ -42,32 +36,7 @@ class AGraph:
     socle: frozenset
 
 
-def chart_coords(group, vertices) -> tuple:
-    """Dual basis of the (unscaled) vertex basis, as monomial ratios."""
-    m = [list(v) for v in vertices]
-    d = intmat.det3(m)
-    order = group.order
-    where = {"vertices": tuple(vertices)}
-    if abs(d) != order * order:
-        raise InvariantViolationError("chart requested for a non-basic triangle", detail=where)
-    adj = intmat.adjugate3(m)
-    # rows of order * m^{-1}: integer because the unscaled vertices base N
-    duals = []
-    for i in range(3):
-        vec = []
-        for j in range(3):
-            q, rem = divmod(order * adj[j][i], d)
-            if rem:
-                raise InvariantViolationError("dual basis is not integral", detail=where)
-            vec.append(q)
-        u = tuple(vec)
-        if not group.is_invariant(u):
-            raise InvariantViolationError("chart coordinate is not invariant", detail=where)
-        duals.append(ratio_split(u))
-    return tuple(duals)
-
-
-def build_agraph(group, tri_index, vertices) -> AGraph:
+def build_agraph(group, tri_index, vertices, coords) -> AGraph:
     """Generators by best-first search on the vertex-pairing sum.
 
     The generator of a character is the monomial of that weight whose
@@ -80,6 +49,7 @@ def build_agraph(group, tri_index, vertices) -> AGraph:
 
     `ChartSet` builds only its root table this way and derives the rest by
     edge transitions; the tests keep this search as the oracle for those.
+    `coords` are the chart's coordinates, for the minimality check.
     """
     order = group.order
     P = vertices
@@ -113,7 +83,7 @@ def build_agraph(group, tri_index, vertices) -> AGraph:
             detail={"triangle": tri_index},
         )
     table = tuple(map(found.__getitem__, group.characters()))
-    return _checked_agraph(tri_index, table, chart_coords(group, vertices))
+    return _checked_agraph(tri_index, table, coords)
 
 
 def _checked_agraph(tri_index, table, coords) -> AGraph:
@@ -147,11 +117,6 @@ def _checked_agraph(tri_index, table, coords) -> AGraph:
                 detail={"triangle": tri_index, "monomial": num},
             )
     return AGraph(table, frozenset(socle))
-
-
-def _far_vertex(tri, edge):
-    """The vertex of `tri` off `edge`."""
-    return next(v for v in tri.vertices if v not in (edge.a, edge.b))
 
 
 def _transition_table(table, u, edge, near, far, chars):
@@ -222,47 +187,61 @@ def _check_same_table(walked, table, u, edge, chars):
 class ChartSet:
     """Charts, monomial bases and curve degrees for a whole triangulation.
 
+    Chart coordinate i of a triangle is the line table's ratio of its side
+    opposite vertex i (`Triangle.edges[i]`), signed positive at that vertex,
+    where it must pair to exactly |A|; given the line table, that holds
+    exactly when the triangle is basic.  The `basic` stage proves |det| =
+    |A|^2 and the `ratios` stage proves each ratio invariant, vanishing on
+    its line and minimal, so the signed ratios are the dual basis of the
+    vertices (Fulton, *Introduction to Toric Varieties*, 2.1).
+
     Triangle 0's table comes from `build_agraph`; a breadth-first walk
     crosses every interior edge once, from whichever of its triangles it
-    built first (`_transition_table`).  Across a tree edge of the walk the
-    transitioned table becomes the neighbour's, checked for division
-    closure and minimality; across any other edge it must equal the table
-    already stored.  Either way the crossing gives the edge's column of the
-    degree table, {chi: q} for the characters of nonzero degree q on the
-    edge's curve; `_degree` holds these columns in `interior_edges()` order.
-    A triangle the walk cannot reach is an error.
+    built first (`_transition_table`), taking each triangle's sides in
+    ascending edge id.  Across a tree edge of the walk the transitioned
+    table becomes the neighbour's, checked for division closure and
+    minimality; across any other edge it must equal the table already
+    stored.  Either way the crossing gives the edge's column of the degree
+    table, {chi: q} for the characters of nonzero degree q on the edge's
+    curve; `_degree` holds these columns by edge id, with an empty column
+    for each boundary edge.  A triangle the walk cannot reach is an error.
     """
 
     def __init__(self, triangulation):
         self.triangulation = T = triangulation
-        self.group = triangulation.group
-        chars = self.group.characters()
-        tris = T.triangles
-        self.charts = [
-            Chart(ti, chart_coords(self.group, tri.vertices))
-            for ti, tri in enumerate(tris)
-        ]
-        interior = T.interior_edges()
-        # interior edge index -> its column of the degree table
-        self.edge_column = {ei: j for j, ei in enumerate(interior)}
-        neighbours = [[] for _ in tris]
-        for j, ei in enumerate(interior):
-            e = T.edges[ei]
-            t1, t2 = e.triangles
-            neighbours[t1].append((t2, j, e))
-            neighbours[t2].append((t1, j, e))
+        self.group = g = triangulation.group
+        chars = g.characters()
+        tris, edges, lines = T.triangles, T.edges, T.lines
+        self.charts = []
+        for ti, tri in enumerate(tris):
+            coords = []
+            for p, ei in zip(tri.vertices, tri.edges):
+                ln = lines[edges[ei].line]
+                s = intmat.vec_dot(ln.u, p)
+                if abs(s) != g.order:
+                    raise InvariantViolationError("chart requested for a non-basic triangle",
+                                                  detail={"vertices": tri.vertices})
+                coords.append((ln.plus, ln.minus) if s > 0 else (ln.minus, ln.plus))
+            self.charts.append(Chart(ti, tuple(coords)))
         self.agraphs = [None] * len(tris)
-        self.agraphs[0] = build_agraph(self.group, 0, tris[0].vertices)
-        columns = [None] * len(interior)  # per edge column: character -> nonzero degree
+        self.agraphs[0] = build_agraph(g, 0, tris[0].vertices, self.charts[0].coords)
+        # per edge: character -> nonzero degree, filled as the walk crosses it
+        columns = [None if e.interior else {} for e in edges]
         queue = [0]
         for ti in queue:
+            tri = tris[ti]
             table = self.agraphs[ti].table
-            for tj, j, e in neighbours[ti]:
-                if columns[j] is not None:
+            for i in (2, 1, 0):  # ascending edge id
+                ei = tri.edges[i]
+                if columns[ei] is not None:
                     continue
-                u = T.lines[e.line].u
-                walked, columns[j] = _transition_table(
-                    table, u, e, _far_vertex(tris[ti], e), _far_vertex(tris[tj], e), chars
+                e = edges[ei]
+                t1, t2 = e.triangles
+                tj = t2 if t1 == ti else t1
+                nbr = tris[tj]
+                u = lines[e.line].u
+                walked, columns[ei] = _transition_table(
+                    table, u, e, tri.vertices[i], nbr.vertices[nbr.edges.index(ei)], chars
                 )
                 if self.agraphs[tj] is not None:
                     _check_same_table(walked, self.agraphs[tj].table, u, e, chars)
@@ -270,7 +249,7 @@ class ChartSet:
                 self.agraphs[tj] = _checked_agraph(tj, walked, self.charts[tj].coords)
                 queue.append(tj)
         if len(queue) != len(tris):
-            missing = next(ti for ti, g in enumerate(self.agraphs) if g is None)
+            missing = self.agraphs.index(None)
             raise InvariantViolationError(
                 "triangle not reachable across interior edges",
                 detail={"triangle": missing},
@@ -279,10 +258,9 @@ class ChartSet:
 
     def degree_on_curve(self, chi, edge_index):
         """Transition exponent of the weight-chi bundle across an interior edge."""
-        column = self.edge_column.get(edge_index)
-        if column is None:
-            e = self.triangulation.edges[edge_index]
+        e = self.triangulation.edges[edge_index]
+        if not e.interior:
             raise InvariantViolationError(
                 "degrees are defined on interior edges only", detail={"edge": (e.a, e.b)}
             )
-        return self._degree[column].get(self.group.reduce(chi), 0)
+        return self._degree[edge_index].get(self.group.reduce(chi), 0)

@@ -9,7 +9,7 @@ the degree rows of the surviving bundles must base the degree-2 lattice
 partition, without checking anything again.
 
 Both checks read the degree table's sparse columns (`ChartSet._degree`,
-one {chi: q} dict of nonzero degrees per interior edge), so they cost
+one {chi: q} dict of nonzero degrees per edge, by edge id), so they cost
 time in proportion to its nonzeros.  A character with degree 0 on every
 boundary curve of a surface restricts to the zero class there (Fulton,
 *Intersection Theory*, 3.2), so a bundle none of whose characters meets
@@ -146,7 +146,7 @@ class SurfaceCalculus:
         self.surface = surface
         self.mark_char = mark_char
         # the boundary curves' degree columns, in ray order (n >= 3 curves)
-        self._columns = [chart_set._degree[chart_set.edge_column[ei]] for ei in surface.edge_ids]
+        self._columns = [chart_set._degree[ei] for ei in surface.edge_ids]
         # characters of nonzero degree on some boundary curve; all others restrict to 0
         self.support = frozenset().union(*self._columns)
         self._zero = ((0,) * len(surface.rays),) * 2  # (alpha, d) of every degree-0 character
@@ -311,7 +311,8 @@ def h2_basis_check(chart_set, decoration):
     )
     b2 = len(basis_chars)
     if len(unitriangular_peel(chart_set, basis_chars)) < b2:
-        columns = [[column.get(chi, 0) for chi in basis_chars] for column in chart_set._degree]
+        # the nonempty columns are the interior edges': each has its line's mark
+        columns = [[column.get(c, 0) for c in basis_chars] for column in chart_set._degree if column]
         if not intmat.columns_generate_full_lattice(columns, b2):
             raise CorrespondenceError(
                 "degree matrix of surviving bundles is not a unimodular basis",

@@ -574,15 +574,18 @@ class Triangle:
     vertices: tuple  # lex-sorted
     orientation: str  # "up" | "down" within its regular triangle
     regular: int
+    edges: tuple = ()  # edge ids, descending; edges[i] is the side opposite vertices[i]
 
 
 class Triangulation:
     """Basic triangles, edges and ratio-labelled lines of the regular partition.
 
     Construction checks how many triangles each edge borders and builds
-    every incidence index, so the object is not written to after it.  The
-    pipeline checks the vertex set and Euler counts (`euler`), unimodularity
-    (`basic`), and the weights and minimality of line ratios (`ratios`).
+    every incidence index (a triangle's sides, an edge's triangles and line,
+    a line's edges, a vertex's edges and triangles), so the object is not
+    written to after it.  The pipeline checks the vertex set and Euler
+    counts (`euler`), unimodularity (`basic`), and the line table that chart
+    coordinates and side ratios are read from (`ratios`).
     """
 
     def __init__(self, group, partition):
@@ -618,13 +621,13 @@ class Triangulation:
         self.points = sorted({p for t in self.triangles for p in t.vertices})
 
     def _build_edges(self):
-        pairs = {}
+        pairs = {}  # the sides opposite lex-sorted vertices are sorted pairs
         for ti, t in enumerate(self.triangles):
-            v = t.vertices
-            for i in range(3):
-                key = tuple(sorted((v[i], v[(i + 1) % 3])))
+            a, b, c = t.vertices
+            for key in ((b, c), (a, c), (a, b)):
                 pairs.setdefault(key, []).append(ti)
         self.edges = []
+        ids = {}  # sorted vertex pair -> edge id
         for key in sorted(pairs):
             a, b = key
             interior = not on_simplex_side(a, b)
@@ -633,7 +636,11 @@ class Triangulation:
                 raise InvariantViolationError(
                     f"edge {key} borders {n} triangles", detail={"interior": interior}
                 )
+            ids[key] = len(self.edges)
             self.edges.append(Edge(a, b, -1, interior, pairs[key]))
+        for t in self.triangles:
+            a, b, c = t.vertices
+            t.edges = (ids[b, c], ids[a, c], ids[a, b])
 
     def _group_lines(self):
         corner_by_u = {}

@@ -14,8 +14,10 @@ same report.
 
 Each fact is checked once, in the stage the report names for it: the
 regular partition's area, the fan's vertex set and Euler counts in `euler`,
-unimodular triangles in `basic`, equal weights of ratio monomials in
-`ratios`, chart table sizes in `decoration` (by `ChartSet`), the exact
+unimodular triangles in `basic`, the line table in `ratios` (each ratio
+vanishes on its line, has equally weighted monomials, and is invariant
+and minimal; every chart coordinate and side ratio is read off this
+table), chart table sizes in `decoration` (by `ChartSet`), the exact
 character cover in `partition`, and a relation's character sums, its
 monomial identity on triangle 0's chart and its degree rows (its virtual
 bundle's degree zero on every curve) in `relations`, which together give
@@ -148,9 +150,10 @@ def _build_fan(art):
         raise InvariantViolationError("fan vertices differ from the simplex lattice points")
     I = len(T.interior_vertices())
     B = len(T.boundary_vertices())
+    counts = {"triangles": len(T.triangles), "interior": I, "boundary": B}
     if len(T.triangles) != order or 2 * I + B - 2 != order:
-        raise InvariantViolationError("euler counts failed")
-    return {"triangles": len(T.triangles), "interior": I, "boundary": B}
+        raise InvariantViolationError("euler counts failed", detail=counts)
+    return counts
 
 
 def _check_basic(art):
@@ -179,19 +182,21 @@ def _check_ratios(art):
                 raise InvariantViolationError(
                     "weights are not multiplicative", detail={"row": row, "generator": gen}
                 )
-    for ln in T.lines:
+    for li, ln in enumerate(T.lines):
         u = ln.u
+        where = {"line": li, "ratio": u}
         a, b = ln.endpoints
         if intmat.vec_dot(u, a) or intmat.vec_dot(u, b):
-            raise InvariantViolationError("ratio does not vanish on its line")
+            raise InvariantViolationError("ratio does not vanish on its line", detail=where)
         if g.weight(ln.plus) != g.weight(ln.minus):
-            raise InvariantViolationError("ratio monomials differ in weight")
+            raise InvariantViolationError("ratio monomials differ in weight", detail=where)
         if not g.is_invariant(u):
-            raise InvariantViolationError("ratio is not invariant")
+            raise InvariantViolationError("ratio is not invariant", detail=where)
         for d in divisors_desc(intmat.content(u))[:-1]:
             down = tuple(x // d for x in u)
             if g.is_invariant(down):
-                raise InvariantViolationError("ratio is not the minimal invariant relation")
+                raise InvariantViolationError("ratio is not the minimal invariant relation",
+                                              detail=where)
     corner_regions = 0
     for ri, reg in enumerate(T.regular_triangles):
         if reg.kind == "corner":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .errors import InvariantViolationError, CorrespondenceError
-from .fan import line_ratio, simplex_corners
+from .fan import simplex_corners
 from .group import MONO_ONE, monomial_mul
 
 CASE_P2 = "P2"
@@ -294,18 +294,19 @@ def classify_characters(line_marks, vertex_marks):
 def _side_ratios(T, regular_index, kind):
     """The three side ratios of a regular triangle of side r, checked.
 
-    Side i runs from vertex i to vertex i+1; its ratio is the `line_ratio`
-    vector u, signed positive at the opposite vertex.  A vertex and the unit
-    steps along its two sides are a basis of the scaled lattice (det = |A|^2),
-    and u is primitive in the invariant lattice, so u is r|A| at the opposite
+    Side i runs from vertex i to vertex i+1; its ratio is the line table's
+    u of its edge at one end (whose line passes through the other end),
+    signed positive at the opposite vertex.  A vertex and the unit steps
+    along its two sides are a basis of the scaled lattice (det = |A|^2), and
+    u is primitive in the invariant lattice, so u is r|A| at the opposite
     vertex, r steps from its side, and 0 at the other two.  The three ratios
-    thus sum to a vector that agrees with r(1,1,1) on the vertices, which span
-    Q^3: they sum to r(1,1,1), and at r = 1 they are a basic triangle's dual
-    basis.  In a corner frame (z the corner variable) the sum reads
-    d-a = e-b-c = f = r, and in a meeting of champions the cyclic identities.
-    Every side lies on a line from a simplex corner E_c, where u_c = 0: a
-    corner triangle has E_c as a vertex, and a champion's ratios have one
-    zero each, at three different coordinates.
+    thus sum to r(1,1,1), which they match on the vertices, a basis of Q^3;
+    at r = 1 they are a basic triangle's dual basis.  In a corner frame (z
+    the corner variable) the sum reads d-a = e-b-c = f = r, and in a meeting
+    of champions the cyclic identities.  Every side lies on a line from a
+    simplex corner E_c, where u_c = 0: a corner triangle has E_c as a
+    vertex, and a champion's ratios have one zero each, at three different
+    coordinates.
     """
     g = T.group
     reg = T.regular_triangles[regular_index]
@@ -318,10 +319,16 @@ def _side_ratios(T, regular_index, kind):
         raise InvariantViolationError(
             "corner triangle without its corner as a vertex", detail={**where, "corner": reg.corner}
         )
-    v = reg.vertices
+    vmap, v = T.vertex_edge_map(), reg.vertices
     ratios = []
     for p, q, opposite in zip(v, v[1:] + v[:1], v[2:] + v[:2]):
-        u = line_ratio(g, p, q)[0]
+        # from the end with fewer edges: a simplex corner has one per corner line
+        end, (x, y, z) = (p, q) if len(vmap[p]) <= len(vmap[q]) else (q, p)
+        at_end = (T.lines[T.edges[ei].line].u for ei in vmap[end])
+        u = next((u for u in at_end if u[0] * x + u[1] * y + u[2] * z == 0), None)
+        if u is None:
+            raise InvariantViolationError("side of a regular triangle along no edge",
+                                          detail={**where, "side": (p, q)})
         if intmat.vec_dot(u, opposite) < 0:
             u = intmat.vec_neg(u)
         if 0 not in u:
@@ -441,11 +448,13 @@ HEX_STEPS = ((1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1), (1, 0))
 
 def _check_embedding(group, placements):
     if len(placements) != group.order:
-        raise CorrespondenceError("quiver domain does not have |A| hexagons")
+        raise CorrespondenceError("quiver domain does not have |A| hexagons",
+                                  detail={"hexagons": len(placements), "order": group.order})
     seen = {}
     for chi, m in placements.items():
         if group.weight(m) != chi:
-            raise CorrespondenceError("quiver representative has the wrong weight")
+            raise CorrespondenceError("quiver representative has the wrong weight",
+                                      detail={"character": chi, "monomial": m})
         pos = hexagon_position(m)
         if pos in seen:
             raise CorrespondenceError(
@@ -455,7 +464,7 @@ def _check_embedding(group, placements):
         seen[pos] = chi
     # connectivity under the six unit steps of the hexagon plane
     cells = set(seen)
-    start = next(iter(cells))
+    start = min(cells)
     stack = [start]
     reached = {start}
     while stack:
@@ -466,4 +475,5 @@ def _check_embedding(group, placements):
                 reached.add(n)
                 stack.append(n)
     if reached != cells:
-        raise CorrespondenceError("quiver fundamental domain is disconnected")
+        raise CorrespondenceError("quiver fundamental domain is disconnected",
+                                  detail={"start": start, "unreached": sorted(cells - reached)})

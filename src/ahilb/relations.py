@@ -95,19 +95,18 @@ def check_bundle_degrees(chart_set, relations):
         for sign, side in ((1, rel.lhs), (-1, rel.rhs)):
             for chi in map(reduce, side):
                 uses.setdefault(chi, []).append((r, sign))
-    first_differ = {}  # relation index -> first edge column where its sides differ
-    for j, column in enumerate(chart_set._degree):
+    first_differ = {}  # relation index -> first edge where its sides differ
+    for ei, column in enumerate(chart_set._degree):
         excess = {}  # relation index -> lhs degree sum minus rhs degree sum
         for chi, q in column.items():
             for r, sign in uses.get(chi, ()):
                 excess[r] = excess.get(r, 0) + sign * q
         for r, d in excess.items():
             if d and r not in first_differ:
-                first_differ[r] = j
+                first_differ[r] = ei
     if first_differ:
         r = min(first_differ)
-        T = chart_set.triangulation
-        e = T.edges[T.interior_edges()[first_differ[r]]]
+        e = chart_set.triangulation.edges[first_differ[r]]
         raise InvariantViolationError(
             "virtual bundle has nonzero degree on a curve",
             detail={"vertex": relations[r].vertex, "edge": (e.a, e.b)},

@@ -7,13 +7,47 @@ from fractions import Fraction
 import pytest
 
 from ahilb import charts, intmat
-from ahilb.charts import AGraph, Chart, ChartSet, build_agraph, chart_coords
+from ahilb.charts import AGraph, Chart, ChartSet, build_agraph
 from ahilb.errors import InvariantViolationError
 from ahilb.fan import triangulate
-from ahilb.group import MONO_ONE, build_group
+from ahilb.group import MONO_ONE, build_group, ratio_split
 from ahilb.pipeline import run_pipeline
 from conftest import chi, conv_region, conv_regions
 from test_acceptance import _cyclic_family_runs
+from test_fan import _differential_specs
+
+
+def chart_coords(group, vertices):
+    """Dual basis of the (unscaled) vertex basis, as monomial ratios, by the adjugate.
+
+    The oracle of `ChartSet`'s coordinates, which it reads off the line table.
+    """
+    m = [list(v) for v in vertices]
+    d = intmat.det3(m)
+    order = group.order
+    where = {"vertices": tuple(vertices)}
+    if abs(d) != order * order:
+        raise InvariantViolationError("chart requested for a non-basic triangle", detail=where)
+    adj = intmat.adjugate3(m)
+    # rows of order * m^{-1}: integer because the unscaled vertices base N
+    duals = []
+    for i in range(3):
+        vec = []
+        for j in range(3):
+            q, rem = divmod(order * adj[j][i], d)
+            if rem:
+                raise InvariantViolationError("dual basis is not integral", detail=where)
+            vec.append(q)
+        u = tuple(vec)
+        if not group.is_invariant(u):
+            raise InvariantViolationError("chart coordinate is not invariant", detail=where)
+        duals.append(ratio_split(u))
+    return tuple(duals)
+
+
+def _far(tri, ei):
+    """The vertex of `tri` opposite its side `ei`."""
+    return tri.vertices[tri.edges.index(ei)]
 
 
 def test_trivial_chart_is_xyz(run_trivial):
@@ -25,14 +59,35 @@ def test_trivial_chart_is_xyz(run_trivial):
 @pytest.mark.parametrize("spec", ["1/11(1,2,8)", "1/30(25,2,3)", "1/3(1,2,0);1/3(0,1,2)"])
 def test_dual_basis_property(spec):
     g = build_group(spec)
-    T = triangulate(g)
-    for t in T.triangles:
-        coords = chart_coords(g, t.vertices)
-        for i, (num, den) in enumerate(coords):
+    C = ChartSet(triangulate(g))
+    for t, chart in zip(C.triangulation.triangles, C.charts):
+        for i, (num, den) in enumerate(chart.coords):
             u = intmat.vec_sub(num, den)
             assert g.is_invariant(u)
             for j, P in enumerate(t.vertices):
                 assert intmat.vec_dot(u, P) == (g.order if i == j else 0)
+
+
+def test_coordinates_match_the_adjugate():
+    """Read off the line table, they equal the adjugate's dual basis on every triangle."""
+    runs, _ = _cyclic_family_runs()
+    triangles = 0
+    for spec in _differential_specs():
+        C = runs[spec].charts if spec in runs else ChartSet(triangulate(build_group(spec)))
+        for ti, tri in enumerate(C.triangulation.triangles):
+            assert C.charts[ti].coords == chart_coords(C.group, tri.vertices), (spec, ti)
+        triangles += len(C.charts)
+    assert triangles > 10000
+
+
+def test_triangle_edges_are_the_opposite_sides(run30):
+    T = run30.triangulation
+    for ti, tri in enumerate(T.triangles):
+        assert list(tri.edges) == sorted(tri.edges, reverse=True)
+        for p, ei in zip(tri.vertices, tri.edges):
+            e = T.edges[ei]
+            assert {e.a, e.b} == set(tri.vertices) - {p}
+            assert ti in e.triangles
 
 
 def test_explicit_chart_11(run11):
@@ -105,7 +160,7 @@ def _assert_minimisers(g, triangles):
     for m in box:
         by_char.setdefault(g.reduce(m), []).append(m)
     for vertices in triangles:
-        graph = build_agraph(g, 0, vertices)
+        graph = build_agraph(g, 0, vertices, chart_coords(g, vertices))
         for c in g.characters():
             gen = graph.table[g.char_id(c)]
             pair = [intmat.vec_dot(gen, P) for P in vertices]
@@ -220,17 +275,20 @@ def _pairwise_degrees(C):
     Across an interior edge the two generators of weight chi differ by
     d times the edge ratio u, and |d| is the degree of the weight-chi
     bundle on the curve; each side's generator must pair no larger than
-    the other side's at its own far vertex.  Returns, per interior edge in
-    order, {chi: |d|} for the characters whose generators differ across it.
+    the other side's at its own far vertex.  Returns, per edge by edge id,
+    {chi: |d|} for the characters whose generators differ across it, and {}
+    for a boundary edge.
     """
     T = C.triangulation
     chars = C.group.characters()
     columns = []
-    for ei in T.interior_edges():
-        e = T.edges[ei]
+    for ei, e in enumerate(T.edges):
+        if not e.interior:
+            columns.append({})
+            continue
         t1, t2 = e.triangles
-        w1 = charts._far_vertex(T.triangles[t1], e)
-        w2 = charts._far_vertex(T.triangles[t2], e)
+        w1 = _far(T.triangles[t1], ei)
+        w2 = _far(T.triangles[t2], ei)
         u = T.lines[e.line].u
         k = next(i for i in range(3) if u[i])
         s1, s2 = intmat.vec_dot(u, w1), intmat.vec_dot(u, w2)
@@ -305,8 +363,8 @@ def test_far_vertices_on_one_side_of_an_edge_are_not_convex(run11):
     for ei in T.interior_edges():
         e = T.edges[ei]
         t1, t2 = e.triangles
-        w1 = charts._far_vertex(T.triangles[t1], e)
-        w2 = charts._far_vertex(T.triangles[t2], e)
+        w1 = _far(T.triangles[t1], ei)
+        w2 = _far(T.triangles[t2], ei)
         u = T.lines[e.line].u
         chars = C.group.characters()
         table, _ = charts._transition_table(C.agraphs[t1].table, u, e, w1, w2, chars)
@@ -510,10 +568,16 @@ def test_support_convexity(run11):
 
 
 def test_non_basic_triangle_rejected():
-    g = build_group("1/11(1,2,8)")
-    vertices = ((11, 0, 0), (0, 11, 0), (1, 2, 8))
+    # a triangle's first vertex moved to twice its distance from the opposite side
+    T = triangulate(build_group("1/11(1,2,8)"))
+    tri = T.triangles[3]
+    a, b, c = tri.vertices
+    tri.vertices = vertices = (intmat.vec_sub(intmat.vec_scale(2, a), b), b, c)
     with pytest.raises(InvariantViolationError, match="^chart requested for a non-basic triangle$") as err:
-        chart_coords(g, vertices)
+        ChartSet(T)
+    assert err.value.detail == {"vertices": vertices}
+    with pytest.raises(InvariantViolationError, match="non-basic") as err:
+        chart_coords(T.group, vertices)
     assert err.value.detail == {"vertices": vertices}
 
 
@@ -524,34 +588,30 @@ def _dict_walk(T):
     the triangle built first, every generator m moves to m - q*v, with v
     the edge ratio oriented toward the other far vertex and q the largest
     the octant allows.  Returns each triangle's table and socle, and the
-    nonzero q of each interior edge as {chi: q} in `interior_edges()` order.
+    nonzero q of each edge as {chi: q} by edge id, {} for a boundary edge.
     """
     g, tris = T.group, T.triangles
-    interior = T.interior_edges()
-    neighbours = [[] for _ in tris]
-    for j, ei in enumerate(interior):
-        e = T.edges[ei]
-        t1, t2 = e.triangles
-        neighbours[t1].append((t2, j, e))
-        neighbours[t2].append((t1, j, e))
     tables = [None] * len(tris)
-    tables[0] = dict(zip(g.characters(), build_agraph(g, 0, tris[0].vertices).table))
-    columns = [None] * len(interior)
+    coords = chart_coords(g, tris[0].vertices)
+    tables[0] = dict(zip(g.characters(), build_agraph(g, 0, tris[0].vertices, coords).table))
+    columns = [None if e.interior else {} for e in T.edges]
     queue = [0]
     for ti in queue:
-        for tj, j, e in neighbours[ti]:
-            if columns[j] is not None:
+        for ei in sorted(tris[ti].edges):
+            if columns[ei] is not None:
                 continue
+            e = T.edges[ei]
+            tj = next(t for t in e.triangles if t != ti)
             u = T.lines[e.line].u
-            v = u if intmat.vec_dot(u, charts._far_vertex(tris[tj], e)) > 0 else intmat.vec_neg(u)
+            v = u if intmat.vec_dot(u, _far(tris[tj], ei)) > 0 else intmat.vec_neg(u)
             pos = [(i, v[i]) for i in range(3) if v[i] > 0]
             (i, vi), (k, vk) = pos[0], pos[-1]
-            walked, columns[j] = {}, {}
+            walked, columns[ei] = {}, {}
             for c, m in tables[ti].items():
                 q = min(m[i] // vi, m[k] // vk)
                 walked[c] = (m[0] - q * v[0], m[1] - q * v[1], m[2] - q * v[2])
                 if q:
-                    columns[j][c] = q
+                    columns[ei][c] = q
             if tables[tj] is None:
                 tables[tj] = walked
                 queue.append(tj)
@@ -589,7 +649,7 @@ def test_walked_tables_match_the_heap():
         g = C.group
         tables, socles, columns = _dict_walk(C.triangulation)
         for ti, tri in enumerate(C.triangulation.triangles):
-            want = build_agraph(g, ti, tri.vertices)
+            want = build_agraph(g, ti, tri.vertices, chart_coords(g, tri.vertices))
             got = C.agraphs[ti]
             assert got.table == want.table and got.socle == want.socle, (spec, ti)
             assert len(got.table) == g.order, (spec, ti)
@@ -666,7 +726,8 @@ def test_table_holding_a_coordinate_numerator_is_not_weight_minimal(monkeypatch)
     # the walk's first tree edge leaves triangle 0
     e = next(T.edges[ei] for ei in T.interior_edges() if 0 in T.edges[ei].triangles)
     tj = next(t for t in e.triangles if t != 0)
-    root = build_agraph(g, 0, T.triangles[0].vertices)
+    root_vertices = T.triangles[0].vertices
+    root = build_agraph(g, 0, root_vertices, chart_coords(g, root_vertices))
     coords = chart_coords(g, T.triangles[tj].vertices)
     num = next(n for n, _ in coords if n in root.table)
     assert err.value.detail == {"triangle": tj, "monomial": num}
@@ -678,9 +739,9 @@ def test_full_run_builds_one_heap_table_per_chart_set(monkeypatch):
     calls = []
     original = charts.build_agraph
 
-    def counted(group, tri_index, vertices):
+    def counted(group, tri_index, vertices, coords):
         calls.append(tri_index)
-        return original(group, tri_index, vertices)
+        return original(group, tri_index, vertices, coords)
 
     monkeypatch.setattr(charts, "build_agraph", counted)
     for spec in ("1/30(25,2,3)", "1/3(1,2,0);1/3(0,1,2)"):
@@ -721,8 +782,8 @@ from ahilb.fan import triangulate
 from ahilb.group import build_group
 
 T = triangulate(build_group("1/11(1,2,8)"))
-cut = [ei for ei in T.interior_edges() if 5 not in T.edges[ei].triangles]
-T.interior_edges = lambda: cut
+for ei in T.triangles[5].edges:
+    T.edges[ei].interior = False
 try:
     ChartSet(T)
 except InvariantViolationError as exc:
@@ -731,9 +792,10 @@ except InvariantViolationError as exc:
 
 
 def test_unreachable_triangle_is_an_error():
+    # the walk crosses no side of triangle 5 once its sides are marked boundary
     T = triangulate(build_group("1/11(1,2,8)"))
-    cut = [ei for ei in T.interior_edges() if 5 not in T.edges[ei].triangles]
-    T.interior_edges = lambda: cut
+    for ei in T.triangles[5].edges:
+        T.edges[ei].interior = False
     with pytest.raises(InvariantViolationError, match="not reachable") as err:
         ChartSet(T)
     assert err.value.detail == {"triangle": 5}
@@ -744,3 +806,16 @@ def test_unreachable_triangle_is_an_error():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "5"
+
+
+def test_edge_off_its_ratio_is_an_error():
+    # the walk's first edge, doctored so that its second end leaves the edge's line
+    T = triangulate(build_group("1/11(1,2,8)"))
+    tri = T.triangles[0]
+    ei = min(ei for ei in tri.edges if T.edges[ei].interior)
+    e = T.edges[ei]
+    e.b = _far(tri, ei)
+    with pytest.raises(InvariantViolationError) as err:
+        ChartSet(T)
+    assert str(err.value) == "edge ratio does not separate the far vertex from the edge"
+    assert err.value.detail == {"edge": (e.a, _far(tri, ei))}

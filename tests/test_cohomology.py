@@ -303,8 +303,9 @@ class _FixedDegreeCharts:
     """Chart-set stand-in whose every character has the same boundary degrees."""
 
     def __init__(self, group, surface, degrees):
-        self.edge_column = {ei: j for j, ei in enumerate(surface.edge_ids)}
-        self._degree = tuple(dict.fromkeys(group.characters(), d) if d else {} for d in degrees)
+        # the degree columns by edge id, as `ChartSet._degree` keys them
+        self._degree = {ei: dict.fromkeys(group.characters(), d) if d else {}
+                        for ei, d in zip(surface.edge_ids, degrees)}
 
 
 def test_unrealisable_degrees_are_reported(run11):

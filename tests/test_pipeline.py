@@ -3,11 +3,13 @@ import re
 import traceback
 from pathlib import Path
 
+import pytest
+
 import ahilb.pipeline as pipeline
 import ahilb.recipe as recipe
 from ahilb import intmat
 from ahilb.errors import CorrespondenceError
-from ahilb.fan import triangulate
+from ahilb.fan import simplex_corners, triangulate
 from ahilb.group import AbelianGroup, build_group
 from ahilb.pipeline import ALL_CHECKS, CHECK_GROUPS, checks_for, run_pipeline
 
@@ -144,7 +146,7 @@ def test_basic_names_a_non_basic_triangle(monkeypatch):
 def test_ratios_names_unequal_ratio_weights(monkeypatch):
     # negative control: the weight of one interior line's plus monomial shifted
     T = triangulate(build_group("1/11(1,2,8)"))
-    plus = next(ln.plus for ln in T.lines if ln.kind != "boundary")
+    li, plus = next((li, ln.plus) for li, ln in enumerate(T.lines) if ln.kind != "boundary")
     weight = AbelianGroup.weight
 
     def shifted(self, m):
@@ -155,7 +157,69 @@ def test_ratios_names_unequal_ratio_weights(monkeypatch):
     assert art.report.failure == {
         "check": "ratios",
         "error": "ratio monomials differ in weight",
-        "detail": {},
+        "detail": {"line": li, "ratio": T.lines[li].u},
+    }
+    assert [art.report.checks[n]["status"] for n in ("euler", "basic")] == ["pass", "pass"]
+
+
+def _doctored_fan(monkeypatch, doctor):
+    """Run the fan family on 1/11(1,2,8) with `doctor(T)` applied to its triangulation."""
+    real_triangulate = pipeline.triangulate
+
+    def doctored(group):
+        T = real_triangulate(group)
+        doctor(T)
+        return T
+
+    monkeypatch.setattr(pipeline, "triangulate", doctored)
+    return run_pipeline("1/11(1,2,8)", which="fan")
+
+
+def test_euler_names_the_counts(monkeypatch):
+    # negative control: one triangle dropped after the fan is built
+    art = _doctored_fan(monkeypatch, lambda T: T.triangles.pop())
+    T = art.triangulation
+    assert art.report.failure == {
+        "check": "euler",
+        "error": "euler counts failed",
+        "detail": {"triangles": 10, "interior": len(T.interior_vertices()),
+                   "boundary": len(T.boundary_vertices())},
+    }
+
+
+def _line_with_content(T):
+    """Index of a line whose ratio is a proper multiple of a lattice vector."""
+    return next(li for li, ln in enumerate(T.lines) if intmat.content(ln.u) > 1)
+
+
+@pytest.mark.parametrize(
+    "error, doctor",
+    [
+        # an endpoint moved to a simplex corner off the line
+        ("ratio does not vanish on its line",
+         lambda ln: setattr(ln, "endpoints", (ln.endpoints[0], next(
+             c for c in simplex_corners(11) if intmat.vec_dot(ln.u, c))))),
+        # the ratio divided by its content: on the line, but a root of the invariant
+        ("ratio is not invariant",
+         lambda ln: setattr(ln, "u", tuple(x // intmat.content(ln.u) for x in ln.u))),
+        # the ratio doubled: invariant, but not minimal
+        ("ratio is not the minimal invariant relation",
+         lambda ln: setattr(ln, "u", tuple(2 * x for x in ln.u))),
+    ],
+)
+def test_ratios_names_the_line_of_a_broken_ratio(monkeypatch, error, doctor):
+    # negative control: the line table doctored after the fan is built
+    doctored = []
+
+    def doctor_one(T):
+        li = _line_with_content(T)
+        doctor(T.lines[li])
+        doctored.append((li, T.lines[li].u))
+
+    art = _doctored_fan(monkeypatch, doctor_one)
+    li, u = doctored[0]
+    assert art.report.failure == {
+        "check": "ratios", "error": error, "detail": {"line": li, "ratio": u},
     }
     assert [art.report.checks[n]["status"] for n in ("euler", "basic")] == ["pass", "pass"]
 
@@ -213,9 +277,9 @@ def test_relations_names_a_degree_row_that_breaks_a_relation(monkeypatch):
         verify_all_relations(charts, relations)
         rel = relations[0]
         chi = next(c for c in rel.rhs if c not in rel.lhs)
-        j = next(j for j, column in enumerate(charts._degree) if chi in column)
-        charts._degree[j][chi] += 1
-        broken.append((rel.vertex, charts.triangulation.interior_edges()[j]))
+        ei = next(ei for ei, column in enumerate(charts._degree) if chi in column)
+        charts._degree[ei][chi] += 1
+        broken.append((rel.vertex, ei))
 
     monkeypatch.setattr(pipeline, "verify_all_relations", verify_then_corrupt)
     art = run_pipeline("1/11(1,2,8)")

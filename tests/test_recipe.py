@@ -6,12 +6,14 @@ from types import SimpleNamespace
 import pytest
 
 from ahilb import pipeline
-from ahilb.errors import InvariantViolationError
+from ahilb.errors import CorrespondenceError, InvariantViolationError
 from ahilb.fan import line_ratio, simplex_corners, triangulate
 from ahilb.group import MONO_ONE, build_group
 from ahilb.pipeline import run_pipeline
 from ahilb.recipe import (
     CASE_DP6,
+    _check_embedding,
+    _side_ratios,
     champion_identities,
     corner_region_characters,
     hexagon_position,
@@ -293,11 +295,29 @@ def test_side_ratios_agree_with_the_case_analyses():
     assert kinds == {"corner", "champion"}
 
 
+def test_side_ratios_are_the_line_ratios_of_the_sides():
+    """Read off the line table, each equals `line_ratio` signed at the opposite vertex."""
+    sides = 0
+    for spec in _differential_specs():
+        T = _triangulation(spec)
+        for ri, reg in enumerate(T.regular_triangles):
+            v = reg.vertices
+            want = []
+            for p, q, opposite in zip(v, v[1:] + v[:1], v[2:] + v[:2]):
+                u = line_ratio(T.group, p, q)[0]
+                want.append(u if sum(a * b for a, b in zip(u, opposite)) > 0
+                            else tuple(-x for x in u))
+            assert _side_ratios(T, ri, reg.kind) == want, (spec, ri)
+            sides += 3
+    assert sides > 3000
+
+
 def _with_regular(T, regular_index, **changes):
-    """T's group and regular triangles, with one regular triangle changed."""
+    """T's group, regular triangles and edge index, with one regular triangle changed."""
     regs = list(T.regular_triangles)
     regs[regular_index] = dataclasses.replace(regs[regular_index], **changes)
-    return SimpleNamespace(group=T.group, regular_triangles=regs)
+    return SimpleNamespace(group=T.group, regular_triangles=regs, edges=T.edges,
+                           lines=T.lines, vertex_edge_map=T.vertex_edge_map)
 
 
 def _doctoring(rng, T, reg):
@@ -354,6 +374,16 @@ def test_side_off_the_corner_lines_is_rejected():
     with pytest.raises(InvariantViolationError, match="no line from a simplex corner") as exc:
         corner_region_characters(moved, 4)
     assert exc.value.detail == {"regular": 4, "side": ((2, 4, 5), (6, 1, 4)), "ratio": (1, 2, -2)}
+
+
+def test_side_along_no_edge_is_rejected():
+    T = _triangulation("1/11(1,2,8)")
+    assert T.regular_triangles[2].vertices == ((0, 0, 11), (11, 0, 0), (6, 1, 4))
+    # no edge at (7, 3, 1) lies on a line through (0, 0, 11)
+    moved = _with_regular(T, 2, vertices=((0, 0, 11), (11, 0, 0), (7, 3, 1)))
+    with pytest.raises(InvariantViolationError, match="^side of a regular triangle along no edge$") as exc:
+        corner_region_characters(moved, 2)
+    assert exc.value.detail == {"regular": 2, "side": ((7, 3, 1), (0, 0, 11))}
 
 
 def test_champion_sides_from_one_corner_are_rejected():
@@ -432,3 +462,54 @@ def test_mark_vertex_rejects_boundary(run11):
     boundary_vertex = next(p for p in T.boundary_vertices() if min(p) == 0)
     with pytest.raises(InvariantViolationError):
         mark_vertex(T, C, boundary_vertex, vmap[boundary_vertex][:3])
+
+
+# ---------------------------------------------------------------------------
+# negative controls of the quiver domain checks
+
+
+def _placements(spec):
+    art = run_pipeline(spec, which="recipe")
+    return art.group, dict(art.quiver.placements)
+
+
+def test_quiver_domain_with_a_missing_hexagon_is_rejected():
+    g, placements = _placements("1/11(1,2,8)")
+    placements.pop(g.characters()[3])
+    with pytest.raises(CorrespondenceError) as err:
+        _check_embedding(g, placements)
+    assert str(err.value) == "quiver domain does not have |A| hexagons"
+    assert err.value.detail == {"hexagons": 10, "order": 11}
+
+
+def test_quiver_representative_of_another_weight_is_rejected():
+    g, placements = _placements("1/11(1,2,8)")
+    a, b = g.characters()[1:3]
+    placements[a], placements[b] = placements[b], placements[a]
+    with pytest.raises(CorrespondenceError) as err:
+        _check_embedding(g, placements)
+    assert str(err.value) == "quiver representative has the wrong weight"
+    assert err.value.detail == {"character": a, "monomial": placements[a]}
+
+
+def test_two_characters_on_one_hexagon_are_rejected():
+    # with true weights a hexagon holds one character, since xyz is invariant;
+    # a stand-in group weighs 1 and xyz differently
+    weights = {(0, 0, 0): "a", (1, 1, 1): "b"}
+    group = SimpleNamespace(order=2, weight=weights.__getitem__)
+    with pytest.raises(CorrespondenceError) as err:
+        _check_embedding(group, {"a": (0, 0, 0), "b": (1, 1, 1)})
+    assert str(err.value) == "two characters share a hexagon"
+    assert err.value.detail == {"position": (0, 0), "characters": ["a", "b"]}
+
+
+def test_disconnected_quiver_domain_is_rejected():
+    # one representative moved by the invariant x^55: same weight, far from the rest
+    g, placements = _placements("1/11(1,2,8)")
+    chi = g.characters()[5]
+    placements[chi] = moved = (placements[chi][0] + 55, *placements[chi][1:])
+    cells = sorted(hexagon_position(m) for m in placements.values())
+    with pytest.raises(CorrespondenceError) as err:
+        _check_embedding(g, placements)
+    assert str(err.value) == "quiver fundamental domain is disconnected"
+    assert err.value.detail == {"start": cells[0], "unreached": [hexagon_position(moved)]}
