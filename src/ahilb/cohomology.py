@@ -104,7 +104,7 @@ def surface_star(triangulation, vertex) -> CompactSurface:
                 "wall relation failed in star fan", detail={"vertex": vertex}
             )
         selfint.append(-a)
-    stype = _surface_type(selfint)
+    stype = _surface_type(selfint, vertex)
     if sum(selfint) != 12 - 3 * n:
         raise InvariantViolationError(
             "self-intersection cycle violates the Noether count",
@@ -119,11 +119,12 @@ def surface_star(triangulation, vertex) -> CompactSurface:
     )
 
 
-def _surface_type(selfint):
+def _surface_type(selfint, vertex):
     n = len(selfint)
+    detail = {"vertex": vertex, "cycle": selfint}
     if n == 3:
         if tuple(selfint) != (1, 1, 1):
-            raise InvariantViolationError("three-ray star fan that is not the plane")
+            raise InvariantViolationError("three-ray star fan that is not the plane", detail=detail)
         return CASE_P2
     if n == 4:
         cyc = list(selfint)
@@ -131,12 +132,12 @@ def _surface_type(selfint):
             c = cyc[shift:] + cyc[:shift]
             if c[0] == 0 and c[2] == 0 and c[1] == -c[3]:
                 return CASE_SCROLL
-        raise InvariantViolationError(f"four-ray star fan with cycle {selfint}")
+        raise InvariantViolationError(f"four-ray star fan with cycle {selfint}", detail=detail)
     if n == 6 and all(c == -1 for c in selfint):
         return CASE_DP6
     if n in (5, 6):
         return CASE_BLOWNUP
-    raise InvariantViolationError(f"star fan with {n} rays")
+    raise InvariantViolationError(f"star fan with {n} rays", detail=detail)
 
 
 class SurfaceCalculus:

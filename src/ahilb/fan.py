@@ -40,7 +40,7 @@ def primitive_step(group, d):
         cand = tuple(x // g for x in d)
         if group.in_lattice(cand):
             return cand, g
-    raise InvariantViolationError(f"direction {d} is not a lattice vector")
+    raise InvariantViolationError(f"direction {d} is not a lattice vector", detail={"direction": d})
 
 
 def divisors_desc(n):
@@ -63,14 +63,18 @@ class QuotientMap:
         den = intmat.det3(B)
         coords = intmat.vec_mat(w, intmat.adjugate3(B))  # den * (w in the basis B)
         if any(x % den for x in coords):
-            raise InvariantViolationError(f"{w} is not a lattice point")
+            raise InvariantViolationError(f"{w} is not a lattice point", detail={"point": w})
         coords = tuple(x // den for x in coords)
         if intmat.content(coords) != 1:
-            raise InvariantViolationError(f"{w} is not primitive in the lattice")
+            raise InvariantViolationError(
+                f"{w} is not primitive in the lattice", detail={"point": w}
+            )
         A, _ = intmat.complete_unimodular(coords)
         self.newbasis = [intmat.vec_mat(a, B) for a in A]  # rows; row 0 == w
         if self.newbasis[0] != tuple(w):
-            raise InvariantViolationError(f"completed basis does not start with {w}")
+            raise InvariantViolationError(
+                f"completed basis does not start with {w}", detail={"point": w}
+            )
         m = [list(row) for row in self.newbasis]
         d = intmat.det3(m)
         adj = intmat.adjugate3(m)
@@ -83,7 +87,7 @@ class QuotientMap:
         for x in num[1:]:
             q, rem = divmod(x, self._den)
             if rem:
-                raise InvariantViolationError("point is not in the lattice")
+                raise InvariantViolationError("point is not in the lattice", detail={"point": p})
             out.append(q)
         return (out[0], out[1])
 
@@ -100,7 +104,7 @@ CORNERS = (0, 1, 2)
 
 def simplex_corners(order):
     """The corners E_c of the simplex {sum = order}, indexed by c in CORNERS."""
-    return tuple(tuple(order if i == c else 0 for i in CORNERS) for c in CORNERS)
+    return ((order, 0, 0), (0, order, 0), (0, 0, order))
 
 
 def on_simplex_side(p, q):

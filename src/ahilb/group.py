@@ -124,16 +124,20 @@ class AbelianGroup:
     # -- characters -------------------------------------------------------------
 
     def reduce(self, exponents) -> Character:
-        """Canonical representative of an exponent triple modulo invariants."""
-        v = list(exponents)
-        H = self.dual_basis
-        for i in range(3):
-            p = H[i][i]
-            q = v[i] // p
-            if q:
-                for j in range(3):
-                    v[j] -= q * H[i][j]
-        return (v[0], v[1], v[2])
+        """Canonical representative of an exponent triple modulo invariants.
+
+        The row reduction by the HNF rows of `dual_basis` is unrolled: row i
+        brings coordinate i into [0, pivot) and is subtracted whole, its
+        zero below-diagonal entries included.
+        """
+        a, b, c = exponents
+        (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = self.dual_basis
+        q = a // h00
+        a, b, c = a - q * h00, b - q * h01, c - q * h02
+        q = b // h11
+        a, b, c = a - q * h10, b - q * h11, c - q * h12
+        q = c // h22
+        return (a - q * h20, b - q * h21, c - q * h22)
 
     def weight(self, monomial) -> Character:
         return self.reduce(monomial)
@@ -304,6 +308,7 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def ratio_split(u):
     """Split an invariant vector into (positive part, negative part)."""
-    plus = tuple(x if x > 0 else 0 for x in u)
-    minus = tuple(-x if x < 0 else 0 for x in u)
+    a, b, c = u
+    plus = (a if a > 0 else 0, b if b > 0 else 0, c if c > 0 else 0)
+    minus = (-a if a < 0 else 0, -b if b < 0 else 0, -c if c < 0 else 0)
     return plus, minus

@@ -7,48 +7,53 @@ plain Python ints: no overflow, no epsilon.  Conventions:
 * lattices are given by their basis rows,
 * a "primitive" vector is one that is not a proper integer multiple of
   another lattice vector.
+
+The vector kernels take vectors of any length: exponent and simplex
+triples, plane 2-vectors and n-vectors of pairings.  A sweep of small groups
+calls them hundreds of thousands of times, so the per-coordinate work runs
+in C: `map` over an `operator` function, `sum` of a `map`, `gcd(*v)`.
+Where each coordinate needs a Python expression, a list comprehension builds
+the tuple; a generator expression would resume its frame once per coordinate.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import add, mul, neg, sub
 
 from .errors import InvariantViolationError
 
 
 def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vec_neg(a):
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def vec_scale(k, a):
-    return tuple(k * x for x in a)
+    return tuple([k * x for x in a])
 
 
 def vec_dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def content(v):
     """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def primitive(v):
     g = content(v)
     if g == 0:
         raise ValueError("zero vector has no primitive direction")
-    return tuple(x // g for x in v)
+    return tuple([x // g for x in v])
 
 
 def exgcd(a, b):
@@ -230,7 +235,7 @@ def complete_unimodular(c):
 
 
 def vec_mat(v, m):
-    return tuple(sum(v[k] * m[k][j] for k in range(len(m))) for j in range(len(m[0])))
+    return tuple([sum(map(mul, v, col)) for col in zip(*m)])
 
 
 class ZSpan:

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,12 +8,14 @@ from ahilb.cohomology import (
     CompactSurface,
     SurfaceCalculus,
     VirtualBundle,
+    _surface_type,
     duality_matrix,
     h2_basis_check,
     surface_star,
     unitriangular_peel,
 )
 from ahilb.errors import CorrespondenceError, InvariantViolationError
+from ahilb.fan import QuotientMap
 from ahilb.group import MONO_ONE
 from ahilb.pipeline import run_pipeline
 from conftest import chi, surface_calculators
@@ -172,6 +175,37 @@ def test_perturbed_duality_entry_reported(run11):
 def test_surface_star_rejects_boundary_vertex(run11):
     with pytest.raises(InvariantViolationError):
         surface_star(run11.triangulation, (0, 0, 11))
+
+
+@pytest.mark.parametrize(
+    "cycle, message",
+    [
+        ([1, 1, 2], "three-ray star fan that is not the plane"),
+        ([0, 1, 0, 2], "four-ray star fan with cycle [0, 1, 0, 2]"),
+        ([-1] * 7, "star fan with 7 rays"),
+    ],
+)
+def test_surface_type_names_the_vertex_and_cycle(cycle, message):
+    with pytest.raises(InvariantViolationError) as err:
+        _surface_type(cycle, (3, 6, 2))
+    assert str(err.value) == message
+    assert err.value.detail == {"vertex": (3, 6, 2), "cycle": cycle}
+
+
+def test_surface_star_passes_its_vertex_to_the_shape_check(run11):
+    """A stand-in star of seven rays, a smooth complete fan that no A-Hilb star has."""
+    g = run11.group
+    vertex = (3, 6, 2)
+    qm = QuotientMap(g, vertex)
+    rays = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    edges = [SimpleNamespace(a=vertex, b=intmat.vec_add(vertex, qm.lift(r))) for r in rays]
+    star = SimpleNamespace(
+        group=g, edges=edges, vertex_edge_map=lambda: {vertex: list(range(len(edges)))}
+    )
+    with pytest.raises(InvariantViolationError) as err:
+        surface_star(star, vertex)
+    assert str(err.value) == "star fan with 7 rays"
+    assert err.value.detail == {"vertex": vertex, "cycle": [-2, -1, -1, -1, -1, -2, -1]}
 
 
 def test_intersection_matrix_symmetry(run30):

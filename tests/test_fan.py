@@ -644,3 +644,48 @@ def test_line_lookup_matches_the_per_edge_ratio():
         assert [(ln.u, ln.plus, ln.minus, ln.edges) for ln in T.lines] == [
             (*key, groups[key]) for key in sorted(groups)
         ], spec
+
+
+def test_non_lattice_direction_is_named():
+    g = build_group("1/11(1,2,8)")
+    with pytest.raises(InvariantViolationError) as err:
+        fan.primitive_step(g, (3, 0, -3))
+    assert str(err.value) == "direction (3, 0, -3) is not a lattice vector"
+    assert err.value.detail == {"direction": (3, 0, -3)}
+
+
+@pytest.mark.parametrize(
+    "w, message",
+    [
+        ((1, 0, -1), "(1, 0, -1) is not a lattice point"),
+        ((2, 4, 16), "(2, 4, 16) is not primitive in the lattice"),
+    ],
+)
+def test_quotient_map_rejects_a_bad_point(w, message):
+    with pytest.raises(InvariantViolationError) as err:
+        QuotientMap(build_group("1/11(1,2,8)"), w)
+    assert str(err.value) == message
+    assert err.value.detail == {"point": w}
+
+
+def test_quotient_map_rejects_a_completion_off_its_point(monkeypatch):
+    complete = intmat.complete_unimodular
+
+    def swapped(c):
+        A, V = complete(c)
+        return [A[1], A[0], A[2]], V
+
+    monkeypatch.setattr(intmat, "complete_unimodular", swapped)
+    with pytest.raises(InvariantViolationError) as err:
+        QuotientMap(build_group("1/11(1,2,8)"), (1, 2, 8))
+    assert str(err.value) == "completed basis does not start with (1, 2, 8)"
+    assert err.value.detail == {"point": (1, 2, 8)}
+
+
+def test_projection_rejects_an_off_lattice_point():
+    qm = QuotientMap(build_group("1/11(1,2,8)"), (1, 2, 8))
+    assert qm.proj((2, 4, 16)) == (0, 0)
+    with pytest.raises(InvariantViolationError) as err:
+        qm.proj((1, 0, -1))
+    assert str(err.value) == "point is not in the lattice"
+    assert err.value.detail == {"point": (1, 0, -1)}

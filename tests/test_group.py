@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ahilb import intmat
+from ahilb.charts import ChartSet
 from ahilb.errors import InputError, ResourceLimitError
-from ahilb.group import build_group, parse_group_spec
-from test_acceptance import _cyclic_family_up_to_30
+from ahilb.fan import triangulate
+from ahilb.group import build_group, parse_group_spec, ratio_split
+from test_acceptance import _cyclic_family_runs, _cyclic_family_up_to_30
+from test_fan import _differential_specs
 
 
 def test_parse_cyclic():
@@ -226,3 +229,61 @@ def test_lattices_from_generators_match_all_elements():
         g = build_group(spec)
         assert g.dual_basis == _all_elements_invariant_lattice(g), spec
         assert g.lattice_basis == _all_elements_scaled_lattice(g), spec
+
+
+# The loop `reduce` and the generator-expression `ratio_split` that the
+# unrolled triples replaced: the oracles of the two tests below.
+
+
+def _oracle_reduce(g, exponents):
+    v = list(exponents)
+    H = g.dual_basis
+    for i in range(3):
+        p = H[i][i]
+        q = v[i] // p
+        if q:
+            for j in range(3):
+                v[j] -= q * H[i][j]
+    return (v[0], v[1], v[2])
+
+
+def _oracle_ratio_split(u):
+    plus = tuple(x if x > 0 else 0 for x in u)
+    minus = tuple(-x if x < 0 else 0 for x in u)
+    return plus, minus
+
+
+# the four non-cyclic products of the benchmark's seed-0 sweep-small pass
+_SWEEP_PRODUCTS = [
+    "1/12(4,7,1);1/3(1,0,2)",
+    "1/18(15,17,4);1/2(0,1,1)",
+    "1/4(0,1,3);1/12(2,3,7)",
+    "1/5(3,1,1);1/10(5,7,8)",
+]
+
+
+def test_reduce_matches_the_loop_oracle():
+    """On exponents in [-2|A|, 2|A|]^3 and on every chart-table generator.
+
+    The groups are the fan's differential specs and the sweep products.
+    """
+    runs, _ = _cyclic_family_runs()
+    rng = random.Random(20)
+    for spec in _differential_specs() + _SWEEP_PRODUCTS:
+        C = runs[spec].charts if spec in runs else ChartSet(triangulate(build_group(spec)))
+        g = C.group
+        r = 2 * g.order
+        for _ in range(60):
+            m = (rng.randint(-r, r), rng.randint(-r, r), rng.randint(-r, r))
+            assert g.reduce(m) == _oracle_reduce(g, m), (g, m)
+        for m in set().union(*(a.table for a in C.agraphs)):
+            assert g.reduce(m) == _oracle_reduce(g, m), (g, m)
+        for line in C.triangulation.lines:
+            assert ratio_split(line.u) == _oracle_ratio_split(line.u), (g, line.u)
+
+
+def test_ratio_split_matches_the_generator_oracle():
+    rng = random.Random(21)
+    for _ in range(500):
+        u = tuple(rng.choice([0, rng.randint(-40, 40), -(2**65), 2**65]) for _ in range(3))
+        assert ratio_split(u) == _oracle_ratio_split(u), u

@@ -1,10 +1,69 @@
 import random
+from math import gcd
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from ahilb import intmat
+
+
+# The generator-expression kernels that `intmat` replaced with `map` over
+# `operator` functions, `gcd(*v)` and list comprehensions: the oracles of
+# `test_kernels_match_the_generator_oracles`.
+
+
+def _oracle_vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _oracle_vec_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _oracle_vec_neg(a):
+    return tuple(-x for x in a)
+
+
+def _oracle_vec_scale(k, a):
+    return tuple(k * x for x in a)
+
+
+def _oracle_vec_dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _oracle_vec_mat(v, m):
+    return tuple(sum(v[k] * m[k][j] for k in range(len(m))) for j in range(len(m[0])))
+
+
+def _oracle_content(v):
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    return g
+
+
+def _oracle_primitive(v):
+    g = _oracle_content(v)
+    if g == 0:
+        raise ValueError("zero vector has no primitive direction")
+    return tuple(x // g for x in v)
+
+
+def _kernel_entry(rng):
+    """Small, zero, negative or above 2^64, in about equal shares."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randrange(-9, 10)
+    big = rng.randrange(2**64, 2**70)
+    return big if kind == 2 else -big
+
+
+def _kernel_vector(rng, n):
+    return tuple(_kernel_entry(rng) for _ in range(n))
 
 
 def mat_mul(a, b):
@@ -101,3 +160,38 @@ def test_primitive_and_content():
     assert intmat.primitive((4, -6, 8)) == (2, -3, 4)
     with pytest.raises(ValueError):
         intmat.primitive((0, 0, 0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_kernels_match_the_generator_oracles(n):
+    rng = random.Random(20 + n)
+    for _ in range(400):
+        a, b = _kernel_vector(rng, n), _kernel_vector(rng, n)
+        k = _kernel_entry(rng)
+        m = [_kernel_vector(rng, n) for _ in range(n)]
+        assert intmat.vec_add(a, b) == _oracle_vec_add(a, b)
+        assert intmat.vec_sub(a, b) == _oracle_vec_sub(a, b)
+        assert intmat.vec_neg(a) == _oracle_vec_neg(a)
+        assert intmat.vec_scale(k, a) == _oracle_vec_scale(k, a)
+        assert intmat.vec_dot(a, b) == _oracle_vec_dot(a, b)
+        assert intmat.vec_mat(a, m) == _oracle_vec_mat(a, m)
+        assert intmat.content(a) == _oracle_content(a)
+        # a common factor, so that `primitive` divides by more than 1
+        c = intmat.vec_scale(rng.choice([1, 2, 6, 2**65]), a)
+        if any(c):
+            assert intmat.primitive(c) == _oracle_primitive(c)
+        else:
+            with pytest.raises(ValueError):
+                intmat.primitive(c)
+    # a non-square matrix: 2 rows of n columns, and n rows of 2 columns
+    for rows, cols in ((2, n), (n, 2)):
+        v = _kernel_vector(rng, rows)
+        m = [_kernel_vector(rng, cols) for _ in range(rows)]
+        assert intmat.vec_mat(v, m) == _oracle_vec_mat(v, m)
+
+
+def test_content_of_empty_and_zero_vectors():
+    assert intmat.content(()) == _oracle_content(()) == 0
+    assert intmat.content((0, 0, 0)) == _oracle_content((0, 0, 0)) == 0
+    assert intmat.content((0, -4)) == _oracle_content((0, -4)) == 4
+    assert intmat.vec_dot((), ()) == 0
