@@ -8,7 +8,9 @@ triangles, each between two consecutive rays of a corner's fan, and at
 most one champion triangle, the region they leave uncovered.  Every edge
 is labelled with the minimal invariant monomial ratio vanishing on its
 line.  The scaled lattice is `AbelianGroup.lattice_basis`; no step solves
-a lattice system.
+a lattice system: a step is the least multiple of a primitive direction
+pairing to 0 mod |A| with the rows of `dual_basis`, and a line's ratio
+the least invariant multiple of its normal (`group.least_multiple`).
 
 All geometry is exact.  Points live in the plane {sum = |A|} with integer
 coordinates ("scaled" coordinates); the plane is embedded into Z^2 by
@@ -19,11 +21,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd
 
 from . import intmat
 from .errors import InputError, InvariantViolationError
-from .group import AbelianGroup, ratio_split
+from .group import AbelianGroup, least_multiple, ratio_split
 
 # ---------------------------------------------------------------------------
 # lattice helpers
@@ -36,23 +37,12 @@ def proj2(p):
 def primitive_step(group, d):
     """Largest lattice vector with d = r*step; returns (step, r)."""
     c = intmat.content(d)
-    for g in divisors_desc(c):
-        cand = tuple(x // g for x in d)
-        if group.in_lattice(cand):
-            return cand, g
+    if c:
+        p = tuple([x // c for x in d])
+        m = least_multiple(group.order, p, group.dual_basis)
+        if c % m == 0:
+            return intmat.vec_scale(m, p), c // m
     raise InvariantViolationError(f"direction {d} is not a lattice vector", detail={"direction": d})
-
-
-def divisors_desc(n):
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out, reverse=True)
 
 
 class QuotientMap:
@@ -162,11 +152,13 @@ def corner_fan(group, corner):
                 detail={"corner": corner, "ray": chain[j]},
             )
         if a < 2:
-            raise InvariantViolationError(f"interior line of strength {a} < 2")
+            raise InvariantViolationError(f"interior line of strength {a} < 2",
+                                          detail={"corner": corner, "ray": chain[j]})
         lines.append(_make_corner_line(group, corner, E[corner], qm, chain[j], a))
     for j in range(len(chain) - 1):
         if intmat.cross2(chain[j], chain[j + 1]) != 1:
-            raise InvariantViolationError("corner fan is not basic")
+            raise InvariantViolationError("corner fan is not basic",
+                                          detail={"corner": corner, "rays": chain[j:j + 2]})
     return lines
 
 
@@ -177,11 +169,12 @@ def _make_corner_line(group, corner, Ec, qm, ray, strength):
     step, _ = primitive_step(group, d)
     if all(step[i] <= 0 for i in CORNERS if i != corner):
         step = intmat.vec_neg(step)
+    where = {"corner": corner, "step": step}
     if any(step[i] <= 0 for i in CORNERS if i != corner):
-        raise InvariantViolationError("corner line does not point into the simplex")
+        raise InvariantViolationError("corner line does not point into the simplex", detail=where)
     reach = order // -step[corner]
     if reach == 0:
-        raise InvariantViolationError("corner line leaves the simplex immediately")
+        raise InvariantViolationError("corner line leaves the simplex immediately", detail=where)
     u, plus, minus = line_ratio(group, Ec, intmat.vec_add(Ec, step))
     return CornerLine(corner, ray, step, strength, u, plus, minus, Ec, reach)
 
@@ -227,14 +220,10 @@ def line_ratio(group, p, q):
     """
     u0 = intmat.cross3(p, q)
     if u0 == (0, 0, 0):
-        raise InvariantViolationError("points are collinear with the origin")
+        raise InvariantViolationError("points are collinear with the origin",
+                                      detail={"points": (p, q)})
     u0 = intmat.primitive(u0)
-    r = group.order
-    g = r
-    for e in group.scaled_generators:
-        g = gcd(g, intmat.vec_dot(u0, e) % r)
-    k = r // gcd(g, r) if g else 1
-    u = intmat.vec_scale(k, u0)
+    u = intmat.vec_scale(least_multiple(group.order, u0, group.scaled_generators), u0)
     plus, minus = ratio_split(u)
     if plus < minus:
         u = intmat.vec_neg(u)
@@ -533,13 +522,15 @@ def _regular_triangle(group, tri):
         primitive_step(group, intmat.vec_sub(q, p)) for p, q in zip(tri, tri[1:] + tri[:1])
     ))
     if len(set(sides)) != 1:
-        raise InvariantViolationError(f"face with side counts {list(sides)} is not regular")
+        raise InvariantViolationError(f"face with side counts {list(sides)} is not regular",
+                                      detail={"triangle": tuple(tri), "sides": list(sides)})
     r = sides[0]
     s1, s2 = steps[0], intmat.vec_neg(steps[2])
     # the sum-zero directions of the scaled lattice have d1 x d2 = +-|A|(1,1,1),
     # so for p in the plane {sum = |A|}, det(p, s1, s2) = +-|A|^2 * [d1, d2 : s1, s2]
     if abs(intmat.det3([tri[0], s1, s2])) != order * order:
-        raise InvariantViolationError("face is not a regular (unimodular) triangle")
+        raise InvariantViolationError("face is not a regular (unimodular) triangle",
+                                      detail={"triangle": tuple(tri), "sides": list(sides)})
     corner_hits = [E[v] for v in tri if v in E]
     if corner_hits:
         return RegularTriangle(tuple(tri), r, (s1, s2), "corner", min(corner_hits))

@@ -85,8 +85,8 @@ class AbelianGroup:
         self.order = order
         # integer triples scaled by `order`, sorted, identity first
         self.elements = elements
-        self.element_set = frozenset(elements)
-        # HNF rows (upper echelon) of the invariant exponent lattice
+        # HNF rows (upper echelon) of the invariant exponent lattice M, whose
+        # pairing into Z/|A| cuts out the scaled lattice (`least_multiple`)
         self.dual_basis = dual_basis
         # HNF rows of the scaled lattice |A|*N = |A|*Z^3 + (the generators)
         self.lattice_basis = lattice_basis
@@ -115,11 +115,6 @@ class AbelianGroup:
         for e in self.elements:
             counts[self.age(e)] += 1
         return counts
-
-    def in_lattice(self, point):
-        """Membership of an integer triple in the scaled lattice |A|*N."""
-        r = self.order
-        return (point[0] % r, point[1] % r, point[2] % r) in self.element_set
 
     # -- characters -------------------------------------------------------------
 
@@ -260,6 +255,16 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER) -> AbelianGroup:
         raise InputError("invariant lattice index does not equal the group order")
     g.characters()  # sealed eagerly; reads are pure and thread-safe afterwards
     return g
+
+
+def least_multiple(order, v, rows):
+    """Least k >= 1 with k*v . h == 0 mod `order` for every row h.
+
+    Against the scaled generators that is membership in the invariant lattice
+    M; against `dual_basis`, in the scaled lattice |A|*N: the two are dual
+    under the pairing into Z/|A| (Fulton, Introduction to Toric Varieties, 2.1).
+    """
+    return order // gcd(order, *[intmat.vec_dot(v, h) for h in rows])
 
 
 def _element_order(e, order):

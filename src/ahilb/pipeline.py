@@ -40,8 +40,8 @@ from .cohomology import (
     mckay_certificate,
 )
 from .errors import AHilbError, CorrespondenceError, InputError, InvariantViolationError
-from .fan import divisors_desc, simplex_corners, triangulate
-from .group import DEFAULT_MAX_ORDER, MONO_ONE, build_group, parse_group_spec
+from .fan import simplex_corners, triangulate
+from .group import DEFAULT_MAX_ORDER, MONO_ONE, build_group, least_multiple, parse_group_spec
 from .recipe import champion_identities, corner_region_characters, decorate, quiver_embedding
 from .relations import (
     check_bundle_degrees,
@@ -173,6 +173,10 @@ def _check_ratios(art):
     so they then span exactly the invariant lattice, and `weight` is the
     character homomorphism Z^3 -> A^ on every monomial.  The line checks
     read `weight`, so this check comes first.
+
+    An invariant u has no invariant proper root exactly when its content is
+    the `least_multiple` of u/content(u) against the generators, which cut
+    out M by the pairing into Z/|A| as the dual rows cut out the scaled lattice.
     """
     T = art.triangulation
     g = art.group
@@ -192,11 +196,10 @@ def _check_ratios(art):
             raise InvariantViolationError("ratio monomials differ in weight", detail=where)
         if not g.is_invariant(u):
             raise InvariantViolationError("ratio is not invariant", detail=where)
-        for d in divisors_desc(intmat.content(u))[:-1]:
-            down = tuple(x // d for x in u)
-            if g.is_invariant(down):
-                raise InvariantViolationError("ratio is not the minimal invariant relation",
-                                              detail=where)
+        c = intmat.content(u)
+        if not c or c != least_multiple(g.order, [x // c for x in u], g.scaled_generators):
+            raise InvariantViolationError("ratio is not the minimal invariant relation",
+                                          detail=where)
     corner_regions = 0
     for ri, reg in enumerate(T.regular_triangles):
         if reg.kind == "corner":

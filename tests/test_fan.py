@@ -2,11 +2,12 @@ import functools
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ahilb import fan, intmat
+from ahilb import fan, intmat, pipeline
 from ahilb.cohomology import angle_cmp
 from ahilb.errors import InputError, InvariantViolationError
 from ahilb.fan import QuotientMap, corner_fan, knockout, monomial_knockout, triangulate
@@ -493,8 +494,19 @@ def test_scaled_face_is_rejected():
     g = build_group("1/11(1,2,8)")
     reg = max(knockout(g).regular_triangles, key=lambda t: t.side)
     scaled = [intmat.vec_scale(2, v) for v in reg.vertices]
-    with pytest.raises(InvariantViolationError, match="not a regular .unimodular. triangle"):
+    with pytest.raises(InvariantViolationError, match="not a regular .unimodular. triangle") as err:
         fan._regular_triangle(g, scaled)
+    assert err.value.detail == {"triangle": tuple(scaled), "sides": [2 * reg.side] * 3}
+
+
+def test_face_with_unequal_sides_is_named():
+    # the side-2 corner triangle of 1/11(1,2,8) with one side cut to a single step
+    g = build_group("1/11(1,2,8)")
+    tri = ((1, 2, 8), (11, 0, 0), (2, 4, 5))
+    with pytest.raises(InvariantViolationError) as err:
+        fan._regular_triangle(g, tri)
+    assert str(err.value) == "face with side counts [2, 1, 1] is not regular"
+    assert err.value.detail == {"triangle": tri, "sides": [2, 1, 1]}
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +582,7 @@ def _oracle_knockout(group):
         assert len({lines[k].corner for k in ks}) == len(ks) <= 3
         assert pt[0].denominator == 1 and pt[1].denominator == 1, "battle off the lattice"
         lp = (int(pt[0]), int(pt[1]), order - int(pt[0]) - int(pt[1]))
-        assert group.in_lattice(lp), "battle off the lattice"
+        assert _oracle_in_lattice(group, lp), "battle off the lattice"
         winner = next((i for i in ks if beats_all(i, ks)), None)
         assert all(death[i] == parts[i] for i in ks if i != winner)
         if winner is not None:
@@ -689,3 +701,173 @@ def test_projection_rejects_an_off_lattice_point():
         qm.proj((1, 0, -1))
     assert str(err.value) == "point is not in the lattice"
     assert err.value.detail == {"point": (1, 0, -1)}
+
+
+# ---------------------------------------------------------------------------
+# negative controls: the raises of the corner fans and of `line_ratio`
+
+
+def test_collinear_points_are_named():
+    with pytest.raises(InvariantViolationError) as err:
+        fan.line_ratio(build_group("1/11(1,2,8)"), (1, 2, 8), (2, 4, 16))
+    assert str(err.value) == "points are collinear with the origin"
+    assert err.value.detail == {"points": ((1, 2, 8), (2, 4, 16))}
+
+
+@pytest.mark.parametrize(
+    "weights, message, step",
+    [
+        # the ray of a simplex side
+        ((1, 0), "corner line does not point into the simplex", (-11, 11, 0)),
+        # a ray into the simplex that meets no lattice point before the far side
+        ((5, 6), "corner line leaves the simplex immediately", (-121, 55, 66)),
+    ],
+)
+def test_corner_line_off_the_simplex_is_named(weights, message, step):
+    g = build_group("1/11(1,2,8)")
+    E = fan.simplex_corners(g.order)
+    qm = QuotientMap(g, E[0])
+    PA, PB = qm.proj(E[1]), qm.proj(E[2])
+    ray = intmat.primitive(intmat.vec_add(intmat.vec_scale(weights[0], PA),
+                                          intmat.vec_scale(weights[1], PB)))
+    with pytest.raises(InvariantViolationError) as err:
+        fan._make_corner_line(g, 0, E[0], qm, ray, 2)
+    assert str(err.value) == message
+    assert err.value.detail == {"corner": 0, "step": step}
+
+
+@pytest.mark.parametrize(
+    "chain, message, detail",
+    [
+        # v0 + v2 = 1 * v1: a line of strength 1
+        (lambda vA, vB: [(1, 0), (1, 1), (0, 1)], "interior line of strength 1 < 2",
+         {"corner": 0, "ray": (1, 1)}),
+        # the bare cone of index 11, no line subdividing it
+        (lambda vA, vB: [vA, vB], "corner fan is not basic",
+         {"corner": 0, "rays": [(0, 1), (-11, 40)]}),
+    ],
+)
+def test_corner_fan_names_a_bad_chain(monkeypatch, chain, message, detail):
+    monkeypatch.setattr(fan, "_hj_chain", chain)
+    with pytest.raises(InvariantViolationError) as err:
+        corner_fan(build_group("1/11(1,2,8)"), 0)
+    assert str(err.value) == message
+    assert err.value.detail == detail
+
+
+# ---------------------------------------------------------------------------
+# differential test: the closed-form lattice step and ratio minimality
+# against the divisor search and element-set probe they replaced
+
+
+def _oracle_divisors_desc(n):
+    out = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.append(i)
+            if i != n // i:
+                out.append(n // i)
+        i += 1
+    return sorted(out, reverse=True)
+
+
+@functools.cache
+def _oracle_element_set(group):
+    """Held for the groups of `_knockout`, which the cache keeps alive anyway."""
+    return frozenset(group.elements)
+
+
+def _oracle_in_lattice(group, point):
+    """Membership in the scaled lattice |A|*N: the point mod |A| is a group element."""
+    r = group.order
+    return (point[0] % r, point[1] % r, point[2] % r) in _oracle_element_set(group)
+
+
+def _oracle_primitive_step(group, d):
+    """Largest lattice vector with d = r*step, trying each divisor r of the content."""
+    c = intmat.content(d)
+    for g in _oracle_divisors_desc(c):
+        cand = tuple(x // g for x in d)
+        if _oracle_in_lattice(group, cand):
+            return cand, g
+    raise InvariantViolationError(f"direction {d} is not a lattice vector", detail={"direction": d})
+
+
+def _oracle_minimal(group, u):
+    """Whether no proper root u / d of the invariant u is invariant."""
+    return not any(group.is_invariant(tuple(x // d for x in u))
+                   for d in _oracle_divisors_desc(intmat.content(u))[:-1])
+
+
+def _step_outcome(step, group, d):
+    try:
+        return step(group, d)
+    except InvariantViolationError as exc:
+        return str(exc), exc.detail
+
+
+def test_primitive_step_matches_the_divisor_search(monkeypatch):
+    """Every call the knock-out makes, on every differential spec."""
+    calls = []
+    closed_form = fan.primitive_step
+
+    def recorded(group, d):
+        calls.append((group, d))
+        return closed_form(group, d)
+
+    monkeypatch.setattr(fan, "primitive_step", recorded)
+    for spec in _differential_specs():
+        knockout(_knockout(spec).group)
+    assert len(calls) > 30_000
+    for group, d in calls:
+        assert closed_form(group, d) == _oracle_primitive_step(group, d), (group, d)
+
+
+def test_non_lattice_directions_match_the_divisor_search():
+    """Seeded sum-zero directions, most off the lattice, and the zero direction."""
+    rng = random.Random(0)
+    raised = 0
+    for spec in _differential_specs():
+        g = _knockout(spec).group
+        n = 2 * g.order
+        for _ in range(8):
+            a, b = rng.randint(-n, n), rng.randint(-n, n)
+            d = (a, b, -a - b)
+            got = _step_outcome(fan.primitive_step, g, d)
+            assert got == _step_outcome(_oracle_primitive_step, g, d), (spec, d)
+            raised += isinstance(got[0], str)
+        zero = _step_outcome(fan.primitive_step, g, (0, 0, 0))
+        assert zero == _step_outcome(_oracle_primitive_step, g, (0, 0, 0))
+        assert zero == ("direction (0, 0, 0) is not a lattice vector", {"direction": (0, 0, 0)})
+    assert raised > 2_000
+
+
+def _ratios_verdict(group, line):
+    """The `ratios` stage on a stand-in triangulation of one line: None, or its error."""
+    art = SimpleNamespace(group=group, triangulation=SimpleNamespace(
+        lines=[line], regular_triangles=[]))
+    try:
+        pipeline._check_ratios(art)
+    except InvariantViolationError as exc:
+        return str(exc)
+    return None
+
+
+def test_ratio_minimality_matches_the_divisor_loop():
+    """Every line of every differential spec, as built and as twice and three times itself."""
+    checked = 0
+    for spec in _differential_specs():
+        part = _knockout(spec)
+        g = part.group
+        for ln in fan.Triangulation(g, part).lines:
+            for k in (1, 2, 3):
+                u = intmat.vec_scale(k, ln.u)
+                got = _ratios_verdict(g, SimpleNamespace(u=u, plus=ln.plus, minus=ln.minus,
+                                                         endpoints=ln.endpoints))
+                want = None if _oracle_minimal(g, u) else (
+                    "ratio is not the minimal invariant relation")
+                assert got == want, (spec, u)
+                assert (got is None) == (k == 1), (spec, u)
+                checked += 1
+    assert checked > 3 * 10_000

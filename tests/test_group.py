@@ -7,7 +7,7 @@ from ahilb import intmat
 from ahilb.charts import ChartSet
 from ahilb.errors import InputError, ResourceLimitError
 from ahilb.fan import triangulate
-from ahilb.group import build_group, parse_group_spec, ratio_split
+from ahilb.group import build_group, least_multiple, parse_group_spec, ratio_split
 from test_acceptance import _cyclic_family_runs, _cyclic_family_up_to_30
 from test_fan import _differential_specs
 
@@ -176,12 +176,17 @@ def test_random_cyclic_groups_consistent(r, a, b):
 
 
 def test_in_lattice():
+    """Membership in the scaled lattice: the least multiple against the dual rows is 1."""
     g = build_group("1/11(1,2,8)")
-    assert g.in_lattice((1, 2, 8))
-    assert g.in_lattice((12, 13, 19))  # (1,2,8) + 11*(1,1,1)
-    assert g.in_lattice((-10, 2, 8))
-    assert not g.in_lattice((1, 2, 7))
-    assert g.in_lattice((0, 0, 11)) and g.in_lattice((0, 0, 0))
+
+    def in_lattice(point):
+        return least_multiple(g.order, point, g.dual_basis) == 1
+
+    assert in_lattice((1, 2, 8))
+    assert in_lattice((12, 13, 19))  # (1,2,8) + 11*(1,1,1)
+    assert in_lattice((-10, 2, 8))
+    assert not in_lattice((1, 2, 7))
+    assert in_lattice((0, 0, 11)) and in_lattice((0, 0, 0))
 
 
 def test_char_labels_non_cyclic():

@@ -1,8 +1,11 @@
-"""Every function in the package is called from the package or exported.
+"""Every function in the package is called from the package or exported,
+and every attribute it stores is read in the package.
 
 A helper that only the tests call belongs in the tests, and one that
 nothing calls is dead.  A function counts as used when some `Name` or
 `Attribute` in the package spells its name, or when `ahilb.__all__` lists it.
+An attribute stored by `self.X = ...` counts as read when some `Name` or
+loaded `Attribute` in the package spells X.
 """
 
 import ast
@@ -61,6 +64,36 @@ def unreferenced_functions():
     return found
 
 
+def _stored_attributes(tree):
+    """Names X of every `self.X = ...`, `self.X += ...` and `self.X: T = ...`."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for t in ast.walk(target):
+                if (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                        and t.value.id == "self"):
+                    out.append(t.attr)
+    return out
+
+
+def unread_attributes(trees):
+    read = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted({f"{filename}:self.{name}" for filename, tree in trees
+                   for name in _stored_attributes(tree) if name not in read})
+
+
 def test_every_function_has_a_caller_in_the_package():
     assert unreferenced_functions() == []
 
@@ -68,3 +101,23 @@ def test_every_function_has_a_caller_in_the_package():
 def test_every_allowed_name_is_still_defined():
     defined = {q for _, tree in _package_trees() for q, _ in _definitions(tree)}
     assert ALLOWED <= defined
+
+
+def test_every_stored_attribute_is_read_in_the_package():
+    assert unread_attributes(list(_package_trees())) == []
+
+
+def test_an_attribute_only_stored_is_reported():
+    source = (
+        "class G:\n"
+        "    def __init__(self, elements):\n"
+        "        self.elements = elements\n"
+        "        self.element_set = frozenset(elements)\n"
+        "        self.count: int = 0\n"
+        "        self.count += 1\n"
+        "        self.a, self.b = 1, 2\n"
+        "    def size(self):\n"
+        "        return len(self.elements) + b\n"
+    )
+    trees = [("m.py", ast.parse(source))]
+    assert unread_attributes(trees) == ["m.py:self.a", "m.py:self.count", "m.py:self.element_set"]

@@ -205,6 +205,9 @@ def _line_with_content(T):
         # the ratio doubled: invariant, but not minimal
         ("ratio is not the minimal invariant relation",
          lambda ln: setattr(ln, "u", tuple(2 * x for x in ln.u))),
+        # the zero ratio: it vanishes everywhere and is invariant, but is no line's relation
+        pytest.param("ratio is not the minimal invariant relation",
+                     lambda ln: setattr(ln, "u", (0, 0, 0)), id="zero ratio"),
     ],
 )
 def test_ratios_names_the_line_of_a_broken_ratio(monkeypatch, error, doctor):
