@@ -58,7 +58,10 @@ def virtual_bundle(group, vertex_mark, relation) -> VirtualBundle:
     plus = tuple(sorted(relation.rhs))
     minus = tuple(sorted(relation.lhs + (trivial,)))
     if len(plus) != len(minus):
-        raise InvariantViolationError("virtual bundle sides have different ranks")
+        raise InvariantViolationError(
+            "virtual bundle sides have different ranks",
+            detail={"vertex": vertex_mark.vertex, "plus": plus, "minus": minus},
+        )
     return VirtualBundle(vertex_mark.mark_ii(), vertex_mark.vertex, plus, minus)
 
 
@@ -77,7 +80,9 @@ def surface_star(triangulation, vertex) -> CompactSurface:
     T = triangulation
     g = T.group
     if min(vertex) == 0:
-        raise InvariantViolationError("compact surfaces sit over interior vertices")
+        raise InvariantViolationError(
+            "compact surfaces sit over interior vertices", detail={"vertex": vertex}
+        )
     qm = QuotientMap(g, vertex)
     rays = []
     for ei in T.vertex_edge_map()[vertex]:

@@ -146,8 +146,12 @@ def _build_fan(art):
     g = art.group
     art.triangulation = T = triangulate(g)
     order = g.order
-    if set(T.points) != set(simplex_corners(order)).union(g.junior_points()):
-        raise InvariantViolationError("fan vertices differ from the simplex lattice points")
+    points, expected = set(T.points), set(simplex_corners(order)).union(g.junior_points())
+    if points != expected:
+        raise InvariantViolationError(
+            "fan vertices differ from the simplex lattice points",
+            detail={"missing": sorted(expected - points), "extra": sorted(points - expected)},
+        )
     I = len(T.interior_vertices())
     B = len(T.boundary_vertices())
     counts = {"triangles": len(T.triangles), "interior": I, "boundary": B}

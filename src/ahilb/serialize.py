@@ -10,17 +10,23 @@ The layout is that of `json.dumps(doc, sort_keys=True, indent=1,
 ensure_ascii=False)` plus a final newline, where `doc` is
 `build_document(art)`; that expression is the reference `to_json` is
 tested against.  `to_json` writes the same text without building `doc`
-first: the |A| per-triangle `agraph` tables, which hold |A|^2 entries
-between them, are tuples indexed by character id that share one key
-order, so each is filled into one `%d` template by one `itemgetter`
-call, and every other section goes through `_iterencode`.
+first.  `_document` yields the top-level sections one at a time and
+takes a per-triangle record callback: `build_document` passes one that
+returns the entry as plain values, `to_json` one that returns the record
+as text.  The |A| records hold the |A|^2 entries of the `agraph` tables,
+which are tuples indexed by character id in one key order, so every
+record fills one template built once per document, and each integer
+triple is formatted once however many tables hold it.  Every other
+section goes through `_iterencode` and is joined into one string as soon
+as it is laid out, so the final join holds about one ASCII copy of the
+text beside its (UCS-2, for the labels' χ) result.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache
 from itertools import chain
-from operator import itemgetter
 
 from .errors import InputError
 
@@ -29,41 +35,54 @@ SCHEMA_VERSION = 1
 _encode_str = json.encoder.encode_basestring
 # what json.dumps(x) runs for x with its default arguments
 _encode_scalar = json.JSONEncoder().encode
-# depth of each triangle's agraph: document > "triangles" > entry > "agraph"
-_AGRAPH_LEVEL = 3
+# depth of each triangle record: document > "triangles" > record
+_RECORD_LEVEL = 2
 
 
 def build_document(art) -> dict:
     """The document as plain JSON values."""
-    return _document(art, lambda table: {str(k): list(m) for k, m in enumerate(table)})
+    return dict(_document(art, _record))
 
 
-def _document(art, agraph) -> dict:
-    """Every section of the document; `agraph(table)` lays out one chart table."""
+def _record(t, chart, graph) -> dict:
+    """One triangle's entry; `chart` and `graph` are None in a run without charts."""
+    entry = {
+        "vertices": [list(v) for v in t.vertices],
+        "orientation": t.orientation,
+        "regular": t.regular,
+    }
+    if chart is not None:
+        entry["chart"] = [[list(n), list(d)] for n, d in chart.coords]
+        entry["agraph"] = {str(k): list(m) for k, m in enumerate(graph.table)}
+        entry["socle"] = sorted(list(m) for m in graph.socle)
+    return entry
+
+
+def _document(art, record):
+    """Every section of the document, as (key, value) pairs one at a time;
+    `record(t, chart, graph)` lays out one triangle's entry."""
     g = art.group
     cid = g.char_id
 
     def chars(seq):
         return [cid(c) for c in seq]
 
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "spec": art.spec_text,
-        "group": {
-            "order": g.order,
-            "cyclic": g.is_cyclic,
-            "generators": [[r, list(w)] for r, w in g.spec.generators],
-            "elements": [list(e) for e in g.elements],
-            "characters": [
-                {"id": cid(c), "exps": list(c), "label": g.char_label(c)}
-                for c in g.characters()
-            ],
-        },
+    yield "schema_version", SCHEMA_VERSION
+    yield "spec", art.spec_text
+    yield "group", {
+        "order": g.order,
+        "cyclic": g.is_cyclic,
+        "generators": [[r, list(w)] for r, w in g.spec.generators],
+        "elements": [list(e) for e in g.elements],
+        "characters": [
+            {"id": cid(c), "exps": list(c), "label": g.char_label(c)}
+            for c in g.characters()
+        ],
     }
     T = art.triangulation
     if T is not None:
-        doc["points"] = [list(p) for p in T.points]
-        doc["lines"] = [
+        yield "points", [list(p) for p in T.points]
+        yield "lines", [
             {
                 "ratio": [list(ln.plus), list(ln.minus)],
                 "character": cid(ln.character),
@@ -76,7 +95,7 @@ def _document(art, agraph) -> dict:
             }
             for ln in T.lines
         ]
-        doc["edges"] = [
+        yield "edges", [
             {
                 "a": list(e.a),
                 "b": list(e.b),
@@ -86,7 +105,7 @@ def _document(art, agraph) -> dict:
             }
             for e in T.edges
         ]
-        doc["regular_triangles"] = [
+        yield "regular_triangles", [
             {
                 "vertices": [list(v) for v in reg.vertices],
                 "side": reg.side,
@@ -95,23 +114,13 @@ def _document(art, agraph) -> dict:
             }
             for reg in T.regular_triangles
         ]
-        tris = []
-        for ti, t in enumerate(T.triangles):
-            entry = {
-                "vertices": [list(v) for v in t.vertices],
-                "orientation": t.orientation,
-                "regular": t.regular,
-            }
-            if art.charts is not None:
-                chart = art.charts.charts[ti]
-                entry["chart"] = [[list(n), list(d)] for n, d in chart.coords]
-                graph = art.charts.agraphs[ti]
-                entry["agraph"] = agraph(graph.table)
-                entry["socle"] = sorted(list(m) for m in graph.socle)
-            tris.append(entry)
-        doc["triangles"] = tris
+        C = art.charts
+        yield "triangles", [
+            record(t, C.charts[ti], C.agraphs[ti]) if C is not None else record(t, None, None)
+            for ti, t in enumerate(T.triangles)
+        ]
     if art.decoration is not None:
-        doc["vertex_marks"] = [
+        yield "vertex_marks", [
             {
                 "vertex": list(v),
                 "valency": vm.valency,
@@ -122,18 +131,18 @@ def _document(art, agraph) -> dict:
             }
             for v, vm in sorted(art.decoration.vertex_marks.items())
         ]
-        doc["character_partition"] = {
+        yield "character_partition", {
             k: sorted(chars(v)) for k, v in art.decoration.partition.items()
         }
     if art.quiver is not None:
-        doc["quiver"] = {
+        yield "quiver", {
             "chart": art.quiver.chart,
             "placements": {
                 str(cid(c)): list(m) for c, m in sorted(art.quiver.placements.items())
             },
         }
     if art.relations is not None:
-        doc["relations"] = [
+        yield "relations", [
             {
                 "vertex": list(r.vertex),
                 "case": r.case,
@@ -143,7 +152,7 @@ def _document(art, agraph) -> dict:
             for r in art.relations
         ]
     if art.bundles is not None:
-        doc["virtual_bundles"] = [
+        yield "virtual_bundles", [
             {
                 "index": cid(b.index),
                 "vertex": list(b.vertex),
@@ -153,7 +162,7 @@ def _document(art, agraph) -> dict:
             for b in art.bundles
         ]
     if art.surfaces is not None:
-        doc["surfaces"] = [
+        yield "surfaces", [
             {
                 "vertex": list(v),
                 "type": surf.surface_type,
@@ -163,11 +172,11 @@ def _document(art, agraph) -> dict:
             for v, surf in sorted(art.surfaces.items())
         ]
     if art.duality is not None:
-        doc["duality_matrix"] = [list(row) for row in art.duality]
+        yield "duality_matrix", [list(row) for row in art.duality]
     if art.h2 is not None:
-        doc["h2_basis"] = dict(art.h2)
+        yield "h2_basis", dict(art.h2)
     if art.report is not None:
-        doc["report"] = {
+        yield "report", {
             "spec": art.report.spec,
             "counts": dict(art.report.counts),
             "checks": {
@@ -177,8 +186,7 @@ def _document(art, agraph) -> dict:
             "failure": jsonable(art.report.failure),
         }
     if art.certificate is not None:
-        doc["certificate"] = jsonable(art.certificate)
-    return doc
+        yield "certificate", jsonable(art.certificate)
 
 
 def jsonable(obj):
@@ -199,34 +207,71 @@ def _key(k):
 
 
 def to_json(art) -> str:
-    """`build_document(art)` as indented JSON with sorted keys, and a newline."""
-    chunks = list(_iterencode(_document(art, _agraph_layout(art.group)), 0))
+    """`build_document(art)` as indented JSON with sorted keys, and a newline.
+
+    Each section but the triangle records, which are whole strings
+    already, is joined into one string as soon as it is laid out, so its
+    values and small chunks are freed before the next one is built; the
+    final join then holds the records and section strings, about one ASCII
+    copy of the text, beside its result.  The text is still returned whole:
+    library callers use it, and `perfbench/tracer.py` counts its bytes where
+    it wraps `cli.to_json`, so streaming it to the file waits on a
+    serialization span that does not need the text in hand.
+    """
+    sections = {}
+    for key, value in _document(art, _record_layout(art)):
+        sections[key] = value if key == "triangles" else _Raw(_layout(value, 1))
+        del value  # its layout is freed before the next section is laid out
+    chunks = list(_iterencode(sections, 0))
     chunks.append("\n")  # a chunk, so the text is not copied to add it
     return "".join(chunks)
 
 
-class _Raw(str):
+class _Raw:
     """Text already laid out at its place in the document."""
 
+    __slots__ = ("text",)
 
-def _agraph_layout(group):
-    """Lays out agraph tables, all indexed by the |A| character ids, from one template."""
-    ids = sorted(range(group.order), key=str)  # the document's key order
-    key = "\n" + " " * (_AGRAPH_LEVEL + 1)
-    val = "\n" + " " * (_AGRAPH_LEVEL + 2)
-    item = ": [" + val + "%d," + val + "%d," + val + "%d" + key + "]"
-    template = (
-        "{" + key + ("," + key).join(_encode_str(str(k)) + item for k in ids)
-        + "\n" + " " * _AGRAPH_LEVEL + "}"
-    )
-    if len(ids) == 1:  # `itemgetter` of one index returns the item, not a tuple
-        return lambda table: _Raw(template % table[0])
-    pick = itemgetter(*ids)
+    def __init__(self, text):
+        self.text = text
 
-    def agraph(table):
-        return _Raw(template % tuple(chain.from_iterable(pick(table))))
 
-    return agraph
+def _layout(o, level):
+    """The text of `o` nested `level` deep, as `_iterencode` lays it out."""
+    return "".join(_iterencode(o, level))
+
+
+def _record_layout(art):
+    """Lays out each triangle record as one `_Raw`, from one template per document.
+
+    Every agraph table is indexed by the |A| character ids and every chart
+    has three coordinates, so one template with a `%s` slot per value fits
+    every record.  Each integer triple is formatted once, however many
+    tables hold it: 2,738 distinct generators fill the 160,801 entries at
+    |A| = 401.
+    """
+    level = _RECORD_LEVEL
+    slot = _Raw("%s")
+    vec = cache(_layout([_Raw("%d")] * 3, level + 2).__mod__)  # a generator, point or socle entry
+    deep = cache(_layout([_Raw("%d")] * 3, level + 3).__mod__)  # a chart coordinate's monomial
+    fields = {"orientation": slot, "regular": slot, "vertices": [slot] * 3}
+    if art.charts is not None:
+        ids = sorted(range(art.group.order), key=str)  # the document's key order
+        fields.update(agraph={str(k): slot for k in ids}, chart=[[slot] * 2] * 3, socle=slot)
+    template = _layout(fields, level)
+
+    def record(t, chart, graph):
+        head = socle = ()
+        if chart is not None:
+            head = (*map(vec, map(graph.table.__getitem__, ids)),
+                    *map(deep, chain.from_iterable(chart.coords)))
+            socle = (_layout([_Raw(vec(m)) for m in sorted(graph.socle)], level + 1),)
+        return _Raw(template % (
+            *head, _encode_str(t.orientation), _encode_scalar(t.regular), *socle,
+            *map(vec, t.vertices),
+        ))
+
+    return record
 
 
 def _iterencode(o, level):
@@ -235,8 +280,10 @@ def _iterencode(o, level):
 
     Dict keys must be strings, as they are throughout the document.
     """
-    if isinstance(o, str):
-        yield o if type(o) is _Raw else _encode_str(o)
+    if type(o) is _Raw:
+        yield o.text
+    elif isinstance(o, str):
+        yield _encode_str(o)
     elif isinstance(o, (list, tuple)):
         if not o:
             yield "[]"

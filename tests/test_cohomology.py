@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from ahilb.cohomology import (
     h2_basis_check,
     surface_star,
     unitriangular_peel,
+    virtual_bundle,
 )
 from ahilb.errors import CorrespondenceError, InvariantViolationError
 from ahilb.fan import QuotientMap
@@ -173,8 +175,25 @@ def test_perturbed_duality_entry_reported(run11):
 
 
 def test_surface_star_rejects_boundary_vertex(run11):
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(InvariantViolationError) as err:
         surface_star(run11.triangulation, (0, 0, 11))
+    assert str(err.value) == "compact surfaces sit over interior vertices"
+    assert err.value.detail == {"vertex": (0, 0, 11)}
+
+
+def test_virtual_bundle_names_sides_of_different_ranks(run11):
+    # negative control: the valency-3 relation with one more character on its right
+    g = run11.group
+    r = next(r for r in run11.relations if r.vertex == (3, 6, 2))
+    grown = dataclasses.replace(r, rhs=r.rhs + (chi(g, 1),))
+    with pytest.raises(InvariantViolationError) as err:
+        virtual_bundle(g, run11.decoration.vertex_marks[r.vertex], grown)
+    assert str(err.value) == "virtual bundle sides have different ranks"
+    assert err.value.detail == {
+        "vertex": (3, 6, 2),
+        "plus": tuple(sorted(grown.rhs)),
+        "minus": tuple(sorted(r.lhs + (g.reduce(MONO_ONE),))),
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -204,7 +205,12 @@ def test_json_round_trip(run30):
 
 
 @pytest.mark.parametrize(
-    "spec", ["1/11(1,2,8)", "1/3(1,2,0);1/3(0,1,2)", "1/1(0,0,0)", "1/2(1,1,0)"]
+    "spec",
+    [
+        "1/11(1,2,8)", "1/3(1,2,0);1/3(0,1,2)", "1/1(0,0,0)", "1/2(1,1,0)",
+        # non-cyclic groups, whose labels are χ(a,b,c)
+        "1/6(1,2,3);1/3(1,1,1)", "1/4(1,1,2);1/2(1,1,0);1/2(0,1,1)",
+    ],
 )
 def test_to_json_matches_the_oracle(spec):
     art = run_pipeline(spec)
@@ -287,9 +293,35 @@ def test_to_json_takes_the_templated_path(monkeypatch, run30):
     def forbidden(*args, **kwargs):
         raise AssertionError("to_json fell back to the document oracle")
 
+    encode = serialize._iterencode
+    seen = []
+
+    def one_string_per_record(o, level):
+        # only a triangle record has an "orientation"; the record template's is a slot
+        if isinstance(o, dict) and isinstance(o.get("orientation"), str):
+            raise AssertionError("a triangle record was encoded field by field")
+        seen.append(type(o))
+        return encode(o, level)
+
     monkeypatch.setattr(serialize, "build_document", forbidden)
     monkeypatch.setattr(json, "dumps", forbidden)
+    monkeypatch.setattr(serialize, "_iterencode", one_string_per_record)
     assert to_json(run30) == expected
+    assert serialize._Raw in seen  # the records went through the spy as laid-out text
+
+
+def test_to_json_peak_memory_is_one_copy_beside_the_text():
+    # the text is UCS-2 (the labels' χ), its pieces ASCII: 2 bytes a character
+    # for the result, and about 1 for the pieces it is joined from
+    art = run_pipeline("1/199(1,5,193)")
+    tracemalloc.start()
+    try:
+        text = to_json(art)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    floor = 2 * len(text) + len(text.encode("utf-8"))
+    assert peak <= 1.05 * floor, (peak, floor)
 
 
 def test_json_trivial(run_trivial):

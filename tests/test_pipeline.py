@@ -120,7 +120,7 @@ def test_euler_names_a_vertex_set_that_misses_a_junior_point(monkeypatch):
     assert art.report.failure == {
         "check": "euler",
         "error": "fan vertices differ from the simplex lattice points",
-        "detail": {},
+        "detail": {"missing": [(1, 1, 9)], "extra": []},
     }
 
 
