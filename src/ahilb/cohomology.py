@@ -12,9 +12,13 @@ Both checks read the degree table's sparse columns (`ChartSet._degree`,
 one {chi: q} dict of nonzero degrees per edge, by edge id), so they cost
 time in proportion to its nonzeros.  A character with degree 0 on every
 boundary curve of a surface restricts to the zero class there (Fulton,
-*Intersection Theory*, 3.2), so a bundle none of whose characters meets
-a surface's boundary pairs to 0 with it, and only the other pairs are
-computed.
+*Intersection Theory*, 3.2), and c2 of a side adds the products of its
+characters' classes in pairs, so a side with fewer than two characters
+in a surface's support pairs to 0 with it.  The duality matrix is
+filled column by column, one surface at a time: its `SurfaceCalculus`
+(support and restriction memo) is built, paired with the bundles that
+hold two support characters on one side and with its own bundle, and
+dropped before the next surface's is built.
 The degree-2 lattice is certified by a unitriangular peel of the degree
 matrix where one exists, and by `intmat.ZSpan` otherwise.
 """
@@ -23,6 +27,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import intmat
@@ -204,17 +210,40 @@ class SurfaceCalculus:
         return sum(intmat.vec_dot(alpha, d) for (alpha, _), (_, d) in pairs)
 
 
-def build_surfaces(triangulation, chart_set, decoration):
+class SurfaceCalculators(Mapping):
+    """Vertex -> a new `SurfaceCalculus` of its surface at each lookup; none is kept.
+
+    `duality_matrix` looks each vertex up once, for its column, so through
+    this map one calculator is alive at a time.
+    """
+
+    def __init__(self, chart_set, surfaces, decoration):
+        self._chart_set = chart_set
+        self._surfaces = surfaces  # vertex -> CompactSurface
+        self._marks = decoration.vertex_marks
+
+    def __getitem__(self, v):
+        return SurfaceCalculus(self._chart_set, self._surfaces[v], self._marks[v].mark_ii())
+
+    def __iter__(self):
+        return iter(self._surfaces)
+
+    def __len__(self):
+        return len(self._surfaces)
+
+
+def build_surfaces(triangulation, decoration):
+    """The star fan of every interior vertex, by vertex, of its marking's type."""
     out = {}
     for v in sorted(decoration.vertex_marks):
         surf = surface_star(triangulation, v)
-        vm = decoration.vertex_marks[v]
-        if surf.surface_type != vm.case:
+        case = decoration.vertex_marks[v].case
+        if surf.surface_type != case:
             raise InvariantViolationError(
                 "star-fan surface type disagrees with the marking case",
-                detail={"vertex": v, "star": surf.surface_type, "mark": vm.case},
+                detail={"vertex": v, "star": surf.surface_type, "mark": case},
             )
-        out[v] = SurfaceCalculus(chart_set, surf, vm.mark_ii())
+        out[v] = surf
     return out
 
 
@@ -223,46 +252,63 @@ def build_virtual_bundles(group, decoration, relations):
     return [virtual_bundle(group, decoration.vertex_marks[r.vertex], r) for r in relations]
 
 
-def duality_matrix(group, bundles, surfaces):
-    """Pairing of the virtual bundles against the compact surfaces.
+def duality_matrix(group, bundles, calculators):
+    """Pairing of the virtual bundles against the compact surfaces, column by column.
 
-    Rows and columns are ordered by vertex; each entry is compared with the
-    identity as it is computed, and the first failing one is reported by
-    its characters.  `c2_pairing` runs only where one of the bundle's
-    characters meets the surface's boundary (`SurfaceCalculus.support`);
-    every other entry is 0, which the identity expects off the diagonal.
+    Rows follow the bundles and columns the vertices in order.
+    `calculators` maps each vertex to its `SurfaceCalculus` and is read once
+    per column, so `SurfaceCalculators` keeps one calculator alive at a
+    time.  A side of a bundle with fewer than two characters in a surface's
+    support pairs to 0 there (`_pair_sum`), so `c2_pairing` runs only where
+    some side has two, counted with multiplicity, and on the bundle's own
+    surface; every other entry is 0, which the identity expects off the
+    diagonal.  Each entry is compared with the identity, and once the walk
+    is done the failing entry that comes first in row-major order is
+    reported by its characters.
     """
-    verts = sorted(surfaces)
-    column = {v: j for j, v in enumerate(verts)}
-    touching = {}  # character -> columns of the surfaces in whose support it lies
+    verts = sorted(calculators)
+    holders = {}  # character -> 2 * row + side (0 plus, 1 minus), once per occurrence
+    own = {}  # vertex -> rows of its bundles
+    for i, b in enumerate(bundles):
+        for side, chars in enumerate((b.plus, b.minus)):
+            for chi in chars:
+                holders.setdefault(chi, []).append(2 * i + side)
+        own.setdefault(b.vertex, []).append(i)
+    matrix = [[0] * len(verts) for _ in bundles]
+    first = None  # (row, error) of the first failing entry in row-major order
     for j, v in enumerate(verts):
-        for chi in surfaces[v].support:
-            touching.setdefault(chi, set()).add(j)
-    matrix = []
-    for b in bundles:
-        hits = set()
-        for chi in b.plus + b.minus:
-            hits.update(touching.get(chi, ()))
-        own = column.get(b.vertex)
-        checked = hits if own is None else hits | {own}
-        row = [0] * len(verts)
-        for j in sorted(checked):
-            v = verts[j]
-            entry = surfaces[v].c2_pairing(b) if j in hits else 0
-            expected = 1 if j == own else 0
-            if entry != expected:
-                raise CorrespondenceError(
-                    "duality pairing is not the identity",
-                    detail={
-                        "m": group.char_label(b.index),
-                        "n": group.char_label(surfaces[v].mark_char),
-                        "entry": entry,
-                        "expected": expected,
-                    },
-                )
-            row[j] = entry
-        matrix.append(row)
+        fail = _pair_column(group, bundles, calculators[v], holders, own.get(v, ()), matrix, j)
+        if fail is not None and (first is None or fail[0] < first[0]):
+            first = fail
+    if first is not None:
+        raise first[1]
     return matrix
+
+
+def _pair_column(group, bundles, calc, holders, own_rows, matrix, j):
+    """Fill column j from its surface's calculator; (row, error) of its first failure, or None."""
+    held = map(holders.get, holders.keys() & calc.support)
+    touching = Counter(itertools.chain.from_iterable(held))  # support characters per side
+    rows = {key >> 1 for key, n in touching.items() if n > 1}.union(own_rows)
+    for i in sorted(rows):
+        b = bundles[i]
+        expected = 1 if i in own_rows else 0
+        try:
+            entry = calc.c2_pairing(b)
+        except InvariantViolationError as exc:
+            return i, exc
+        if entry != expected:
+            return i, CorrespondenceError(
+                "duality pairing is not the identity",
+                detail={
+                    "m": group.char_label(b.index),
+                    "n": group.char_label(calc.mark_char),
+                    "entry": entry,
+                    "expected": expected,
+                },
+            )
+        matrix[i][j] = entry
+    return None
 
 
 def unitriangular_peel(chart_set, basis_chars):

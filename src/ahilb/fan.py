@@ -49,9 +49,8 @@ class QuotientMap:
     """Exact coordinates on (scaled lattice)/Z*w for a primitive lattice w."""
 
     def __init__(self, group, w):
-        B = group.lattice_basis
-        den = intmat.det3(B)
-        coords = intmat.vec_mat(w, intmat.adjugate3(B))  # den * (w in the basis B)
+        adj, den = group.lattice_inverse
+        coords = intmat.vec_mat(w, adj)  # den * (w in the basis B)
         if any(x % den for x in coords):
             raise InvariantViolationError(f"{w} is not a lattice point", detail={"point": w})
         coords = tuple(x // den for x in coords)
@@ -59,31 +58,28 @@ class QuotientMap:
             raise InvariantViolationError(
                 f"{w} is not primitive in the lattice", detail={"point": w}
             )
-        A, _ = intmat.complete_unimodular(coords)
-        self.newbasis = [intmat.vec_mat(a, B) for a in A]  # rows; row 0 == w
-        if self.newbasis[0] != tuple(w):
+        # rows A @ B form the completed basis, A[0] @ B == w; V = A^-1
+        A, V = intmat.complete_unimodular(coords)
+        self._basis = (A, group.lattice_basis)
+        if intmat.vec_mat(A[0], group.lattice_basis) != tuple(w):
             raise InvariantViolationError(
                 f"completed basis does not start with {w}", detail={"point": w}
             )
-        m = [list(row) for row in self.newbasis]
-        d = intmat.det3(m)
-        adj = intmat.adjugate3(m)
-        self._den = d
-        self._adj = adj  # p @ adj / d = coords of p in newbasis
+        # p in the completed basis is (p @ adj / den) @ V; keep its last two columns
+        self._den = den
+        _, v1, v2 = zip(*V)
+        self._adj = [(intmat.vec_dot(row, v1), intmat.vec_dot(row, v2)) for row in adj]
 
     def proj(self, p):
-        num = intmat.vec_mat(p, self._adj)
-        out = []
-        for x in num[1:]:
-            q, rem = divmod(x, self._den)
-            if rem:
-                raise InvariantViolationError("point is not in the lattice", detail={"point": p})
-            out.append(q)
-        return (out[0], out[1])
+        (q0, r0), (q1, r1) = (divmod(x, self._den) for x in intmat.vec_mat(p, self._adj))
+        if r0 or r1:
+            raise InvariantViolationError("point is not in the lattice", detail={"point": p})
+        return (q0, q1)
 
     def lift(self, v):
-        b1, b2 = self.newbasis[1], self.newbasis[2]
-        return tuple(v[0] * a + v[1] * b for a, b in zip(b1, b2))
+        A, B = self._basis
+        return intmat.vec_mat(intmat.vec_add(intmat.vec_scale(v[0], A[1]),
+                                             intmat.vec_scale(v[1], A[2])), B)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +185,7 @@ def _hj_chain(vA, vB):
     """
     D = intmat.cross2(vA, vB)
     if D <= 0:
-        raise InvariantViolationError("degenerate corner cone")
+        raise InvariantViolationError("degenerate corner cone", detail={"from": vA, "to": vB})
     _, s, t = intmat.exgcd(vA[0], vA[1])
     p0 = (-t, s)  # cross2(vA, p0) == 1
     chain = [vA, intmat.vec_sub(p0, intmat.vec_scale(intmat.cross2(p0, vB) // D, vA))]
@@ -316,13 +312,15 @@ def knockout(group):
             dj0, dj1 = step2[j]
             den = di0 * dj1 - di1 * dj0
             if den == 0:
-                raise InvariantViolationError("parallel interior lines cannot occur")
+                raise InvariantViolationError("parallel interior lines cannot occur",
+                                              detail=_named(lines, (i, j)))
             dc0, dc1 = diffs[lines[j].corner]
             tn, sn = dc0 * dj1 - dc1 * dj0, dc0 * di1 - dc1 * di0
             if den < 0:
                 den, tn, sn = -den, -tn, -sn
             if tn <= 0 or sn <= 0:
-                raise InvariantViolationError("interior lines must cross inside")
+                raise InvariantViolationError("interior lines must cross inside",
+                                              detail=_named(lines, (i, j)))
             if tn % den:
                 off_lattice.append((i, -(-tn // den), j, -(-sn // den)))
                 continue
@@ -334,7 +332,7 @@ def knockout(group):
 
     death = [None] * len(lines)
     for _ in range(2 * len(lines) + 8):
-        changed = False
+        changed = []  # lines whose death moved in this pass
         for i, ln in enumerate(lines):
             new_death = None
             for t, pt in crossings[i]:
@@ -349,29 +347,28 @@ def knockout(group):
                     break
             if new_death != death[i]:
                 death[i] = new_death
-                changed = True
+                changed.append(i)
         if not changed:
             break
     else:
-        raise InvariantViolationError("knock-out tournament did not stabilise")
+        raise InvariantViolationError("knock-out tournament did not stabilise",
+                                      detail=_named(lines, changed))
 
     for i, ti, j, tj in off_lattice:
         if _reaches(death, i, ti) and _reaches(death, j, tj):
-            raise InvariantViolationError(
-                "two lines meet off the lattice",
-                detail={"lines": [{"corner": lines[k].corner, "step": lines[k].step}
-                                  for k in (i, j)]},
-            )
+            raise InvariantViolationError("two lines meet off the lattice",
+                                          detail=_named(lines, (i, j)))
     battles = _resolve_battles(lines, point_parts, death)
     meetings = [b.lattice_point for b in battles if b.winner is None and len(b.participants) == 3]
     if len(meetings) > 1:
-        raise InvariantViolationError("two side-0 champion meetings")
+        raise InvariantViolationError("two side-0 champion meetings", detail={"points": meetings})
 
     for i, ln in enumerate(lines):
         ln.death_t = death[i]
         if death[i] is None and order % -ln.step[ln.corner]:
             raise InvariantViolationError(
-                "surviving line leaves the simplex at a non-lattice point"
+                "surviving line leaves the simplex at a non-lattice point",
+                detail={"corner": ln.corner, "step": ln.step},
             )
 
     regular = _corner_triangles(group, fans)
@@ -382,9 +379,15 @@ def knockout(group):
     total = sum(t.side * t.side for t in regular)
     if total != order:
         raise InvariantViolationError(
-            f"regular partition covers {total} basic triangles, expected {order}"
+            f"regular partition covers {total} basic triangles, expected {order}",
+            detail={"regular_triangles": len(regular), "covered": total, "order": order},
         )
     return Partition(group, lines, regular, battles, meetings[0] if meetings else None)
+
+
+def _named(lines, ks):
+    """Detail naming lines by corner and step."""
+    return {"lines": [{"corner": lines[k].corner, "step": lines[k].step} for k in ks]}
 
 
 def _reaches(death, k, t):
@@ -400,7 +403,8 @@ def _resolve_battles(lines, point_parts, death):
         if len(ks) < 2:
             continue
         if len(ks) > 3 or len({lines[k].corner for k in ks}) != len(ks):
-            raise InvariantViolationError("battle with repeated corners")
+            raise InvariantViolationError("battle with repeated corners",
+                                          detail={"point": pt, **_named(lines, ks)})
         winner = None
         for i in ks:
             if all(
@@ -413,8 +417,10 @@ def _resolve_battles(lines, point_parts, death):
             ):
                 winner = i
                 break
-        if any(death[i] != parts[i] for i in ks if i != winner):
-            raise InvariantViolationError("defeated line does not die in place")
+        alive = [i for i in ks if i != winner and death[i] != parts[i]]
+        if alive:
+            raise InvariantViolationError("defeated line does not die in place",
+                                          detail={"point": pt, **_named(lines, alive)})
         if winner is not None:
             defeats[winner].append((parts[winner], len(ks) - 1))
         battles.append((pt, ks, winner))
@@ -504,7 +510,8 @@ def _champion_triangle(corner_triangles):
         if intmat.cross3(intmat.vec_sub(qs[0], p), intmat.vec_sub(qs[1], p)) != (0, 0, 0):
             turns.append(p)
     if len(turns) != 3:
-        raise InvariantViolationError(f"champion region has {len(turns)} corners, not 3")
+        raise InvariantViolationError(f"champion region has {len(turns)} corners, not 3",
+                                      detail={"corners": turns})
     return turns
 
 

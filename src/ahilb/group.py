@@ -90,6 +90,8 @@ class AbelianGroup:
         self.dual_basis = dual_basis
         # HNF rows of the scaled lattice |A|*N = |A|*Z^3 + (the generators)
         self.lattice_basis = lattice_basis
+        # (adj B, det B) of that basis B: p @ adj B = det B * (p in the basis B)
+        self.lattice_inverse = (intmat.adjugate3(lattice_basis), intmat.det3(lattice_basis))
         self.distinguished = distinguished  # scaled generator used for labels
         self.is_cyclic = distinguished is not None
         self.scaled_generators = _scaled_generators(spec, order)

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from . import intmat
 from .charts import ChartSet
 from .cohomology import (
+    SurfaceCalculators,
     build_surfaces,
     build_virtual_bundles,
     duality_matrix,
@@ -285,10 +286,10 @@ def _check_completeness(art):
 
 
 def _check_duality(art):
-    # the calculators live for this stage only; the document reads the star fans
-    calculators = build_surfaces(art.triangulation, art.charts, art.decoration)
-    art.surfaces = {v: calc.surface for v, calc in calculators.items()}
+    art.surfaces = build_surfaces(art.triangulation, art.decoration)
     art.bundles = build_virtual_bundles(art.group, art.decoration, art.relations)
+    # each surface's calculator is built for its column and dropped after it
+    calculators = SurfaceCalculators(art.charts, art.surfaces, art.decoration)
     art.duality = duality_matrix(art.group, art.bundles, calculators)
     return {"size": len(art.duality)}
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ahilb.cohomology import build_surfaces
+from ahilb.cohomology import SurfaceCalculators
 from ahilb.pipeline import run_pipeline
 
 # `pythonpath` in pyproject.toml reaches this process only; the CLI
@@ -36,8 +36,11 @@ def chi(group, index):
 
 
 def surface_calculators(art):
-    """Vertex -> SurfaceCalculus, as the duality stage builds and then drops them."""
-    return build_surfaces(art.triangulation, art.charts, art.decoration)
+    """Vertex -> SurfaceCalculus of each of `art.surfaces`, all kept.
+
+    The duality stage builds the same calculators one column at a time.
+    """
+    return dict(SurfaceCalculators(art.charts, art.surfaces, art.decoration))
 
 
 def conv_region(charts, chi, monomial):

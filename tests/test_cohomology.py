@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -388,8 +389,43 @@ def test_duality_and_h2_run_no_lattice_solver(monkeypatch):
     assert calls == {"solve_int": 0, "hnf_transform": 0}
 
 
-# -- the sparse duality scan against the dense one it replaces, kept here as
-#    the oracle: every bundle paired with every surface
+# -- the column walk against the scans it replaces, kept here as oracles: the
+#    row-major sparse scan, which pairs a bundle with every surface one of its
+#    characters touches, and the dense one, which pairs it with every surface
+
+
+def _row_major_duality_matrix(group, bundles, surfaces):
+    verts = sorted(surfaces)
+    column = {v: j for j, v in enumerate(verts)}
+    touching = {}  # character -> columns of the surfaces in whose support it lies
+    for j, v in enumerate(verts):
+        for chi in surfaces[v].support:
+            touching.setdefault(chi, set()).add(j)
+    matrix = []
+    for b in bundles:
+        hits = set()
+        for chi in b.plus + b.minus:
+            hits.update(touching.get(chi, ()))
+        own = column.get(b.vertex)
+        checked = hits if own is None else hits | {own}
+        row = [0] * len(verts)
+        for j in sorted(checked):
+            v = verts[j]
+            entry = surfaces[v].c2_pairing(b) if j in hits else 0
+            expected = 1 if j == own else 0
+            if entry != expected:
+                raise CorrespondenceError(
+                    "duality pairing is not the identity",
+                    detail={
+                        "m": group.char_label(b.index),
+                        "n": group.char_label(surfaces[v].mark_char),
+                        "entry": entry,
+                        "expected": expected,
+                    },
+                )
+            row[j] = entry
+        matrix.append(row)
+    return matrix
 
 
 def _dense_duality_matrix(group, bundles, surfaces):
@@ -419,16 +455,20 @@ def _duality_outcome(matrix_fn, group, bundles, surfaces):
     """The matrix, or the message and detail of the failure it raises."""
     try:
         return matrix_fn(group, bundles, surfaces)
-    except CorrespondenceError as err:
+    except (CorrespondenceError, InvariantViolationError) as err:
         return str(err), err.detail
+
+
+ORACLES = (_row_major_duality_matrix, _dense_duality_matrix)
 
 
 def _assert_duality_paths_agree(art, perturbations):
     g = art.group
     calcs = surface_calculators(art)
-    assert duality_matrix(g, art.bundles, calcs) == _dense_duality_matrix(g, art.bundles, calcs)
-    # one character of one bundle swapped for a random one: both paths must
-    # name the same first failing entry, or both pass
+    for oracle in ORACLES:
+        assert duality_matrix(g, art.bundles, calcs) == oracle(g, art.bundles, calcs)
+    # one character of one bundle swapped for a random one: every path must
+    # name the same first failing entry, or all pass
     rng = random.Random(11)
     chars = g.characters()
     for _ in range(perturbations if art.bundles else 0):
@@ -438,9 +478,9 @@ def _assert_duality_paths_agree(art, perturbations):
         plus[rng.randrange(len(plus))] = rng.choice(chars)
         bundles = list(art.bundles)
         bundles[k] = VirtualBundle(b.index, b.vertex, tuple(plus), b.minus)
-        assert _duality_outcome(duality_matrix, g, bundles, calcs) == _duality_outcome(
-            _dense_duality_matrix, g, bundles, calcs
-        ), b
+        got = _duality_outcome(duality_matrix, g, bundles, calcs)
+        for oracle in ORACLES:
+            assert got == _duality_outcome(oracle, g, bundles, calcs), (oracle.__name__, b)
 
 
 def test_sparse_duality_matches_the_dense_oracle(differential_run):
@@ -465,17 +505,53 @@ def test_doctored_bundles_fail_alike_on_both_paths(run11):
         bad = bundles[k]
         doctored = list(bundles)
         doctored[k] = VirtualBundle(bad.index, bad.vertex, plus, minus)
-        with pytest.raises(CorrespondenceError) as sparse:
+        with pytest.raises(CorrespondenceError) as walked:
             duality_matrix(g, doctored, calcs)
-        with pytest.raises(CorrespondenceError) as dense:
-            _dense_duality_matrix(g, doctored, calcs)
-        assert str(sparse.value) == str(dense.value)
-        assert sparse.value.detail == dense.value.detail
-        assert sparse.value.detail["m"] == g.char_label(bad.index)
+        for oracle in ORACLES:
+            with pytest.raises(CorrespondenceError) as scanned:
+                oracle(g, doctored, calcs)
+            assert str(walked.value) == str(scanned.value)
+            assert walked.value.detail == scanned.value.detail
+        assert walked.value.detail["m"] == g.char_label(bad.index)
+
+
+class _FailingCalculus:
+    """A calculator whose restriction fails on one bundle, and pairs as `calc` otherwise."""
+
+    def __init__(self, calc, bundle):
+        self._calc, self._bundle = calc, bundle
+        self.support, self.mark_char = calc.support, calc.mark_char
+
+    def c2_pairing(self, b):
+        if b is self._bundle:
+            raise InvariantViolationError("degree vector is not realised by a divisor class",
+                                          detail={"vertex": b.vertex})
+        return self._calc.c2_pairing(b)
+
+
+@pytest.mark.parametrize("failing, doctored", [(-1, 0), (0, -1)])
+def test_failed_restriction_is_ordered_like_a_failed_entry(run11, failing, doctored):
+    """A restriction that raises at one entry and a wrong entry elsewhere: the
+    one first in row-major order is reported, on every path."""
+    g = run11.group
+    bundles = list(run11.bundles)
+    bad = bundles[doctored]
+    bundles[doctored] = VirtualBundle(bad.index, bad.vertex, (chi(g, 5), chi(g, 5)), bad.minus)
+    calcs = surface_calculators(run11)
+    v = bundles[failing].vertex
+    calcs[v] = _FailingCalculus(calcs[v], bundles[failing])
+    outcomes = {f.__name__: _duality_outcome(f, g, bundles, calcs)
+                for f in (duality_matrix,) + ORACLES}
+    assert len(set(map(repr, outcomes.values()))) == 1, outcomes
+    message = outcomes["duality_matrix"][0]
+    assert message == ("duality pairing is not the identity" if doctored == 0
+                       else "degree vector is not realised by a divisor class")
 
 
 def test_duality_pairs_only_the_touching_surfaces(run30, monkeypatch):
-    """Bundle-surface pairs with no character on the surface's boundary are skipped.
+    """A pair is computed only where some side of the bundle has two
+    characters, with multiplicity, in the surface's support, or on the
+    bundle's own surface; every other pair is 0 and is skipped.
 
     The run keeps only the star fans; the calculators are rebuilt here.
     """
@@ -491,14 +567,44 @@ def test_duality_pairs_only_the_touching_surfaces(run30, monkeypatch):
 
     monkeypatch.setattr(SurfaceCalculus, "c2_pairing", counted)
     duality_matrix(run30.group, run30.bundles, calcs)
+    pairing = {
+        (v, b.vertex)
+        for v, calc in calcs.items()
+        for b in run30.bundles
+        if v == b.vertex or any(sum(chi in calc.support for chi in side) > 1
+                                for side in (b.plus, b.minus))
+    }
+    assert sorted(calls) == sorted(pairing)
     touching = {
         (v, b.vertex)
         for v, calc in calcs.items()
         for b in run30.bundles
         if calc.support.intersection(b.plus + b.minus)
     }
-    assert sorted(calls) == sorted(touching)
-    assert len(calls) < len(run30.bundles) * len(calcs)
+    assert len(calls) < len(touching) < len(run30.bundles) * len(calcs)
+
+
+def test_duality_stage_keeps_one_calculator_alive(monkeypatch):
+    """Every `c2_pairing` call of the stage sees only its own calculator alive."""
+    art = run_pipeline("1/101(1,2,98)", which="relations")
+    alive = weakref.WeakSet()
+    seen = []
+    init, pairing = SurfaceCalculus.__init__, SurfaceCalculus.c2_pairing
+
+    def tracked_init(self, *args):
+        init(self, *args)
+        alive.add(self)
+
+    def tracked_pairing(self, bundle):
+        seen.append(len(alive))
+        return pairing(self, bundle)
+
+    monkeypatch.setattr(SurfaceCalculus, "__init__", tracked_init)
+    monkeypatch.setattr(SurfaceCalculus, "c2_pairing", tracked_pairing)
+    pipeline._check_duality(art)
+    assert art.duality and len(seen) >= len(art.surfaces)
+    assert max(seen) == 1
+    assert len(alive) == 0
 
 
 # -- h2: the unitriangular peel, and the ZSpan fallback when it stalls

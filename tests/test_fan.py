@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -753,6 +755,128 @@ def test_corner_fan_names_a_bad_chain(monkeypatch, chain, message, detail):
         corner_fan(build_group("1/11(1,2,8)"), 0)
     assert str(err.value) == message
     assert err.value.detail == detail
+
+
+def test_degenerate_corner_cone_is_named():
+    with pytest.raises(InvariantViolationError) as err:
+        fan._hj_chain((0, 1), (1, 0))
+    assert str(err.value) == "degenerate corner cone"
+    assert err.value.detail == {"from": (0, 1), "to": (1, 0)}
+
+
+def _stand_in_fans(monkeypatch, lines):
+    """`corner_fan` returning the given lines, each at its own corner."""
+    monkeypatch.setattr(fan, "corner_fan",
+                        lambda group, corner: [ln for ln in lines if ln.corner == corner])
+
+
+def _named(*lines):
+    return {"lines": [{"corner": ln.corner, "step": ln.step} for ln in lines]}
+
+
+def test_parallel_lines_are_named(monkeypatch):
+    g = build_group("1/11(1,2,8)")
+    line = corner_fan(g, 0)[0]
+    twin = dataclasses.replace(line, corner=1, origin=fan.simplex_corners(g.order)[1])
+    _stand_in_fans(monkeypatch, [line, twin])
+    with pytest.raises(InvariantViolationError) as err:
+        knockout(g)
+    assert str(err.value) == "parallel interior lines cannot occur"
+    assert err.value.detail == _named(line, twin)
+
+
+def test_lines_crossing_outside_are_named(monkeypatch):
+    g = build_group("1/11(1,2,8)")
+    line, other = corner_fan(g, 0)[0], corner_fan(g, 1)[0]
+    away = dataclasses.replace(other, step=intmat.vec_neg(other.step))
+    _stand_in_fans(monkeypatch, [line, away])
+    with pytest.raises(InvariantViolationError) as err:
+        knockout(g)
+    assert str(err.value) == "interior lines must cross inside"
+    assert err.value.detail == _named(line, away)
+
+
+def test_unsettled_tournament_names_its_moving_lines(monkeypatch):
+    """A rule that reverses its verdict on each pair at every call never settles."""
+    calls = Counter()
+
+    def flipping(ratio_a, ratio_b):
+        calls[ratio_a, ratio_b] += 1
+        return "second" if calls[ratio_a, ratio_b] % 2 else "first"
+
+    monkeypatch.setattr(fan, "monomial_knockout", flipping)
+    with pytest.raises(InvariantViolationError) as err:
+        knockout(build_group("1/30(25,2,3)"))
+    assert str(err.value) == "knock-out tournament did not stabilise"
+    assert err.value.detail == {"lines": [{"corner": 0, "step": (-5, 2, 3)},
+                                          {"corner": 2, "step": (10, 2, -12)}]}
+
+
+def test_two_champion_meetings_are_named(monkeypatch):
+    meetings = [(3, 3, 5), (4, 2, 5)]
+    monkeypatch.setattr(fan, "_resolve_battles", lambda lines, point_parts, death: [
+        fan.Battle(pt, [0, 1, 2], None) for pt in meetings])
+    with pytest.raises(InvariantViolationError) as err:
+        knockout(build_group("1/11(1,2,8)"))
+    assert str(err.value) == "two side-0 champion meetings"
+    assert err.value.detail == {"points": meetings}
+
+
+def test_survivor_off_the_lattice_is_named(monkeypatch):
+    """A lone line of twice a real step: 2 does not divide 11 steps of the corner."""
+    g = build_group("1/11(1,2,8)")
+    line = corner_fan(g, 0)[0]
+    doubled = dataclasses.replace(line, step=intmat.vec_scale(2, line.step))
+    _stand_in_fans(monkeypatch, [doubled])
+    with pytest.raises(InvariantViolationError) as err:
+        knockout(g)
+    assert str(err.value) == "surviving line leaves the simplex at a non-lattice point"
+    assert err.value.detail == {"corner": 0, "step": (-10, 2, 8)}
+
+
+def test_partition_area_shortfall_is_named(monkeypatch):
+    """Without its champion triangle, 1/7(1,2,4) covers 6 of its 7 basic triangles."""
+    monkeypatch.setattr(fan, "_champion_triangle", lambda corner_triangles: None)
+    with pytest.raises(InvariantViolationError) as err:
+        knockout(build_group("1/7(1,2,4)"))
+    assert str(err.value) == "regular partition covers 6 basic triangles, expected 7"
+    assert err.value.detail == {"regular_triangles": 6, "covered": 6, "order": 7}
+
+
+def test_champion_region_with_four_corners_is_named():
+    """Two stand-in unit triangles sharing a side leave a parallelogram uncovered."""
+    p, s1, s2 = (3, 3, 5), (1, -1, 0), (1, 0, -1)
+    q, r = intmat.vec_add(p, s1), intmat.vec_add(p, s2)
+    first = SimpleNamespace(vertices=(p, q, r), steps=(s1, s2), side=1)
+    second = SimpleNamespace(vertices=(q, intmat.vec_add(q, s2), r),
+                             steps=(s2, intmat.vec_sub(s2, s1)), side=1)
+    with pytest.raises(InvariantViolationError) as err:
+        fan._champion_triangle([first, second])
+    assert str(err.value) == "champion region has 4 corners, not 3"
+    assert err.value.detail == {"corners": [p, q, r, (5, 2, 4)]}
+
+
+def test_battle_with_repeated_corners_is_named():
+    lines = corner_fan(build_group("1/11(1,2,8)"), 0)
+    with pytest.raises(InvariantViolationError) as err:
+        fan._resolve_battles(lines, {(3, 3, 5): {0: 1, 1: 2}}, [None, None])
+    assert str(err.value) == "battle with repeated corners"
+    assert err.value.detail == {"point": (3, 3, 5), **_named(*lines)}
+
+
+def test_defeated_line_that_runs_on_is_named():
+    """A real battle resolved with no line dead: both losers are named."""
+    part = knockout(build_group("1/11(1,2,8)"))
+    lines = [dataclasses.replace(ln, battles=[]) for ln in part.corner_lines]
+    battle = next(b for b in part.battles if b.winner is not None)
+    pt = battle.lattice_point
+    parts = {pt: {k: intmat.content(intmat.vec_sub(pt, lines[k].origin))
+                  // intmat.content(lines[k].step) for k in battle.participants}}
+    with pytest.raises(InvariantViolationError) as err:
+        fan._resolve_battles(lines, parts, [None] * len(lines))
+    assert str(err.value) == "defeated line does not die in place"
+    losers = [lines[k] for k in battle.participants if k != battle.winner]
+    assert err.value.detail == {"point": pt, **_named(*losers)}
 
 
 # ---------------------------------------------------------------------------

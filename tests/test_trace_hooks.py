@@ -1,7 +1,8 @@
 """The traced benchmark (`perfbench/tracer.py`) patches names in `ahilb`.
 
 It wraps `ChartSet.degree_on_curve` and reads `len(ChartSet._degree)`,
-wraps `pipeline.check_bundle_degrees` and `SurfaceCalculus.c2_pairing`,
+wraps `pipeline.check_bundle_degrees`, `pipeline.build_surfaces`,
+`pipeline.duality_matrix` and `SurfaceCalculus.c2_pairing`,
 wraps `pipeline.ChartSet` and counts `len(table)` over its charts, and
 wraps `cli.to_json` and counts the bytes of the text it returns.
 A refactor that renames or bypasses them would silently leave those spans
@@ -53,7 +54,8 @@ def _traced(script, *args):
 
 def test_traced_run_records_the_degree_and_pairing_spans():
     calls = _traced(SCRIPT)
-    for span in ("charts.degree_on_curve", "cohomology.bundle_degrees", "cohomology.c2_pairing"):
+    for span in ("charts.degree_on_curve", "cohomology.bundle_degrees", "cohomology.surfaces",
+                 "cohomology.duality", "cohomology.c2_pairing"):
         assert calls.get(span, 0) > 0, span
 
 
