@@ -15,7 +15,7 @@ boundary curve of a surface restricts to the zero class there (Fulton,
 *Intersection Theory*, 3.2), and c2 of a side adds the products of its
 characters' classes in pairs, so a side with fewer than two characters
 in a surface's support pairs to 0 with it.  The duality matrix is
-filled column by column, one surface at a time: its `SurfaceCalculus`
+checked column by column, one surface at a time: its `SurfaceCalculus`
 (support and restriction memo) is built, paired with the bundles that
 hold two support characters on one side and with its own bundle, and
 dropped before the next surface's is built.
@@ -253,46 +253,52 @@ def build_virtual_bundles(group, decoration, relations):
 
 
 def duality_matrix(group, bundles, calculators):
-    """Pairing of the virtual bundles against the compact surfaces, column by column.
+    """Check that the pairing of the virtual bundles against the compact
+    surfaces is the identity, column by column; its size b4 when it is.
 
-    Rows follow the bundles and columns the vertices in order.
-    `calculators` maps each vertex to its `SurfaceCalculus` and is read once
-    per column, so `SurfaceCalculators` keeps one calculator alive at a
-    time.  A side of a bundle with fewer than two characters in a surface's
-    support pairs to 0 there (`_pair_sum`), so `c2_pairing` runs only where
-    some side has two, counted with multiplicity, and on the bundle's own
-    surface; every other entry is 0, which the identity expects off the
-    diagonal.  Each entry is compared with the identity, and once the walk
-    is done the failing entry that comes first in row-major order is
-    reported by its characters.
+    Row i is the bundle of the i-th vertex in order and column j the
+    surface of the j-th, so the diagonal pairs each bundle with its own
+    surface.  `calculators` maps each vertex to its `SurfaceCalculus` and
+    is read once per column, so `SurfaceCalculators` keeps one calculator
+    alive at a time.  A side of a bundle with fewer than two characters in
+    a surface's support pairs to 0 there (`_pair_sum`), so `c2_pairing`
+    runs only where some side has two, counted with multiplicity, and on
+    the diagonal; every other entry is 0, which the identity expects off
+    the diagonal.  Once the walk is done the failing entry that comes first
+    in row-major order is reported by its characters.  No matrix is kept:
+    the document writes the b4 identity rows.
     """
     verts = sorted(calculators)
+    rows = [b.vertex for b in bundles]
+    if rows != verts:
+        raise CorrespondenceError(
+            "virtual bundles are not one per surface in vertex order",
+            detail={"bundle_vertices": rows, "surface_vertices": verts},
+        )
     holders = {}  # character -> 2 * row + side (0 plus, 1 minus), once per occurrence
-    own = {}  # vertex -> rows of its bundles
     for i, b in enumerate(bundles):
         for side, chars in enumerate((b.plus, b.minus)):
             for chi in chars:
                 holders.setdefault(chi, []).append(2 * i + side)
-        own.setdefault(b.vertex, []).append(i)
-    matrix = [[0] * len(verts) for _ in bundles]
     first = None  # (row, error) of the first failing entry in row-major order
     for j, v in enumerate(verts):
-        fail = _pair_column(group, bundles, calculators[v], holders, own.get(v, ()), matrix, j)
+        fail = _pair_column(group, bundles, calculators[v], holders, j)
         if fail is not None and (first is None or fail[0] < first[0]):
             first = fail
     if first is not None:
         raise first[1]
-    return matrix
+    return len(verts)
 
 
-def _pair_column(group, bundles, calc, holders, own_rows, matrix, j):
-    """Fill column j from its surface's calculator; (row, error) of its first failure, or None."""
+def _pair_column(group, bundles, calc, holders, j):
+    """Check column j from its surface's calculator; (row, error) of its first failure, or None."""
     held = map(holders.get, holders.keys() & calc.support)
     touching = Counter(itertools.chain.from_iterable(held))  # support characters per side
-    rows = {key >> 1 for key, n in touching.items() if n > 1}.union(own_rows)
+    rows = {key >> 1 for key, n in touching.items() if n > 1}
+    rows.add(j)
     for i in sorted(rows):
         b = bundles[i]
-        expected = 1 if i in own_rows else 0
+        expected = 1 if i == j else 0
         try:
             entry = calc.c2_pairing(b)
         except InvariantViolationError as exc:
@@ -307,7 +313,6 @@ def _pair_column(group, bundles, calc, holders, own_rows, matrix, j):
                     "expected": expected,
                 },
             )
-        matrix[i][j] = entry
     return None
 
 

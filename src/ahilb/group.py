@@ -3,15 +3,24 @@
 A group element diag(eps^a1, eps^a2, eps^a3) is stored as the vector
 (a1, a2, a3) scaled so that every element has denominator |A|: after
 `build_group` each element is an integer triple with entries in [0, |A|).
-The dual data is the rank-3 sublattice of exponent vectors fixed by the
-action; characters are canonical coset representatives modulo that lattice.
+
+Everything is read off Hermite normal forms of lattices in Z^3.  The order
+is |A| = L^3 / det(L*N), with N = Z^3 + (the generators) and L the lcm of
+the declared orders.  The scaled lattice |A|*N has an HNF basis B with
+det B = |A|^2, and the elements are the box of its pivots mod |A|.  The
+invariant exponent lattice M, the monomials fixed by the action, is dual to
+|A|*N under the pairing into Z/|A| (Fulton, Introduction to Toric
+Varieties, 2.1): M = |A|*B^-T Z^3, the columns of adj B over |A|.  The
+characters are canonical coset representatives modulo M, the box of the
+pivots of M's HNF.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import InputError, InvariantViolationError, ResourceLimitError
 from . import intmat
@@ -78,25 +87,37 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 
 class AbelianGroup:
-    """Immutable once built; all queries are pure."""
+    """Immutable once built; all queries are pure.
 
-    def __init__(self, spec, elements, order, dual_basis, lattice_basis, distinguished):
+    Every lattice of the group is read off one HNF, that of the scaled
+    lattice |A|*N (`build_group` finds |A| first).
+    """
+
+    def __init__(self, spec, order):
         self.spec = spec
         self.order = order
-        # integer triples scaled by `order`, sorted, identity first
-        self.elements = elements
-        # HNF rows (upper echelon) of the invariant exponent lattice M, whose
-        # pairing into Z/|A| cuts out the scaled lattice (`least_multiple`)
-        self.dual_basis = dual_basis
-        # HNF rows of the scaled lattice |A|*N = |A|*Z^3 + (the generators)
-        self.lattice_basis = lattice_basis
-        # (adj B, det B) of that basis B: p @ adj B = det B * (p in the basis B)
-        self.lattice_inverse = (intmat.adjugate3(lattice_basis), intmat.det3(lattice_basis))
-        self.distinguished = distinguished  # scaled generator used for labels
-        self.is_cyclic = distinguished is not None
         self.scaled_generators = _scaled_generators(spec, order)
-        self._char_list = None
-        self._char_index = None
+        # HNF rows (upper echelon) of the scaled lattice |A|*N = |A|*Z^3 + (the generators)
+        self.lattice_basis = B = _scaled_lattice(self.scaled_generators, order)
+        # (adj B, det B): p @ adj B = det B * (p in the basis B), and det B = |A|^2
+        self.lattice_inverse = (intmat.adjugate3(B), intmat.det3(B))
+        # the box of B's pivots mod |A|: integer triples scaled by `order`, sorted, identity first
+        self.elements = _pivot_box(B, order)
+        # HNF rows of the invariant exponent lattice M = |A|*B^-T Z^3, whose
+        # pairing into Z/|A| cuts out the scaled lattice (`least_multiple`)
+        self.dual_basis = H = _invariant_lattice(self.lattice_inverse[0], order)
+        d = intmat.det3(H)
+        if abs(d) != order:  # |A| = [N : Z^3] = [Z^3 : M]
+            raise InputError("invariant lattice index does not equal the group order",
+                             detail={"order": order, "det": d})
+        self.distinguished = _distinguished(spec, self.scaled_generators, self.elements, order)
+        self.is_cyclic = self.distinguished is not None
+        # the box of M's pivots: each point is its own `reduce`, so these are the |A| characters
+        chars = list(itertools.product(range(H[0][0]), range(H[1][1]), range(H[2][2])))
+        if self.is_cyclic:
+            chars.sort(key=self.char_label_index)
+        self._char_list = chars
+        self._char_index = {c: n for n, c in enumerate(chars)}
 
     # -- element-level queries ------------------------------------------------
 
@@ -155,24 +176,9 @@ class AbelianGroup:
 
     def characters(self):
         """All |A| characters, cyclic groups ordered by label index."""
-        if self._char_list is None:
-            H = self.dual_basis
-            reps = []
-            for i in range(H[0][0]):
-                for j in range(H[1][1]):
-                    for k in range(H[2][2]):
-                        reps.append(self.reduce((i, j, k)))
-            reps = sorted(set(reps))
-            if len(reps) != self.order:
-                raise InputError("character enumeration does not match group order")
-            if self.is_cyclic:
-                reps.sort(key=self.char_label_index)
-            self._char_list = reps
-            self._char_index = {c: n for n, c in enumerate(reps)}
         return self._char_list
 
     def char_id(self, chi) -> int:
-        self.characters()
         return self._char_index[self.reduce(chi)]
 
     def char_label_index(self, chi):
@@ -194,69 +200,18 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER) -> AbelianGroup:
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     spec.validate()
-
-    L = 1
-    for r, _ in spec.generators:
-        L = lcm(L, r)
-    bound = 1
-    for r, _ in spec.generators:
-        bound *= r
+    bound = prod(r for r, _ in spec.generators)
     if bound > max_order:
         raise ResourceLimitError(
             f"generator orders multiply to {bound}, above the cap {max_order}",
             detail={"bound": bound, "max_order": max_order},
         )
-
-    # closure over triples scaled by the lcm of the generator orders; |A| <= bound
-    gens_L = [tuple((L // r) * a for a in w) for r, w in spec.generators]
-    identity = (0, 0, 0)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens_L:
-                f = ((e[0] + g[0]) % L, (e[1] + g[1]) % L, (e[2] + g[2]) % L)
-                if f not in seen:
-                    seen.add(f)
-                    nxt.append(f)
-        frontier = nxt
-    order = len(seen)
-
-    # rescale from denominator L to denominator |A| (orders divide |A|)
-    elements = []
-    for e in seen:
-        scaled = []
-        for a in e:
-            num = a * order
-            if num % L:
-                raise InputError("element denominator does not divide the group order")
-            scaled.append(num // L)
-        elements.append(tuple(scaled))
-    elements.sort()
-
-    scaled = _scaled_generators(spec, order)
-    dual = _invariant_lattice(scaled, order)
-    lattice = _scaled_lattice(scaled, order)
-
-    distinguished = None
-    for r, w in spec.generators:
-        if r == order and _element_order(tuple((order // r) * a for a in w), order) == order:
-            distinguished = tuple((order // r) * a for a in w)
-            break
-    if distinguished is None:
-        for e in elements:
-            if _element_order(e, order) == order:
-                distinguished = e
-                break
-
-    g = AbelianGroup(spec, elements, order, dual, lattice, distinguished)
-    # index checks: |A| = [N : Z^3] = [Z^3 : M]
-    d = intmat.det3(dual)
-    if abs(d) != order:
-        raise InputError("invariant lattice index does not equal the group order")
-    g.characters()  # sealed eagerly; reads are pure and thread-safe afterwards
-    return g
+    # |A| = [N : Z^3] = L^3 / det(L*N), at the lcm L of the declared orders;
+    # a generator's true order may be a proper divisor of its declared one,
+    # so L need not divide |A| and the group's own lattice is built anew
+    L = lcm(*(r for r, _ in spec.generators))
+    order = L**3 // intmat.det3(_scaled_lattice(_scaled_generators(spec, L), L))
+    return AbelianGroup(spec, order)
 
 
 def least_multiple(order, v, rows):
@@ -274,39 +229,54 @@ def _element_order(e, order):
     return order // gcd(g, order)
 
 
+def _distinguished(spec, scaled, elements, order):
+    """The label generator: the first spec generator of full declared and true
+    order, else the least element of order |A|; None for a non-cyclic group."""
+    full = [s for (r, _), s in zip(spec.generators, scaled) if r == order]
+    candidates = itertools.chain(full, elements)
+    return next((e for e in candidates if _element_order(e, order) == order), None)
+
+
 def _scaled_generators(spec, order):
-    """The spec's generators as integer triples with denominator |A|."""
+    """The spec's generators as integer triples with denominator `order`."""
     return tuple(tuple((a * order) // r for a in w) for r, w in spec.generators)
 
 
-def _invariant_lattice(generators, order):
-    """HNF rows of {m in Z^3 : m . g == 0 mod |A| for all generators g}, the invariants."""
-    gens = [g for g in generators if any(g)]
-    if not gens:
-        return [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    # m with gens @ m ~ 0 mod order: right-kernel of [gens | order*I]
-    k = len(gens)
-    rows = []
-    for i in range(3 + k):
-        if i < 3:
-            rows.append([g[i] for g in gens])
-        else:
-            rows.append([order if j == i - 3 else 0 for j in range(k)])
-    kern = intmat.left_kernel(rows)
-    basis = [v[:3] for v in kern]
-    H = intmat.hnf_rows(basis)
-    if len(H) != 3:
-        raise InputError("invariant lattice has rank < 3")
-    return [tuple(r) for r in H]
-
-
 def _scaled_lattice(generators, order):
-    """HNF rows of |A|*Z^3 + (the scaled generators) inside Z^3."""
+    """HNF rows of order*Z^3 + (the scaled generators) inside Z^3; rank 3 by its first rows."""
     rows = [(order, 0, 0), (0, order, 0), (0, 0, order)] + [g for g in generators if any(g)]
-    H = intmat.hnf_rows(rows)
-    if len(H) != 3:
-        raise InvariantViolationError("scaled lattice is not of full rank")
-    return [tuple(r) for r in H]
+    return [tuple(r) for r in intmat.hnf_rows(rows)]
+
+
+def _pivot_box(B, order):
+    """The |A| points i*b0 + j*b1 + k*b2 mod |A|, 0 <= i < |A|/d0 and so on, sorted.
+
+    Each pivot d divides |A|, since |A|*e_i lies in the lattice, and two
+    distinct box points differ by a lattice vector outside |A|*Z^3, so the
+    box is the group.
+    """
+    (d0, b01, b02), (_, d1, b12), (_, _, d2) = B
+    return sorted(
+        (i * d0, (i * b01 + j * d1) % order, (i * b02 + j * b12 + k * d2) % order)
+        for i in range(order // d0)
+        for j in range(order // d1)
+        for k in range(order // d2)
+    )
+
+
+def _invariant_lattice(adj, order):
+    """HNF rows of M = |A|*B^-T Z^3 = adj(B) Z^3 / |A|, from adj B (det B = |A|^2).
+
+    M is {m : B m == 0 mod |A|}, spanned by the columns of adj B over |A|.
+    """
+    cols = list(zip(*adj))
+    inexact = [list(c) for c in cols if any(x % order for x in c)]
+    if inexact:
+        raise InvariantViolationError(
+            "adjugate of the scaled lattice is not divisible by the group order",
+            detail={"order": order, "columns": inexact},
+        )
+    return [tuple(r) for r in intmat.hnf_rows([[x // order for x in c] for c in cols])]
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:

@@ -149,14 +149,6 @@ def hnf_rows(rows):
     return H
 
 
-def left_kernel(rows):
-    """Basis of {x : x @ rows == 0}."""
-    if not rows:
-        return []
-    _, U, r = hnf_transform(rows)
-    return [tuple(u) for u in U[r:]]
-
-
 def solve_int(rows, target):
     """One integer solution x of x @ rows == target, or None.
 
@@ -230,7 +222,8 @@ def complete_unimodular(c):
         raise ValueError("vector is not primitive")
     A = inverse_unimodular(V)
     if tuple(A[0]) != tuple(c):
-        raise InvariantViolationError(f"unimodular completion lost its first row {c}")
+        raise InvariantViolationError(f"unimodular completion lost its first row {c}",
+                                      detail={"vector": c})
     return A, V
 
 

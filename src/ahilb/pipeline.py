@@ -86,7 +86,7 @@ class Artifacts:
     relations: list = None
     surfaces: dict = None  # interior vertex -> CompactSurface
     bundles: list = None
-    duality: list = None
+    duality: int = None  # b4: the pairing is the b4 x b4 identity
     h2: dict = None
     certificate: dict = None
     report: RunReport = None
@@ -291,7 +291,7 @@ def _check_duality(art):
     # each surface's calculator is built for its column and dropped after it
     calculators = SurfaceCalculators(art.charts, art.surfaces, art.decoration)
     art.duality = duality_matrix(art.group, art.bundles, calculators)
-    return {"size": len(art.duality)}
+    return {"size": art.duality}
 
 
 def _check_h2(art):

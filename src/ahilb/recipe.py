@@ -450,20 +450,14 @@ def _check_embedding(group, placements):
     if len(placements) != group.order:
         raise CorrespondenceError("quiver domain does not have |A| hexagons",
                                   detail={"hexagons": len(placements), "order": group.order})
-    seen = {}
     for chi, m in placements.items():
         if group.weight(m) != chi:
             raise CorrespondenceError("quiver representative has the wrong weight",
                                       detail={"character": chi, "monomial": m})
-        pos = hexagon_position(m)
-        if pos in seen:
-            raise CorrespondenceError(
-                "two characters share a hexagon",
-                detail={"position": pos, "characters": [seen[pos], chi]},
-            )
-        seen[pos] = chi
+    # with the weights right no two characters share a hexagon: two monomials
+    # on one differ by a power of the invariant xyz
+    cells = {hexagon_position(m) for m in placements.values()}
     # connectivity under the six unit steps of the hexagon plane
-    cells = set(seen)
     start = min(cells)
     stack = [start]
     reached = {start}

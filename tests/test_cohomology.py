@@ -141,11 +141,24 @@ def test_trivial_character_restricts_to_zero(run11):
 
 
 def test_duality_identity(run11, run30, run_trivial):
-    assert run11.duality == [[1 if i == j else 0 for j in range(5)] for i in range(5)]
-    n = len(run30.duality)
-    assert n == run30.group.age_counts()[2]
-    assert run30.duality == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    assert run_trivial.duality == []
+    assert run11.duality == 5
+    assert run30.duality == run30.group.age_counts()[2] == len(run30.surfaces)
+    assert run_trivial.duality == 0
+
+
+@pytest.mark.parametrize("shuffle", ["swap", "drop"])
+def test_bundles_out_of_vertex_order_are_rejected(run11, shuffle):
+    """Row i is claimed against column i, so bundle i must be the i-th vertex's."""
+    bundles = list(run11.bundles)
+    if shuffle == "swap":
+        bundles[0], bundles[1] = bundles[1], bundles[0]
+    else:
+        bundles.pop()
+    with pytest.raises(CorrespondenceError) as err:
+        duality_matrix(run11.group, bundles, surface_calculators(run11))
+    assert str(err.value) == "virtual bundles are not one per surface in vertex order"
+    assert err.value.detail == {"bundle_vertices": [b.vertex for b in bundles],
+                                "surface_vertices": sorted(run11.surfaces)}
 
 
 def test_perturbed_duality_entry_reported(run11):
@@ -451,6 +464,15 @@ def _dense_duality_matrix(group, bundles, surfaces):
     return matrix
 
 
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _walked_identity(group, bundles, surfaces):
+    """`duality_matrix` returns b4 once every entry passes: the b4 identity."""
+    return _identity(duality_matrix(group, bundles, surfaces))
+
+
 def _duality_outcome(matrix_fn, group, bundles, surfaces):
     """The matrix, or the message and detail of the failure it raises."""
     try:
@@ -466,7 +488,7 @@ def _assert_duality_paths_agree(art, perturbations):
     g = art.group
     calcs = surface_calculators(art)
     for oracle in ORACLES:
-        assert duality_matrix(g, art.bundles, calcs) == oracle(g, art.bundles, calcs)
+        assert oracle(g, art.bundles, calcs) == _walked_identity(g, art.bundles, calcs)
     # one character of one bundle swapped for a random one: every path must
     # name the same first failing entry, or all pass
     rng = random.Random(11)
@@ -478,7 +500,7 @@ def _assert_duality_paths_agree(art, perturbations):
         plus[rng.randrange(len(plus))] = rng.choice(chars)
         bundles = list(art.bundles)
         bundles[k] = VirtualBundle(b.index, b.vertex, tuple(plus), b.minus)
-        got = _duality_outcome(duality_matrix, g, bundles, calcs)
+        got = _duality_outcome(_walked_identity, g, bundles, calcs)
         for oracle in ORACLES:
             assert got == _duality_outcome(oracle, g, bundles, calcs), (oracle.__name__, b)
 
@@ -541,9 +563,9 @@ def test_failed_restriction_is_ordered_like_a_failed_entry(run11, failing, docto
     v = bundles[failing].vertex
     calcs[v] = _FailingCalculus(calcs[v], bundles[failing])
     outcomes = {f.__name__: _duality_outcome(f, g, bundles, calcs)
-                for f in (duality_matrix,) + ORACLES}
+                for f in (_walked_identity,) + ORACLES}
     assert len(set(map(repr, outcomes.values()))) == 1, outcomes
-    message = outcomes["duality_matrix"][0]
+    message = outcomes["_walked_identity"][0]
     assert message == ("duality pairing is not the identity" if doctored == 0
                        else "degree vector is not realised by a divisor class")
 

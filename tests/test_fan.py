@@ -335,8 +335,10 @@ def _oracle_corner_dirs(g, corner):
 
 
 def _oracle_direction_basis(g):
+    from test_group import _left_kernel  # test_group imports this module
+
     B = g.lattice_basis
-    kern = intmat.left_kernel([[sum(row)] for row in B])
+    kern = _left_kernel([[sum(row)] for row in B])
     return [intmat.vec_mat(k, B) for k in kern]
 
 

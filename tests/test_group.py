@@ -1,11 +1,13 @@
+import itertools
 import random
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ahilb import intmat
+from ahilb import group, intmat
 from ahilb.charts import ChartSet
-from ahilb.errors import InputError, ResourceLimitError
+from ahilb.errors import InputError, InvariantViolationError, ResourceLimitError
 from ahilb.fan import triangulate
 from ahilb.group import build_group, least_multiple, parse_group_spec, ratio_split
 from test_acceptance import _cyclic_family_runs, _cyclic_family_up_to_30
@@ -204,15 +206,43 @@ def test_equal_groups_from_different_generators():
     assert g1.dual_basis == g2.dual_basis
 
 
-def _all_elements_invariant_lattice(g):
-    """HNF rows of the exponents invariant under every element, one by one."""
-    elements = [e for e in g.elements if e != (0, 0, 0)]
-    if not elements:
+# The closure search, rescale and kernel solve that `build_group` ran before
+# it read every lattice off the HNF of the scaled lattice, and the lattices of
+# every element one by one: the oracles of the tests below.
+
+
+def _left_kernel(rows):
+    """Basis of {x : x @ rows == 0}: the rows of `hnf_transform`'s U past the rank."""
+    _, U, r = intmat.hnf_transform(rows)
+    return [tuple(u) for u in U[r:]]
+
+
+def _closure_elements(spec):
+    """|A| and the sorted elements scaled by |A|, by closure at the lcm L of the declared orders."""
+    L = lcm(*(r for r, _ in spec.generators))
+    gens = [tuple((L // r) * a for a in w) for r, w in spec.generators]
+    seen = {(0, 0, 0)}
+    frontier = [(0, 0, 0)]
+    while frontier:
+        e = frontier.pop()
+        for h in gens:
+            f = tuple((a + b) % L for a, b in zip(e, h))
+            if f not in seen:
+                seen.add(f)
+                frontier.append(f)
+    order = len(seen)
+    assert all(a * order % L == 0 for e in seen for a in e)
+    return order, sorted(tuple(a * order // L for a in e) for e in seen)
+
+
+def _kernel_invariant_lattice(generators, order):
+    """HNF rows of {m : m . g == 0 mod |A| for every g}: the kernel of [generators | |A| I]."""
+    gens = [h for h in generators if any(h)]
+    if not gens:
         return [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    k = len(elements)
-    rows = [[e[i] for e in elements] for i in range(3)]
-    rows += [[g.order if j == i else 0 for j in range(k)] for i in range(k)]
-    return [tuple(r) for r in intmat.hnf_rows([v[:3] for v in intmat.left_kernel(rows)])]
+    rows = [[h[i] for h in gens] for i in range(3)]
+    rows += [[order if j == i else 0 for j in range(len(gens))] for i in range(len(gens))]
+    return [tuple(r) for r in intmat.hnf_rows([v[:3] for v in _left_kernel(rows)])]
 
 
 def _all_elements_scaled_lattice(g):
@@ -220,8 +250,29 @@ def _all_elements_scaled_lattice(g):
     return [tuple(row) for row in intmat.hnf_rows([(r, 0, 0), (0, r, 0), (0, 0, r)] + g.elements)]
 
 
+def _reduced_box_characters(g):
+    """Every point of the dual pivots' box reduced, deduplicated and sorted."""
+    H = g.dual_basis
+    box = itertools.product(range(H[0][0]), range(H[1][1]), range(H[2][2]))
+    reps = sorted({g.reduce(m) for m in box})
+    if g.is_cyclic:
+        reps.sort(key=g.char_label_index)
+    return reps
+
+
+def _searched_distinguished(spec, elements, order):
+    """The first generator of full declared and true order, else the least element of order |A|."""
+    def full(e):
+        return gcd(*e, order) == 1
+
+    for r, w in spec.generators:
+        if r == order and full(w):
+            return w
+    return next((e for e in elements if full(e)), None)
+
+
 def test_lattices_from_generators_match_all_elements():
-    specs = _cyclic_family_up_to_30() + [
+    specs = _cyclic_family_up_to_30() + _SWEEP_PRODUCTS + [
         "1/3(1,2,0);1/3(0,1,2)",
         "1/4(2,2,0)",
         "1/5(0,0,0)",
@@ -229,11 +280,38 @@ def test_lattices_from_generators_match_all_elements():
         "1/2(1,1,0);1/2(0,1,1)",
         "1/6(1,2,3);1/3(1,1,1)",
         "1/4(1,1,2);1/2(1,1,0);1/2(0,1,1)",
+        # (6,3,3)/12 has order 4, so the lcm 60 of the declared orders does not divide |A|
+        "1/12(6,3,3);1/10(1,6,3)",
     ]
     for spec in specs:
         g = build_group(spec)
-        assert g.dual_basis == _all_elements_invariant_lattice(g), spec
+        order, elements = _closure_elements(g.spec)
+        assert (g.order, g.elements) == (order, elements), spec
+        assert g.dual_basis == _kernel_invariant_lattice(g.scaled_generators, order), spec
+        assert g.dual_basis == _kernel_invariant_lattice(g.elements, order), spec
         assert g.lattice_basis == _all_elements_scaled_lattice(g), spec
+        assert g.distinguished == _searched_distinguished(g.spec, elements, order), spec
+        assert g.characters() == _reduced_box_characters(g), spec
+    assert build_group("1/12(6,3,3);1/10(1,6,3)").order == 40
+
+
+def test_wrong_invariant_lattice_index_is_rejected(monkeypatch):
+    unit = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    monkeypatch.setattr(group, "_invariant_lattice", lambda adj, order: unit)
+    with pytest.raises(InputError) as err:
+        build_group("1/11(1,2,8)")
+    assert str(err.value) == "invariant lattice index does not equal the group order"
+    assert err.value.detail == {"order": 11, "det": 1}
+
+
+def test_adjugate_not_divisible_by_the_order_is_rejected():
+    # adj of the basis of 11*N over 22, as if the scaled lattice had det 22^2
+    adj, det = build_group("1/11(1,2,8)").lattice_inverse
+    assert det == 121
+    with pytest.raises(InvariantViolationError) as err:
+        group._invariant_lattice(adj, 22)
+    assert str(err.value) == "adjugate of the scaled lattice is not divisible by the group order"
+    assert err.value.detail == {"order": 22, "columns": [[121, 0, 0], [-22, 11, 0], [-88, 0, 11]]}
 
 
 # The loop `reduce` and the generator-expression `ratio_split` that the

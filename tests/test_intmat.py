@@ -6,6 +6,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from ahilb import intmat
+from ahilb.errors import InvariantViolationError
 
 
 # The generator-expression kernels that `intmat` replaced with `map` over
@@ -111,14 +112,6 @@ def test_solve_int_unsolvable():
     assert intmat.solve_int([[2, 0], [0, 2]], (1, 0)) is None
 
 
-def test_left_kernel():
-    A = [[1, 2], [2, 4], [0, 0]]
-    kern = intmat.left_kernel(A)
-    assert len(kern) == 2
-    for k in kern:
-        assert intmat.vec_mat(k, A) == (0, 0)
-
-
 def test_complete_unimodular():
     rng = random.Random(11)
     for _ in range(50):
@@ -131,6 +124,15 @@ def test_complete_unimodular():
         assert intmat.det3(A) in (1, -1)
         prod = mat_mul(A, Ainv)
         assert prod == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+
+def test_completion_that_loses_its_first_row_is_rejected(monkeypatch):
+    monkeypatch.setattr(intmat, "inverse_unimodular", lambda m: [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(InvariantViolationError) as err:
+        intmat.complete_unimodular((0, 1, 0))
+    assert str(err.value) == "unimodular completion lost its first row (0, 1, 0)"
+    assert err.value.detail == {"vector": (0, 1, 0)}
 
 
 def test_adjugate():

@@ -492,17 +492,6 @@ def test_quiver_representative_of_another_weight_is_rejected():
     assert err.value.detail == {"character": a, "monomial": placements[a]}
 
 
-def test_two_characters_on_one_hexagon_are_rejected():
-    # with true weights a hexagon holds one character, since xyz is invariant;
-    # a stand-in group weighs 1 and xyz differently
-    weights = {(0, 0, 0): "a", (1, 1, 1): "b"}
-    group = SimpleNamespace(order=2, weight=weights.__getitem__)
-    with pytest.raises(CorrespondenceError) as err:
-        _check_embedding(group, {"a": (0, 0, 0), "b": (1, 1, 1)})
-    assert str(err.value) == "two characters share a hexagon"
-    assert err.value.detail == {"position": (0, 0), "characters": ["a", "b"]}
-
-
 def test_disconnected_quiver_domain_is_rejected():
     # one representative moved by the invariant x^55: same weight, far from the rest
     g, placements = _placements("1/11(1,2,8)")
