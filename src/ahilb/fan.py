@@ -137,25 +137,11 @@ def corner_fan(group, corner):
         PA, PB = PB, PA
     chain = _hj_chain(intmat.primitive(PA), intmat.primitive(PB))
 
-    lines = []
-    for j in range(1, len(chain) - 1):
-        a = intmat.cross2(chain[j - 1], chain[j + 1])
-        # exactness of the recurrence v_{j-1} + v_{j+1} = a * v_j
-        lhs = intmat.vec_add(chain[j - 1], chain[j + 1])
-        if lhs != intmat.vec_scale(a, chain[j]):
-            raise InvariantViolationError(
-                "continued-fraction recurrence failed at corner fan",
-                detail={"corner": corner, "ray": chain[j]},
-            )
-        if a < 2:
-            raise InvariantViolationError(f"interior line of strength {a} < 2",
-                                          detail={"corner": corner, "ray": chain[j]})
-        lines.append(_make_corner_line(group, corner, E[corner], qm, chain[j], a))
-    for j in range(len(chain) - 1):
-        if intmat.cross2(chain[j], chain[j + 1]) != 1:
-            raise InvariantViolationError("corner fan is not basic",
-                                          detail={"corner": corner, "rays": chain[j:j + 2]})
-    return lines
+    return [
+        _make_corner_line(group, corner, E[corner], qm, chain[j],
+                          intmat.cross2(chain[j - 1], chain[j + 1]))
+        for j in range(1, len(chain) - 1)
+    ]
 
 
 def _make_corner_line(group, corner, Ec, qm, ray, strength):
@@ -182,6 +168,16 @@ def _hj_chain(vA, vB):
     point with cross2(vA, v_1) = 1 and 0 <= cross2(v_1, vB) < D; then
     v_{j+1} = a_j v_j - v_{j-1} with a_j = ceil(cross2(v_{j-1}, vB) /
     cross2(v_j, vB)) until vB (Fulton, Introduction to Toric Varieties, 2.6).
+
+    The chain is basic, with strengths a_j >= 2 and v_{j-1} + v_{j+1} =
+    a_j v_j, so `corner_fan` need not check it.  Write c_j = cross2(v_j, vB)
+    and d_j = cross2(vA, v_j), so c_0 = D > c_1 >= 0 and d_0 = 0 < d_1 = 1.
+    Each step keeps cross2(v_j, v_{j+1}) = cross2(v_{j-1}, v_j) = 1, and
+    c_{j+1} = a_j c_j - c_{j-1} lies in [0, c_j) by the choice of a_j, so c
+    strictly decreases.  While c_j > 0, c_{j-1} > c_j gives a_j >= 2, so
+    d_{j+1} - d_j >= d_j - d_{j-1} > 0.  Once c_j = 0, the primitive v_j is
+    +-vB, and d_j > 0 makes it vB.  Finally cross2(v_{j-1}, v_{j+1}) =
+    a_j cross2(v_{j-1}, v_j) = a_j.
     """
     D = intmat.cross2(vA, vB)
     if D <= 0:
@@ -192,11 +188,6 @@ def _hj_chain(vA, vB):
     c_prev = D
     while chain[-1] != vB:
         c = intmat.cross2(chain[-1], vB)
-        if c <= 0:
-            raise InvariantViolationError(
-                "continued-fraction chain passes the far side of the corner cone",
-                detail={"from": vA, "to": vB, "ray": chain[-1]},
-            )
         a = -(-c_prev // c)
         chain.append(intmat.vec_sub(intmat.vec_scale(a, chain[-1]), chain[-2]))
         c_prev = c

@@ -163,9 +163,6 @@ class AbelianGroup:
     def is_invariant(self, exponents):
         return self.reduce(exponents) == MONO_ONE
 
-    def char_add(self, a, b) -> Character:
-        return self.reduce((a[0] + b[0], a[1] + b[1], a[2] + b[2]))
-
     def char_sum(self, chars) -> Character:
         t = [0, 0, 0]
         for c in chars:

@@ -18,10 +18,11 @@ unimodular triangles in `basic`, the line table in `ratios` (each ratio
 vanishes on its line, has equally weighted monomials, and is invariant
 and minimal; every chart coordinate and side ratio is read off this
 table), chart table sizes in `decoration` (by `ChartSet`), the exact
-character cover in `partition`, and a relation's character sums, its
-monomial identity on triangle 0's chart and its degree rows (its virtual
-bundle's degree zero on every curve) in `relations`, which together give
-the identity on every chart.  `certificate` states the result
+character cover in `partition`, and a relation's character sums (the
+only check that a triple intersection's two marks sum to its three line
+characters), its monomial identity on triangle 0's chart and its degree
+rows (its virtual bundle's degree zero on every curve) in `relations`,
+which together give the identity on every chart.  `certificate` states the result
 that `completeness`, `duality` and `h2_basis` proved and checks nothing.
 """
 

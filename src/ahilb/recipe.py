@@ -1,15 +1,18 @@
 """Character decoration of the triangulation.
 
 Interior lines are marked with the common weight of their ratio monomials.
-Interior vertices get one mark (two at a triple intersection of straight
-lines) determined by the valency case analysis; the triple-intersection
-pair is computed from the socles of the six incident charts and verified
-against the projection-monomial construction.  The result partitions the
-nontrivial characters: each marks exactly one line, vertex, or is the
-designated second character of a triple intersection, which the
-pipeline's `partition` stage checks.  Each regular triangle's side ratios
-are checked against the tesselation's side-ratio identity, which the
-`ratios` stage runs.
+Each interior vertex is looked up once in the case table `_CASES`, by its
+valency and the edge counts of the characters through it, which gives its
+case, its relation's right side and its mark (two at a triple intersection
+of straight lines, where the pair is computed from the socles of the six
+incident charts and verified against the projection-monomial
+construction); the `relations` stage reads the right side off the mark.
+The result partitions the nontrivial characters: each marks exactly one
+line, vertex, or is the designated second character of a triple
+intersection, which the pipeline's `partition` stage checks.  Each regular
+triangle's side ratios are checked against the tesselation's side-ratio
+identity, which the `ratios` stage runs.  The quiver's chart is the first
+whose coordinates place the simplex barycentre in its triangle.
 """
 
 from __future__ import annotations
@@ -28,6 +31,24 @@ CASE_DP6 = "dP6"
 
 _CASE_NUMBER = {CASE_P2: 1, CASE_SCROLL: 2, CASE_BLOWNUP: 3, CASE_DP6: 4}
 
+# (valency, sorted edge counts of the characters through the vertex) -> case;
+# a (2, 2, 2) vertex is dP6 only when each character's two edges lie on one line
+_CASES = {
+    (3, (3,)): CASE_P2,
+    (4, (2, 2)): CASE_SCROLL,
+    (5, (1, 2, 2)): CASE_BLOWNUP,
+    (6, (1, 1, 2, 2)): CASE_BLOWNUP,
+    (6, (2, 2, 2)): CASE_DP6,
+}
+
+# the failure of a vertex that matches no case, by valency
+_MISSES = {
+    3: "valency-3 vertex whose three lines are not equally marked",
+    4: "valency-4 vertex without two marked pairs",
+    5: "valency-5 vertex without two marked pairs",
+    6: "valency-6 vertex matching no marking case",
+}
+
 
 @dataclass
 class VertexMark:
@@ -36,6 +57,7 @@ class VertexMark:
     case: str
     marks: tuple  # one character, or the (type-iii, type-ii) ordered pair
     through: dict  # character -> sorted incident edge ids
+    rhs: tuple  # the relation's right side: the characters marking two edges
 
     @property
     def case_number(self):
@@ -60,38 +82,32 @@ def mark_lines(triangulation):
     vertices (they are then one line "passing through" those vertices).
     """
     T = triangulation
+    trivial = T.group.reduce(MONO_ONE)
     marks = {}
     by_char = {}
     for li, ln in enumerate(T.lines):
         if ln.kind == "boundary":
             continue
+        if ln.character == trivial:
+            raise InvariantViolationError(
+                "an interior line carries the trivial character", detail={"line": li}
+            )
         marks[li] = ln.character
         by_char.setdefault(ln.character, []).append(li)
     for chi, lis in by_char.items():
-        if chi == T.group.reduce(MONO_ONE):
-            raise InvariantViolationError("an interior line carries the trivial character")
         if len(lis) == 1:
             continue
-        # union-find over shared endpoints of the line segments
-        parent = {li: li for li in lis}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        pts = {}
-        for li in lis:
-            for ei in T.lines[li].edges:
-                for p in (T.edges[ei].a, T.edges[ei].b):
-                    pts.setdefault(p, []).append(li)
-        for group in pts.values():
-            for other in group[1:]:
-                ra, rb = find(group[0]), find(other)
-                if ra != rb:
-                    parent[ra] = rb
-        if len({find(li) for li in lis}) != 1:
+        # walk from the first line to the lines sharing a point with one reached
+        points = {li: {p for ei in T.lines[li].edges for p in (T.edges[ei].a, T.edges[ei].b)}
+                  for li in lis}
+        reached, stack = {lis[0]}, [lis[0]]
+        while stack:
+            here = points[stack.pop()]
+            for li in lis:
+                if li not in reached and here & points[li]:
+                    reached.add(li)
+                    stack.append(li)
+        if len(reached) != len(lis):
             raise CorrespondenceError(
                 "lines with one character do not form a single through-line",
                 detail={"character": chi, "lines": lis},
@@ -100,85 +116,58 @@ def mark_lines(triangulation):
 
 
 def mark_vertex(triangulation, chart_set, vertex, edge_ids):
-    """Apply the valency case analysis at one interior vertex."""
+    """Look the interior vertex up in `_CASES` and mark it.
+
+    The relation's right side is the characters that mark two edges, sorted;
+    at a P2 vertex, the one character twice.  Outside dP6 the mark is their
+    sum, whose generator must lie in the socle of every chart at the vertex.
+    """
     T = triangulation
     g = T.group
-    valency = len(edge_ids)
-    if valency < 3 or valency > 6:
-        raise InvariantViolationError(
-            f"interior vertex of valency {valency}", detail={"vertex": vertex}
-        )
-    by_char = {}
+    through = {}
     for ei in edge_ids:
-        chi = T.lines[T.edges[ei].line].character
-        by_char.setdefault(chi, []).append(ei)
-    pattern = sorted(len(v) for v in by_char.values())
-    pairs = [chi for chi, eis in by_char.items() if len(eis) == 2]
-
-    if valency == 3:
-        if pattern != [3]:
-            raise InvariantViolationError(
-                "valency-3 vertex whose three lines are not equally marked",
-                detail={"vertex": vertex},
-            )
-        chi = next(iter(by_char))
-        marks = (g.char_add(chi, chi),)
-        case = CASE_P2
-    elif valency == 4:
-        if pattern != [2, 2]:
-            raise InvariantViolationError(
-                "valency-4 vertex without two marked pairs", detail={"vertex": vertex}
-            )
-        marks = (g.char_add(pairs[0], pairs[1]),)
-        case = CASE_SCROLL
-    elif valency == 5:
-        if pattern != [1, 2, 2]:
-            raise InvariantViolationError(
-                "valency-5 vertex without two marked pairs", detail={"vertex": vertex}
-            )
-        marks = (g.char_add(pairs[0], pairs[1]),)
-        case = CASE_BLOWNUP
-    else:
-        straight = pattern == [2, 2, 2] and all(
-            len({T.edges[ei].line for ei in eis}) == 1 for eis in by_char.values()
+        through.setdefault(T.lines[T.edges[ei].line].character, []).append(ei)
+    valency, pattern = len(edge_ids), tuple(sorted(map(len, through.values())))
+    case = _CASES.get((valency, pattern))
+    if case == CASE_DP6 and any(len({T.edges[ei].line for ei in eis}) != 1
+                                for eis in through.values()):
+        case = None
+    if case is None:
+        raise InvariantViolationError(
+            _MISSES.get(valency, f"interior vertex of valency {valency}"),
+            detail={"vertex": vertex, "pattern": pattern},
         )
-        if straight:
-            case = CASE_DP6
-            marks = _dp6_marks(T, chart_set, vertex, sorted(by_char))
-        elif pattern == [1, 1, 2, 2]:
-            case = CASE_BLOWNUP
-            marks = (g.char_add(pairs[0], pairs[1]),)
-        else:
-            raise InvariantViolationError(
-                "valency-6 vertex matching no marking case",
-                detail={"vertex": vertex, "pattern": pattern},
-            )
-
-    if case != CASE_DP6:
-        # the mark generator sits in the socle of every chart at the vertex
-        chi = marks[0]
-        k = g.char_id(chi)
+    if case == CASE_P2:
+        rhs = tuple(through) * 2
+    else:
+        rhs = tuple(sorted(chi for chi, eis in through.items() if len(eis) == 2))
+    if case == CASE_DP6:
+        marks = _dp6_marks(T, chart_set, vertex, rhs)
+    else:
+        marks = (g.char_sum(rhs),)
+        k = g.char_id(marks[0])
         for ti in T.triangles_at(vertex):
             graph = chart_set.agraphs[ti]
             if graph.table[k] not in graph.socle:
                 raise InvariantViolationError(
                     "vertex mark generator missing from a socle",
-                    detail={"vertex": vertex, "character": chi},
+                    detail={"vertex": vertex, "character": marks[0]},
                 )
-    through = {chi: sorted(eis) for chi, eis in by_char.items()}
-    return VertexMark(vertex, valency, case, marks, through)
+    return VertexMark(vertex, valency, case, marks, through, rhs)
 
 
 def _dp6_marks(T, chart_set, vertex, line_chars):
+    """The (type-iii, type-ii) pair at a triple intersection, by the socle method.
+
+    The characters common to the socles of the six charts at the vertex, less
+    the line characters and the trivial one, must be two, and must equal the
+    projection-monomial pair.  (A valency-6 interior vertex lies on six
+    triangles.)
+    """
     g = T.group
-    tris = T.triangles_at(vertex)
-    if len(tris) != 6:
-        raise InvariantViolationError("triple intersection without six triangles")
-    socle_chars = None
-    for ti in tris:
-        # each table key is its generator's weight
-        chars = {g.weight(m) for m in chart_set.agraphs[ti].socle}
-        socle_chars = chars if socle_chars is None else socle_chars & chars
+    # each table key is its generator's weight
+    socle_chars = set.intersection(*({g.weight(m) for m in chart_set.agraphs[ti].socle}
+                                     for ti in T.triangles_at(vertex)))
     cands = socle_chars - set(line_chars) - {g.reduce(MONO_ONE)}
     if len(cands) != 2:
         raise InvariantViolationError(
@@ -186,11 +175,6 @@ def _dp6_marks(T, chart_set, vertex, line_chars):
             detail={"vertex": vertex, "candidates": sorted(cands)},
         )
     a, b = sorted(cands)
-    if g.char_sum(line_chars) != g.char_add(a, b):
-        raise InvariantViolationError(
-            "triple-intersection marks do not sum to the through-line characters",
-            detail={"vertex": vertex},
-        )
     proj = projection_pair(T, chart_set, vertex)
     if proj != (a, b):
         raise InvariantViolationError(
@@ -211,8 +195,7 @@ def projection_pair(T, chart_set, vertex):
     maps to the plane.  Their common weights are the two marks.
     """
     g = T.group
-    vmap = T.vertex_edge_map()
-    lines = sorted({T.edges[ei].line for ei in vmap[vertex] if T.edges[ei].interior})
+    lines = sorted({T.edges[ei].line for ei in T.vertex_edge_map()[vertex]})
     pure = {}
     mixed = {}
     for li in lines:
@@ -222,14 +205,19 @@ def projection_pair(T, chart_set, vertex):
             if len(support) == 1:
                 v = support[0]
                 if v in pure:
-                    raise InvariantViolationError("two lines share a pure variable")
+                    raise InvariantViolationError(
+                        "two lines share a pure variable",
+                        detail={"vertex": vertex, "line": li, "variable": v},
+                    )
                 pure[v] = side
                 mixed[v] = other
                 break
         else:
-            raise InvariantViolationError("straight line without a pure ratio side")
-    if sorted(pure) != [0, 1, 2]:
-        raise InvariantViolationError("straight lines do not cover the three variables")
+            raise InvariantViolationError(
+                "straight line without a pure ratio side", detail={"vertex": vertex, "line": li}
+            )
+    # the three lines of a triple intersection (one per character) now have
+    # three different pure variables, so they cover x, y and z
 
     def part(m, var):
         return tuple(m[i] if i == var else 0 for i in range(3))
@@ -261,12 +249,8 @@ def decorate(triangulation, chart_set) -> Decoration:
     T = triangulation
     line_marks = mark_lines(T)
     vmap = T.vertex_edge_map()
-    vertex_marks = {}
-    for v in T.interior_vertices():
-        edge_ids = sorted(ei for ei in vmap[v] if T.edges[ei].interior)
-        if len(edge_ids) != len(vmap[v]):
-            raise InvariantViolationError("interior vertex on a boundary edge")
-        vertex_marks[v] = mark_vertex(T, chart_set, v, edge_ids)
+    # an interior vertex has no zero coordinate, so none of its edges lies on a simplex side
+    vertex_marks = {v: mark_vertex(T, chart_set, v, vmap[v]) for v in T.interior_vertices()}
     partition = classify_characters(line_marks, vertex_marks)
     return Decoration(line_marks, vertex_marks, partition)
 
@@ -400,40 +384,23 @@ class QuiverEmbedding:
 def quiver_embedding(triangulation, chart_set, decoration) -> QuiverEmbedding:
     """One hexagon per character in the plane of monomials mod (1,1,1).
 
-    Representatives are the monomial basis of the chart containing the
-    simplex barycentre: one monomial per character, closed under division,
-    hence a connected fundamental domain of the periodic hexagon plane.
+    Representatives are the monomial basis of the first chart containing
+    the simplex barycentre: one monomial per character, closed under
+    division, hence a connected fundamental domain of the periodic hexagon
+    plane.  The barycentre (|A|/3)(1,1,1) pairs with chart coordinate
+    num/den to |A|/3 (deg num - deg den), which is |A| times its barycentric
+    coordinate at the vertex where that coordinate pairs to |A| (`ChartSet`),
+    so a chart contains it exactly when deg num >= deg den for all three.
     """
-    T = triangulation
-    g = T.group
-    order = g.order
-    bc = (order, order)  # barycentre scaled by 3, projected like the vertices
-    chosen = None
-    for ti, tri in enumerate(T.triangles):
-        if _in_triangle_2d(bc, [(3 * p[0], 3 * p[1]) for p in tri.vertices]):
-            chosen = ti
-            break
+    g = triangulation.group
+    chosen = next((ti for ti, chart in enumerate(chart_set.charts)
+                   if all(sum(num) >= sum(den) for num, den in chart.coords)), None)
     if chosen is None:
-        raise InvariantViolationError("no chart contains the barycentre")
+        raise InvariantViolationError("no chart contains the barycentre",
+                                      detail={"order": g.order, "charts": len(chart_set.charts)})
     placements = dict(zip(g.characters(), chart_set.agraphs[chosen].table))
     _check_embedding(g, placements)
     return QuiverEmbedding(chosen, placements)
-
-
-def _in_triangle_2d(p, verts):
-    """Whether p lies in the closed triangle verts, of either orientation."""
-    sgn = 0
-    for i in range(3):
-        a, b = verts[i], verts[(i + 1) % 3]
-        c = intmat.cross2(intmat.vec_sub(b, a), intmat.vec_sub(p, a))
-        if c == 0:
-            continue
-        s = 1 if c > 0 else -1
-        if sgn == 0:
-            sgn = s
-        elif s != sgn:
-            return False
-    return True
 
 
 def hexagon_position(monomial):

@@ -1,7 +1,11 @@
 """Relations between the tautological line bundles.
 
 Each interior vertex contributes one multiplicative relation between the
-bundles indexed by its mark and the characters of the lines through it.
+bundles indexed by its marks and the right side its case gave it
+(`recipe.VertexMark.rhs`): the characters marking two of its edges, or
+the P2 vertex's one character twice.  The marks' character sum must match,
+a check that only constrains a triple intersection, whose marks come from
+the socles rather than from the sum.
 Each relation is checked as a literal monomial identity between the
 generators on one chart, and by the degree rows of its two sides, which
 together give the identity on every chart (`verify_all_relations`).
@@ -12,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CorrespondenceError, InvariantViolationError
-from .recipe import CASE_DP6
 
 
 @dataclass
@@ -24,24 +27,12 @@ class Relation:
 
 
 def derive_relations(triangulation, decoration):
-    """One relation per interior vertex, shaped by its marking case."""
+    """One relation per interior vertex: its marks against the right side of its case."""
     g = triangulation.group
     out = []
     for v in sorted(decoration.vertex_marks):
         vm = decoration.vertex_marks[v]
-        through = sorted(vm.through)
-        if vm.case == CASE_DP6:
-            lhs = tuple(sorted(vm.marks))
-            rhs = tuple(through)
-        else:
-            lhs = (vm.marks[0],)
-            if vm.valency == 3:
-                chi = through[0]
-                rhs = (chi, chi)
-            else:
-                pair = sorted(c for c, eis in vm.through.items() if len(eis) == 2)
-                rhs = tuple(pair)
-        rel = Relation(v, vm.case_number, lhs, rhs)
+        rel = Relation(v, vm.case_number, tuple(sorted(vm.marks)), vm.rhs)
         if g.char_sum(rel.lhs) != g.char_sum(rel.rhs):
             raise InvariantViolationError(
                 "relation sides have different character sums", detail={"vertex": v}

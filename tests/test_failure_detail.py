@@ -2,9 +2,8 @@
 
 Each call of `InvariantViolationError` or `CorrespondenceError` in the
 package, raised at once or built and raised later, passes `detail=`.  The
-allowlist holds the calls that do not yet, by module and enclosing
-function, with their count there; it may only shrink.  A new call without
-detail fails this test.
+allowlist, by module and enclosing function with the count there, is
+empty and may not grow: a new call without detail fails this test.
 """
 
 import ast
@@ -15,13 +14,7 @@ import ahilb
 
 CHECKED = {"InvariantViolationError", "CorrespondenceError"}
 
-WITHOUT_DETAIL = {
-    ("recipe.py", "projection_pair"): 3,
-    ("recipe.py", "mark_lines"): 1,
-    ("recipe.py", "_dp6_marks"): 1,
-    ("recipe.py", "decorate"): 1,
-    ("recipe.py", "quiver_embedding"): 1,
-}
+WITHOUT_DETAIL = {}
 
 
 def _calls_without_detail():

@@ -740,23 +740,31 @@ def test_corner_line_off_the_simplex_is_named(weights, message, step):
     assert err.value.detail == {"corner": 0, "step": step}
 
 
-@pytest.mark.parametrize(
-    "chain, message, detail",
-    [
-        # v0 + v2 = 1 * v1: a line of strength 1
-        (lambda vA, vB: [(1, 0), (1, 1), (0, 1)], "interior line of strength 1 < 2",
-         {"corner": 0, "ray": (1, 1)}),
-        # the bare cone of index 11, no line subdividing it
-        (lambda vA, vB: [vA, vB], "corner fan is not basic",
-         {"corner": 0, "rays": [(0, 1), (-11, 40)]}),
-    ],
-)
-def test_corner_fan_names_a_bad_chain(monkeypatch, chain, message, detail):
-    monkeypatch.setattr(fan, "_hj_chain", chain)
-    with pytest.raises(InvariantViolationError) as err:
-        corner_fan(build_group("1/11(1,2,8)"), 0)
-    assert str(err.value) == message
-    assert err.value.detail == detail
+def test_corner_fan_chains_are_basic_with_strengths_at_least_two():
+    """What `_hj_chain`'s docstring proves, at every corner of the differential specs.
+
+    The chain from one side of the corner cone through the line directions
+    to the other is basic, and each line's strength a >= 2 satisfies
+    v_{j-1} + v_{j+1} = a v_j.
+    """
+    strengths = Counter()
+    for spec in _differential_specs():
+        g = build_group(spec)
+        E = fan.simplex_corners(g.order)
+        for corner in range(3):
+            qm = QuotientMap(g, E[corner])
+            PA, PB = (qm.proj(E[c]) for c in range(3) if c != corner)
+            if intmat.cross2(PA, PB) < 0:
+                PA, PB = PB, PA
+            lines = corner_fan(g, corner)
+            chain = [intmat.primitive(PA), *(ln.dir2 for ln in lines), intmat.primitive(PB)]
+            assert all(intmat.cross2(v, w) == 1 for v, w in zip(chain, chain[1:])), (spec, corner)
+            for j, ln in enumerate(lines, 1):
+                assert ln.strength >= 2, (spec, corner, j)
+                assert (intmat.vec_add(chain[j - 1], chain[j + 1])
+                        == intmat.vec_scale(ln.strength, chain[j])), (spec, corner, j)
+                strengths[ln.strength] += 1
+    assert min(strengths) == 2 and max(strengths) > 100
 
 
 def test_degenerate_corner_cone_is_named():

@@ -161,7 +161,7 @@ def test_reduction_canonical():
 def test_weight_multiplicative(m1, m2):
     g = build_group("1/30(25,2,3)")
     prod = tuple(a + b for a, b in zip(m1, m2))
-    assert g.weight(prod) == g.char_add(g.weight(m1), g.weight(m2))
+    assert g.weight(prod) == g.char_sum([g.weight(m1), g.weight(m2)])
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,11 +1,13 @@
+import copy
 import dataclasses
 import functools
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from ahilb import pipeline
+from ahilb import intmat, pipeline
 from ahilb.errors import CorrespondenceError, InvariantViolationError
 from ahilb.fan import line_ratio, simplex_corners, triangulate
 from ahilb.group import MONO_ONE, build_group
@@ -17,11 +19,16 @@ from ahilb.recipe import (
     champion_identities,
     corner_region_characters,
     hexagon_position,
+    mark_lines,
     mark_vertex,
     projection_pair,
+    quiver_embedding,
 )
+from ahilb.relations import Relation
 from conftest import chi
+from test_acceptance import _cyclic_family_runs
 from test_fan import _differential_specs
+from test_group import _SWEEP_PRODUCTS
 
 
 def test_line_marks_11(run11):
@@ -502,3 +509,172 @@ def test_disconnected_quiver_domain_is_rejected():
         _check_embedding(g, placements)
     assert str(err.value) == "quiver fundamental domain is disconnected"
     assert err.value.detail == {"start": cells[0], "unreached": [hexagon_position(moved)]}
+
+
+# ---------------------------------------------------------------------------
+# the case table and the quiver chart, against the searches they replaced
+
+
+def _oracle_relations(triangulation, decoration):
+    """The relations rebuilt from each vertex's case, valency and through-lines."""
+    g = triangulation.group
+    out = []
+    for v in sorted(decoration.vertex_marks):
+        vm = decoration.vertex_marks[v]
+        through = sorted(vm.through)
+        if vm.case == CASE_DP6:
+            lhs, rhs = tuple(sorted(vm.marks)), tuple(through)
+        else:
+            if vm.valency == 3:
+                rhs = (through[0], through[0])
+            else:
+                rhs = tuple(sorted(c for c, eis in vm.through.items() if len(eis) == 2))
+            # the mark by valency: twice the P2 character, else the two pairs' sum
+            lhs = (g.reduce(tuple(map(sum, zip(*rhs)))),)
+        out.append(Relation(v, vm.case_number, lhs, rhs))
+    return out
+
+
+def _oracle_in_triangle_2d(p, verts):
+    """Whether p lies in the closed triangle verts, of either orientation."""
+    sgn = 0
+    for i in range(3):
+        a, b = verts[i], verts[(i + 1) % 3]
+        c = intmat.cross2(intmat.vec_sub(b, a), intmat.vec_sub(p, a))
+        if c == 0:
+            continue
+        s = 1 if c > 0 else -1
+        if sgn == 0:
+            sgn = s
+        elif s != sgn:
+            return False
+    return True
+
+
+def _oracle_quiver_chart(T):
+    """The first triangle whose plane projection contains the barycentre's."""
+    bc = (T.group.order, T.group.order)  # barycentre scaled by 3
+    return next(ti for ti, tri in enumerate(T.triangles)
+                if _oracle_in_triangle_2d(bc, [(3 * p[0], 3 * p[1]) for p in tri.vertices]))
+
+
+@functools.cache
+def _relations_runs():
+    """The cached family runs, the seed-0 sweep products and 1/401(1,7,393)."""
+    runs, _ = _cyclic_family_runs()
+    extra = {spec: run_pipeline(spec, which="relations")
+             for spec in _SWEEP_PRODUCTS + ["1/401(1,7,393)"]}
+    return {**runs, **extra}
+
+
+def test_relations_and_quiver_chart_match_the_oracles():
+    cases = Counter()
+    for spec, art in _relations_runs().items():
+        T, D = art.triangulation, art.decoration
+        assert art.relations == _oracle_relations(T, D), spec
+        assert art.quiver.chart == _oracle_quiver_chart(T), spec
+        cases.update(vm.case for vm in D.vertex_marks.values())
+    assert set(cases) == {"P2", "scroll", "blownup_scroll", "dP6"}
+
+
+def _with_lines(T, **changes):
+    """A copy of T whose line li gets the field values changes[...][li]."""
+    fake = copy.copy(T)
+    fake.lines = list(T.lines)
+    for field, by_line in changes.items():
+        for li, value in by_line.items():
+            fake.lines[li] = dataclasses.replace(fake.lines[li], **{field: value})
+    return fake
+
+
+@pytest.mark.parametrize(
+    "run, vertex, characters, valency, message, pattern",
+    [
+        # one of the three chi_2 lines at the P2 vertex remarked chi_1
+        ("run11", (3, 6, 2), {10: 1}, 3,
+         "valency-3 vertex whose three lines are not equally marked", (1, 2)),
+        # one chi_8 line at the scroll vertex remarked chi_5
+        ("run11", (1, 2, 8), {12: 5}, 4, "valency-4 vertex without two marked pairs", (1, 1, 2)),
+        # the single chi_6 line at a blown-up scroll vertex remarked chi_2
+        ("run11", (2, 4, 5), {5: 2}, 5, "valency-5 vertex without two marked pairs", (2, 3)),
+        # the single chi_18 line remarked chi_10, which already marks a pair
+        ("run30", (5, 4, 21), {13: 10}, 6, "valency-6 vertex matching no marking case", (1, 2, 3)),
+        # the single chi_18 line remarked chi_5, the other single: pairs not straight
+        ("run30", (5, 4, 21), {13: 5}, 6, "valency-6 vertex matching no marking case", (2, 2, 2)),
+        # two of the P2 vertex's edges
+        ("run11", (3, 6, 2), {}, 2, "interior vertex of valency 2", (2,)),
+    ],
+)
+def test_a_vertex_matching_no_case_is_named(request, run, vertex, characters, valency,
+                                            message, pattern):
+    art = request.getfixturevalue(run)
+    T, g = art.triangulation, art.group
+    fake = _with_lines(T, character={li: chi(g, k) for li, k in characters.items()})
+    with pytest.raises(InvariantViolationError) as err:
+        mark_vertex(fake, art.charts, vertex, T.vertex_edge_map()[vertex][:valency])
+    assert str(err.value) == message
+    assert err.value.detail == {"vertex": vertex, "pattern": pattern}
+
+
+def test_a_trivially_marked_line_is_named(run11):
+    T = run11.triangulation
+    li = next(li for li, ln in enumerate(T.lines) if ln.kind != "boundary")
+    with pytest.raises(InvariantViolationError) as err:
+        mark_lines(_with_lines(T, character={li: T.group.reduce(MONO_ONE)}))
+    assert str(err.value) == "an interior line carries the trivial character"
+    assert err.value.detail == {"line": li}
+
+
+def test_lines_of_one_character_apart_are_named(run30):
+    # two lines whose characters mark no other line, and which share no point
+    T = run30.triangulation
+    alone = [li for li, ln in enumerate(T.lines) if ln.kind != "boundary"
+             and sum(other.character == ln.character for other in T.lines) == 1]
+    points = {li: {p for ei in T.lines[li].edges for p in (T.edges[ei].a, T.edges[ei].b)}
+              for li in alone}
+    a, b = next((a, b) for a in alone for b in alone if a < b and not points[a] & points[b])
+    chi_a = T.lines[a].character
+    with pytest.raises(CorrespondenceError) as err:
+        mark_lines(_with_lines(T, character={b: chi_a}))
+    assert str(err.value) == "lines with one character do not form a single through-line"
+    assert err.value.detail == {"character": chi_a, "lines": [a, b]}
+
+
+def _dp6_lines(art):
+    """A dP6 vertex and its three lines, ascending."""
+    T = art.triangulation
+    v = next(v for v, vm in art.decoration.vertex_marks.items() if vm.case == CASE_DP6)
+    return v, sorted({T.edges[ei].line for ei in T.vertex_edge_map()[v]})
+
+
+def test_a_straight_line_without_a_pure_side_is_named(run30):
+    T = run30.triangulation
+    v, (first, *_) = _dp6_lines(run30)
+    fake = _with_lines(T, plus={first: (1, 1, 0)}, minus={first: (0, 1, 1)})
+    with pytest.raises(InvariantViolationError) as err:
+        projection_pair(fake, run30.charts, v)
+    assert str(err.value) == "straight line without a pure ratio side"
+    assert err.value.detail == {"vertex": v, "line": first}
+
+
+def test_two_lines_with_one_pure_variable_are_named(run30):
+    T = run30.triangulation
+    v, (first, second, _) = _dp6_lines(run30)
+    ln = T.lines[first]
+    pure = ln.plus if sum(map(bool, ln.plus)) == 1 else ln.minus
+    fake = _with_lines(T, plus={second: pure}, minus={second: (1, 1, 1)})
+    with pytest.raises(InvariantViolationError) as err:
+        projection_pair(fake, run30.charts, v)
+    assert str(err.value) == "two lines share a pure variable"
+    assert err.value.detail == {"vertex": v, "line": second,
+                                "variable": next(i for i in range(3) if pure[i])}
+
+
+def test_charts_missing_the_barycentre_are_named(run11):
+    # the charts left once every one containing the barycentre is dropped
+    C = copy.copy(run11.charts)
+    C.charts = [c for c in C.charts if any(sum(num) < sum(den) for num, den in c.coords)]
+    with pytest.raises(InvariantViolationError) as err:
+        quiver_embedding(run11.triangulation, C, run11.decoration)
+    assert str(err.value) == "no chart contains the barycentre"
+    assert err.value.detail == {"order": 11, "charts": len(C.charts)}

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from ahilb.relations import (
     Relation,
     check_bundle_degrees,
     completeness_check,
+    derive_relations,
     verify_all_relations,
 )
 from conftest import chi, verify_relation_chartwise
@@ -45,6 +47,19 @@ def test_character_sums_balance(run30):
     g = run30.group
     for r in run30.relations:
         assert g.char_sum(r.lhs) == g.char_sum(r.rhs)
+
+
+def test_dp6_marks_off_the_line_sum_are_named(run30):
+    """The `relations` stage alone checks that a triple intersection's marks sum right."""
+    T, D = run30.triangulation, run30.decoration
+    v = next(v for v, vm in D.vertex_marks.items() if vm.case == "dP6")
+    vm = D.vertex_marks[v]
+    doctored = dataclasses.replace(D, vertex_marks={
+        **D.vertex_marks, v: dataclasses.replace(vm, marks=(vm.marks[0], vm.marks[0]))})
+    with pytest.raises(InvariantViolationError) as err:
+        derive_relations(T, doctored)
+    assert str(err.value) == "relation sides have different character sums"
+    assert err.value.detail == {"vertex": v}
 
 
 def test_trivial_relation_verifies(run11):
