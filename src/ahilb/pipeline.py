@@ -271,7 +271,7 @@ def _check_partition(art):
 
 
 def _check_quiver(art):
-    art.quiver = quiver_embedding(art.triangulation, art.charts, art.decoration)
+    art.quiver = quiver_embedding(art.charts)
     return {"hexagons": len(art.quiver.placements), "chart": art.quiver.chart}
 
 

@@ -381,7 +381,7 @@ class QuiverEmbedding:
     placements: dict  # character -> exponent representative
 
 
-def quiver_embedding(triangulation, chart_set, decoration) -> QuiverEmbedding:
+def quiver_embedding(chart_set) -> QuiverEmbedding:
     """One hexagon per character in the plane of monomials mod (1,1,1).
 
     Representatives are the monomial basis of the first chart containing
@@ -391,8 +391,9 @@ def quiver_embedding(triangulation, chart_set, decoration) -> QuiverEmbedding:
     num/den to |A|/3 (deg num - deg den), which is |A| times its barycentric
     coordinate at the vertex where that coordinate pairs to |A| (`ChartSet`),
     so a chart contains it exactly when deg num >= deg den for all three.
+    Only the charts, their tables and their group are read.
     """
-    g = triangulation.group
+    g = chart_set.group
     chosen = next((ti for ti, chart in enumerate(chart_set.charts)
                    if all(sum(num) >= sum(den) for num, den in chart.coords)), None)
     if chosen is None:

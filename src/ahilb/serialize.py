@@ -10,16 +10,18 @@ The layout is that of `json.dumps(doc, sort_keys=True, indent=1,
 ensure_ascii=False)` plus a final newline, where `doc` is
 `build_document(art)`; that expression is the reference `to_json` is
 tested against.  `to_json` writes the same text without building `doc`
-first.  `_document` yields the top-level sections one at a time and
-takes a per-triangle record callback: `build_document` passes one that
-returns the entry as plain values, `to_json` one that returns the record
-as text.  The |A| records hold the |A|^2 entries of the `agraph` tables,
-which are tuples indexed by character id in one key order, so every
-record fills one template built once per document, and each integer
-triple is formatted once however many tables hold it.  Every other
-section goes through `_iterencode` and is joined into one string as soon
-as it is laid out, so the final join holds about one ASCII copy of the
-text beside its (UCS-2, for the labels' χ) result.
+first.  `_document` yields the top-level sections one at a time, in key
+order, and takes a per-triangle record callback: `build_document` passes
+one that returns the entry as plain values, `to_json` one that returns
+the record as text, and the `triangles` value lays out each record only
+when it is asked for.  The |A| records hold the |A|^2 entries of the
+`agraph` tables, which are tuples indexed by character id in one key
+order, so every record fills one template built once per document, and
+each integer triple is formatted once however many tables hold it.
+Every other section goes through `_iterencode`.  `to_json` appends each
+section and each record to one growing string as it is laid out, with no
+final join, so the text (UCS-2, for the labels' χ) is held once beside
+one piece.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ _RECORD_LEVEL = 2
 
 def build_document(art) -> dict:
     """The document as plain JSON values."""
-    return dict(_document(art, _record))
+    return {key: list(value) if key == "triangles" else value
+            for key, value in _document(art, _record)}
 
 
 def _record(t, chart, graph) -> dict:
@@ -59,16 +62,39 @@ def _record(t, chart, graph) -> dict:
 
 
 def _document(art, record):
-    """Every section of the document, as (key, value) pairs one at a time;
-    `record(t, chart, graph)` lays out one triangle's entry."""
+    """Every section of the document, as (key, value) pairs one at a time, in
+    the document's own order: sorted by key, as `to_json` appends them.
+
+    The `triangles` value is an iterator that lays out one record when it
+    is asked for one; `record(t, chart, graph)` lays out a triangle's entry.
+    """
     g = art.group
     cid = g.char_id
+    T = art.triangulation
 
     def chars(seq):
         return [cid(c) for c in seq]
 
-    yield "schema_version", SCHEMA_VERSION
-    yield "spec", art.spec_text
+    if art.certificate is not None:
+        yield "certificate", jsonable(art.certificate)
+    if art.decoration is not None:
+        yield "character_partition", {
+            k: sorted(chars(v)) for k, v in art.decoration.partition.items()
+        }
+    if art.duality is not None:  # the duality stage passed: the b4 x b4 identity
+        n = art.duality
+        yield "duality_matrix", [[int(i == j) for j in range(n)] for i in range(n)]
+    if T is not None:
+        yield "edges", [
+            {
+                "a": list(e.a),
+                "b": list(e.b),
+                "line": e.line,
+                "interior": e.interior,
+                "triangles": list(e.triangles),
+            }
+            for e in T.edges
+        ]
     yield "group", {
         "order": g.order,
         "cyclic": g.is_cyclic,
@@ -79,9 +105,9 @@ def _document(art, record):
             for c in g.characters()
         ],
     }
-    T = art.triangulation
+    if art.h2 is not None:
+        yield "h2_basis", dict(art.h2)
     if T is not None:
-        yield "points", [list(p) for p in T.points]
         yield "lines", [
             {
                 "ratio": [list(ln.plus), list(ln.minus)],
@@ -95,16 +121,15 @@ def _document(art, record):
             }
             for ln in T.lines
         ]
-        yield "edges", [
-            {
-                "a": list(e.a),
-                "b": list(e.b),
-                "line": e.line,
-                "interior": e.interior,
-                "triangles": list(e.triangles),
-            }
-            for e in T.edges
-        ]
+        yield "points", [list(p) for p in T.points]
+    if art.quiver is not None:
+        yield "quiver", {
+            "chart": art.quiver.chart,
+            "placements": {
+                str(cid(c)): list(m) for c, m in sorted(art.quiver.placements.items())
+            },
+        }
+    if T is not None:
         yield "regular_triangles", [
             {
                 "vertices": [list(v) for v in reg.vertices],
@@ -114,11 +139,44 @@ def _document(art, record):
             }
             for reg in T.regular_triangles
         ]
+    if art.relations is not None:
+        yield "relations", [
+            {
+                "vertex": list(r.vertex),
+                "case": r.case,
+                "lhs": chars(r.lhs),
+                "rhs": chars(r.rhs),
+            }
+            for r in art.relations
+        ]
+    if art.report is not None:
+        yield "report", {
+            "spec": art.report.spec,
+            "counts": dict(art.report.counts),
+            "checks": {
+                name: {"status": entry["status"], "detail": jsonable(entry["detail"])}
+                for name, entry in sorted(art.report.checks.items())
+            },
+            "failure": jsonable(art.report.failure),
+        }
+    yield "schema_version", SCHEMA_VERSION
+    yield "spec", art.spec_text
+    if art.surfaces is not None:
+        yield "surfaces", [
+            {
+                "vertex": list(v),
+                "type": surf.surface_type,
+                "cycle": list(surf.self_intersections),
+                "curves": list(surf.edge_ids),
+            }
+            for v, surf in sorted(art.surfaces.items())
+        ]
+    if T is not None:
         C = art.charts
-        yield "triangles", [
+        yield "triangles", (
             record(t, C.charts[ti], C.agraphs[ti]) if C is not None else record(t, None, None)
             for ti, t in enumerate(T.triangles)
-        ]
+        )
     if art.decoration is not None:
         yield "vertex_marks", [
             {
@@ -131,26 +189,6 @@ def _document(art, record):
             }
             for v, vm in sorted(art.decoration.vertex_marks.items())
         ]
-        yield "character_partition", {
-            k: sorted(chars(v)) for k, v in art.decoration.partition.items()
-        }
-    if art.quiver is not None:
-        yield "quiver", {
-            "chart": art.quiver.chart,
-            "placements": {
-                str(cid(c)): list(m) for c, m in sorted(art.quiver.placements.items())
-            },
-        }
-    if art.relations is not None:
-        yield "relations", [
-            {
-                "vertex": list(r.vertex),
-                "case": r.case,
-                "lhs": chars(r.lhs),
-                "rhs": chars(r.rhs),
-            }
-            for r in art.relations
-        ]
     if art.bundles is not None:
         yield "virtual_bundles", [
             {
@@ -161,33 +199,6 @@ def _document(art, record):
             }
             for b in art.bundles
         ]
-    if art.surfaces is not None:
-        yield "surfaces", [
-            {
-                "vertex": list(v),
-                "type": surf.surface_type,
-                "cycle": list(surf.self_intersections),
-                "curves": list(surf.edge_ids),
-            }
-            for v, surf in sorted(art.surfaces.items())
-        ]
-    if art.duality is not None:  # the duality stage passed: the b4 x b4 identity
-        n = art.duality
-        yield "duality_matrix", [[int(i == j) for j in range(n)] for i in range(n)]
-    if art.h2 is not None:
-        yield "h2_basis", dict(art.h2)
-    if art.report is not None:
-        yield "report", {
-            "spec": art.report.spec,
-            "counts": dict(art.report.counts),
-            "checks": {
-                name: {"status": entry["status"], "detail": jsonable(entry["detail"])}
-                for name, entry in sorted(art.report.checks.items())
-            },
-            "failure": jsonable(art.report.failure),
-        }
-    if art.certificate is not None:
-        yield "certificate", jsonable(art.certificate)
 
 
 def jsonable(obj):
@@ -210,22 +221,35 @@ def _key(k):
 def to_json(art) -> str:
     """`build_document(art)` as indented JSON with sorted keys, and a newline.
 
-    Each section but the triangle records, which are whole strings
-    already, is joined into one string as soon as it is laid out, so its
-    values and small chunks are freed before the next one is built; the
-    final join then holds the records and section strings, about one ASCII
-    copy of the text, beside its result.  The text is still returned whole:
-    library callers use it, and `perfbench/tracer.py` counts its bytes where
-    it wraps `cli.to_json`, so streaming it to the file waits on a
-    serialization span that does not need the text in hand.
+    The text grows in one local string: each section but the triangle
+    records is laid out and appended, and each record is appended as it is
+    laid out and then dropped, so nothing laid out is kept beside the text.
+    This relies on CPython resizing a local `str` that has no other
+    reference in place on `+=` (it copies only when a piece is wider than
+    the text: once, at the `group` labels' χ, while the text is short), so
+    the text is held once, at 2 bytes a character, plus one piece.  The
+    text is still returned whole: library callers use it, and
+    `perfbench/tracer.py` counts its bytes where it wraps `cli.to_json`,
+    so streaming it to the file waits on a serialization span that does
+    not need the text in hand.
     """
-    sections = {}
+    text = ""
+    sep = "{\n "
     for key, value in _document(art, _record_layout(art)):
-        sections[key] = value if key == "triangles" else _Raw(_layout(value, 1))
-        del value  # its layout is freed before the next section is laid out
-    chunks = list(_iterencode(sections, 0))
-    chunks.append("\n")  # a chunk, so the text is not copied to add it
-    return "".join(chunks)
+        text += sep + _encode_str(key) + ": "
+        sep = ",\n "
+        if key == "triangles":  # never empty: the simplex is one triangle at least
+            record_sep = "[\n  "
+            for record in value:
+                text += record_sep
+                text += record
+                record_sep = ",\n  "
+            text += "\n ]"
+        else:
+            text += _layout(value, 1)
+        del value  # freed before the next section is built
+    text += "\n}\n"
+    return text
 
 
 class _Raw:
@@ -243,7 +267,7 @@ def _layout(o, level):
 
 
 def _record_layout(art):
-    """Lays out each triangle record as one `_Raw`, from one template per document.
+    """Lays out each triangle record as one string, from one template per document.
 
     Every agraph table is indexed by the |A| character ids and every chart
     has three coordinates, so one template with a `%s` slot per value fits
@@ -267,10 +291,10 @@ def _record_layout(art):
             head = (*map(vec, map(graph.table.__getitem__, ids)),
                     *map(deep, chain.from_iterable(chart.coords)))
             socle = (_layout([_Raw(vec(m)) for m in sorted(graph.socle)], level + 1),)
-        return _Raw(template % (
+        return template % (
             *head, _encode_str(t.orientation), _encode_scalar(t.regular), *socle,
             *map(vec, t.vertices),
-        ))
+        )
 
     return record
 

@@ -675,6 +675,6 @@ def test_charts_missing_the_barycentre_are_named(run11):
     C = copy.copy(run11.charts)
     C.charts = [c for c in C.charts if any(sum(num) < sum(den) for num, den in c.coords)]
     with pytest.raises(InvariantViolationError) as err:
-        quiver_embedding(run11.triangulation, C, run11.decoration)
+        quiver_embedding(C)
     assert str(err.value) == "no chart contains the barycentre"
     assert err.value.detail == {"order": 11, "charts": len(C.charts)}
