@@ -22,7 +22,7 @@ import sys
 
 from .errors import AHilbError, InputError
 from .group import DEFAULT_MAX_ORDER
-from .pipeline import run_pipeline
+from .pipeline import CHECK_GROUPS, run_pipeline
 from .render import quiver_svg, triangulation_svg
 from .serialize import jsonable, to_json
 
@@ -46,7 +46,7 @@ def _add_common(p, with_check=True):
         p.add_argument(
             "--check",
             default="all",
-            choices=["all", "fan", "recipe", "relations", "cohomology"],
+            choices=["all", *CHECK_GROUPS],
             help="which verification family to run; the run stops after its checks "
             "(default: all)",
         )

@@ -7,10 +7,11 @@ tesselation into basic triangles.  The regular triangles are the corner
 triangles, each between two consecutive rays of a corner's fan, and at
 most one champion triangle, the region they leave uncovered.  Every edge
 is labelled with the minimal invariant monomial ratio vanishing on its
-line.  The scaled lattice is `AbelianGroup.lattice_basis`; no step solves
-a lattice system: a step is the least multiple of a primitive direction
-pairing to 0 mod |A| with the rows of `dual_basis`, and a line's ratio
-the least invariant multiple of its normal (`group.least_multiple`).
+line.  No step solves a lattice system: a corner line's step is its ray
+lifted to the sum-zero sublattice (`corner_fan`), any other step the least
+multiple of a primitive direction pairing to 0 mod |A| with the rows of
+`dual_basis` (`primitive_step`), and a line's ratio the least invariant
+multiple of its normal (`group.least_multiple`).
 
 All geometry is exact.  Points live in the plane {sum = |A|} with integer
 coordinates ("scaled" coordinates); the plane is embedded into Z^2 by
@@ -46,7 +47,14 @@ def primitive_step(group, d):
 
 
 class QuotientMap:
-    """Exact coordinates on (scaled lattice)/Z*w for a primitive lattice w."""
+    """Exact coordinates on (scaled lattice)/Z*w for a primitive lattice w.
+
+    With B the HNF basis of the scaled lattice, c = (w in the basis B) and V
+    unimodular with c @ V = e_1 (`intmat.complete_unimodular`), `proj` keeps
+    the last two coordinates of (p in the basis B) @ V.  V is unimodular, so
+    the map is onto Z^2, and its kernel is the multiples of c @ V = e_1,
+    that is, Z*w.
+    """
 
     def __init__(self, group, w):
         adj, den = group.lattice_inverse
@@ -58,16 +66,9 @@ class QuotientMap:
             raise InvariantViolationError(
                 f"{w} is not primitive in the lattice", detail={"point": w}
             )
-        # rows A @ B form the completed basis, A[0] @ B == w; V = A^-1
-        A, V = intmat.complete_unimodular(coords)
-        self._basis = (A, group.lattice_basis)
-        if intmat.vec_mat(A[0], group.lattice_basis) != tuple(w):
-            raise InvariantViolationError(
-                f"completed basis does not start with {w}", detail={"point": w}
-            )
-        # p in the completed basis is (p @ adj / den) @ V; keep its last two columns
+        # p in the basis B is p @ adj / den; keep the last two columns of that @ V
         self._den = den
-        _, v1, v2 = zip(*V)
+        _, v1, v2 = zip(*intmat.complete_unimodular(coords))
         self._adj = [(intmat.vec_dot(row, v1), intmat.vec_dot(row, v2)) for row in adj]
 
     def proj(self, p):
@@ -75,11 +76,6 @@ class QuotientMap:
         if r0 or r1:
             raise InvariantViolationError("point is not in the lattice", detail={"point": p})
         return (q0, q1)
-
-    def lift(self, v):
-        A, B = self._basis
-        return intmat.vec_mat(intmat.vec_add(intmat.vec_scale(v[0], A[1]),
-                                             intmat.vec_scale(v[1], A[2])), B)
 
 
 # ---------------------------------------------------------------------------
@@ -127,38 +123,50 @@ def corner_fan(group, corner):
     projected simplex cone in the corner quotient lattice (`_hj_chain`):
     consecutive rays form bases and v_{j-1} + v_{j+1} = a_j v_j, where the
     strength a_j >= 2 is the j-th continued-fraction digit.
+
+    A line's step is its ray's lift to the sum-zero sublattice L0 of the
+    scaled lattice N.  Every point of N has coordinate sum divisible by |A|,
+    so N is the direct sum of L0 and Z*E_c, and `proj` maps L0 isomorphically
+    onto Z^2.  The side E_a - E_c lies in L0 and projects to k_A v_A with
+    k_A its content, so s_A = (E_a - E_c) / k_A lifts v_A; likewise s_B.
+    With D = cross2(v_A, v_B), a ray is v = (c v_A + d v_B) / D for
+    c = cross2(v, v_B) and d = cross2(v_A, v), so its lift is
+    (c s_A + d s_B) / D, an exact division.  It is primitive in L0, and so
+    in N, since L0 is N cut by a plane through 0.
+
+    Each step points into the simplex, at least one whole step deep.  On the
+    chain c_j, d_j > 0 (`_hj_chain`), and f_j = c_j + d_j = cross2(v_j,
+    v_B - v_A) is linear in v_j, so f_{j-1} + f_{j+1} = a_j f_j >= 2 f_j:
+    f is convex in j and equals D at both ends, so f_j <= D.  The step's
+    coordinates are c|A| / (k_A D) > 0 at a, d|A| / (k_B D) > 0 at b, and at
+    the corner -(c / k_A + d / k_B)|A| / D, of size at most f|A| / D <= |A|.
     """
     E = simplex_corners(group.order)
-    qm = QuotientMap(group, E[corner])
-    others = [c for c in CORNERS if c != corner]
-    PA = qm.proj(E[others[0]])
-    PB = qm.proj(E[others[1]])
-    if intmat.cross2(PA, PB) < 0:
-        PA, PB = PB, PA
-    chain = _hj_chain(intmat.primitive(PA), intmat.primitive(PB))
+    Ec = E[corner]
+    qm = QuotientMap(group, Ec)
+    sides = []
+    for c in CORNERS:
+        if c != corner:
+            side = intmat.vec_sub(E[c], Ec)
+            P = qm.proj(side)
+            k = intmat.content(P)
+            sides.append((tuple([x // k for x in P]), tuple([x // k for x in side])))
+    (vA, sA), (vB, sB) = sides
+    D = intmat.cross2(vA, vB)
+    if D < 0:
+        (vA, sA), (vB, sB), D = (vB, sB), (vA, sA), -D
+    chain = _hj_chain(vA, vB)
 
-    return [
-        _make_corner_line(group, corner, E[corner], qm, chain[j],
-                          intmat.cross2(chain[j - 1], chain[j + 1]))
-        for j in range(1, len(chain) - 1)
-    ]
-
-
-def _make_corner_line(group, corner, Ec, qm, ray, strength):
-    order = group.order
-    w = qm.lift(ray)
-    d = intmat.vec_sub(intmat.vec_scale(order, w), intmat.vec_scale(sum(w), Ec))
-    step, _ = primitive_step(group, d)
-    if all(step[i] <= 0 for i in CORNERS if i != corner):
-        step = intmat.vec_neg(step)
-    where = {"corner": corner, "step": step}
-    if any(step[i] <= 0 for i in CORNERS if i != corner):
-        raise InvariantViolationError("corner line does not point into the simplex", detail=where)
-    reach = order // -step[corner]
-    if reach == 0:
-        raise InvariantViolationError("corner line leaves the simplex immediately", detail=where)
-    u, plus, minus = line_ratio(group, Ec, intmat.vec_add(Ec, step))
-    return CornerLine(corner, ray, step, strength, u, plus, minus, Ec, reach)
+    lines = []
+    for j in range(1, len(chain) - 1):
+        v = chain[j]
+        lift = intmat.vec_add(intmat.vec_scale(intmat.cross2(v, vB), sA),
+                              intmat.vec_scale(intmat.cross2(vA, v), sB))
+        step = tuple([x // D for x in lift])
+        u, plus, minus = line_ratio(group, Ec, intmat.vec_add(Ec, step))
+        lines.append(CornerLine(corner, v, step, intmat.cross2(chain[j - 1], chain[j + 1]),
+                                u, plus, minus, Ec, group.order // -step[corner]))
+    return lines
 
 
 def _hj_chain(vA, vB):

@@ -98,7 +98,7 @@ class AbelianGroup:
         self.order = order
         self.scaled_generators = _scaled_generators(spec, order)
         # HNF rows (upper echelon) of the scaled lattice |A|*N = |A|*Z^3 + (the generators)
-        self.lattice_basis = B = _scaled_lattice(self.scaled_generators, order)
+        B = _scaled_lattice(self.scaled_generators, order)
         # (adj B, det B): p @ adj B = det B * (p in the basis B), and det B = |A|^2
         self.lattice_inverse = (intmat.adjugate3(B), intmat.det3(B))
         # the box of B's pivots mod |A|: integer triples scaled by `order`, sorted, identity first

@@ -21,8 +21,6 @@ from __future__ import annotations
 from math import gcd
 from operator import add, mul, neg, sub
 
-from .errors import InvariantViolationError
-
 
 def vec_add(a, b):
     return tuple(map(add, a, b))
@@ -179,19 +177,11 @@ def solve_int(rows, target):
     return tuple(sol)
 
 
-def inverse_unimodular(m):
-    """Inverse of a 3x3 integer matrix of determinant +-1: det * adj(m)."""
-    d = det3(m)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return [tuple(d * x for x in r) for r in adjugate3(m)]
-
-
 def complete_unimodular(c):
-    """(A, Ainv) with A unimodular and A[0] == c; c must be primitive.
+    """V unimodular with c @ V = e_1; c must be primitive.
 
-    Found by column-reducing c to e_1: if c @ V = e_1 with V unimodular,
-    then V^{-1} has first row c.
+    Found by column-reducing c to e_1.  The rows of V^-1 then complete c to
+    a basis: V^-1 is exact, so e_1 @ V^-1 = c @ V @ V^-1 = c is its first row.
     """
     n = len(c)
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -220,11 +210,7 @@ def complete_unimodular(c):
             row[0] = -row[0]
     if w[0] != 1 or any(w[1:]):
         raise ValueError("vector is not primitive")
-    A = inverse_unimodular(V)
-    if tuple(A[0]) != tuple(c):
-        raise InvariantViolationError(f"unimodular completion lost its first row {c}",
-                                      detail={"vector": c})
-    return A, V
+    return V
 
 
 def vec_mat(v, m):

@@ -98,7 +98,7 @@ def checks_for(which):
         return ALL_CHECKS
     if which in CHECK_GROUPS:
         return CHECK_GROUPS[which]
-    raise InputError(f"unknown check group {which!r}; use all|fan|recipe|relations|cohomology")
+    raise InputError(f"unknown check group {which!r}; use {'|'.join(['all', *CHECK_GROUPS])}")
 
 
 def run_pipeline(spec, which="all", max_order=DEFAULT_MAX_ORDER) -> Artifacts:

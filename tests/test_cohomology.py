@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import weakref
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -18,10 +19,11 @@ from ahilb.cohomology import (
     virtual_bundle,
 )
 from ahilb.errors import CorrespondenceError, InvariantViolationError
-from ahilb.fan import QuotientMap
-from ahilb.group import MONO_ONE
+from ahilb.fan import triangulate
+from ahilb.group import MONO_ONE, build_group
 from ahilb.pipeline import run_pipeline
 from conftest import chi, surface_calculators
+from test_fan import _differential_specs, _oracle_lift
 
 
 def intersection_matrix(surface):
@@ -210,18 +212,46 @@ def test_virtual_bundle_names_sides_of_different_ranks(run11):
     }
 
 
+def test_star_cycles_satisfy_what_surface_star_proves():
+    """Noether's count and the three- and four-ray cycles, on every interior vertex.
+
+    These are the facts `surface_star` and `_surface_type` prove from the
+    smoothness check, on the triangulations of the corner-fan differential
+    specs.
+    """
+    lengths = Counter()
+    for spec in _differential_specs():
+        T = triangulate(build_group(spec))
+        for v in T.interior_vertices():
+            cycle = surface_star(T, v).self_intersections
+            n = len(cycle)
+            lengths[n] += 1
+            assert sum(cycle) == 12 - 3 * n, (spec, v)
+            if n == 3:
+                assert cycle == (1, 1, 1), (spec, v)
+            if n == 4:
+                rotations = (cycle[k:] + cycle[:k] for k in range(4))
+                assert any(c[0] == c[2] == 0 and c[1] == -c[3] for c in rotations), (spec, v)
+    assert set(lengths) == {3, 4, 5, 6}, lengths
+
+
 @pytest.mark.parametrize(
-    "cycle, message",
+    "cycle, kind",
     [
-        ([1, 1, 2], "three-ray star fan that is not the plane"),
-        ([0, 1, 0, 2], "four-ray star fan with cycle [0, 1, 0, 2]"),
-        ([-1] * 7, "star fan with 7 rays"),
+        ([-1, -1, -1, 0, 0], "blownup_scroll"),
+        ([-1, -1, -1, -1, -1, -1], "dP6"),
+        ([-1, -1, -2, -1, -1, 0], "blownup_scroll"),
     ],
 )
-def test_surface_type_names_the_vertex_and_cycle(cycle, message):
+def test_surface_type_of_five_and_six_rays(cycle, kind):
+    assert _surface_type(cycle, (3, 6, 2)) == kind
+
+
+def test_surface_type_names_the_vertex_and_cycle():
+    cycle = [-1] * 7
     with pytest.raises(InvariantViolationError) as err:
         _surface_type(cycle, (3, 6, 2))
-    assert str(err.value) == message
+    assert str(err.value) == "star fan with 7 rays"
     assert err.value.detail == {"vertex": (3, 6, 2), "cycle": cycle}
 
 
@@ -229,9 +259,9 @@ def test_surface_star_passes_its_vertex_to_the_shape_check(run11):
     """A stand-in star of seven rays, a smooth complete fan that no A-Hilb star has."""
     g = run11.group
     vertex = (3, 6, 2)
-    qm = QuotientMap(g, vertex)
     rays = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
-    edges = [SimpleNamespace(a=vertex, b=intmat.vec_add(vertex, qm.lift(r))) for r in rays]
+    edges = [SimpleNamespace(a=vertex, b=intmat.vec_add(vertex, _oracle_lift(g, vertex, r)))
+             for r in rays]
     star = SimpleNamespace(
         group=g, edges=edges, vertex_edge_map=lambda: {vertex: list(range(len(edges)))}
     )

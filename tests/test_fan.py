@@ -13,7 +13,7 @@ from ahilb import fan, intmat, pipeline
 from ahilb.cohomology import angle_cmp
 from ahilb.errors import InputError, InvariantViolationError
 from ahilb.fan import QuotientMap, corner_fan, knockout, monomial_knockout, triangulate
-from ahilb.group import build_group
+from ahilb.group import _scaled_lattice, build_group
 from ahilb.pipeline import run_pipeline
 from test_acceptance import _cyclic_family_up_to_30
 
@@ -337,7 +337,7 @@ def _oracle_corner_dirs(g, corner):
 def _oracle_direction_basis(g):
     from test_group import _left_kernel  # test_group imports this module
 
-    B = g.lattice_basis
+    B = _scaled_lattice(g.scaled_generators, g.order)
     kern = _left_kernel([[sum(row)] for row in B])
     return [intmat.vec_mat(k, B) for k in kern]
 
@@ -684,20 +684,6 @@ def test_quotient_map_rejects_a_bad_point(w, message):
     assert err.value.detail == {"point": w}
 
 
-def test_quotient_map_rejects_a_completion_off_its_point(monkeypatch):
-    complete = intmat.complete_unimodular
-
-    def swapped(c):
-        A, V = complete(c)
-        return [A[1], A[0], A[2]], V
-
-    monkeypatch.setattr(intmat, "complete_unimodular", swapped)
-    with pytest.raises(InvariantViolationError) as err:
-        QuotientMap(build_group("1/11(1,2,8)"), (1, 2, 8))
-    assert str(err.value) == "completed basis does not start with (1, 2, 8)"
-    assert err.value.detail == {"point": (1, 2, 8)}
-
-
 def test_projection_rejects_an_off_lattice_point():
     qm = QuotientMap(build_group("1/11(1,2,8)"), (1, 2, 8))
     assert qm.proj((2, 4, 16)) == (0, 0)
@@ -718,26 +704,81 @@ def test_collinear_points_are_named():
     assert err.value.detail == {"points": ((1, 2, 8), (2, 4, 16))}
 
 
-@pytest.mark.parametrize(
-    "weights, message, step",
-    [
-        # the ray of a simplex side
-        ((1, 0), "corner line does not point into the simplex", (-11, 11, 0)),
-        # a ray into the simplex that meets no lattice point before the far side
-        ((5, 6), "corner line leaves the simplex immediately", (-121, 55, 66)),
-    ],
-)
-def test_corner_line_off_the_simplex_is_named(weights, message, step):
-    g = build_group("1/11(1,2,8)")
-    E = fan.simplex_corners(g.order)
-    qm = QuotientMap(g, E[0])
-    PA, PB = qm.proj(E[1]), qm.proj(E[2])
-    ray = intmat.primitive(intmat.vec_add(intmat.vec_scale(weights[0], PA),
-                                          intmat.vec_scale(weights[1], PB)))
-    with pytest.raises(InvariantViolationError) as err:
-        fan._make_corner_line(g, 0, E[0], qm, ray, 2)
-    assert str(err.value) == message
-    assert err.value.detail == {"corner": 0, "step": step}
+def _oracle_lift(g, w, v):
+    """A lattice point over v under `QuotientMap(g, w).proj`, in its completed frame.
+
+    The rows of V^-1 complete w to a basis of the scaled lattice (in the HNF
+    basis B), and v picks the combination of the last two.
+    """
+    adj, den = g.lattice_inverse
+    V = intmat.complete_unimodular([x // den for x in intmat.vec_mat(w, adj)])
+    d = intmat.det3(V)
+    A = [tuple(d * x for x in row) for row in intmat.adjugate3(V)]
+    B = _scaled_lattice(g.scaled_generators, g.order)
+    return intmat.vec_mat(intmat.vec_add(intmat.vec_scale(v[0], A[1]),
+                                         intmat.vec_scale(v[1], A[2])), B)
+
+
+def _oracle_corner_fan(g, corner):
+    """The lift path `corner_fan` replaced: (dir2, step, reach, u, plus, minus, strength).
+
+    Each ray is lifted through the completion, moved along the corner into
+    the sum-zero plane, cut to its primitive lattice step and turned into
+    the simplex.
+    """
+    order = g.order
+    E = fan.simplex_corners(order)
+    Ec = E[corner]
+    qm = QuotientMap(g, Ec)
+    PA, PB = (qm.proj(E[c]) for c in range(3) if c != corner)
+    if intmat.cross2(PA, PB) < 0:
+        PA, PB = PB, PA
+    chain = fan._hj_chain(intmat.primitive(PA), intmat.primitive(PB))
+    out = []
+    for j in range(1, len(chain) - 1):
+        w = _oracle_lift(g, Ec, chain[j])
+        step, _ = fan.primitive_step(
+            g, intmat.vec_sub(intmat.vec_scale(order, w), intmat.vec_scale(sum(w), Ec)))
+        if all(step[i] <= 0 for i in range(3) if i != corner):
+            step = intmat.vec_neg(step)
+        assert all(step[i] > 0 for i in range(3) if i != corner)
+        reach = order // -step[corner]
+        assert reach >= 1
+        u, plus, minus = fan.line_ratio(g, Ec, intmat.vec_add(Ec, step))
+        out.append((chain[j], step, reach, u, plus, minus,
+                    intmat.cross2(chain[j - 1], chain[j + 1])))
+    return out
+
+
+def test_corner_fan_matches_the_completion_lift():
+    """Sum-zero lifts against the completion path at every corner of the differential specs.
+
+    Each step is also checked to be the exact quotient by D of the ray's
+    combination of the two side steps, as `corner_fan`'s docstring proves.
+    """
+    for spec in _differential_specs():
+        g = build_group(spec)
+        E = fan.simplex_corners(g.order)
+        for corner in range(3):
+            lines = corner_fan(g, corner)
+            got = [(ln.dir2, ln.step, ln.reach, ln.u, ln.plus, ln.minus, ln.strength)
+                   for ln in lines]
+            assert got == _oracle_corner_fan(g, corner), (spec, corner)
+            qm = QuotientMap(g, E[corner])
+            sides = []  # (primitive projection, side step over it) per other corner
+            for c in range(3):
+                if c != corner:
+                    side = intmat.vec_sub(E[c], E[corner])
+                    k = intmat.content(qm.proj(side))
+                    sides.append((intmat.primitive(qm.proj(side)), tuple(x // k for x in side)))
+            if intmat.cross2(sides[0][0], sides[1][0]) < 0:
+                sides.reverse()
+            (vA, sA), (vB, sB) = sides
+            D = intmat.cross2(vA, vB)
+            for ln in lines:
+                combo = intmat.vec_add(intmat.vec_scale(intmat.cross2(ln.dir2, vB), sA),
+                                       intmat.vec_scale(intmat.cross2(vA, ln.dir2), sB))
+                assert intmat.vec_scale(D, ln.step) == combo, (spec, corner, ln.dir2)
 
 
 def test_corner_fan_chains_are_basic_with_strengths_at_least_two():

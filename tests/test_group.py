@@ -289,7 +289,8 @@ def test_lattices_from_generators_match_all_elements():
         assert (g.order, g.elements) == (order, elements), spec
         assert g.dual_basis == _kernel_invariant_lattice(g.scaled_generators, order), spec
         assert g.dual_basis == _kernel_invariant_lattice(g.elements, order), spec
-        assert g.lattice_basis == _all_elements_scaled_lattice(g), spec
+        B = group._scaled_lattice(g.scaled_generators, g.order)
+        assert B == _all_elements_scaled_lattice(g), spec
         assert g.distinguished == _searched_distinguished(g.spec, elements, order), spec
         assert g.characters() == _reduced_box_characters(g), spec
     assert build_group("1/12(6,3,3);1/10(1,6,3)").order == 40

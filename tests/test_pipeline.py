@@ -7,8 +7,8 @@ import pytest
 
 import ahilb.pipeline as pipeline
 import ahilb.recipe as recipe
-from ahilb import intmat
-from ahilb.errors import CorrespondenceError
+from ahilb import cli, intmat
+from ahilb.errors import CorrespondenceError, InputError
 from ahilb.fan import simplex_corners, triangulate
 from ahilb.group import AbelianGroup, build_group
 from ahilb.pipeline import ALL_CHECKS, CHECK_GROUPS, checks_for, run_pipeline
@@ -24,6 +24,17 @@ def test_check_families_are_ordered_slices_of_the_stage_table():
         assert ALL_CHECKS[i:i + len(names)] == names, fam
         start = i + len(names)
     assert checks_for("all") == ALL_CHECKS
+
+
+def test_check_choices_are_the_families():
+    """The parser's `--check` choices and the `checks_for` message both come from CHECK_GROUPS."""
+    for name in ("compute", "check"):
+        sub = cli.build_parser()._subparsers._group_actions[0].choices[name]
+        action = next(a for a in sub._actions if a.dest == "check")
+        assert action.choices == ["all", *CHECK_GROUPS]
+    with pytest.raises(InputError) as err:
+        checks_for("fans")
+    assert str(err.value) == "unknown check group 'fans'; use all|fan|recipe|relations|cohomology"
 
 
 def test_fan_family_stops_after_the_fan():
