@@ -4,18 +4,26 @@ Every basic triangle gives an affine chart of the resolution, with three
 coordinates read off the line table (see `ChartSet`).  The torus-fixed
 point of the chart carries a monomial basis of the cluster ring: for each
 character the unique exponent-minimal monomial of that weight.  Those
-generators drive everything downstream, so they are built once per
-triangulation and kept in a ChartSet, together with the degree of every
+generators drive everything downstream.  A ChartSet builds and checks
+them once per triangulation, together with the degree of every
 tautological bundle on every compact curve, which `relations` and
 `cohomology` read.  Each chart's table is a tuple of its |A| generators
 indexed by character id (`group.char_id`, the order of
 `group.characters()`); a table walked across an edge shares each
-generator that does not move with its parent's.  A ChartSet is read-only
-once built.
+generator that does not move with its parent's.
+
+The degree column of an edge says which generators move across it, and
+by how much, so the ChartSet keeps the degree table and table 0 but not
+the |A| tables of |A| generators.  `ChartSet.agraphs` is a read-only
+view that rebuilds them: reading it in order costs one replay per table,
+and indexing replays along the walk tree.  `ahilb check` at
+`1/1601(1,7,1593)` peaks at 39 MB, against 79 MB with every table kept.
+A ChartSet is read-only once built.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -83,11 +91,13 @@ def build_agraph(group, tri_index, vertices, coords) -> AGraph:
             detail={"triangle": tri_index},
         )
     table = tuple(map(found.__getitem__, group.characters()))
-    return _checked_agraph(tri_index, table, coords)
+    socle = map(table.__getitem__, _checked_socle(tri_index, table, coords))
+    return AGraph(table, frozenset(socle))
 
 
-def _checked_agraph(tri_index, table, coords) -> AGraph:
-    """The AGraph of a table, once its division closure and minimality check out.
+def _checked_socle(tri_index, table, coords):
+    """The character ids of a table's socle, once its division closure and
+    minimality check out.
 
     Minimality takes one membership test per chart coordinate num/den.  A
     generator m has the smaller monomial m + den - num of its weight
@@ -97,7 +107,7 @@ def _checked_agraph(tri_index, table, coords) -> AGraph:
     """
     members = frozenset(table)
     socle = []
-    for m in members:
+    for k, m in enumerate(table):
         a, b, c = m
         if ((a and (a - 1, b, c) not in members)
                 or (b and (a, b - 1, c) not in members)
@@ -109,14 +119,14 @@ def _checked_agraph(tri_index, table, coords) -> AGraph:
         if ((a + 1, b, c) not in members
                 and (a, b + 1, c) not in members
                 and (a, b, c + 1) not in members):
-            socle.append(m)
+            socle.append(k)
     for num, _ in coords:
         if num in members:
             raise InvariantViolationError(
                 "chart generator is not weight-minimal",
                 detail={"triangle": tri_index, "monomial": num},
             )
-    return AGraph(table, frozenset(socle))
+    return tuple(socle)
 
 
 def _transition_table(table, u, edge, near, far, chars):
@@ -200,11 +210,22 @@ class ChartSet:
     built first (`_transition_table`), taking each triangle's sides in
     ascending edge id.  Across a tree edge of the walk the transitioned
     table becomes the neighbour's, checked for division closure and
-    minimality; across any other edge it must equal the table already
-    stored.  Either way the crossing gives the edge's column of the degree
-    table, {chi: q} for the characters of nonzero degree q on the edge's
-    curve; `_degree` holds these columns by edge id, with an empty column
-    for each boundary edge.  A triangle the walk cannot reach is an error.
+    minimality; across any other edge it must equal the neighbour's table,
+    built and not yet walked from.  Either way the crossing gives the
+    edge's column of the degree table, {chi: q} for the characters of
+    nonzero degree q on the edge's curve; `_degree` holds these columns by
+    edge id, with an empty column for each boundary edge.  A triangle the
+    walk cannot reach is an error.
+
+    A table is dropped once the walk has crossed its sides, so only the
+    walk's frontier is alive (at most 57 tables at |A| = 1601).  What is
+    kept is table 0, the character ids of each socle (`socle_ids`), each
+    triangle's walk parent and the edge crossed from it, and the degree
+    columns.  Those say every table: each generator m of weight chi in a
+    column moves to m - q*v across the edge, with v the edge ratio
+    oriented toward the new triangle's far vertex, whichever side the walk
+    crossed from, and every other generator stays.  `agraphs` rebuilds the
+    tables that way (`_AGraphs`).
     """
 
     def __init__(self, triangulation):
@@ -223,14 +244,18 @@ class ChartSet:
                                                   detail={"vertices": tri.vertices})
                 coords.append((ln.plus, ln.minus) if s > 0 else (ln.minus, ln.plus))
             self.charts.append(Chart(ti, tuple(coords)))
-        self.agraphs = [None] * len(tris)
-        self.agraphs[0] = build_agraph(g, 0, tris[0].vertices, self.charts[0].coords)
+        graph = build_agraph(g, 0, tris[0].vertices, self.charts[0].coords)
+        root = graph.table
+        self.socle_ids = socles = [None] * len(tris)
+        socles[0] = tuple(k for k, m in enumerate(root) if m in graph.socle)
+        parent = [None] * len(tris)  # walk parent, and the edge crossed from it
         # per edge: character -> nonzero degree, filled as the walk crosses it
         columns = [None if e.interior else {} for e in edges]
+        live = {0: root}  # the tables built and not yet walked from
         queue = [0]
         for ti in queue:
             tri = tris[ti]
-            table = self.agraphs[ti].table
+            table = live.pop(ti)
             for i in (2, 1, 0):  # ascending edge id
                 ei = tri.edges[i]
                 if columns[ei] is not None:
@@ -243,18 +268,20 @@ class ChartSet:
                 walked, columns[ei] = _transition_table(
                     table, u, e, tri.vertices[i], nbr.vertices[nbr.edges.index(ei)], chars
                 )
-                if self.agraphs[tj] is not None:
-                    _check_same_table(walked, self.agraphs[tj].table, u, e, chars)
+                if tj in live:
+                    _check_same_table(walked, live[tj], u, e, chars)
                     continue
-                self.agraphs[tj] = _checked_agraph(tj, walked, self.charts[tj].coords)
+                socles[tj] = _checked_socle(tj, walked, self.charts[tj].coords)
+                parent[tj] = (ti, ei)
+                live[tj] = walked
                 queue.append(tj)
         if len(queue) != len(tris):
-            missing = self.agraphs.index(None)
             raise InvariantViolationError(
                 "triangle not reachable across interior edges",
-                detail={"triangle": missing},
+                detail={"triangle": socles.index(None)},
             )
         self._degree = tuple(columns)
+        self.agraphs = _AGraphs(T, root, parent, socles, self._degree)
 
     def degree_on_curve(self, chi, edge_index):
         """Transition exponent of the weight-chi bundle across an interior edge."""
@@ -264,3 +291,93 @@ class ChartSet:
                 "degrees are defined on interior edges only", detail={"edge": (e.a, e.b)}
             )
         return self._degree[edge_index].get(self.group.reduce(chi), 0)
+
+
+class _AGraphs(Sequence):
+    """`ChartSet.agraphs`: each triangle's AGraph, rebuilt from table 0 and the degree columns.
+
+    Indexing replays the walk tree's edges from triangle 0, or from the
+    deepest ancestor on the last path indexed (the tree is breadth-first,
+    45 edges deep at |A| = 1601).  That path is replaced whole, never
+    changed in place, so concurrent readers get correct tables.  Iteration
+    goes in triangle order and rebuilds each table from its latest earlier
+    neighbour's, which it holds until its last such neighbour has been
+    rebuilt: one replay per table, and at most 173 tables held at
+    |A| = 1601.  A triangle with no earlier neighbour is indexed instead.
+    """
+
+    def __init__(self, triangulation, root, parent, socle_ids, columns):
+        self._triangulation = triangulation
+        self._parent = parent
+        self._socle_ids = socle_ids
+        self._columns = columns
+        self._ids = {chi: k for k, chi in enumerate(triangulation.group.characters())}
+        self._path = {0: root}  # the tables from triangle 0 down to the last one indexed
+
+    def __len__(self):
+        return len(self._parent)
+
+    def __getitem__(self, ti):
+        if not -len(self) <= ti < len(self):
+            raise IndexError("chart index out of range")
+        ti %= len(self)
+        return self._agraph(ti, self._table(ti))
+
+    def __iter__(self):
+        T = self._triangulation
+        source = [None] * len(self)  # latest earlier neighbour, and the edge to it
+        last = [0] * len(self)  # the last triangle rebuilt from each
+        for ti, tri in enumerate(T.triangles):
+            for ei in tri.edges:
+                e = T.edges[ei]
+                s = sum(e.triangles) - ti
+                if e.interior and s < ti and (source[ti] is None or s > source[ti][0]):
+                    source[ti] = (s, ei)
+            if source[ti] is not None:
+                last[source[ti][0]] = ti
+        held = {}
+        for ti, src in enumerate(source):
+            if src is None:
+                table = self._table(ti)
+            else:
+                s, ei = src
+                table = self._replay(held.pop(s) if last[s] == ti else held[s], ei, ti)
+            if last[ti] > ti:
+                held[ti] = table
+            yield self._agraph(ti, table)
+
+    def _agraph(self, ti, table):
+        return AGraph(table, frozenset(map(table.__getitem__, self._socle_ids[ti])))
+
+    def _replay(self, table, ei, ti):
+        """Triangle ti's table from its neighbour's `table` across edge ei."""
+        T = self._triangulation
+        tri = T.triangles[ti]
+        u = T.lines[T.edges[ei].line].u
+        far = tri.vertices[tri.edges.index(ei)]
+        v0, v1, v2 = u if intmat.vec_dot(u, far) > 0 else intmat.vec_neg(u)
+        ids = self._ids
+        out = list(table)
+        for chi, q in self._columns[ei].items():
+            k = ids[chi]
+            m = out[k]
+            out[k] = (m[0] - q * v0, m[1] - q * v1, m[2] - q * v2)
+        return tuple(out)
+
+    def _table(self, ti):
+        """Triangle ti's table, replayed down the walk tree from its deepest
+        ancestor on the last path indexed, which then ends at ti."""
+        path = self._path
+        down = []
+        while ti not in path:
+            down.append(ti)
+            ti = self._parent[ti][0]
+        kept = {}
+        for t, table in path.items():
+            kept[t] = table
+            if t == ti:
+                break
+        for t in reversed(down):
+            kept[t] = table = self._replay(table, self._parent[t][1], t)
+        self._path = kept
+        return table

@@ -120,7 +120,9 @@ def mark_vertex(triangulation, chart_set, vertex, edge_ids):
 
     The relation's right side is the characters that mark two edges, sorted;
     at a P2 vertex, the one character twice.  Outside dP6 the mark is their
-    sum, whose generator must lie in the socle of every chart at the vertex.
+    sum, whose generator must lie in the socle of every chart at the vertex:
+    its character id is among the chart's `ChartSet.socle_ids`, so no table
+    is read.
     """
     T = triangulation
     g = T.group
@@ -147,8 +149,7 @@ def mark_vertex(triangulation, chart_set, vertex, edge_ids):
         marks = (g.char_sum(rhs),)
         k = g.char_id(marks[0])
         for ti in T.triangles_at(vertex):
-            graph = chart_set.agraphs[ti]
-            if graph.table[k] not in graph.socle:
+            if k not in chart_set.socle_ids[ti]:
                 raise InvariantViolationError(
                     "vertex mark generator missing from a socle",
                     detail={"vertex": vertex, "character": marks[0]},
@@ -165,10 +166,9 @@ def _dp6_marks(T, chart_set, vertex, line_chars):
     triangles.)
     """
     g = T.group
-    # each table key is its generator's weight
-    socle_chars = set.intersection(*({g.weight(m) for m in chart_set.agraphs[ti].socle}
-                                     for ti in T.triangles_at(vertex)))
-    cands = socle_chars - set(line_chars) - {g.reduce(MONO_ONE)}
+    chars = g.characters()
+    common = set.intersection(*(set(chart_set.socle_ids[ti]) for ti in T.triangles_at(vertex)))
+    cands = {chars[k] for k in common} - set(line_chars) - {g.reduce(MONO_ONE)}
     if len(cands) != 2:
         raise InvariantViolationError(
             "socle method did not isolate two characters at a triple intersection",

@@ -14,10 +14,12 @@ first.  `_document` yields the top-level sections one at a time, in key
 order, and takes a per-triangle record callback: `build_document` passes
 one that returns the entry as plain values, `to_json` one that returns
 the record as text, and the `triangles` value lays out each record only
-when it is asked for.  The |A| records hold the |A|^2 entries of the
-`agraph` tables, which are tuples indexed by character id in one key
-order, so every record fills one template built once per document, and
-each integer triple is formatted once however many tables hold it.
+when it is asked for.  It reads `ChartSet.agraphs` in triangle order,
+which rebuilds each table once from the degree columns.  The |A|
+records hold the |A|^2 entries of the `agraph` tables, which are tuples
+indexed by character id in one key order, so every record fills one
+template built once per document, and each integer triple is formatted
+once however many tables hold it.
 Every other section goes through `_iterencode`.  `to_json` appends each
 section and each record to one growing string as it is laid out, with no
 final join, so the text (UCS-2, for the labels' χ) is held once beside
@@ -174,8 +176,8 @@ def _document(art, record):
     if T is not None:
         C = art.charts
         yield "triangles", (
-            record(t, C.charts[ti], C.agraphs[ti]) if C is not None else record(t, None, None)
-            for ti, t in enumerate(T.triangles)
+            map(record, T.triangles, C.charts, C.agraphs) if C is not None
+            else (record(t, None, None) for t in T.triangles)
         )
     if art.decoration is not None:
         yield "vertex_marks", [

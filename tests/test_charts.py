@@ -1,7 +1,10 @@
+import functools
+import gc
 import itertools
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -281,6 +284,7 @@ def _pairwise_degrees(C):
     """
     T = C.triangulation
     chars = C.group.characters()
+    tables = [graph.table for graph in C.agraphs]
     columns = []
     for ei, e in enumerate(T.edges):
         if not e.interior:
@@ -292,7 +296,7 @@ def _pairwise_degrees(C):
         u = T.lines[e.line].u
         k = next(i for i in range(3) if u[i])
         s1, s2 = intmat.vec_dot(u, w1), intmat.vec_dot(u, w2)
-        tab1, tab2 = C.agraphs[t1].table, C.agraphs[t2].table
+        tab1, tab2 = tables[t1], tables[t2]
         column = {}
         for c, r1, r2 in zip(chars, tab1, tab2):  # tables are in character-id order
             if r1 == r2:
@@ -648,15 +652,119 @@ def test_walked_tables_match_the_heap():
     for spec, C in chart_sets:
         g = C.group
         tables, socles, columns = _dict_walk(C.triangulation)
-        for ti, tri in enumerate(C.triangulation.triangles):
+        for ti, (tri, got) in enumerate(zip(C.triangulation.triangles, C.agraphs)):
             want = build_agraph(g, ti, tri.vertices, chart_coords(g, tri.vertices))
-            got = C.agraphs[ti]
             assert got.table == want.table and got.socle == want.socle, (spec, ti)
             assert len(got.table) == g.order, (spec, ti)
             assert dict(zip(g.characters(), got.table)) == tables[ti], (spec, ti)
             assert got.socle == socles[ti], (spec, ti)
         assert C._degree == columns, spec
         assert C._degree == _pairwise_degrees(C), spec
+
+
+def _stored_walk(C):
+    """The chart walk that stores every table: the oracle of the `agraphs` view.
+
+    The walk of `ChartSet`, crossing each interior edge once from the
+    triangle built first, with every table kept to the end.  Returns each
+    triangle's AGraph and the degree columns by edge id.
+    """
+    T, g = C.triangulation, C.group
+    tris, chars = T.triangles, g.characters()
+    graphs = [None] * len(tris)
+    graphs[0] = build_agraph(g, 0, tris[0].vertices, C.charts[0].coords)
+    columns = [None if e.interior else {} for e in T.edges]
+    queue = [0]
+    for ti in queue:
+        tri = tris[ti]
+        for i in (2, 1, 0):  # ascending edge id
+            ei = tri.edges[i]
+            if columns[ei] is not None:
+                continue
+            e = T.edges[ei]
+            tj = next(t for t in e.triangles if t != ti)
+            walked, columns[ei] = charts._transition_table(
+                graphs[ti].table, T.lines[e.line].u, e, tri.vertices[i], _far(tris[tj], ei), chars
+            )
+            if graphs[tj] is not None:
+                assert walked == graphs[tj].table
+                continue
+            socle = charts._checked_socle(tj, walked, C.charts[tj].coords)
+            graphs[tj] = AGraph(walked, frozenset(walked[k] for k in socle))
+            queue.append(tj)
+    assert len(queue) == len(tris)
+    return graphs, tuple(columns)
+
+
+@functools.cache
+def _view_chart_sets():
+    """(spec, ChartSet) of the goldens, the order-30 family, and larger and product groups."""
+    runs, _ = _cyclic_family_runs()
+    others = (
+        ["1/11(1,2,8)", "1/30(25,2,3)", "1/300(1,1,298)"]
+        + [f"1/401(1,{b},{400 - b})" for b in (7, 11, 13, 17, 19, 23)]
+        + ["1/3(1,2,0);1/3(0,1,2)", "1/6(1,2,3);1/3(1,1,1)", "1/4(1,1,2);1/2(1,1,0);1/2(0,1,1)"]
+    )
+    return ([(spec, art.charts) for spec, art in runs.items()]
+            + [(spec, ChartSet(triangulate(build_group(spec)))) for spec in others])
+
+
+def test_agraphs_view_matches_the_stored_walk():
+    """Read in order and by index, every table and socle is the stored walk's."""
+    rng = random.Random(28)
+    for spec, C in _view_chart_sets():
+        graphs, columns = _stored_walk(C)
+        assert C._degree == columns, spec
+        assert len(C.agraphs) == len(graphs)
+        assert list(C.agraphs) == graphs, spec
+        assert [C.agraphs[ti] for ti in range(len(graphs))] == graphs, spec
+        # leaving and re-entering the cached path of the walk tree
+        order = list(range(len(graphs)))
+        rng.shuffle(order)
+        for ti in order[:50] + order[:50]:
+            assert C.agraphs[ti] == graphs[ti], (spec, ti)
+        assert C.agraphs[-1] == graphs[-1]
+        for ti, graph in enumerate(graphs):
+            assert C.socle_ids[ti] == tuple(k for k, m in enumerate(graph.table) if m in graph.socle)
+        with pytest.raises(IndexError):
+            C.agraphs[len(graphs)]
+
+
+def test_each_column_is_the_same_from_either_side_of_its_edge():
+    """The fact the view's replay rests on, on every interior edge.
+
+    Crossing an edge from either triangle's table gives the other's table
+    and the same degree column, the one the walk stored.
+    """
+    edges = 0
+    for spec, C in _view_chart_sets():
+        T, chars = C.triangulation, C.group.characters()
+        tables = [graph.table for graph in C.agraphs]
+        for ei in T.interior_edges():
+            e = T.edges[ei]
+            t1, t2 = e.triangles
+            u = T.lines[e.line].u
+            w1, w2 = _far(T.triangles[t1], ei), _far(T.triangles[t2], ei)
+            to2, column12 = charts._transition_table(tables[t1], u, e, w1, w2, chars)
+            to1, column21 = charts._transition_table(tables[t2], u, e, w2, w1, chars)
+            assert to2 == tables[t2] and to1 == tables[t1], (spec, ei)
+            assert column12 == column21 == C._degree[ei], (spec, ei)
+        edges += len(T.interior_edges())
+    assert edges > 10000
+
+
+def test_a_run_keeps_no_table_past_the_walk():
+    """The live heap after a full run at |A| = 401 holds the degree columns,
+    not |A| tables: 5.4 MB when every table was kept, 2.6 MB without them."""
+    tracemalloc.start()
+    try:
+        art = run_pipeline("1/401(1,7,393)")
+        gc.collect()
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert art.report.passed
+    assert live <= 4.0e6, live
 
 
 def _check_minimality_step(chart, graph):
@@ -695,15 +803,16 @@ def test_minimality_membership_test_agrees_with_the_generator_scan():
     rejected = 0
     for spec, art in runs.items():
         T, C = art.triangulation, art.charts
+        graphs = list(C.agraphs)
         pairs = [(ti, ti) for ti in range(len(T.triangles))]
         for ei in T.interior_edges():
             t1, t2 = T.edges[ei].triangles
             pairs += [(t1, t2), (t2, t1)]
         for ti, tj in pairs:
-            chart, graph = C.charts[tj], C.agraphs[ti]
+            chart, graph = C.charts[tj], graphs[ti]
             scan = _is_weight_minimal(lambda: _check_minimality_step(chart, graph))
             member = _is_weight_minimal(
-                lambda: charts._checked_agraph(tj, graph.table, chart.coords)
+                lambda: charts._checked_socle(tj, graph.table, chart.coords)
             )
             assert scan == member, (spec, ti, tj)
             assert scan == (ti == tj), (spec, ti, tj)
