@@ -15,15 +15,19 @@ order, and takes a per-triangle record callback: `build_document` passes
 one that returns the entry as plain values, `to_json` one that returns
 the record as text, and the `triangles` value lays out each record only
 when it is asked for.  It reads `ChartSet.agraphs` in triangle order,
-which rebuilds each table once from the degree columns.  The |A|
-records hold the |A|^2 entries of the `agraph` tables, which are tuples
-indexed by character id in one key order, so every record fills one
-template built once per document, and each integer triple is formatted
-once however many tables hold it.
-Every other section goes through `_iterencode`.  `to_json` appends each
-section and each record to one growing string as it is laid out, with no
-final join, so the text (UCS-2, for the labels' χ) is held once beside
-one piece.
+which rebuilds each table once from the degree columns.
+
+Every section is laid out by that same `json.dumps` call, shifted to its
+depth, except two.  The |A| records hold the |A|^2 entries of the
+`agraph` tables, which are tuples indexed by character id in one key
+order, so every record fills one template that `json.dumps` lays out
+once per document with a sentinel in each slot, and each integer triple
+is formatted once however many tables hold it.  The duality section is
+always the b4 x b4 identity, written as rows of zeros with one 1.
+`to_json` appends each section and each record to one growing string as
+it is laid out, with no final join, so the text (UCS-2, for the labels'
+χ) is held once beside one piece; the sections after `triangles` are
+laid out before the first record, while the text is short.
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ from .errors import InputError
 SCHEMA_VERSION = 1
 
 _encode_str = json.encoder.encode_basestring
-# what json.dumps(x) runs for x with its default arguments
-_encode_scalar = json.JSONEncoder().encode
 # depth of each triangle record: document > "triangles" > record
 _RECORD_LEVEL = 2
 
@@ -212,12 +214,8 @@ def jsonable(obj):
     if isinstance(obj, (set, frozenset)):
         return sorted(jsonable(x) for x in obj)
     if isinstance(obj, dict):
-        return {_key(k): jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: _key(kv[0]))}
+        return {str(k): jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     return str(obj)
-
-
-def _key(k):
-    return k if isinstance(k, str) else str(k)
 
 
 def to_json(art) -> str:
@@ -226,6 +224,9 @@ def to_json(art) -> str:
     The text grows in one local string: each section but the triangle
     records is laid out and appended, and each record is appended as it is
     laid out and then dropped, so nothing laid out is kept beside the text.
+    The sections after `triangles` are laid out before the first record and
+    appended after the last, so their plain values are built beside the
+    short text before the records rather than beside the whole text.
     This relies on CPython resizing a local `str` that has no other
     reference in place on `+=` (it copies only when a piece is wider than
     the text: once, at the `group` labels' χ, while the text is short), so
@@ -235,110 +236,91 @@ def to_json(art) -> str:
     so streaming it to the file waits on a serialization span that does
     not need the text in hand.
     """
-    text = ""
+    text = tail = ""
     sep = "{\n "
-    for key, value in _document(art, _record_layout(art)):
+    sections = _document(art, _record_layout(art))
+    for key, value in sections:
         text += sep + _encode_str(key) + ": "
         sep = ",\n "
         if key == "triangles":  # never empty: the simplex is one triangle at least
+            tail = "".join(sep + _encode_str(k) + ": " + _layout(v, 1) for k, v in sections)
             record_sep = "[\n  "
             for record in value:
                 text += record_sep
                 text += record
                 record_sep = ",\n  "
             text += "\n ]"
+        elif key == "duality_matrix":
+            text += _identity_layout(len(value), 1)
         else:
             text += _layout(value, 1)
         del value  # freed before the next section is built
+    text += tail  # once the records and the template's caches are freed
     text += "\n}\n"
     return text
 
 
-class _Raw:
-    """Text already laid out at its place in the document."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text):
-        self.text = text
-
-
 def _layout(o, level):
-    """The text of `o` nested `level` deep, as `_iterencode` lays it out."""
-    return "".join(_iterencode(o, level))
+    """The text of `o` nested `level` deep.
+
+    JSON escapes a newline inside a string, so every newline in the text
+    is layout, and shifting it shifts the whole value.
+    """
+    text = json.dumps(o, sort_keys=True, indent=1, ensure_ascii=False)
+    return text.replace("\n", "\n" + " " * level)
+
+
+def _identity_layout(n, level):
+    """`_layout` of the n x n identity matrix, one row of zeros and a 1 at a time."""
+    if not n:
+        return "[]"
+    inner = "\n" + " " * (level + 1)
+    entry = "," + inner + " "
+    rows = []
+    for i in range(n):
+        row = ["0"] * n
+        row[i] = "1"
+        rows.append("[" + inner + " " + entry.join(row) + inner + "]")
+    return "[" + inner + ("," + inner).join(rows) + "\n" + " " * level + "]"
 
 
 def _record_layout(art):
     """Lays out each triangle record as one string, from one template per document.
 
     Every agraph table is indexed by the |A| character ids and every chart
-    has three coordinates, so one template with a `%s` slot per value fits
-    every record.  Each integer triple is formatted once, however many
-    tables hold it: 2,738 distinct generators fill the 160,801 entries at
-    |A| = 401.
+    has three coordinates, so one template fits every record: `json.dumps`
+    lays it out with a sentinel string in each slot, and each sentinel's
+    text becomes `%s`.  The socle gets one such template per length.  Each
+    integer triple is formatted once, however many tables hold it: 2,738
+    distinct generators fill the 160,801 entries at |A| = 401.
     """
     level = _RECORD_LEVEL
-    slot = _Raw("%s")
-    vec = cache(_layout([_Raw("%d")] * 3, level + 2).__mod__)  # a generator, point or socle entry
-    deep = cache(_layout([_Raw("%d")] * 3, level + 3).__mod__)  # a chart coordinate's monomial
+    slot = "\0"
+
+    def template(value, depth):
+        return _layout(value, depth).replace(_encode_str(slot), "%s")
+
+    vec = cache(_layout([0] * 3, level + 2).replace("0", "%d").__mod__)  # a generator, point or socle entry
+    deep = cache(_layout([0] * 3, level + 3).replace("0", "%d").__mod__)  # a chart coordinate's monomial
+    socle_of_length = cache(lambda n: template([slot] * n, level + 1))
     fields = {"orientation": slot, "regular": slot, "vertices": [slot] * 3}
     if art.charts is not None:
         ids = sorted(range(art.group.order), key=str)  # the document's key order
         fields.update(agraph={str(k): slot for k in ids}, chart=[[slot] * 2] * 3, socle=slot)
-    template = _layout(fields, level)
+    record_template = template(fields, level)
 
     def record(t, chart, graph):
         head = socle = ()
         if chart is not None:
             head = (*map(vec, map(graph.table.__getitem__, ids)),
                     *map(deep, chain.from_iterable(chart.coords)))
-            socle = (_layout([_Raw(vec(m)) for m in sorted(graph.socle)], level + 1),)
-        return template % (
-            *head, _encode_str(t.orientation), _encode_scalar(t.regular), *socle,
+            socle = (socle_of_length(len(graph.socle)) % tuple(map(vec, sorted(graph.socle))),)
+        return record_template % (
+            *head, _encode_str(t.orientation), json.dumps(t.regular), *socle,
             *map(vec, t.vertices),
         )
 
     return record
-
-
-def _iterencode(o, level):
-    """Chunks of `json.dumps(o, sort_keys=True, indent=1, ensure_ascii=False)`
-    for `o` nested `level` deep; `_Raw` text is copied as it is.
-
-    Dict keys must be strings, as they are throughout the document.
-    """
-    if type(o) is _Raw:
-        yield o.text
-    elif isinstance(o, str):
-        yield _encode_str(o)
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            yield "[]"
-            return
-        inner = "\n" + " " * (level + 1)
-        close = "\n" + " " * level + "]"
-        if all(type(x) is int for x in o):
-            yield "[" + inner + ("," + inner).join(map(str, o)) + close
-            return
-        sep = "[" + inner
-        for x in o:
-            yield sep
-            sep = "," + inner
-            yield from _iterencode(x, level + 1)
-        yield close
-    elif isinstance(o, dict):
-        if not o:
-            yield "{}"
-            return
-        inner = "\n" + " " * (level + 1)
-        sep = "{" + inner
-        for k, v in sorted(o.items()):
-            yield sep + _encode_str(k) + ": "
-            sep = "," + inner
-            yield from _iterencode(v, level + 1)
-        yield "\n" + " " * level + "}"
-    else:
-        yield _encode_scalar(o)
 
 
 def from_json(text: str) -> dict:

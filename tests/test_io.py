@@ -274,17 +274,26 @@ def test_cli_json_file_joins_its_slices(tmp_path, monkeypatch, capsys):
         {"b": [1, 2], "a": {"z": None, "y": [True, None]}},
     ],
 )
-def test_iterencode_matches_json_dumps(value):
-    got = "".join(serialize._iterencode(value, 0))
-    assert got == json.dumps(value, sort_keys=True, indent=1, ensure_ascii=False)
+@pytest.mark.parametrize("level", [0, 1, 3])
+def test_layout_matches_json_dumps(value, level):
+    # the text json.dumps writes for `value` nested `level` deep, cut out of it
+    nested = value
+    for _ in range(level):
+        nested = [nested]
+    text = json.dumps(nested, sort_keys=True, indent=1, ensure_ascii=False)
+    head = "".join("[\n" + " " * (i + 1) for i in range(level))
+    tail = "".join("\n" + " " * i + "]" for i in reversed(range(level)))
+    assert text.startswith(head) and text.endswith(tail)
+    assert serialize._layout(value, level) == text[len(head):len(text) - len(tail)]
 
 
-def test_iterencode_rejects_what_json_dumps_rejects():
-    for value in ({(1, 2): 0}, [object()], {"a": {2}}):
-        with pytest.raises(TypeError):
-            json.dumps(value, sort_keys=True, indent=1, ensure_ascii=False)
-        with pytest.raises(TypeError):
-            "".join(serialize._iterencode(value, 0))
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_identity_layout_is_the_layout_of_the_identity(n):
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    for level in (0, 1, 3):
+        assert serialize._identity_layout(n, level) == serialize._layout(identity, level)
+    if n == 0:  # the trivial group
+        assert serialize._identity_layout(n, 1) == "[]"
 
 
 def test_to_json_takes_the_templated_path(monkeypatch, run30):
@@ -293,15 +302,18 @@ def test_to_json_takes_the_templated_path(monkeypatch, run30):
     def forbidden(*args, **kwargs):
         raise AssertionError("to_json fell back to the document oracle")
 
-    encode = serialize._iterencode
+    dumps = json.dumps
     layout = serialize._record_layout
+    orientations = {t.orientation for t in run30.triangulation.triangles}
     records = []
 
-    def no_record_field_by_field(o, level):
-        # only a triangle record has an "orientation"; the record template's is a slot
-        if isinstance(o, dict) and isinstance(o.get("orientation"), str):
+    def no_record_field_by_field(o, **kwargs):
+        if isinstance(o, dict) and "triangles" in o:
+            raise AssertionError("a whole document was encoded")
+        # a triangle record's "orientation" is a triangle's; the record template's is a slot
+        if isinstance(o, dict) and o.get("orientation") in orientations:
             raise AssertionError("a triangle record was encoded field by field")
-        return encode(o, level)
+        return dumps(o, **kwargs)
 
     def counted_layout(art):
         record = layout(art)
@@ -314,12 +326,38 @@ def test_to_json_takes_the_templated_path(monkeypatch, run30):
         return counted
 
     monkeypatch.setattr(serialize, "build_document", forbidden)
-    monkeypatch.setattr(json, "dumps", forbidden)
-    monkeypatch.setattr(serialize, "_iterencode", no_record_field_by_field)
+    monkeypatch.setattr(json, "dumps", no_record_field_by_field)
     monkeypatch.setattr(serialize, "_record_layout", counted_layout)
     assert to_json(run30) == expected
     # every record was laid out from the template, as one string
     assert records == [str] * len(run30.triangulation.triangles)
+
+
+def test_tail_sections_are_laid_out_before_the_first_record(monkeypatch, run30):
+    doc = build_document(run30)
+    layout = serialize._layout
+    record_layout = serialize._record_layout
+    events = []
+
+    def spied(o, level):
+        events.append(("layout", o))
+        return layout(o, level)
+
+    def spied_record_layout(art):
+        record = record_layout(art)
+
+        def spied_record(*args):
+            events.append(("record", None))
+            return record(*args)
+
+        return spied_record
+
+    monkeypatch.setattr(serialize, "_layout", spied)
+    monkeypatch.setattr(serialize, "_record_layout", spied_record_layout)
+    assert to_json(run30) == oracle(run30)
+    first_record = events.index(("record", None))
+    for key in ("vertex_marks", "virtual_bundles"):
+        assert ("layout", doc[key]) in events[:first_record], key
 
 
 def test_to_json_peak_memory_is_the_text_at_two_bytes_a_character():
