@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ahilb import cli, pipeline, serialize
+from ahilb.charts import AGraph
 from ahilb.cli import main
 from ahilb.errors import CorrespondenceError, InputError
 from ahilb.group import build_group, parse_group_spec
@@ -308,7 +310,8 @@ def test_to_json_takes_the_templated_path(monkeypatch, run30):
     records = []
 
     def no_record_field_by_field(o, **kwargs):
-        if isinstance(o, dict) and "triangles" in o:
+        # every document has a schema_version; the edge template has a "triangles" key too
+        if isinstance(o, dict) and "schema_version" in o:
             raise AssertionError("a whole document was encoded")
         # a triangle record's "orientation" is a triangle's; the record template's is a slot
         if isinstance(o, dict) and o.get("orientation") in orientations:
@@ -335,13 +338,14 @@ def test_to_json_takes_the_templated_path(monkeypatch, run30):
 
 def test_tail_sections_are_laid_out_before_the_first_record(monkeypatch, run30):
     doc = build_document(run30)
-    layout = serialize._layout
+    join = serialize._join
     record_layout = serialize._record_layout
     events = []
 
-    def spied(o, level):
-        events.append(("layout", o))
-        return layout(o, level)
+    def spied_join(texts, level, brackets="[]"):
+        text = join(texts, level, brackets)
+        events.append(("join", text))
+        return text
 
     def spied_record_layout(art):
         record = record_layout(art)
@@ -352,12 +356,131 @@ def test_tail_sections_are_laid_out_before_the_first_record(monkeypatch, run30):
 
         return spied_record
 
-    monkeypatch.setattr(serialize, "_layout", spied)
+    monkeypatch.setattr(serialize, "_join", spied_join)
     monkeypatch.setattr(serialize, "_record_layout", spied_record_layout)
     assert to_json(run30) == oracle(run30)
     first_record = events.index(("record", None))
     for key in ("vertex_marks", "virtual_bundles"):
-        assert ("layout", doc[key]) in events[:first_record], key
+        # the section's records filled from their template and joined
+        assert ("join", serialize._layout(doc[key], 1)) in events[:first_record], key
+
+
+def _holds_a_slot(o):
+    """Whether a value holds a template's slot sentinel, so it lays out a template."""
+    if isinstance(o, str):
+        return o in (serialize._S, serialize._I)
+    if isinstance(o, dict):
+        return any(map(_holds_a_slot, o.values()))
+    return isinstance(o, (list, tuple)) and any(map(_holds_a_slot, o))
+
+
+def test_to_json_lays_out_only_templates_and_small_dicts_with_json_dumps(monkeypatch, run30):
+    # `json.dumps` with `indent` runs CPython's pure-Python encoder: only the
+    # small dict sections and each template's one layout may take it
+    expected = oracle(run30)
+    doc = build_document(run30)
+    small = {key: doc[key] for key in ("certificate", "character_partition", "h2_basis", "report")}
+    dumps, layout = json.dumps, serialize._layout
+    calls = []
+
+    def spied_dumps(o, **kwargs):
+        if kwargs.get("indent") is not None:
+            calls.append(("json.dumps", o))
+        return dumps(o, **kwargs)
+
+    def spied_layout(o, level):
+        calls.append(("_layout", o))
+        return layout(o, level)
+
+    monkeypatch.setattr(json, "dumps", spied_dumps)
+    monkeypatch.setattr(serialize, "_layout", spied_layout)
+    assert to_json(run30) == expected
+    slow = [(who, o) for who, o in calls if not _holds_a_slot(o) and o not in small.values()]
+    assert not slow, slow
+    for key, value in small.items():
+        assert calls.count(("_layout", value)) == 1, key
+    templates = [o for who, o in calls if who == "_layout" and _holds_a_slot(o)]
+    # one per list section, nested list, triple depth and socle length, not one per record
+    assert 0 < len(templates) < len(run30.triangulation.triangles), len(templates)
+
+
+def sections_of(text):
+    """The top-level sections of a document's text, by key, as written.
+
+    JSON escapes a newline inside a string and every deeper line starts
+    with two spaces or more, so a top-level key is what follows each
+    newline that is followed by one space and a quote.
+    """
+    assert text.startswith("{\n") and text.endswith("\n}\n")
+    parts = re.split(r'[{,]\n "(\w+)": ', text[:-3])
+    assert parts[0] == ""
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+@pytest.mark.parametrize(
+    "spec, which",
+    [
+        ("1/1(0,0,0)", "all"),  # the trivial group
+        ("1/5(1,4,0)", "all"),  # b4 = 0: empty relations, surfaces, marks and bundles
+        # non-cyclic groups, whose labels are χ(a,b,c)
+        ("1/6(1,2,3);1/3(1,1,1)", "all"),
+        ("1/4(1,1,2);1/2(1,1,0);1/2(0,1,1)", "all"),
+        # more than 10 characters: "10" sorts before "2" in placements and through
+        ("1/11(1,2,8)", "all"),
+        *[("1/30(25,2,3)", which) for which in ("fan", "recipe", "relations", "cohomology", "all")],
+        ("1/30(25,2,3)", "decoration fails"),
+    ],
+)
+def test_each_section_matches_its_reference(spec, which, monkeypatch):
+    if which == "decoration fails":
+        def broken(*args):
+            raise CorrespondenceError("broken decoration", detail={"why": "test"})
+
+        monkeypatch.setattr(pipeline, "decorate", broken)
+        which = "all"
+    art = run_pipeline(spec, which=which)
+    doc = build_document(art)
+    sections = sections_of(to_json(art))
+    assert list(sections) == sorted(doc)
+    differ = [key for key in doc if sections[key] != serialize._layout(doc[key], 1)]
+    assert not differ, differ
+
+
+def test_section_runs_cover_empty_lists_and_string_key_order(run11, run30):
+    doc = build_document(run_pipeline("1/5(1,4,0)"))
+    assert doc["duality_matrix"] == []
+    for key in ("relations", "surfaces", "vertex_marks", "virtual_bundles"):
+        assert doc[key] == [], key
+
+    def string_order_differs(keys):
+        return sorted(keys, key=str) != sorted(keys, key=int)
+
+    assert string_order_differs(build_document(run11)["quiver"]["placements"])
+    assert any(string_order_differs(vm["through"]) for vm in build_document(run30)["vertex_marks"])
+
+
+def _patched_records_differ(art):
+    """The triangles whose record, patched from the one before, is not a full fill."""
+    T, C = art.triangulation, art.charts
+    patched, fresh = serialize._record_layout(art), serialize._record_layout(art)
+    differ = []
+    for ti, (t, chart, graph) in enumerate(zip(T.triangles, C.charts, C.agraphs)):
+        # no generator has a negative exponent, so `fresh` fills every slot of the next record
+        fresh(t, chart, AGraph(((-1, -1, -1),) * len(graph.table), graph.socle))
+        if patched(t, chart, graph) != fresh(t, chart, graph):
+            differ.append(ti)
+    return differ
+
+
+@pytest.mark.parametrize("spec", ["order <= 30 family", *sorted(DIGESTS)])
+def test_patched_records_equal_full_fills(spec):
+    arts = _cyclic_family_runs()[0].values() if spec == "order <= 30 family" else [run_pipeline(spec)]
+    jumps = 0  # records after a triangle that shares no edge with theirs
+    for art in arts:
+        assert not _patched_records_differ(art), art.spec_text
+        T = art.triangulation
+        jumps += sum(not set(a.edges) & set(b.edges) for a, b in zip(T.triangles, T.triangles[1:]))
+    assert jumps
 
 
 def test_to_json_peak_memory_is_the_text_at_two_bytes_a_character():
@@ -384,7 +507,7 @@ def test_document_sections_come_in_key_order(monkeypatch, run11):
     failed = run_pipeline("1/11(1,2,8)")
     assert failed.report.failure["check"] == "decoration"
     for art in runs + [failed]:
-        keys = [key for key, _ in serialize._document(art, serialize._record)]
+        keys = [key for key, _ in serialize._document(art)]
         assert keys == sorted(set(keys)), keys
         assert {"group", "report", "schema_version", "spec", "triangles"} <= set(keys)
 
