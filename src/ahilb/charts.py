@@ -12,6 +12,15 @@ indexed by character id (`group.char_id`, the order of
 `group.characters()`); a table walked across an edge shares each
 generator that does not move with its parent's.
 
+A table has one slot per weight, so a neighbour m +- e_a of the
+generator m of id k is in table W exactly when the slot of its weight
+holds it: W[up[a][k]] == m + e_a, with `up` and its inverse `dn` built
+once per group (`_weight_steps`).  The walk checks each derived table by
+such lookups around the generators that moved into it (`_moves_checker`),
+and builds no set of a table's generators.  `_checked_socle` checks every
+generator against a set of them: it checks table 0, names the first
+failure in table order when the walk finds one, and is the tests' oracle.
+
 The degree column of an edge says which generators move across it, and
 by how much, so the ChartSet keeps the degree table and table 0 but not
 the |A| tables of |A| generators.  `ChartSet.agraphs` is a read-only
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from heapq import heappop, heappush
 
 from . import intmat
@@ -99,6 +109,11 @@ def _checked_socle(tri_index, table, coords):
     """The character ids of a table's socle, once its division closure and
     minimality check out.
 
+    Every generator is tested against a set of the table's generators, and
+    the first failure in table order is raised.  `build_agraph` checks
+    table 0 this way; the walk checks the other tables around their moved
+    generators and calls this only to report a failure it has found.
+
     Minimality takes one membership test per chart coordinate num/den.  A
     generator m has the smaller monomial m + den - num of its weight
     exactly when num divides m, because `ratio_split` gives num and den
@@ -129,6 +144,108 @@ def _checked_socle(tri_index, table, coords):
     return tuple(socle)
 
 
+def _weight_steps(group):
+    """`up[a][k]` is the id of character k plus e_a, and `dn[a]` the inverse of `up[a]`.
+
+    A table has one slot per weight, so the monomial m + e_a, where m has
+    character id k, lies in table W exactly when W[up[a][k]] == m + e_a,
+    and m - e_a exactly when W[dn[a][k]] == m - e_a.
+    """
+    char_id, chars = group.char_id, group.characters()
+    up = (
+        tuple(char_id((x + 1, y, z)) for x, y, z in chars),
+        tuple(char_id((x, y + 1, z)) for x, y, z in chars),
+        tuple(char_id((x, y, z + 1)) for x, y, z in chars),
+    )
+    dn = []
+    for step in up:
+        back = [0] * len(step)
+        for k, j in enumerate(step):
+            back[j] = k
+        dn.append(tuple(back))
+    return up, tuple(dn)
+
+
+def _moves_checker(group):
+    """The walk's check of a table derived across a tree edge, around its moved generators.
+
+    `check(tj, walked, table, moved, socle, coords)` returns the socle ids
+    of triangle tj's table `walked`, which `_transition_table` made from
+    the checked `table` (socle ids `socle`) by moving the generators at
+    ids `moved`; `coords` are tj's chart coordinates.  It checks what
+    `_checked_socle` checks, by lookups by weight (`_weight_steps`) at a
+    few ids, with no set of the table's generators built:
+    - Division closure.  A generator that did not move has its parent's
+      divisors, each still there unless it was vacated.  So `walked` is
+      closed exactly when every moved generator's new monomial has its
+      divisors, and no multiple of a vacated monomial stays.  Each moved
+      id vacates its old monomial, since that weight's one slot now holds
+      the new one.
+    - The socle.  Whether id k is in it reads slots k and up[a][k] only,
+      so only the moved ids, the divisors of new monomials (which leave
+      it) and the unmoved divisors of vacated monomials (which may join
+      it) are decided again; the rest keep the parent's status.
+    - Minimality, one lookup W[id(num)] == num per chart coordinate.
+    On any fault it runs `_checked_socle` on the whole table, which
+    raises the first failure in table order.  Should that pass, a moved
+    id kept its generator, and the check raises itself.
+    """
+    (u0, u1, u2), (d0, d1, d2) = _weight_steps(group)
+    char_id = cache(group.char_id)  # a chart numerator is a side of a line, shared by many charts
+
+    def check(tj, walked, table, moved, socle, coords):
+        W = walked
+        gone = set(moved)  # and the divisors of new monomials: out of the socle or decided here
+        joins = []  # the moved ids in the socle
+        below = []  # the divisors of vacated monomials
+        for k in moved:
+            a, b, c = W[k]
+            x, y, z = table[k]
+            w0, w1, w2 = W[u0[k]], W[u1[k]], W[u2[k]]
+            if w0 == (x + 1, y, z) or w1 == (x, y + 1, z) or w2 == (x, y, z + 1):
+                break  # a multiple of the vacated monomial stays
+            if a:
+                j = d0[k]
+                if W[j] != (a - 1, b, c):
+                    break  # a divisor of the new monomial is missing
+                gone.add(j)
+            if b:
+                j = d1[k]
+                if W[j] != (a, b - 1, c):
+                    break
+                gone.add(j)
+            if c:
+                j = d2[k]
+                if W[j] != (a, b, c - 1):
+                    break
+                gone.add(j)
+            if w0 != (a + 1, b, c) and w1 != (a, b + 1, c) and w2 != (a, b, c + 1):
+                joins.append(k)
+            if x:
+                below.append(d0[k])
+            if y:
+                below.append(d1[k])
+            if z:
+                below.append(d2[k])
+        else:
+            if all(W[char_id(num)] != num for num, _ in coords):
+                out = [k for k in socle if k not in gone]
+                out += joins
+                for k in set(below).difference(gone):
+                    a, b, c = W[k]
+                    if (W[u0[k]] != (a + 1, b, c) and W[u1[k]] != (a, b + 1, c)
+                            and W[u2[k]] != (a, b, c + 1)):
+                        out.append(k)
+                out.sort()
+                return tuple(out)
+        _checked_socle(tj, walked, coords)
+        raise InvariantViolationError(
+            "moved generators do not account for the walked table", detail={"triangle": tj}
+        )
+
+    return check
+
+
 def _transition_table(table, u, edge, near, far, chars):
     """The neighbour's table across `edge`, from this side's `table`, and its degrees.
 
@@ -140,10 +257,11 @@ def _transition_table(table, u, edge, near, far, chars):
     largest q the octant allows: q = min over v_i > 0 of m_i // v_i,
     which is the degree of the weight-chi bundle on the edge's curve.
     This side's far vertex `near` must pair negatively with v, or the
-    support function is not convex across the edge.  Returns the table
-    and {chi: q} for the generators that move (q > 0), keyed by the
-    characters `chars` in table order; the generators that do not move
-    are shared with this table.
+    support function is not convex across the edge.  Returns the table,
+    {chi: q} for the generators that move (q > 0), keyed by the
+    characters `chars` in table order, and the ids of those generators in
+    ascending order; the generators that do not move are shared with this
+    table.
     """
     s = u[0] * far[0] + u[1] * far[1] + u[2] * far[2]
     if s == 0 or intmat.vec_dot(u, edge.a) or intmat.vec_dot(u, edge.b):
@@ -160,7 +278,8 @@ def _transition_table(table, u, edge, near, far, chars):
     pos = [(i, v[i]) for i in range(3) if v[i] > 0]
     (i, vi), (j, vj) = pos[0], pos[-1]
     out = list(table)
-    moved = {}
+    column = {}
+    moved = []
     for k, m in enumerate(table):
         q = m[i] // vi
         r = m[j] // vj
@@ -168,8 +287,9 @@ def _transition_table(table, u, edge, near, far, chars):
             q = r
         if q:
             out[k] = (m[0] - q * v0, m[1] - q * v1, m[2] - q * v2)
-            moved[chars[k]] = q
-    return tuple(out), moved
+            column[chars[k]] = q
+            moved.append(k)
+    return tuple(out), column, moved
 
 
 def _check_same_table(walked, table, u, edge, chars):
@@ -210,8 +330,10 @@ class ChartSet:
     built first (`_transition_table`), taking each triangle's sides in
     ascending edge id.  Across a tree edge of the walk the transitioned
     table becomes the neighbour's, checked for division closure and
-    minimality; across any other edge it must equal the neighbour's table,
-    built and not yet walked from.  Either way the crossing gives the
+    minimality, and its socle found, only around the generators that moved
+    (`_moves_checker`, by lookups by weight from the parent's socle ids);
+    across any other edge it must equal the neighbour's table, built and
+    not yet walked from.  Either way the crossing gives the
     edge's column of the degree table, {chi: q} for the characters of
     nonzero degree q on the edge's curve; `_degree` holds these columns by
     edge id, with an empty column for each boundary edge.  A triangle the
@@ -232,6 +354,7 @@ class ChartSet:
         self.triangulation = T = triangulation
         self.group = g = triangulation.group
         chars = g.characters()
+        check = _moves_checker(g)
         tris, edges, lines = T.triangles, T.edges, T.lines
         self.charts = []
         for ti, tri in enumerate(tris):
@@ -265,13 +388,13 @@ class ChartSet:
                 tj = t2 if t1 == ti else t1
                 nbr = tris[tj]
                 u = lines[e.line].u
-                walked, columns[ei] = _transition_table(
+                walked, columns[ei], moved = _transition_table(
                     table, u, e, tri.vertices[i], nbr.vertices[nbr.edges.index(ei)], chars
                 )
                 if tj in live:
                     _check_same_table(walked, live[tj], u, e, chars)
                     continue
-                socles[tj] = _checked_socle(tj, walked, self.charts[tj].coords)
+                socles[tj] = check(tj, walked, table, moved, socles[ti], self.charts[tj].coords)
                 parent[tj] = (ti, ei)
                 live[tj] = walked
                 queue.append(tj)

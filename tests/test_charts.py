@@ -322,13 +322,13 @@ def _shift_first_cross_edge(monkeypatch, shift):
     shifted = []
 
     def corrupt(table, u, edge, near, far, chars):
-        out, moved = original(table, u, edge, near, far, chars)
+        out, column, moved = original(table, u, edge, near, far, chars)
         if not shifted and built.issuperset(edge.triangles):
             c = sorted(chars)[1]
             out = _shifted(out, chars.index(c), shift(u))
             shifted.append(((edge.a, edge.b), c))
         built.update(edge.triangles)
-        return out, moved
+        return out, column, moved
 
     monkeypatch.setattr(charts, "_transition_table", corrupt)
     return shifted
@@ -371,7 +371,7 @@ def test_far_vertices_on_one_side_of_an_edge_are_not_convex(run11):
         w2 = _far(T.triangles[t2], ei)
         u = T.lines[e.line].u
         chars = C.group.characters()
-        table, _ = charts._transition_table(C.agraphs[t1].table, u, e, w1, w2, chars)
+        table, _, _ = charts._transition_table(C.agraphs[t1].table, u, e, w1, w2, chars)
         assert table == C.agraphs[t2].table
         # the other far vertex on the same side, or on the edge's plane
         for near in (w2, e.a):
@@ -683,7 +683,7 @@ def _stored_walk(C):
                 continue
             e = T.edges[ei]
             tj = next(t for t in e.triangles if t != ti)
-            walked, columns[ei] = charts._transition_table(
+            walked, columns[ei], _ = charts._transition_table(
                 graphs[ti].table, T.lines[e.line].u, e, tri.vertices[i], _far(tris[tj], ei), chars
             )
             if graphs[tj] is not None:
@@ -745,8 +745,8 @@ def test_each_column_is_the_same_from_either_side_of_its_edge():
             t1, t2 = e.triangles
             u = T.lines[e.line].u
             w1, w2 = _far(T.triangles[t1], ei), _far(T.triangles[t2], ei)
-            to2, column12 = charts._transition_table(tables[t1], u, e, w1, w2, chars)
-            to1, column21 = charts._transition_table(tables[t2], u, e, w2, w1, chars)
+            to2, column12, _ = charts._transition_table(tables[t1], u, e, w1, w2, chars)
+            to1, column21, _ = charts._transition_table(tables[t2], u, e, w2, w1, chars)
             assert to2 == tables[t2] and to1 == tables[t1], (spec, ei)
             assert column12 == column21 == C._degree[ei], (spec, ei)
         edges += len(T.interior_edges())
@@ -825,7 +825,8 @@ def test_table_holding_a_coordinate_numerator_is_not_weight_minimal(monkeypatch)
     original = charts._transition_table
 
     def unmoved(table, u, edge, near, far, chars):
-        return table, original(table, u, edge, near, far, chars)[1]
+        _, column, moved = original(table, u, edge, near, far, chars)
+        return table, column, moved
 
     monkeypatch.setattr(charts, "_transition_table", unmoved)
     g = build_group("1/11(1,2,8)")
@@ -866,12 +867,14 @@ def test_corrupted_derived_table_fails_decoration(monkeypatch, sign):
     corrupted = []
 
     def corrupt(table, u, edge, near, far, chars):
-        out, moved = original(table, u, edge, near, far, chars)
+        out, column, moved = original(table, u, edge, near, far, chars)
         if not corrupted:
             chi = sorted(chars)[1]
-            out = _shifted(out, chars.index(chi), tuple(sign * b for b in u))
+            k = chars.index(chi)
+            out = _shifted(out, k, tuple(sign * b for b in u))
+            moved = sorted({*moved, k})  # the shifted generator differs from its parent's
             corrupted.append(chi)
-        return out, moved
+        return out, column, moved
 
     monkeypatch.setattr(charts, "_transition_table", corrupt)
     art = run_pipeline("1/30(25,2,3)", which="recipe")
@@ -882,6 +885,163 @@ def test_corrupted_derived_table_fails_decoration(monkeypatch, sign):
     corrupted.clear()
     with pytest.raises(InvariantViolationError):
         ChartSet(triangulate(build_group("1/30(25,2,3)")))
+
+
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_weight_steps_are_inverse_permutations_that_find_neighbours():
+    """`up[a]` and `dn[a]` are inverse permutations, and on every table of the
+    order-30 family the lookup by weight agrees with set membership."""
+    runs, _ = _cyclic_family_runs()
+    hits = 0
+    for spec, art in runs.items():
+        g = art.group
+        ids = list(range(g.order))
+        up, dn = charts._weight_steps(g)
+        for a in range(3):
+            assert sorted(up[a]) == ids and [dn[a][j] for j in up[a]] == ids, spec
+        for graph in art.charts.agraphs:
+            W = graph.table
+            members = set(W)
+            for k, m in enumerate(W):
+                for a, e in enumerate(_UNITS):
+                    above, below = intmat.vec_add(m, e), intmat.vec_sub(m, e)
+                    assert (W[up[a][k]] == above) == (above in members), (spec, m, a)
+                    assert (W[dn[a][k]] == below) == (below in members), (spec, m, a)
+                    hits += above in members
+    assert hits > 0
+
+
+def test_moved_generator_check_matches_the_full_check(monkeypatch, run_trivial):
+    """Every walked table's socle ids, checked around its moved generators,
+    are `_checked_socle`'s on the whole table, and every degree column is
+    the one found by comparing the two tables of its edge."""
+    made = charts._moves_checker
+    compared = []
+
+    def checker(group):
+        check = made(group)
+
+        def both(tj, walked, table, moved, socle, coords):
+            got = check(tj, walked, table, moved, socle, coords)
+            assert got == charts._checked_socle(tj, walked, coords), tj
+            compared.append(tj)
+            return got
+
+        return both
+
+    chart_sets = _view_chart_sets() + [("1", run_trivial.charts)]
+    monkeypatch.setattr(charts, "_moves_checker", checker)
+    for spec, built in chart_sets:
+        C = ChartSet(built.triangulation)
+        assert C._degree == _pairwise_degrees(C), spec
+    # every table but each root is walked across a tree edge
+    assert len(compared) == sum(len(C.socle_ids) - 1 for _, C in chart_sets)
+
+
+def _spoil_first_tree_edge(monkeypatch, spoil):
+    """Make the walk's first tree edge that `spoil` can spoil give a spoiled table.
+
+    `spoil(tj, table, out, column, moved, chars)` gets the parent's table
+    and what `_transition_table` returned for triangle tj, and returns it
+    spoiled, or None to leave this edge alone.  Returns a list that
+    receives tj and its spoiled table.
+    """
+    original = charts._transition_table
+    built = {0}
+    spoiled = []
+
+    def walk(table, u, edge, near, far, chars):
+        out = original(table, u, edge, near, far, chars)
+        if built.issuperset(edge.triangles):
+            return out
+        tj = next(t for t in edge.triangles if t not in built)
+        built.add(tj)
+        bad = None if spoiled else spoil(tj, table, *out, chars)
+        if bad is None:
+            return out
+        spoiled.append((tj, bad[0]))
+        return bad
+
+    monkeypatch.setattr(charts, "_transition_table", walk)
+    return spoiled
+
+
+def _kept(j, table, out, column, moved, chars):
+    """The transition with the generator at id j left as the parent's."""
+    kept = list(out)
+    kept[j] = table[j]
+    column = {chi: q for chi, q in column.items() if chi != chars[j]}
+    return tuple(kept), column, [k for k in moved if k != j]
+
+
+def _step_further(tj, table, out, column, moved, chars):
+    """A moved generator taken one more unit along the edge, out of the octant."""
+    k = moved[0]
+    q = column[chars[k]]
+    return _shifted(out, k, tuple((n - m) // q for n, m in zip(out[k], table[k]))), column, moved
+
+
+def _keep_a_vacated_multiple(tj, table, out, column, moved, chars):
+    """A moved generator left as the parent's, where it is a multiple of a
+    vacated monomial; its new monomial divides no other, so no new monomial
+    misses a divisor."""
+    vacated = {table[k] for k in moved}
+    new = set(out)
+    for j in moved:
+        if (any(intmat.vec_sub(table[j], e) in vacated for e in _UNITS)
+                and all(intmat.vec_add(out[j], e) not in new for e in _UNITS)):
+            return _kept(j, table, out, column, moved, chars)
+    return None
+
+
+def _keep_every_generator(tj, table, out, column, moved, chars):
+    """The parent's table with nothing moved: closed, but holding a numerator
+    of the new chart (`test_table_holding_a_coordinate_numerator_is_not_weight_minimal`)."""
+    return table, {}, []
+
+
+@pytest.mark.parametrize(
+    "spec", ["1/11(1,2,8)", "1/30(25,2,3)", "1/101(1,2,98)", "1/6(1,2,3);1/3(1,1,1)"]
+)
+@pytest.mark.parametrize("spoil, error", [
+    (_step_further, "chart basis is not closed under division"),
+    (_keep_a_vacated_multiple, "chart basis is not closed under division"),
+    (_keep_every_generator, "chart generator is not weight-minimal"),
+])
+def test_spoiled_tree_edge_fails_as_the_full_check(monkeypatch, spec, spoil, error):
+    """A tree edge's table with a missing divisor of a moved generator, a kept
+    multiple of a vacated one, or a chart numerator left in it fails with
+    `_checked_socle`'s message and detail on that table.  Each spoils the
+    part of the check that only it reaches: the divisors of new monomials,
+    the multiples of vacated ones, and the minimality lookups."""
+    g = build_group(spec)
+    T = triangulate(g)
+    spoiled = _spoil_first_tree_edge(monkeypatch, spoil)
+    with pytest.raises(InvariantViolationError) as got:
+        ChartSet(T)
+    tj, table = spoiled[0]
+    with pytest.raises(InvariantViolationError) as want:
+        charts._checked_socle(tj, table, chart_coords(g, T.triangles[tj].vertices))
+    assert str(got.value) == str(want.value) == error
+    assert got.value.detail == want.value.detail
+    assert want.value.detail["triangle"] == tj
+
+
+def test_moved_ids_that_keep_their_generator_are_reported():
+    """A moved id whose slot keeps its generator vacates nothing, so its
+    multiples look kept while `_checked_socle` passes the table: the
+    check raises itself."""
+    C = ChartSet(triangulate(build_group("1/11(1,2,8)")))
+    table = C.agraphs[0].table
+    members = set(table)
+    k = next(k for k, m in enumerate(table) if any(intmat.vec_add(m, e) in members for e in _UNITS))
+    check = charts._moves_checker(C.group)
+    with pytest.raises(InvariantViolationError) as err:
+        check(0, table, table, [k], C.socle_ids[0], C.charts[0].coords)
+    assert str(err.value) == "moved generators do not account for the walked table"
+    assert err.value.detail == {"triangle": 0}
 
 
 _UNREACHABLE_UNDER_O = """
