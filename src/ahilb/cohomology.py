@@ -14,11 +14,36 @@ time in proportion to its nonzeros.  A character with degree 0 on every
 boundary curve of a surface restricts to the zero class there (Fulton,
 *Intersection Theory*, 3.2), and c2 of a side adds the products of its
 characters' classes in pairs, so a side with fewer than two characters
-in a surface's support pairs to 0 with it.  The duality matrix is
-checked column by column, one surface at a time: its `SurfaceCalculus`
-(support and restriction memo) is built, paired with the bundles that
-hold two support characters on one side and with its own bundle, and
-dropped before the next surface's is built.
+in a surface's support pairs to 0 with it.
+
+Most of the remaining pairs vanish for a second reason.  On a smooth
+complete toric surface with rays u_0, ..., u_{n-1} and boundary curves
+C_i, an integer vector d is the degree vector (D.C_i) of a divisor class
+D exactly when sum_i d_i u_i = 0: Pic is Z^n modulo the principal
+divisors (<m, u_i>)_i, the intersection form identifies Pic with its
+dual, and the dual of that quotient is the d annihilating every
+(<m, u_i>)_i.  Rationally this says d lies in the image of the curves'
+intersection matrix, which is what the wall recurrence of
+`SurfaceCalculus._restriction` tests when it closes up; so realisable
+<=> sum_i d_i u_i = 0 <=> the recurrence closes.  Now let u_l = -u_k be
+an opposite pair of rays.  The line R u_k is a union of two rays of the
+fan, so no cone crosses it and N -> N / Z u_k maps the fan onto the fan
+of P^1: a ruling S -> P^1 (Fulton, *Introduction to Toric Varieties*,
+2.4-2.5).  C_k and C_l map isomorphically onto P^1 and every other C_i
+to a fixed point, so the fibre F has degree vector e_k + e_l, and F^2 = 0
+since two fibres are disjoint.  A character whose degree vector is
+q (e_k + e_l) is realised (q u_k + q u_l = 0), and by the nondegeneracy
+of the form its class is q F; any two such classes, of one ruling, pair
+to q q' F^2 = 0.  So a side whose characters in the support are all such
+multiples of one fibre adds 0 however many it holds, the same character
+held twice included; a non-fibre character held twice still adds its
+self-intersection, so sides are counted with multiplicity.
+
+The duality matrix is checked column by column, one surface at a time:
+its `SurfaceCalculus` (support and restriction memo) is built, paired
+with its own bundle and with the bundles having a side of two support
+characters not all on one ruling, and dropped before the next surface's
+is built.
 The degree-2 lattice is certified by a unitriangular peel of the degree
 matrix where one exists, and by `intmat.ZSpan` otherwise.
 """
@@ -181,6 +206,25 @@ class SurfaceCalculus:
             self._restrictions[chi] = entry
         return entry
 
+    def rulings(self):
+        """The fibre multiples of each ruling: for every opposite pair of rays
+        u_l = -u_k, the characters whose degree vector is q (e_k + e_l), as
+        {(k, l): set of characters}.  Every two characters of one set pair
+        to 0 (F^2 = 0, see the module docstring).
+
+        It reads the degrees only, with no recurrence, so it never raises.
+        """
+        rays, columns = self.surface.rays, self._columns
+        out = {}
+        for k, l in itertools.combinations(range(len(rays)), 2):
+            x, y = rays[k]
+            if rays[l] == (-x, -y):
+                ck, cl = columns[k], columns[l]
+                on = {chi for chi in ck.keys() & cl.keys() if ck[chi] == cl[chi]}
+                on.difference_update(*(c for m, c in enumerate(columns) if m != k and m != l))
+                out[k, l] = on
+        return out
+
     def c2_pairing(self, bundle):
         """Second Chern number of a rank-0, c1-0 virtual bundle on the surface.
 
@@ -249,13 +293,18 @@ def duality_matrix(group, bundles, calculators):
     surface of the j-th, so the diagonal pairs each bundle with its own
     surface.  `calculators` maps each vertex to its `SurfaceCalculus` and
     is read once per column, so `SurfaceCalculators` keeps one calculator
-    alive at a time.  A side of a bundle with fewer than two characters in
-    a surface's support pairs to 0 there (`_pair_sum`), so `c2_pairing`
-    runs only where some side has two, counted with multiplicity, and on
-    the diagonal; every other entry is 0, which the identity expects off
-    the diagonal.  Once the walk is done the failing entry that comes first
-    in row-major order is reported by its characters.  No matrix is kept:
-    the document writes the b4 identity rows.
+    alive at a time.  A side of a bundle pairs to 0 on a surface when it
+    has fewer than two characters in the surface's support (`_pair_sum`),
+    or when those it has all restrict to multiples of one ruling's fibre
+    (`SurfaceCalculus.rulings`); so `c2_pairing` runs on the diagonal,
+    and off it only where some side has two support characters, counted
+    with multiplicity, not all on one ruling.  Every other entry
+    is 0, which the identity expects off the diagonal.  Such an entry
+    cannot fail either: `c2_pairing` would restrict nothing on a short
+    side, and only realisable fibre multiples on a ruled one.  Once the
+    walk is done the failing entry that comes first in row-major order is
+    reported by its characters.  No matrix is kept: the document writes
+    the b4 identity rows.
     """
     verts = sorted(calculators)
     rows = [b.vertex for b in bundles]
@@ -280,11 +329,23 @@ def duality_matrix(group, bundles, calculators):
 
 
 def _pair_column(group, bundles, calc, holders, j):
-    """Check column j from its surface's calculator; (row, error) of its first failure, or None."""
-    held = map(holders.get, holders.keys() & calc.support)
-    touching = Counter(itertools.chain.from_iterable(held))  # support characters per side
-    rows = {key >> 1 for key, n in touching.items() if n > 1}
-    rows.add(j)
+    """Check column j from its surface's calculator; (row, error) of its first failure, or None.
+
+    A side with two support characters is skipped when they all lie in
+    one of the calculator's `rulings`: its count of them, with
+    multiplicity, equals its count of support characters.  The rulings
+    are found only on a column with such a side off the diagonal.
+    """
+    live = holders.keys() & calc.support
+    touching = Counter(itertools.chain.from_iterable(map(holders.get, live)))  # per side
+    crowded = [key for key, n in touching.items() if n > 1 and key >> 1 != j]
+    rows = {j}
+    if crowded:
+        ruled = set()  # the sides whose support characters all lie on one ruling
+        for fibres in calc.rulings().values():
+            on = Counter(itertools.chain.from_iterable(map(holders.get, live & fibres)))
+            ruled.update(key for key, n in on.items() if n == touching[key])
+        rows.update(key >> 1 for key in crowded if key not in ruled)
     for i in sorted(rows):
         b = bundles[i]
         expected = 1 if i == j else 0

@@ -753,6 +753,56 @@ def test_each_column_is_the_same_from_either_side_of_its_edge():
     assert edges > 10000
 
 
+def _divide_first_transition_table(table, u, edge, near, far, chars):
+    """The crossing scan that divides at every generator: the oracle of
+    `_transition_table`, which compares first and divides only where a
+    generator moves."""
+    s = intmat.vec_dot(u, far)
+    if s == 0 or intmat.vec_dot(u, edge.a) or intmat.vec_dot(u, edge.b):
+        raise InvariantViolationError(
+            "edge ratio does not separate the far vertex from the edge",
+            detail={"edge": (edge.a, edge.b)},
+        )
+    v = u if s > 0 else intmat.vec_scale(-1, u)
+    if intmat.vec_dot(v, near) >= 0:
+        raise InvariantViolationError(
+            "support function is not convex", detail={"edge": (edge.a, edge.b)}
+        )
+    pos = [(i, v[i]) for i in range(3) if v[i] > 0]
+    (i, vi), (j, vj) = pos[0], pos[-1]
+    out = list(table)
+    column = {}
+    moved = []
+    for k, m in enumerate(table):
+        q = min(m[i] // vi, m[j] // vj)
+        if q:
+            out[k] = intmat.vec_sub(m, intmat.vec_scale(q, v))
+            column[chars[k]] = q
+            moved.append(k)
+    return tuple(out), column, moved
+
+
+def test_comparison_scan_matches_the_divide_first_scan():
+    """On every crossing, in both directions, the table, the degree column
+    and the moved ids equal the divide-first scan's."""
+    crossings = 0
+    trivial = ChartSet(triangulate(build_group("1")))
+    for spec, C in _view_chart_sets() + [("1", trivial)]:
+        T, chars = C.triangulation, C.group.characters()
+        tables = [graph.table for graph in C.agraphs]
+        for ei in T.interior_edges():
+            e = T.edges[ei]
+            u = T.lines[e.line].u
+            for t1, t2 in (e.triangles, e.triangles[::-1]):
+                args = (tables[t1], u, e, _far(T.triangles[t1], ei), _far(T.triangles[t2], ei), chars)
+                assert charts._transition_table(*args) == _divide_first_transition_table(*args), (
+                    spec, ei, t1
+                )
+                crossings += 1
+    assert not trivial.triangulation.interior_edges()
+    assert crossings > 20000
+
+
 def test_a_run_keeps_no_table_past_the_walk():
     """The live heap after a full run at |A| = 401 holds the degree columns,
     not |A| tables: 5.4 MB when every table was kept, 2.6 MB without them."""

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import random
 import weakref
 from collections import Counter
@@ -9,6 +11,7 @@ import pytest
 from ahilb import intmat, pipeline
 from ahilb.cohomology import (
     CompactSurface,
+    SurfaceCalculators,
     SurfaceCalculus,
     VirtualBundle,
     _surface_type,
@@ -23,6 +26,7 @@ from ahilb.fan import triangulate
 from ahilb.group import MONO_ONE, build_group
 from ahilb.pipeline import run_pipeline
 from conftest import chi, surface_calculators
+from test_acceptance import _cyclic_family_runs
 from test_fan import _differential_specs, _oracle_lift
 
 
@@ -573,6 +577,7 @@ class _FailingCalculus:
     def __init__(self, calc, bundle):
         self._calc, self._bundle = calc, bundle
         self.support, self.mark_char = calc.support, calc.mark_char
+        self.rulings = calc.rulings
 
     def c2_pairing(self, b):
         if b is self._bundle:
@@ -600,16 +605,56 @@ def test_failed_restriction_is_ordered_like_a_failed_entry(run11, failing, docto
                        else "degree vector is not realised by a divisor class")
 
 
-def test_duality_pairs_only_the_touching_surfaces(run30, monkeypatch):
-    """A pair is computed only where some side of the bundle has two
-    characters, with multiplicity, in the surface's support, or on the
-    bundle's own surface; every other pair is 0 and is skipped.
+def _opposite_pairs(surface):
+    """The pairs k < l of the surface's rays with u_l = -u_k."""
+    rays = surface.rays
+    return [(k, l) for k, l in itertools.combinations(range(len(rays)), 2)
+            if rays[l] == intmat.vec_scale(-1, rays[k])]
 
-    The run keeps only the star fans; the calculators are rebuilt here.
-    """
-    assert run30.surfaces
-    assert all(type(s) is CompactSurface for s in run30.surfaces.values())
-    calcs = surface_calculators(run30)
+
+def _oracle_ruling(chart_set, surface, chi, pairs):
+    """The opposite pair (k, l) among `pairs` with chi's boundary degrees
+    q (e_k + e_l) for some q != 0, or None: the rule `SurfaceCalculus.rulings` reads."""
+    d = tuple(chart_set.degree_on_curve(chi, ei) for ei in surface.edge_ids)
+    for k, l in pairs:
+        if d[k] and d == intmat.vec_scale(d[k], [int(i in (k, l)) for i in range(len(d))]):
+            return k, l
+    return None
+
+
+def _short_side(calc, side):
+    """Fewer than two of the side's characters, with multiplicity, in the support."""
+    return sum(chi in calc.support for chi in side) < 2
+
+
+def _paired_entries(chart_set, bundles, calcs, ruled):
+    """(column vertex, row vertex) of the entries the walk must pair: the
+    diagonal, and the rows having a side that is neither short nor, when
+    `ruled`, has all its support characters on one ruling (`_oracle_ruling`)."""
+    out = set()
+    for v, calc in calcs.items():
+        rulings, opposite = {}, _opposite_pairs(calc.surface)
+
+        def on_one_ruling(side):
+            pairs = set()
+            for chi in side:
+                if chi in calc.support:
+                    if chi not in rulings:
+                        rulings[chi] = _oracle_ruling(chart_set, calc.surface, chi, opposite)
+                    pairs.add(rulings[chi])
+            return len(pairs) == 1 and None not in pairs
+
+        for b in bundles:
+            if v == b.vertex or any(
+                not _short_side(calc, side) and not (ruled and on_one_ruling(side))
+                for side in (b.plus, b.minus)
+            ):
+                out.add((v, b.vertex))
+    return out
+
+
+def _pairing_calls(monkeypatch):
+    """(surface vertex, bundle vertex) of each `c2_pairing` call from now on."""
     calls = []
     original = SurfaceCalculus.c2_pairing
 
@@ -618,22 +663,174 @@ def test_duality_pairs_only_the_touching_surfaces(run30, monkeypatch):
         return original(self, bundle)
 
     monkeypatch.setattr(SurfaceCalculus, "c2_pairing", counted)
+    return calls
+
+
+def test_duality_pairs_only_the_touching_surfaces(run30, monkeypatch):
+    """A pair is computed on the bundle's own surface, and elsewhere only
+    where some side of the bundle has two characters, with multiplicity, in
+    the surface's support that do not all restrict to multiples of one
+    ruling's fibre; every other pair is 0 and is skipped.  The pairs
+    computed are a strict subset of those of the rule without rulings
+    (13 of its 19 here).
+
+    The run keeps only the star fans; the calculators are rebuilt here.
+    """
+    assert run30.surfaces
+    assert all(type(s) is CompactSurface for s in run30.surfaces.values())
+    calcs = surface_calculators(run30)
+    calls = _pairing_calls(monkeypatch)
     duality_matrix(run30.group, run30.bundles, calcs)
-    pairing = {
-        (v, b.vertex)
-        for v, calc in calcs.items()
-        for b in run30.bundles
-        if v == b.vertex or any(sum(chi in calc.support for chi in side) > 1
-                                for side in (b.plus, b.minus))
-    }
+    pairing = _paired_entries(run30.charts, run30.bundles, calcs, ruled=True)
     assert sorted(calls) == sorted(pairing)
+    crowded = _paired_entries(run30.charts, run30.bundles, calcs, ruled=False)
+    assert pairing < crowded
     touching = {
         (v, b.vertex)
         for v, calc in calcs.items()
         for b in run30.bundles
         if calc.support.intersection(b.plus + b.minus)
     }
-    assert len(calls) < len(touching) < len(run30.bundles) * len(calcs)
+    assert len(calls) < len(crowded) < len(touching) < len(run30.bundles) * len(calcs)
+
+
+@functools.cache
+def _ruling_runs():
+    """(spec, run) of the goldens, the order-30 family, larger cyclic groups
+    (the six compute-large ones and two with a repeated weight) and products."""
+    runs, _ = _cyclic_family_runs()
+    others = (
+        ["1/11(1,2,8)", "1/30(25,2,3)", "1/300(1,1,298)", "1/401(1,1,399)"]
+        + [f"1/401(1,{b},{400 - b})" for b in (7, 11, 13, 17, 19, 23)]
+        + ["1/3(1,2,0);1/3(0,1,2)", "1/6(1,2,3);1/3(1,1,1)", "1/4(1,1,2);1/2(1,1,0);1/2(0,1,1)"]
+    )
+    return list(runs.items()) + [(spec, run_pipeline(spec)) for spec in others]
+
+
+def test_characters_on_one_ruling_pair_to_zero():
+    """Every two support characters the rule puts on one ruling have
+    alpha_x . d_y = 0 through `_restriction`, the same character twice
+    included.
+
+    Each such d_y is q_y (e_k + e_l), so alpha_x . d_y = q_y alpha_x .
+    (e_k + e_l); that is checked for every x of the ruling, and the pairs
+    themselves on up to 16 per ruling.
+    """
+    rng = random.Random(32)
+    rulings = pairs = 0
+    for spec, art in _ruling_runs():
+        for v, calc in surface_calculators(art).items():
+            on = {pair: sorted(chars) for pair, chars in calc.rulings().items()}
+            ruling = {chi: pair for pair, chars in on.items() for chi in chars}
+            assert len(ruling) == sum(map(len, on.values())), (spec, v)
+            opposite = _opposite_pairs(calc.surface)
+            assert sorted(on) == opposite, (spec, v)
+            for chi in calc.support:
+                assert ruling.get(chi) == _oracle_ruling(art.charts, calc.surface, chi, opposite), (
+                    spec, v, chi
+                )
+            n = len(calc.surface.rays)
+            for (k, l), chars in on.items():
+                fibre = tuple(int(i in (k, l)) for i in range(n))
+                for chi in chars:
+                    alpha, d = calc._restriction(chi)
+                    assert d == intmat.vec_scale(d[k], fibre), (spec, v, chi)
+                    assert intmat.vec_dot(alpha, fibre) == 0, (spec, v, chi)
+                for _ in range(min(16, len(chars) ** 2)):
+                    x, y = rng.choice(chars), rng.choice(chars)
+                    assert intmat.vec_dot(calc._restriction(x)[0], calc._restriction(y)[1]) == 0
+                rulings += 1
+                pairs += len(chars) ** 2
+    assert rulings > 1000 and pairs > 10**6
+
+
+def test_skipped_entries_are_zero_on_both_oracles():
+    """Every entry the ruling rule skips, and the rule without rulings
+    would pair, is 0 in the row-major and the dense oracles' matrices.  On
+    1/r(1,1,r-2) only the diagonal is paired."""
+    skipped = 0
+    for spec, art in _ruling_runs():
+        calcs = surface_calculators(art)
+        rows = {b.vertex: i for i, b in enumerate(art.bundles)}
+        columns = {v: j for j, v in enumerate(sorted(calcs))}
+        paired = _paired_entries(art.charts, art.bundles, calcs, ruled=True)
+        crowded = _paired_entries(art.charts, art.bundles, calcs, ruled=False)
+        assert paired <= crowded, spec
+        if spec in ("1/300(1,1,298)", "1/401(1,1,399)"):
+            assert paired == {(v, v) for v in calcs} < crowded, spec
+        entries = [(rows[b], columns[v]) for v, b in crowded - paired]
+        assert all(i != j for i, j in entries), spec
+        for oracle in ORACLES:
+            matrix = oracle(art.group, art.bundles, calcs)
+            assert all(matrix[i][j] == 0 for i, j in entries), (spec, oracle.__name__)
+        skipped += len(entries)
+    assert skipped > 50000
+
+
+def test_a_non_fibre_character_held_twice_is_still_paired(run30, monkeypatch):
+    """A side holding one support character twice is paired, unless that
+    character is a fibre multiple; the outcome is the oracles'."""
+    g, calcs = run30.group, surface_calculators(run30)
+    seen = set()
+    for v, calc in calcs.items():
+        fibres = set().union(*calc.rulings().values())
+        for k, b in enumerate(run30.bundles):
+            if b.vertex == v or not _short_side(calc, b.minus):
+                continue
+            for x in sorted(calc.support):
+                fibre = x in fibres
+                alpha, d = calc._restriction(x)
+                if fibre in seen or bool(intmat.vec_dot(alpha, d)) is fibre:
+                    continue  # one of each, and a non-fibre one of nonzero square
+                seen.add(fibre)
+                bundles = list(run30.bundles)
+                bundles[k] = VirtualBundle(b.index, b.vertex, (x, x), b.minus)
+                calls = _pairing_calls(monkeypatch)
+                got = _duality_outcome(_walked_identity, g, bundles, calcs)
+                assert ((v, b.vertex) in calls) is not fibre, (v, x)
+                monkeypatch.undo()
+                for oracle in ORACLES:
+                    assert got == _duality_outcome(oracle, g, bundles, calcs)
+                if not fibre:
+                    assert got[0] == "duality pairing is not the identity"
+    assert seen == {True, False}
+
+
+def test_unequal_degrees_on_an_opposite_pair_still_raise(run30, monkeypatch):
+    """A fibre character of a skipped entry given unequal degrees on its
+    opposite pair leaves every ruling: the entry is paired and fails on
+    restriction, with the oracles' message, detail and row."""
+    g, art = run30.group, run30
+    calcs = surface_calculators(art)
+    paired = _paired_entries(art.charts, art.bundles, calcs, ruled=True)
+    v, w = min(_paired_entries(art.charts, art.bundles, calcs, ruled=False) - paired)
+    b = next(b for b in art.bundles if b.vertex == w)
+    side = next(side for side in (b.plus, b.minus) if not _short_side(calcs[v], side))
+    chi = next(c for c in side if c in calcs[v].support)
+    k, l = next(pair for pair, chars in calcs[v].rulings().items() if chi in chars)
+    columns = [dict(column) for column in art.charts._degree]
+    columns[calcs[v].surface.edge_ids[l]][chi] += 1
+    doctored = dict(SurfaceCalculators(SimpleNamespace(_degree=columns), art.surfaces,
+                                       art.decoration))
+    raised = []
+    original = SurfaceCalculus.c2_pairing
+
+    def spied(self, bundle):
+        try:
+            return original(self, bundle)
+        except InvariantViolationError:
+            raised.append((bundle.vertex, self.surface.vertex))
+            raise
+
+    monkeypatch.setattr(SurfaceCalculus, "c2_pairing", spied)
+    got = _duality_outcome(_walked_identity, g, art.bundles, doctored)
+    first = min(raised)
+    assert (w, v) in raised
+    assert got[0] == "degree vector is not realised by a divisor class"
+    for oracle in ORACLES:
+        raised.clear()
+        assert _duality_outcome(oracle, g, art.bundles, doctored) == got, oracle.__name__
+        assert raised == [first], oracle.__name__
 
 
 def test_duality_stage_keeps_one_calculator_alive(monkeypatch):
