@@ -22,10 +22,13 @@ generator against a set of them: it checks table 0, names the first
 failure in table order when the walk finds one, and is the tests' oracle.
 
 The degree column of an edge says which generators move across it, and
-by how much, so the ChartSet keeps the degree table and table 0 but not
-the |A| tables of |A| generators.  `ChartSet.agraphs` is a read-only
-view that rebuilds them: reading it in order costs one replay per table,
-and indexing replays along the walk tree.  `ahilb check` at
+by how much: {id: q} for the character ids of nonzero degree q, keyed by
+the group's shared id objects (`group.char_ids`), the same index as the
+tables'.  So the ChartSet keeps the degree table and table 0 but not the
+|A| tables of |A| generators, and every reader of the degree table looks
+characters up by id, never by exponent triple.  `ChartSet.agraphs` is a
+read-only view that rebuilds the tables: reading it in order costs one
+replay per table, and indexing replays along the walk tree.  `ahilb check` at
 `1/1601(1,7,1593)` peaks at 39 MB, against 79 MB with every table kept.
 A ChartSet is read-only once built.
 """
@@ -246,7 +249,7 @@ def _moves_checker(group):
     return check
 
 
-def _transition_table(table, u, edge, near, far, chars):
+def _transition_table(table, u, edge, near, far, ids):
     """The neighbour's table across `edge`, from this side's `table`, and its degrees.
 
     The edge ratio u pairs to zero with both edge vertices, so along
@@ -258,10 +261,10 @@ def _transition_table(table, u, edge, near, far, chars):
     which is the degree of the weight-chi bundle on the edge's curve.
     This side's far vertex `near` must pair negatively with v, or the
     support function is not convex across the edge.  Returns the table,
-    {chi: q} for the generators that move (q > 0), keyed by the
-    characters `chars` in table order, and the ids of those generators in
-    ascending order; the generators that do not move are shared with this
-    table.
+    {id: q} for the generators that move (q > 0), keyed by the shared
+    character ids `ids` (`group.char_ids`), and the ids of those generators
+    in ascending order; the generators that do not move are shared with
+    this table.
 
     Since m >= 0, q > 0 exactly when m_i >= v_i for each v_i > 0, so the
     scan compares first and divides only at the generators that move
@@ -284,14 +287,14 @@ def _transition_table(table, u, edge, near, far, chars):
     out = list(table)
     column = {}
     moved = []
-    for k, m in enumerate(table):
+    for k, m in zip(ids, table):
         if m[i] >= vi and m[j] >= vj:
             q = m[i] // vi
             r = m[j] // vj
             if r < q:
                 q = r
             out[k] = (m[0] - q * v0, m[1] - q * v1, m[2] - q * v2)
-            column[chars[k]] = q
+            column[k] = q
             moved.append(k)
     return tuple(out), column, moved
 
@@ -337,17 +340,18 @@ class ChartSet:
     minimality, and its socle found, only around the generators that moved
     (`_moves_checker`, by lookups by weight from the parent's socle ids);
     across any other edge it must equal the neighbour's table, built and
-    not yet walked from.  Either way the crossing gives the
-    edge's column of the degree table, {chi: q} for the characters of
-    nonzero degree q on the edge's curve; `_degree` holds these columns by
-    edge id, with an empty column for each boundary edge.  A triangle the
-    walk cannot reach is an error.
+    not yet walked from.  Either way the crossing gives the edge's column
+    of the degree table, {id: q} for the character ids of nonzero degree q
+    on the edge's curve, each key the group's shared id object
+    (`group.char_ids`); `_degree` holds these columns by edge id, with an
+    empty column for each boundary edge.  A triangle the walk cannot reach
+    is an error.
 
     A table is dropped once the walk has crossed its sides, so only the
     walk's frontier is alive (at most 57 tables at |A| = 1601).  What is
     kept is table 0, the character ids of each socle (`socle_ids`), each
     triangle's walk parent and the edge crossed from it, and the degree
-    columns.  Those say every table: each generator m of weight chi in a
+    columns.  Those say every table: each generator m whose id is in a
     column moves to m - q*v across the edge, with v the edge ratio
     oriented toward the new triangle's far vertex, whichever side the walk
     crossed from, and every other generator stays.  `agraphs` rebuilds the
@@ -357,7 +361,7 @@ class ChartSet:
     def __init__(self, triangulation):
         self.triangulation = T = triangulation
         self.group = g = triangulation.group
-        chars = g.characters()
+        chars, ids = g.characters(), g.char_ids()
         check = _moves_checker(g)
         tris, edges, lines = T.triangles, T.edges, T.lines
         self.charts = []
@@ -376,7 +380,7 @@ class ChartSet:
         self.socle_ids = socles = [None] * len(tris)
         socles[0] = tuple(k for k, m in enumerate(root) if m in graph.socle)
         parent = [None] * len(tris)  # walk parent, and the edge crossed from it
-        # per edge: character -> nonzero degree, filled as the walk crosses it
+        # per edge: character id -> nonzero degree, filled as the walk crosses it
         columns = [None if e.interior else {} for e in edges]
         live = {0: root}  # the tables built and not yet walked from
         queue = [0]
@@ -393,7 +397,7 @@ class ChartSet:
                 nbr = tris[tj]
                 u = lines[e.line].u
                 walked, columns[ei], moved = _transition_table(
-                    table, u, e, tri.vertices[i], nbr.vertices[nbr.edges.index(ei)], chars
+                    table, u, e, tri.vertices[i], nbr.vertices[nbr.edges.index(ei)], ids
                 )
                 if tj in live:
                     _check_same_table(walked, live[tj], u, e, chars)
@@ -417,7 +421,7 @@ class ChartSet:
             raise InvariantViolationError(
                 "degrees are defined on interior edges only", detail={"edge": (e.a, e.b)}
             )
-        return self._degree[edge_index].get(self.group.reduce(chi), 0)
+        return self._degree[edge_index].get(self.group.char_id(chi), 0)
 
 
 class _AGraphs(Sequence):
@@ -427,10 +431,7 @@ class _AGraphs(Sequence):
     deepest ancestor on the last path indexed (the tree is breadth-first,
     45 edges deep at |A| = 1601).  That path is replaced whole, never
     changed in place, so concurrent readers get correct tables.  Iteration
-    goes in triangle order and rebuilds each table from its latest earlier
-    neighbour's, which it holds until its last such neighbour has been
-    rebuilt: one replay per table, and at most 173 tables held at
-    |A| = 1601.  A triangle with no earlier neighbour is indexed instead.
+    goes in triangle order, one replay per table (`replayed`).
     """
 
     def __init__(self, triangulation, root, parent, socle_ids, columns):
@@ -438,7 +439,6 @@ class _AGraphs(Sequence):
         self._parent = parent
         self._socle_ids = socle_ids
         self._columns = columns
-        self._ids = {chi: k for k, chi in enumerate(triangulation.group.characters())}
         self._path = {0: root}  # the tables from triangle 0 down to the last one indexed
 
     def __len__(self):
@@ -451,6 +451,19 @@ class _AGraphs(Sequence):
         return self._agraph(ti, self._table(ti))
 
     def __iter__(self):
+        return self.replayed(lambda ti, table, prev, column: self._agraph(ti, table))
+
+    def replayed(self, fill):
+        """`fill(ti, table, prev, column)` for each triangle ti in order, as its table is rebuilt.
+
+        Triangle ti's table is replayed from its latest earlier neighbour's
+        across their shared edge, whose degree column `column` ({id: q})
+        holds exactly the ids whose generator differs between the two, and
+        `prev` is what `fill` gave for that neighbour.  A triangle with no
+        earlier neighbour is indexed instead, with `prev` and `column` None.
+        Each table and its value are held until the last triangle rebuilt
+        from them: one replay per table, and at most 173 held at |A| = 1601.
+        """
         T = self._triangulation
         source = [None] * len(self)  # latest earlier neighbour, and the edge to it
         last = [0] * len(self)  # the last triangle rebuilt from each
@@ -462,16 +475,19 @@ class _AGraphs(Sequence):
                     source[ti] = (s, ei)
             if source[ti] is not None:
                 last[source[ti][0]] = ti
-        held = {}
+        held = {}  # triangle -> (table, value)
         for ti, src in enumerate(source):
             if src is None:
                 table = self._table(ti)
+                value = fill(ti, table, None, None)
             else:
                 s, ei = src
-                table = self._replay(held.pop(s) if last[s] == ti else held[s], ei, ti)
+                prev_table, prev = held.pop(s) if last[s] == ti else held[s]
+                table = self._replay(prev_table, ei, ti)
+                value = fill(ti, table, prev, self._columns[ei])
             if last[ti] > ti:
-                held[ti] = table
-            yield self._agraph(ti, table)
+                held[ti] = table, value
+            yield value
 
     def _agraph(self, ti, table):
         return AGraph(table, frozenset(map(table.__getitem__, self._socle_ids[ti])))
@@ -483,10 +499,8 @@ class _AGraphs(Sequence):
         u = T.lines[T.edges[ei].line].u
         far = tri.vertices[tri.edges.index(ei)]
         v0, v1, v2 = u if intmat.vec_dot(u, far) > 0 else intmat.vec_neg(u)
-        ids = self._ids
         out = list(table)
-        for chi, q in self._columns[ei].items():
-            k = ids[chi]
+        for k, q in self._columns[ei].items():
             m = out[k]
             out[k] = (m[0] - q * v0, m[1] - q * v1, m[2] - q * v2)
         return tuple(out)

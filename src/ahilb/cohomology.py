@@ -9,8 +9,11 @@ the degree rows of the surviving bundles must base the degree-2 lattice
 partition, without checking anything again.
 
 Both checks read the degree table's sparse columns (`ChartSet._degree`,
-one {chi: q} dict of nonzero degrees per edge, by edge id), so they cost
-time in proportion to its nonzeros.  A character with degree 0 on every
+one {id: q} dict of nonzero degrees per edge, by edge id, keyed by
+character id), so they cost time in proportion to its nonzeros.  Each
+bundle side and basis character is mapped to its id once, where it comes
+in, and every later lookup is by id; a failure still names a character
+by its exponent triple or label.  A character with degree 0 on every
 boundary curve of a surface restricts to the zero class there (Fulton,
 *Intersection Theory*, 3.2), and c2 of a side adds the products of its
 characters' classes in pairs, so a side with fewer than two characters
@@ -40,10 +43,10 @@ held twice included; a non-fibre character held twice still adds its
 self-intersection, so sides are counted with multiplicity.
 
 The duality matrix is checked column by column, one surface at a time:
-its `SurfaceCalculus` (support and restriction memo) is built, paired
-with its own bundle and with the bundles having a side of two support
-characters not all on one ruling, and dropped before the next surface's
-is built.
+its `SurfaceCalculus` (support and restriction memo, by character id) is
+built, paired with its own bundle and with the bundles having a side of
+two support characters not all on one ruling, and dropped before the
+next surface's is built.
 The degree-2 lattice is certified by a unitriangular peel of the degree
 matrix where one exists, and by `intmat.ZSpan` otherwise.
 """
@@ -166,20 +169,22 @@ def _surface_type(selfint, vertex):
 
 
 class SurfaceCalculus:
-    """Restriction classes and pairings on one compact surface."""
+    """Restriction classes and pairings on one compact surface, by character id."""
 
     def __init__(self, chart_set, surface, mark_char):
         self.surface = surface
         self.mark_char = mark_char
+        self._chars = chart_set.group.characters()  # to name a character in a failure
         # the boundary curves' degree columns, in ray order (n >= 3 curves)
         self._columns = [chart_set._degree[ei] for ei in surface.edge_ids]
-        # characters of nonzero degree on some boundary curve; all others restrict to 0
+        # ids of nonzero degree on some boundary curve; all others restrict to 0
         self.support = frozenset().union(*self._columns)
         self._zero = ((0,) * len(surface.rays),) * 2  # (alpha, d) of every degree-0 character
-        self._restrictions = {}  # character -> (alpha, d)
+        self._restrictions = {}  # character id -> (alpha, d)
 
-    def _restriction(self, chi):
-        """Boundary degrees d and a class alpha with Q alpha = d, as (alpha, d).
+    def _restriction(self, k):
+        """Boundary degrees d and a class alpha with Q alpha = d, as (alpha, d),
+        of the character of id k.
 
         Q is the boundary curves' intersection matrix, so row i of Q alpha = d
         is the wall relation alpha_{i-1} + C_i^2 alpha_i + alpha_{i+1} = d_i.
@@ -188,9 +193,9 @@ class SurfaceCalculus:
         alpha_0 = alpha_1 = 0 and the recurrence determines it: d is realised
         iff the recurrence closes up.
         """
-        entry = self._restrictions.get(chi)
+        entry = self._restrictions.get(k)
         if entry is None:
-            d = tuple([column.get(chi, 0) for column in self._columns])
+            d = tuple([column.get(k, 0) for column in self._columns])
             entry = self._zero
             if any(d):
                 selfint, n = self.surface.self_intersections, len(d)
@@ -200,16 +205,16 @@ class SurfaceCalculus:
                 if alpha[n] or alpha[n + 1]:
                     raise InvariantViolationError(
                         "degree vector is not realised by a divisor class",
-                        detail={"vertex": self.surface.vertex, "character": chi},
+                        detail={"vertex": self.surface.vertex, "character": self._chars[k]},
                     )
                 entry = (tuple(alpha[:n]), d)
-            self._restrictions[chi] = entry
+            self._restrictions[k] = entry
         return entry
 
     def rulings(self):
         """The fibre multiples of each ruling: for every opposite pair of rays
-        u_l = -u_k, the characters whose degree vector is q (e_k + e_l), as
-        {(k, l): set of characters}.  Every two characters of one set pair
+        u_l = -u_k, the character ids whose degree vector is q (e_k + e_l),
+        as {(k, l): set of ids}.  Every two characters of one set pair
         to 0 (F^2 = 0, see the module docstring).
 
         It reads the degrees only, with no recurrence, so it never raises.
@@ -220,7 +225,7 @@ class SurfaceCalculus:
             x, y = rays[k]
             if rays[l] == (-x, -y):
                 ck, cl = columns[k], columns[l]
-                on = {chi for chi in ck.keys() & cl.keys() if ck[chi] == cl[chi]}
+                on = {i for i in ck.keys() & cl.keys() if ck[i] == cl[i]}
                 on.difference_update(*(c for m, c in enumerate(columns) if m != k and m != l))
                 out[k, l] = on
         return out
@@ -228,15 +233,15 @@ class SurfaceCalculus:
     def c2_pairing(self, bundle):
         """Second Chern number of a rank-0, c1-0 virtual bundle on the surface.
 
-        The bundle's characters are canonical, as `virtual_bundle` takes
-        them from the relations.
+        `bundle` holds its sides `plus` and `minus` as character ids, as
+        `duality_matrix` maps them (`by_id`).
         """
         return self._pair_sum(bundle.plus) - self._pair_sum(bundle.minus)
 
-    def _pair_sum(self, chars):
+    def _pair_sum(self, ids):
         # each side adds alpha_i . Q alpha_j = alpha_i . d_j over its pairs i < j;
         # a character outside the support has alpha = 0, so its pairs add 0
-        live = [chi for chi in chars if chi in self.support]
+        live = [k for k in ids if k in self.support]
         if len(live) < 2:
             return 0
         pairs = itertools.combinations(map(self._restriction, live), 2)
@@ -285,6 +290,14 @@ def build_virtual_bundles(group, decoration, relations):
     return [virtual_bundle(group, decoration.vertex_marks[r.vertex], r) for r in relations]
 
 
+def by_id(group, bundle):
+    """`bundle` with its sides as character ids, the form `SurfaceCalculus.c2_pairing` reads."""
+    cid = group.char_id
+    return VirtualBundle(
+        bundle.index, bundle.vertex, tuple(map(cid, bundle.plus)), tuple(map(cid, bundle.minus))
+    )
+
+
 def duality_matrix(group, bundles, calculators):
     """Check that the pairing of the virtual bundles against the compact
     surfaces is the identity, column by column; its size b4 when it is.
@@ -304,7 +317,8 @@ def duality_matrix(group, bundles, calculators):
     side, and only realisable fibre multiples on a ruled one.  Once the
     walk is done the failing entry that comes first in row-major order is
     reported by its characters.  No matrix is kept: the document writes
-    the b4 identity rows.
+    the b4 identity rows.  The bundles' sides are mapped to character ids
+    once, here (`by_id`).
     """
     verts = sorted(calculators)
     rows = [b.vertex for b in bundles]
@@ -313,11 +327,12 @@ def duality_matrix(group, bundles, calculators):
             "virtual bundles are not one per surface in vertex order",
             detail={"bundle_vertices": rows, "surface_vertices": verts},
         )
-    holders = {}  # character -> 2 * row + side (0 plus, 1 minus), once per occurrence
+    bundles = [by_id(group, b) for b in bundles]
+    holders = {}  # character id -> 2 * row + side (0 plus, 1 minus), once per occurrence
     for i, b in enumerate(bundles):
-        for side, chars in enumerate((b.plus, b.minus)):
-            for chi in chars:
-                holders.setdefault(chi, []).append(2 * i + side)
+        for side, ids in enumerate((b.plus, b.minus)):
+            for k in ids:
+                holders.setdefault(k, []).append(2 * i + side)
     first = None  # (row, error) of the first failing entry in row-major order
     for j, v in enumerate(verts):
         fail = _pair_column(group, bundles, calculators[v], holders, j)
@@ -330,6 +345,9 @@ def duality_matrix(group, bundles, calculators):
 
 def _pair_column(group, bundles, calc, holders, j):
     """Check column j from its surface's calculator; (row, error) of its first failure, or None.
+
+    `bundles` hold their sides as character ids (`by_id`), and `holders`
+    is keyed by them.
 
     A side with two support characters is skipped when they all lie in
     one of the calculator's `rulings`: its count of them, with
@@ -375,31 +393,34 @@ def unitriangular_peel(chart_set, basis_chars):
     minor of the degree matrix with ones on the diagonal and zeros below
     it, so when every character retires, the columns generate Z^b2.  A
     shorter list means the peel stalled, which proves nothing either way.
+    The peel runs on character ids, each basis character mapped once.
     """
-    live = set(basis_chars)
+    g = chart_set.group
+    live = set(map(g.char_id, basis_chars))
     columns = chart_set._degree
     count = [0] * len(columns)  # live characters of nonzero degree, per column
-    columns_of = {chi: [] for chi in live}
+    columns_of = {k: [] for k in live}
     for j, column in enumerate(columns):
-        for chi in column:
-            if chi in live:
+        for k in column:
+            if k in live:
                 count[j] += 1
-                columns_of[chi].append(j)
+                columns_of[k].append(j)
     ready = [j for j in reversed(range(len(columns))) if count[j] == 1]
+    chars = g.characters()
     peeled = []
     while ready:
         j = ready.pop()
         if count[j] != 1:
             continue
-        chi = next(c for c in columns[j] if c in live)
-        if columns[j][chi] != 1:
+        k = next(k for k in columns[j] if k in live)
+        if columns[j][k] != 1:
             continue
-        live.remove(chi)
-        peeled.append((chi, j))
-        for k in columns_of[chi]:
-            count[k] -= 1
-            if count[k] == 1:
-                ready.append(k)
+        live.remove(k)
+        peeled.append((chars[k], j))
+        for i in columns_of[k]:
+            count[i] -= 1
+            if count[i] == 1:
+                ready.append(i)
     return peeled
 
 
@@ -419,7 +440,8 @@ def h2_basis_check(chart_set, decoration):
     b2 = len(basis_chars)
     if len(unitriangular_peel(chart_set, basis_chars)) < b2:
         # the nonempty columns are the interior edges': each has its line's mark
-        columns = [[column.get(c, 0) for c in basis_chars] for column in chart_set._degree if column]
+        ids = list(map(chart_set.group.char_id, basis_chars))
+        columns = [[column.get(k, 0) for k in ids] for column in chart_set._degree if column]
         if not intmat.columns_generate_full_lattice(columns, b2):
             raise CorrespondenceError(
                 "degree matrix of surviving bundles is not a unimodular basis",

@@ -66,10 +66,11 @@ class GroupSpec:
 def parse_group_spec(text: str) -> GroupSpec:
     """Parse `1/r(a,b,c)` or a semicolon-separated product of such factors.
 
-    The bare string "1" denotes the trivial group.
+    The bare string "1" denotes the trivial group; a blank one is a factor
+    that does not parse, like any other.
     """
     text = text.strip()
-    if text in ("1", ""):
+    if text == "1":
         return GroupSpec(())
     gens = []
     for part in text.split(";"):
@@ -118,6 +119,7 @@ class AbelianGroup:
             chars.sort(key=self.char_label_index)
         self._char_list = chars
         self._char_index = {c: n for n, c in enumerate(chars)}
+        self._char_ids = tuple(self._char_index.values())
 
     # -- element-level queries ------------------------------------------------
 
@@ -177,6 +179,14 @@ class AbelianGroup:
 
     def char_id(self, chi) -> int:
         return self._char_index[self.reduce(chi)]
+
+    def char_ids(self):
+        """The |A| character ids 0, ..., |A| - 1, one shared int object each.
+
+        `char_id` returns these same objects; the degree table's columns key
+        their entries by them, so no entry holds an int of its own.
+        """
+        return self._char_ids
 
     def char_label_index(self, chi):
         if not self.is_cyclic:

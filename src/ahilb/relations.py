@@ -8,7 +8,9 @@ a check that only constrains a triple intersection, whose marks come from
 the socles rather than from the sum.
 Each relation is checked as a literal monomial identity between the
 generators on one chart, and by the degree rows of its two sides, which
-together give the identity on every chart (`verify_all_relations`).
+together give the identity on every chart (`verify_all_relations`).  The
+degree rows are read off the degree table's columns (`ChartSet._degree`,
+one {id: q} dict per edge, keyed by character id).
 """
 
 from __future__ import annotations
@@ -75,22 +77,24 @@ def check_bundle_degrees(chart_set, relations):
     """The two sides of each relation have equal degree rows.
 
     That is its virtual bundle's degree zero on every compact curve, since
-    the trivial character's row is zero.  One pass over the nonzeros of
-    the degree table's sparse columns adds each degree to the relations
-    that use its character, and a failure names the first relation whose
-    sides differ, at the first interior edge where they do.
+    the trivial character's row is zero.  Each side's characters are mapped
+    to their ids once; then one pass over the nonzeros of the degree
+    table's sparse columns ({id: q}) adds each degree to the relations that
+    use its character, and a failure names the first relation whose sides
+    differ, at the first interior edge where they do.
     """
-    reduce = chart_set.group.reduce
-    uses = {}  # character -> (relation index, +1 on the lhs or -1 on the rhs), per use
+    g = chart_set.group
+    # character id -> (relation index, +1 on the lhs or -1 on the rhs), per use
+    uses = [()] * g.order
     for r, rel in enumerate(relations):
         for sign, side in ((1, rel.lhs), (-1, rel.rhs)):
-            for chi in map(reduce, side):
-                uses.setdefault(chi, []).append((r, sign))
+            for k in map(g.char_id, side):
+                uses[k] += ((r, sign),)
     first_differ = {}  # relation index -> first edge where its sides differ
     for ei, column in enumerate(chart_set._degree):
         excess = {}  # relation index -> lhs degree sum minus rhs degree sum
-        for chi, q in column.items():
-            for r, sign in uses.get(chi, ()):
+        for k, q in column.items():
+            for r, sign in uses[k]:
                 excess[r] = excess.get(r, 0) + sign * q
         for r, d in excess.items():
             if d and r not in first_differ:

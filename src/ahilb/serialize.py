@@ -20,24 +20,24 @@ shape once as a template, with a sentinel in each slot.  Every other list
 section, and the lists in `group`, fills its template once per record with
 one `%`, straight from the artifact objects; variable-length lists and
 dicts are joined by `_join`.  The |A| triangle records hold the |A|^2
-`agraph` entries in one key order, so one template fits them all, and
-each record keeps the previous record's slot texts and replaces only
-those whose generator differs from the previous table's.  The duality
-section, always the b4 x b4 identity, is written as rows of zeros with
-one 1.  In process at 1/401(1,7,393) this takes `to_json` from 179 ms to
-72 (2 vCPU, CPython 3.11.7; see `BENCH_30.json`).  `to_json` appends each
-section and each record to one growing string as it is laid out, with no
-final join, so the text (UCS-2, for the labels' χ) is held once beside
-one piece; the sections after `triangles` are laid out before the first
-record, while the text is short.
+`agraph` entries in one key order, so one template fits them all.  The
+records are laid out as the chart walk's tables are replayed
+(`ChartSet.agraphs.replayed`): each takes its slot texts from the record
+of the neighbour its table was rebuilt from, and formats again only the
+ids in the crossed edge's degree column, the generators that moved.  The
+duality section, always the b4 x b4 identity, is written as rows of
+zeros with one 1.  `to_json` appends each section and each record to one
+growing string as it is laid out, with no final join, so the text
+(UCS-2, for the labels' χ) is held once beside one piece; the sections
+after `triangles` are laid out before the first record, while the text
+is short.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cache
-from itertools import chain, compress
-from operator import ne
+from itertools import chain
 
 from .errors import InputError
 
@@ -216,11 +216,13 @@ def _document(art, text=False):
         )
     if T is not None:
         C = art.charts
-        record = _record_layout(art) if text else _record
-        yield "triangles", (
-            map(record, T.triangles, C.charts, C.agraphs) if C is not None
-            else (record(t, None, None) for t in T.triangles)
-        )
+        if text:
+            records = _record_layout(art)
+        elif C is not None:
+            records = map(_record, T.triangles, C.charts, C.agraphs)
+        else:
+            records = (_record(t, None, None) for t in T.triangles)
+        yield "triangles", records
     if art.decoration is not None:
         marks = art.decoration.vertex_marks
         yield "vertex_marks", rows(
@@ -351,7 +353,7 @@ def _scalar(x):
 
 
 def _record_layout(art):
-    """Lays out each triangle record as one string, from one template per document.
+    """Each triangle record as one string, in triangle order, from one template per document.
 
     Every agraph table is indexed by the |A| character ids and every chart
     has three coordinates, so one template fits every record; the socle
@@ -359,43 +361,62 @@ def _record_layout(art):
     record is the join of its pieces with the slot texts between them.
     Each integer triple is formatted once, however many tables hold it:
     2,738 distinct generators fill the 160,801 entries at |A| = 401.
-    Consecutive tables differ in few entries (10,109 of those 160,801), so
-    the slot texts stay in place from one record to the next, in the
-    document's key order, and only the entries whose generator differs from
-    the previous table's are replaced.
+
+    The records are laid out in the same pass that replays the tables
+    (`_AGraphs.replayed`).  A table rebuilt from a neighbour's differs from
+    it exactly at the ids in the crossed edge's degree column, so its
+    record copies that neighbour's agraph slot texts and formats only those
+    ids again (19,672 of the 160,801 entries at |A| = 401); a table with no
+    earlier neighbour fills all |A|.  The slot texts are kept, in the
+    document's key order, only while a later table is still to be rebuilt
+    from theirs.  The socle is read off the table at `ChartSet.socle_ids`,
+    with no set built.
     """
+    T, C = art.triangulation, art.charts
     level = _RECORD_LEVEL
     vec = cache(_vec(level + 2).__mod__)  # a generator, point or socle entry
-    deep = cache(_vec(level + 3).__mod__)  # a chart coordinate's monomial
-    socle_of_length = cache(lambda n: _template([_S] * n, level + 1))
     fields = {"orientation": _S, "regular": _S, "vertices": [_S] * 3}
-    n = 0
-    if art.charts is not None:
+    if C is not None:
         n = art.group.order
         ids = sorted(range(n), key=str)  # the document's key order
         fields.update(agraph={str(k): _S for k in ids}, chart=[[_S] * 2] * 3, socle=_S)
-        at = {k: 2 * i + 1 for i, k in enumerate(ids)}  # where character k's text goes
-        prev = (None,) * n
     cut = _template(fields, level).split("%s")
     parts = [None] * (2 * len(cut) - 1)  # the template's pieces, and a slot between each two
     parts[::2] = cut
+    if C is None:
+        for t in T.triangles:
+            parts[1::2] = (_encode_str(t.orientation), str(t.regular), *map(vec, t.vertices))
+            yield "".join(parts)
+        return
+    deep = cache(_vec(level + 3).__mod__)  # a chart coordinate's monomial
+    socle_of_length = cache(lambda n: _template([_S] * n, level + 1))
+    at = [0] * n  # where character k's text goes among the agraph slot texts
+    for i, k in enumerate(ids):
+        at[k] = i
+    tris, charts, socle_ids = T.triangles, C.charts, C.socle_ids
 
-    def record(t, chart, graph):
-        nonlocal prev
-        head = socle = ()
-        if chart is not None:
-            table = graph.table
-            for k in compress(range(n), map(ne, prev, table)):
-                parts[at[k]] = vec(table[k])
-            prev = table
-            head = map(deep, chain.from_iterable(chart.coords))
-            socle = (socle_of_length(len(graph.socle)) % tuple(map(vec, sorted(graph.socle))),)
+    def fill(ti, table, prev, column):
+        """Lays triangle ti's record out in `parts`; returns its agraph slot texts."""
+        if prev is None:
+            texts, moved = [None] * n, range(n)
+        else:
+            texts, moved = prev.copy(), column
+        for k in moved:
+            texts[at[k]] = vec(table[k])
+        t = tris[ti]
+        socle = sorted(map(table.__getitem__, socle_ids[ti]))
+        parts[1:2 * n:2] = texts
         parts[2 * n + 1::2] = (
-            *head, _encode_str(t.orientation), str(t.regular), *socle, *map(vec, t.vertices),
+            *map(deep, chain.from_iterable(charts[ti].coords)),
+            _encode_str(t.orientation),
+            str(t.regular),
+            socle_of_length(len(socle)) % tuple(map(vec, socle)),
+            *map(vec, t.vertices),
         )
-        return "".join(parts)
+        return texts
 
-    return record
+    for _ in C.agraphs.replayed(fill):
+        yield "".join(parts)
 
 
 def from_json(text: str) -> dict:

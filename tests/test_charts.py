@@ -310,19 +310,31 @@ def _pairwise_degrees(C):
     return tuple(columns)
 
 
-def _shift_first_cross_edge(monkeypatch, shift):
+def _by_id(group, columns):
+    """Character-keyed degree columns, keyed by character id as `ChartSet._degree` is."""
+    return tuple({group.char_id(c): q for c, q in column.items()} for column in columns)
+
+
+def _assert_keys_are_shared_ids(C):
+    """Every key of every degree column is the group's shared id object."""
+    ids = C.group.char_ids()
+    assert all(k is ids[k] for column in C._degree for k in column)
+
+
+def _shift_first_cross_edge(monkeypatch, shift, chars):
     """Make the walk shift one generator on its first edge off the spanning tree.
 
     Such an edge joins two triangles the walk has already built, so the
     shifted table is compared with the stored one, not stored.  Returns a
-    list that receives the edge and the character that were shifted.
+    list that receives the edge and the character, of the group's `chars`,
+    that were shifted.
     """
     original = charts._transition_table
     built = {0}
     shifted = []
 
-    def corrupt(table, u, edge, near, far, chars):
-        out, column, moved = original(table, u, edge, near, far, chars)
+    def corrupt(table, u, edge, near, far, ids):
+        out, column, moved = original(table, u, edge, near, far, ids)
         if not shifted and built.issuperset(edge.triangles):
             c = sorted(chars)[1]
             out = _shifted(out, chars.index(c), shift(u))
@@ -343,9 +355,10 @@ def _shifted(table, k, step):
 
 def test_transition_off_the_edge_ratio_is_reported(monkeypatch):
     # (1, 0, 0) is no multiple of an edge ratio, whose two monomials are both nonconstant
-    shifted = _shift_first_cross_edge(monkeypatch, lambda u: (1, 0, 0))
+    g = build_group("1/11(1,2,8)")
+    shifted = _shift_first_cross_edge(monkeypatch, lambda u: (1, 0, 0), g.characters())
     with pytest.raises(InvariantViolationError) as err:
-        ChartSet(triangulate(build_group("1/11(1,2,8)")))
+        ChartSet(triangulate(g))
     assert str(err.value) == "generator difference is not an integer multiple of the edge ratio"
     edge, character = shifted[0]
     assert err.value.detail == {"edge": edge, "character": character}
@@ -354,9 +367,11 @@ def test_transition_off_the_edge_ratio_is_reported(monkeypatch):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_transition_along_the_edge_ratio_is_not_convex(monkeypatch, sign):
     """The stored generator lies on the transition's line but is not its extreme point."""
-    shifted = _shift_first_cross_edge(monkeypatch, lambda u: tuple(sign * x for x in u))
+    g = build_group("1/11(1,2,8)")
+    shifted = _shift_first_cross_edge(monkeypatch, lambda u: tuple(sign * x for x in u),
+                                      g.characters())
     with pytest.raises(InvariantViolationError) as err:
-        ChartSet(triangulate(build_group("1/11(1,2,8)")))
+        ChartSet(triangulate(g))
     assert str(err.value) == "support function is not convex"
     edge, character = shifted[0]
     assert err.value.detail == {"edge": edge, "character": character}
@@ -370,13 +385,13 @@ def test_far_vertices_on_one_side_of_an_edge_are_not_convex(run11):
         w1 = _far(T.triangles[t1], ei)
         w2 = _far(T.triangles[t2], ei)
         u = T.lines[e.line].u
-        chars = C.group.characters()
-        table, _, _ = charts._transition_table(C.agraphs[t1].table, u, e, w1, w2, chars)
+        ids = C.group.char_ids()
+        table, _, _ = charts._transition_table(C.agraphs[t1].table, u, e, w1, w2, ids)
         assert table == C.agraphs[t2].table
         # the other far vertex on the same side, or on the edge's plane
         for near in (w2, e.a):
             with pytest.raises(InvariantViolationError, match="^support function is not convex$") as err:
-                charts._transition_table(C.agraphs[t1].table, u, e, near, w2, chars)
+                charts._transition_table(C.agraphs[t1].table, u, e, near, w2, ids)
             assert err.value.detail == {"edge": (e.a, e.b)}
 
 
@@ -638,7 +653,8 @@ def test_walked_tables_match_the_heap():
 
     Each table, socle and degree column also equals the dict-table walk's,
     and the degree table's columns equal those found by comparing the two
-    tables of every interior edge.
+    tables of every interior edge, keyed by id, each key the group's
+    shared id object.
     """
     runs, _ = _cyclic_family_runs()
     others = (
@@ -658,8 +674,17 @@ def test_walked_tables_match_the_heap():
             assert len(got.table) == g.order, (spec, ti)
             assert dict(zip(g.characters(), got.table)) == tables[ti], (spec, ti)
             assert got.socle == socles[ti], (spec, ti)
-        assert C._degree == columns, spec
-        assert C._degree == _pairwise_degrees(C), spec
+        assert C._degree == _by_id(g, columns), spec
+        assert C._degree == _by_id(g, _pairwise_degrees(C)), spec
+        _assert_keys_are_shared_ids(C)
+
+
+def test_degree_columns_of_a_repeated_weight_match_the_oracle():
+    """On 1/401(1,1,399), whose columns are the densest of the ladder, the
+    degree table is the character-keyed oracle's keyed by id, on shared ids."""
+    C = ChartSet(triangulate(build_group("1/401(1,1,399)")))
+    assert C._degree == _by_id(C.group, _pairwise_degrees(C))
+    _assert_keys_are_shared_ids(C)
 
 
 def _stored_walk(C):
@@ -670,7 +695,7 @@ def _stored_walk(C):
     triangle's AGraph and the degree columns by edge id.
     """
     T, g = C.triangulation, C.group
-    tris, chars = T.triangles, g.characters()
+    tris, ids = T.triangles, g.char_ids()
     graphs = [None] * len(tris)
     graphs[0] = build_agraph(g, 0, tris[0].vertices, C.charts[0].coords)
     columns = [None if e.interior else {} for e in T.edges]
@@ -684,7 +709,7 @@ def _stored_walk(C):
             e = T.edges[ei]
             tj = next(t for t in e.triangles if t != ti)
             walked, columns[ei], _ = charts._transition_table(
-                graphs[ti].table, T.lines[e.line].u, e, tri.vertices[i], _far(tris[tj], ei), chars
+                graphs[ti].table, T.lines[e.line].u, e, tri.vertices[i], _far(tris[tj], ei), ids
             )
             if graphs[tj] is not None:
                 assert walked == graphs[tj].table
@@ -738,22 +763,22 @@ def test_each_column_is_the_same_from_either_side_of_its_edge():
     """
     edges = 0
     for spec, C in _view_chart_sets():
-        T, chars = C.triangulation, C.group.characters()
+        T, ids = C.triangulation, C.group.char_ids()
         tables = [graph.table for graph in C.agraphs]
         for ei in T.interior_edges():
             e = T.edges[ei]
             t1, t2 = e.triangles
             u = T.lines[e.line].u
             w1, w2 = _far(T.triangles[t1], ei), _far(T.triangles[t2], ei)
-            to2, column12, _ = charts._transition_table(tables[t1], u, e, w1, w2, chars)
-            to1, column21, _ = charts._transition_table(tables[t2], u, e, w2, w1, chars)
+            to2, column12, _ = charts._transition_table(tables[t1], u, e, w1, w2, ids)
+            to1, column21, _ = charts._transition_table(tables[t2], u, e, w2, w1, ids)
             assert to2 == tables[t2] and to1 == tables[t1], (spec, ei)
             assert column12 == column21 == C._degree[ei], (spec, ei)
         edges += len(T.interior_edges())
     assert edges > 10000
 
 
-def _divide_first_transition_table(table, u, edge, near, far, chars):
+def _divide_first_transition_table(table, u, edge, near, far, ids):
     """The crossing scan that divides at every generator: the oracle of
     `_transition_table`, which compares first and divides only where a
     generator moves."""
@@ -777,7 +802,7 @@ def _divide_first_transition_table(table, u, edge, near, far, chars):
         q = min(m[i] // vi, m[j] // vj)
         if q:
             out[k] = intmat.vec_sub(m, intmat.vec_scale(q, v))
-            column[chars[k]] = q
+            column[ids[k]] = q
             moved.append(k)
     return tuple(out), column, moved
 
@@ -788,13 +813,13 @@ def test_comparison_scan_matches_the_divide_first_scan():
     crossings = 0
     trivial = ChartSet(triangulate(build_group("1")))
     for spec, C in _view_chart_sets() + [("1", trivial)]:
-        T, chars = C.triangulation, C.group.characters()
+        T, ids = C.triangulation, C.group.char_ids()
         tables = [graph.table for graph in C.agraphs]
         for ei in T.interior_edges():
             e = T.edges[ei]
             u = T.lines[e.line].u
             for t1, t2 in (e.triangles, e.triangles[::-1]):
-                args = (tables[t1], u, e, _far(T.triangles[t1], ei), _far(T.triangles[t2], ei), chars)
+                args = (tables[t1], u, e, _far(T.triangles[t1], ei), _far(T.triangles[t2], ei), ids)
                 assert charts._transition_table(*args) == _divide_first_transition_table(*args), (
                     spec, ei, t1
                 )
@@ -985,7 +1010,7 @@ def test_moved_generator_check_matches_the_full_check(monkeypatch, run_trivial):
     monkeypatch.setattr(charts, "_moves_checker", checker)
     for spec, built in chart_sets:
         C = ChartSet(built.triangulation)
-        assert C._degree == _pairwise_degrees(C), spec
+        assert C._degree == _by_id(C.group, _pairwise_degrees(C)), spec
     # every table but each root is walked across a tree edge
     assert len(compared) == sum(len(C.socle_ids) - 1 for _, C in chart_sets)
 

@@ -15,6 +15,7 @@ from ahilb.cohomology import (
     SurfaceCalculus,
     VirtualBundle,
     _surface_type,
+    by_id,
     duality_matrix,
     h2_basis_check,
     surface_star,
@@ -42,8 +43,8 @@ def intersection_matrix(surface):
 
 
 def restrict_c1(calc, chi):
-    """Integer curve-coefficient vector pairing to the boundary degrees."""
-    return calc._restriction(chi)[0]
+    """Integer curve-coefficient vector pairing to the boundary degrees of character chi."""
+    return calc._restriction(calc._chars.index(chi))[0]
 
 
 def intersect(calc, alpha, beta):
@@ -184,7 +185,7 @@ def test_perturbed_duality_entry_reported(run11):
     doctored = VirtualBundle(last.index, last.vertex, (chi(g, 5), chi(g, 5)), last.minus)
     with pytest.raises(CorrespondenceError) as err:
         duality_matrix(g, bundles[:-1] + [doctored], calcs)
-    row = {v: s.c2_pairing(doctored) for v, s in sorted(calcs.items())}
+    row = {v: s.c2_pairing(by_id(g, doctored)) for v, s in sorted(calcs.items())}
     v = next(v for v, entry in row.items() if entry != int(v == last.vertex))
     assert err.value.detail == {
         "m": g.char_label(last.index),
@@ -345,6 +346,19 @@ def _oracle_restriction(chart_set, surface, chi):
     return alpha, d
 
 
+def _character_keyed_restriction(chart_set, surface, chi):
+    """The wall recurrence on the degrees of character chi read one curve at a
+    time (`degree_on_curve`): the oracle of `SurfaceCalculus._restriction`,
+    which reads its character's id in the degree columns."""
+    d = tuple(chart_set.degree_on_curve(chi, ei) for ei in surface.edge_ids)
+    n = len(d)
+    alpha = [0, 0]
+    for i in range(1, n + 1):
+        alpha.append(d[i % n] - alpha[i - 1] - surface.self_intersections[i % n] * alpha[i])
+    assert alpha[n] == alpha[n + 1] == 0
+    return tuple(alpha[:n]), d
+
+
 def _oracle_intersect(Q, alpha, beta):
     return sum(alpha[i] * Q[i][j] * beta[j] for i in range(len(alpha)) for j in range(len(beta)))
 
@@ -372,6 +386,9 @@ def test_restriction_and_pairing_match_the_solver_oracle(differential_run):
         old = {c: _oracle_restriction(differential_run.charts, calc.surface, c) for c in chars}
         for c in chars:
             assert intmat.vec_mat(new[c], Q) == old[c][1], c
+            assert calc._restriction(g.char_id(c)) == _character_keyed_restriction(
+                differential_run.charts, calc.surface, c
+            ), c
         nonzero = [c for c in chars if any(old[c][0])]
         assert all(not any(new[c]) for c in chars if c not in nonzero)
         # pairs with a zero class pair to 0 on both paths
@@ -395,7 +412,7 @@ def test_c2_pairing_matches_the_solver_oracle(differential_run):
             bundles.append(VirtualBundle(plus[0], (0, 0, 0), plus, minus))
     for calc in surface_calculators(art).values():
         for b in bundles:
-            assert calc.c2_pairing(b) == _oracle_c2(art.charts, calc.surface, b), (
+            assert calc.c2_pairing(by_id(g, b)) == _oracle_c2(art.charts, calc.surface, b), (
                 calc.surface.vertex, b
             )
 
@@ -405,7 +422,8 @@ class _FixedDegreeCharts:
 
     def __init__(self, group, surface, degrees):
         # the degree columns by edge id, as `ChartSet._degree` keys them
-        self._degree = {ei: dict.fromkeys(group.characters(), d) if d else {}
+        self.group = group
+        self._degree = {ei: dict.fromkeys(group.char_ids(), d) if d else {}
                         for ei, d in zip(surface.edge_ids, degrees)}
 
 
@@ -444,15 +462,15 @@ def test_duality_and_h2_run_no_lattice_solver(monkeypatch):
 def _row_major_duality_matrix(group, bundles, surfaces):
     verts = sorted(surfaces)
     column = {v: j for j, v in enumerate(verts)}
-    touching = {}  # character -> columns of the surfaces in whose support it lies
+    touching = {}  # character id -> columns of the surfaces in whose support it lies
     for j, v in enumerate(verts):
-        for chi in surfaces[v].support:
-            touching.setdefault(chi, set()).add(j)
+        for k in surfaces[v].support:
+            touching.setdefault(k, set()).add(j)
     matrix = []
-    for b in bundles:
+    for b in map(functools.partial(by_id, group), bundles):
         hits = set()
-        for chi in b.plus + b.minus:
-            hits.update(touching.get(chi, ()))
+        for k in b.plus + b.minus:
+            hits.update(touching.get(k, ()))
         own = column.get(b.vertex)
         checked = hits if own is None else hits | {own}
         row = [0] * len(verts)
@@ -478,7 +496,7 @@ def _row_major_duality_matrix(group, bundles, surfaces):
 def _dense_duality_matrix(group, bundles, surfaces):
     verts = sorted(surfaces)
     matrix = []
-    for b in bundles:
+    for b in map(functools.partial(by_id, group), bundles):
         row = []
         for v in verts:
             entry = surfaces[v].c2_pairing(b)
@@ -580,7 +598,7 @@ class _FailingCalculus:
         self.rulings = calc.rulings
 
     def c2_pairing(self, b):
-        if b is self._bundle:
+        if b.vertex == self._bundle.vertex:
             raise InvariantViolationError("degree vector is not realised by a divisor class",
                                           detail={"vertex": b.vertex})
         return self._calc.c2_pairing(b)
@@ -623,25 +641,28 @@ def _oracle_ruling(chart_set, surface, chi, pairs):
 
 
 def _short_side(calc, side):
-    """Fewer than two of the side's characters, with multiplicity, in the support."""
-    return sum(chi in calc.support for chi in side) < 2
+    """Fewer than two of the side's character ids, with multiplicity, in the support."""
+    return sum(k in calc.support for k in side) < 2
 
 
 def _paired_entries(chart_set, bundles, calcs, ruled):
     """(column vertex, row vertex) of the entries the walk must pair: the
     diagonal, and the rows having a side that is neither short nor, when
     `ruled`, has all its support characters on one ruling (`_oracle_ruling`)."""
+    g = chart_set.group
+    chars = g.characters()
+    bundles = [by_id(g, b) for b in bundles]
     out = set()
     for v, calc in calcs.items():
         rulings, opposite = {}, _opposite_pairs(calc.surface)
 
         def on_one_ruling(side):
             pairs = set()
-            for chi in side:
-                if chi in calc.support:
-                    if chi not in rulings:
-                        rulings[chi] = _oracle_ruling(chart_set, calc.surface, chi, opposite)
-                    pairs.add(rulings[chi])
+            for k in side:
+                if k in calc.support:
+                    if k not in rulings:
+                        rulings[k] = _oracle_ruling(chart_set, calc.surface, chars[k], opposite)
+                    pairs.add(rulings[k])
             return len(pairs) == 1 and None not in pairs
 
         for b in bundles:
@@ -689,7 +710,7 @@ def test_duality_pairs_only_the_touching_surfaces(run30, monkeypatch):
         (v, b.vertex)
         for v, calc in calcs.items()
         for b in run30.bundles
-        if calc.support.intersection(b.plus + b.minus)
+        if calc.support.intersection(map(run30.group.char_id, b.plus + b.minus))
     }
     assert len(calls) < len(crowded) < len(touching) < len(run30.bundles) * len(calcs)
 
@@ -719,16 +740,17 @@ def test_characters_on_one_ruling_pair_to_zero():
     rng = random.Random(32)
     rulings = pairs = 0
     for spec, art in _ruling_runs():
+        characters = art.group.characters()
         for v, calc in surface_calculators(art).items():
-            on = {pair: sorted(chars) for pair, chars in calc.rulings().items()}
-            ruling = {chi: pair for pair, chars in on.items() for chi in chars}
+            on = {pair: sorted(ids) for pair, ids in calc.rulings().items()}
+            ruling = {chi: pair for pair, ids in on.items() for chi in ids}
             assert len(ruling) == sum(map(len, on.values())), (spec, v)
             opposite = _opposite_pairs(calc.surface)
             assert sorted(on) == opposite, (spec, v)
             for chi in calc.support:
-                assert ruling.get(chi) == _oracle_ruling(art.charts, calc.surface, chi, opposite), (
-                    spec, v, chi
-                )
+                assert ruling.get(chi) == _oracle_ruling(
+                    art.charts, calc.surface, characters[chi], opposite
+                ), (spec, v, chi)
             n = len(calc.surface.rays)
             for (k, l), chars in on.items():
                 fibre = tuple(int(i in (k, l)) for i in range(n))
@@ -775,7 +797,7 @@ def test_a_non_fibre_character_held_twice_is_still_paired(run30, monkeypatch):
     for v, calc in calcs.items():
         fibres = set().union(*calc.rulings().values())
         for k, b in enumerate(run30.bundles):
-            if b.vertex == v or not _short_side(calc, b.minus):
+            if b.vertex == v or not _short_side(calc, by_id(g, b).minus):
                 continue
             for x in sorted(calc.support):
                 fibre = x in fibres
@@ -784,6 +806,7 @@ def test_a_non_fibre_character_held_twice_is_still_paired(run30, monkeypatch):
                     continue  # one of each, and a non-fibre one of nonzero square
                 seen.add(fibre)
                 bundles = list(run30.bundles)
+                x = g.characters()[x]
                 bundles[k] = VirtualBundle(b.index, b.vertex, (x, x), b.minus)
                 calls = _pairing_calls(monkeypatch)
                 got = _duality_outcome(_walked_identity, g, bundles, calcs)
@@ -805,12 +828,13 @@ def test_unequal_degrees_on_an_opposite_pair_still_raise(run30, monkeypatch):
     paired = _paired_entries(art.charts, art.bundles, calcs, ruled=True)
     v, w = min(_paired_entries(art.charts, art.bundles, calcs, ruled=False) - paired)
     b = next(b for b in art.bundles if b.vertex == w)
-    side = next(side for side in (b.plus, b.minus) if not _short_side(calcs[v], side))
-    chi = next(c for c in side if c in calcs[v].support)
-    k, l = next(pair for pair, chars in calcs[v].rulings().items() if chi in chars)
+    side = next(side for side in (b.plus, b.minus)
+                if not _short_side(calcs[v], map(g.char_id, side)))
+    chi = next(c for c in side if g.char_id(c) in calcs[v].support)
+    k, l = next(pair for pair, ids in calcs[v].rulings().items() if g.char_id(chi) in ids)
     columns = [dict(column) for column in art.charts._degree]
-    columns[calcs[v].surface.edge_ids[l]][chi] += 1
-    doctored = dict(SurfaceCalculators(SimpleNamespace(_degree=columns), art.surfaces,
+    columns[calcs[v].surface.edge_ids[l]][g.char_id(chi)] += 1
+    doctored = dict(SurfaceCalculators(SimpleNamespace(_degree=columns, group=g), art.surfaces,
                                        art.decoration))
     raised = []
     original = SurfaceCalculus.c2_pairing
@@ -826,7 +850,8 @@ def test_unequal_degrees_on_an_opposite_pair_still_raise(run30, monkeypatch):
     got = _duality_outcome(_walked_identity, g, art.bundles, doctored)
     first = min(raised)
     assert (w, v) in raised
-    assert got[0] == "degree vector is not realised by a divisor class"
+    assert got == ("degree vector is not realised by a divisor class",
+                   {"vertex": first[1], "character": chi})
     for oracle in ORACLES:
         raised.clear()
         assert _duality_outcome(oracle, g, art.bundles, doctored) == got, oracle.__name__
@@ -870,19 +895,53 @@ def test_peel_retires_every_basis_character(differential_run):
     peeled = unitriangular_peel(C, basis)
     assert sorted(chi for chi, _ in peeled) == basis
     # a unitriangular minor: degree 1 on the diagonal, 0 below it
+    cid = C.group.char_id
     for k, (chi, j) in enumerate(peeled):
         column = C._degree[j]
-        assert column[chi] == 1
-        assert all(column.get(later, 0) == 0 for later, _ in peeled[k + 1:])
-    columns = [[column.get(chi, 0) for chi in basis] for column in C._degree]
+        assert column[cid(chi)] == 1
+        assert all(column.get(cid(later), 0) == 0 for later, _ in peeled[k + 1:])
+    columns = [[column.get(cid(chi), 0) for chi in basis] for column in C._degree]
     assert intmat.columns_generate_full_lattice(columns, len(basis))
+    assert peeled == _character_keyed_peel(C, basis)
+
+
+def _character_keyed_peel(chart_set, basis_chars):
+    """The peel on degree columns keyed by character: the oracle of `unitriangular_peel`."""
+    chars = chart_set.group.characters()
+    live = set(basis_chars)
+    columns = [{chars[k]: q for k, q in column.items()} for column in chart_set._degree]
+    count = [0] * len(columns)
+    columns_of = {chi: [] for chi in live}
+    for j, column in enumerate(columns):
+        for chi in column:
+            if chi in live:
+                count[j] += 1
+                columns_of[chi].append(j)
+    ready = [j for j in reversed(range(len(columns))) if count[j] == 1]
+    peeled = []
+    while ready:
+        j = ready.pop()
+        if count[j] != 1:
+            continue
+        chi = next(c for c in columns[j] if c in live)
+        if columns[j][chi] != 1:
+            continue
+        live.remove(chi)
+        peeled.append((chi, j))
+        for k in columns_of[chi]:
+            count[k] -= 1
+            if count[k] == 1:
+                ready.append(k)
+    return peeled
 
 
 class _DegreeColumns:
     """Chart-set stand-in given by its degree matrix, one list per edge column."""
 
     def __init__(self, chars, columns):
-        self._degree = tuple({c: d for c, d in zip(chars, col) if d} for col in columns)
+        ids = {c: k for k, c in enumerate(chars)}
+        self.group = SimpleNamespace(char_id=ids.__getitem__, characters=lambda: chars)
+        self._degree = tuple({ids[c]: d for c, d in zip(chars, col) if d} for col in columns)
 
 
 class _Partition:

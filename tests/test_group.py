@@ -36,7 +36,7 @@ def test_determinant_condition_rejected(bad):
         parse_group_spec(bad)
 
 
-@pytest.mark.parametrize("bad", ["11(1,2,8)", "1/0(0,0,0)", "1/4(1,-1,0)", "1/4(1,4,3)"])
+@pytest.mark.parametrize("bad", ["11(1,2,8)", "1/0(0,0,0)", "1/4(1,-1,0)", "1/4(1,4,3)", "", "   "])
 def test_malformed_rejected(bad):
     with pytest.raises(InputError):
         parse_group_spec(bad)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ahilb import cli, pipeline, serialize
-from ahilb.charts import AGraph
 from ahilb.cli import main
 from ahilb.errors import CorrespondenceError, InputError
 from ahilb.group import build_group, parse_group_spec
@@ -74,6 +73,20 @@ def test_cli_usage_errors_are_input_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["", "   "])
+def test_cli_rejects_a_blank_spec(spec, capsys):
+    # an unset shell variable gives "": the grammar names the trivial group "1"
+    assert main(["check", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: cannot parse group factor ''; expected 1/r(a,b,c)\n"
+
+
+def test_cli_checks_the_trivial_group(capsys):
+    assert main(["check", "1"]) == 0
+    assert capsys.readouterr().out.startswith("1: |A|=1 ")
 
 
 def test_cli_help_exits_0(capsys):
@@ -319,14 +332,9 @@ def test_to_json_takes_the_templated_path(monkeypatch, run30):
         return dumps(o, **kwargs)
 
     def counted_layout(art):
-        record = layout(art)
-
-        def counted(*args):
-            text = record(*args)
+        for text in layout(art):
             records.append(type(text))
-            return text
-
-        return counted
+            yield text
 
     monkeypatch.setattr(serialize, "build_document", forbidden)
     monkeypatch.setattr(json, "dumps", no_record_field_by_field)
@@ -348,13 +356,9 @@ def test_tail_sections_are_laid_out_before_the_first_record(monkeypatch, run30):
         return text
 
     def spied_record_layout(art):
-        record = record_layout(art)
-
-        def spied_record(*args):
+        for record in record_layout(art):
             events.append(("record", None))
-            return record(*args)
-
-        return spied_record
+            yield record
 
     monkeypatch.setattr(serialize, "_join", spied_join)
     monkeypatch.setattr(serialize, "_record_layout", spied_record_layout)
@@ -459,28 +463,78 @@ def test_section_runs_cover_empty_lists_and_string_key_order(run11, run30):
     assert any(string_order_differs(vm["through"]) for vm in build_document(run30)["vertex_marks"])
 
 
-def _patched_records_differ(art):
-    """The triangles whose record, patched from the one before, is not a full fill."""
-    T, C = art.triangulation, art.charts
-    patched, fresh = serialize._record_layout(art), serialize._record_layout(art)
-    differ = []
-    for ti, (t, chart, graph) in enumerate(zip(T.triangles, C.charts, C.agraphs)):
-        # no generator has a negative exponent, so `fresh` fills every slot of the next record
-        fresh(t, chart, AGraph(((-1, -1, -1),) * len(graph.table), graph.socle))
-        if patched(t, chart, graph) != fresh(t, chart, graph):
-            differ.append(ti)
-    return differ
+class _Replays:
+    """`ChartSet.agraphs` whose `replayed` hands every `fill` no earlier record
+    when `full`, so each record fills all its slots; it counts the records
+    filled from an earlier one."""
+
+    def __init__(self, agraphs, full):
+        self._agraphs, self._full, self.patched = agraphs, full, 0
+
+    def replayed(self, fill):
+        def counted(ti, table, prev, column):
+            if self._full:
+                return fill(ti, table, None, None)
+            self.patched += prev is not None
+            return fill(ti, table, prev, column)
+
+        return self._agraphs.replayed(counted)
+
+
+def _records(art, full, monkeypatch):
+    """The triangle records `_record_layout` writes, and how many it patched."""
+    replays = _Replays(art.charts.agraphs, full)
+    with monkeypatch.context() as m:
+        m.setattr(art.charts, "agraphs", replays)
+        return list(serialize._record_layout(art)), replays.patched
 
 
 @pytest.mark.parametrize("spec", ["order <= 30 family", *sorted(DIGESTS)])
-def test_patched_records_equal_full_fills(spec):
+def test_patched_records_equal_full_fills(spec, monkeypatch):
+    """Each record patched from the one its table was rebuilt from equals
+    the record that fills every slot afresh."""
     arts = _cyclic_family_runs()[0].values() if spec == "order <= 30 family" else [run_pipeline(spec)]
-    jumps = 0  # records after a triangle that shares no edge with theirs
+    jumps = patched = 0  # records after a triangle that shares no edge with theirs
     for art in arts:
-        assert not _patched_records_differ(art), art.spec_text
+        records, n = _records(art, False, monkeypatch)
+        assert records == _records(art, True, monkeypatch)[0], art.spec_text
+        patched += n
         T = art.triangulation
         jumps += sum(not set(a.edges) & set(b.edges) for a, b in zip(T.triangles, T.triangles[1:]))
-    assert jumps
+    assert jumps and patched
+
+
+def test_records_format_only_the_moved_generators(monkeypatch, run30):
+    """The writer formats exactly the slots whose generator moved: for each
+    table rebuilt from a neighbour's, the ids in the crossed edge's degree
+    column, and all |A| for a table with no earlier neighbour.  It compares
+    no whole tables."""
+    T, C = run30.triangulation, run30.charts
+    level = serialize._RECORD_LEVEL + 2  # a generator, vertex or socle entry of a record
+    formats = []
+
+    class Counted(str):
+        def __mod__(self, args):
+            if self.level == level:
+                formats.append(args)
+            return str.__mod__(self, args)
+
+    def counted_vec(n):
+        template = Counted(serialize._template(serialize._V, n))
+        template.level = n
+        return template
+
+    reference = "".join(_records(run30, True, monkeypatch)[0])
+    expected = 0
+    for ti, tri in enumerate(T.triangles):
+        earlier = [(sum(T.edges[ei].triangles) - ti, ei) for ei in tri.edges
+                   if T.edges[ei].interior and sum(T.edges[ei].triangles) - ti < ti]
+        expected += len(C._degree[max(earlier)[1]]) if earlier else C.group.order
+    monkeypatch.setattr(serialize, "cache", lambda f: f)  # count every format, not each triple once
+    monkeypatch.setattr(serialize, "_vec", counted_vec)
+    assert "".join(serialize._record_layout(run30)) == reference
+    vertices_and_socles = sum(3 + len(C.socle_ids[ti]) for ti in range(len(T.triangles)))
+    assert len(formats) - vertices_and_socles == expected < C.group.order * len(T.triangles)
 
 
 def test_to_json_peak_memory_is_the_text_at_two_bytes_a_character():

@@ -290,9 +290,9 @@ def test_relations_names_a_degree_row_that_breaks_a_relation(monkeypatch):
     def verify_then_corrupt(charts, relations):
         verify_all_relations(charts, relations)
         rel = relations[0]
-        chi = next(c for c in rel.rhs if c not in rel.lhs)
-        ei = next(ei for ei, column in enumerate(charts._degree) if chi in column)
-        charts._degree[ei][chi] += 1
+        k = charts.group.char_id(next(c for c in rel.rhs if c not in rel.lhs))
+        ei = next(ei for ei, column in enumerate(charts._degree) if k in column)
+        charts._degree[ei][k] += 1
         broken.append((rel.vertex, ei))
 
     monkeypatch.setattr(pipeline, "verify_all_relations", verify_then_corrupt)
