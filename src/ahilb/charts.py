@@ -36,25 +36,29 @@ A ChartSet is read-only once built.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 from heapq import heappop, heappush
 
 from . import intmat
 from .errors import InvariantViolationError
 from .group import MONO_ONE
+from .record import Record
 
 
-@dataclass
-class Chart:
-    triangle: int
-    coords: tuple  # three (numerator, denominator) monomial pairs, dual order
+class Chart(Record):
+    __slots__ = ("triangle", "coords")
+
+    def __init__(self, triangle, coords):
+        self.triangle = triangle
+        self.coords = coords  # three (numerator, denominator) monomial pairs, dual order
 
 
-@dataclass
-class AGraph:
-    table: tuple  # generator monomial of each character, indexed by `group.char_id`
-    socle: frozenset
+class AGraph(Record):
+    __slots__ = ("table", "socle")
+
+    def __init__(self, table, socle):
+        self.table = table  # generator monomial of each character, indexed by `group.char_id`
+        self.socle = socle  # frozenset
 
 
 def build_agraph(group, tri_index, vertices, coords) -> AGraph:

@@ -57,30 +57,34 @@ import functools
 import itertools
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from . import intmat
 from .errors import CorrespondenceError, InvariantViolationError
 from .fan import QuotientMap
 from .group import MONO_ONE
 from .recipe import CASE_BLOWNUP, CASE_DP6, CASE_P2, CASE_SCROLL
+from .record import Record
 
 
-@dataclass
-class VirtualBundle:
-    index: tuple  # the type-(ii) character
-    vertex: tuple
-    plus: tuple  # characters
-    minus: tuple
+class VirtualBundle(Record):
+    __slots__ = ("index", "vertex", "plus", "minus")
+
+    def __init__(self, index, vertex, plus, minus):
+        self.index = index  # the type-(ii) character
+        self.vertex = vertex
+        self.plus = plus  # characters
+        self.minus = minus
 
 
-@dataclass
-class CompactSurface:
-    vertex: tuple
-    rays: tuple  # cyclically ordered primitive rays of the star fan
-    edge_ids: tuple  # boundary curves, matching rays
-    self_intersections: tuple
-    surface_type: str
+class CompactSurface(Record):
+    __slots__ = ("vertex", "rays", "edge_ids", "self_intersections", "surface_type")
+
+    def __init__(self, vertex, rays, edge_ids, self_intersections, surface_type):
+        self.vertex = vertex
+        self.rays = rays  # cyclically ordered primitive rays of the star fan
+        self.edge_ids = edge_ids  # boundary curves, matching rays
+        self.self_intersections = self_intersections
+        self.surface_type = surface_type
 
 
 def virtual_bundle(group, vertex_mark, relation) -> VirtualBundle:

@@ -21,11 +21,11 @@ dropping the last coordinate, which preserves all incidence predicates.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import intmat
 from .errors import InputError, InvariantViolationError
-from .group import AbelianGroup, least_multiple, ratio_split
+from .group import least_multiple, ratio_split
+from .record import Record
 
 # ---------------------------------------------------------------------------
 # lattice helpers
@@ -94,21 +94,25 @@ def on_simplex_side(p, q):
     return any(p[i] == 0 == q[i] for i in CORNERS)
 
 
-@dataclass
-class CornerLine:
-    corner: int
-    dir2: tuple  # primitive direction in the corner quotient lattice
-    step: tuple  # primitive lattice step in the simplex plane
-    strength: int
-    u: tuple  # canonical invariant normal (ratio key)
-    plus: tuple
-    minus: tuple
-    origin: tuple  # the corner E_c
-    reach: int  # lattice steps from the corner to the simplex boundary
-    # knock-out results
-    death_t: int | None = None
-    final_strength: int | None = None
-    battles: list = field(default_factory=list)
+class CornerLine(Record):
+    __slots__ = ("corner", "dir2", "step", "strength", "u", "plus", "minus", "origin", "reach",
+                 "death_t", "final_strength", "battles")
+
+    def __init__(self, corner, dir2, step, strength, u, plus, minus, origin, reach,
+                 death_t=None, final_strength=None, battles=None):
+        self.corner = corner
+        self.dir2 = dir2  # primitive direction in the corner quotient lattice
+        self.step = step  # primitive lattice step in the simplex plane
+        self.strength = strength
+        self.u = u  # canonical invariant normal (ratio key)
+        self.plus = plus
+        self.minus = minus
+        self.origin = origin  # the corner E_c
+        self.reach = reach  # lattice steps from the corner to the simplex boundary
+        # knock-out results
+        self.death_t = death_t
+        self.final_strength = final_strength
+        self.battles = [] if battles is None else battles
 
     def endpoint(self):
         """Where the line dies, or else leaves the simplex."""
@@ -254,29 +258,35 @@ def monomial_knockout(ratio_a, ratio_b):
 # step 2: knock-out
 
 
-@dataclass
-class Battle:
-    lattice_point: tuple | None
-    participants: list  # line indices
-    winner: int | None
+class Battle(Record):
+    __slots__ = ("lattice_point", "participants", "winner")
+
+    def __init__(self, lattice_point, participants, winner):
+        self.lattice_point = lattice_point  # or None
+        self.participants = participants  # line indices
+        self.winner = winner  # line index or None
 
 
-@dataclass
-class Partition:
-    group: AbelianGroup
-    corner_lines: list
-    regular_triangles: list
-    battles: list
-    champion_point: tuple | None
+class Partition(Record):
+    __slots__ = ("group", "corner_lines", "regular_triangles", "battles", "champion_point")
+
+    def __init__(self, group, corner_lines, regular_triangles, battles, champion_point):
+        self.group = group
+        self.corner_lines = corner_lines
+        self.regular_triangles = regular_triangles
+        self.battles = battles
+        self.champion_point = champion_point  # or None
 
 
-@dataclass
-class RegularTriangle:
-    vertices: tuple  # CCW corner cycle
-    side: int
-    steps: tuple
-    kind: str  # "corner" | "champion"
-    corner: int | None
+class RegularTriangle(Record):
+    __slots__ = ("vertices", "side", "steps", "kind", "corner")
+
+    def __init__(self, vertices, side, steps, kind, corner):
+        self.vertices = vertices  # CCW corner cycle
+        self.side = side
+        self.steps = steps
+        self.kind = kind  # "corner" | "champion"
+        self.corner = corner  # or None
 
 
 def knockout(group):
@@ -547,35 +557,43 @@ def _regular_triangle(group, tri):
 # step 3: tesselation and the decorated triangulation
 
 
-@dataclass
-class Line:
-    u: tuple
-    plus: tuple
-    minus: tuple
-    character: tuple
-    kind: str  # "corner" | "boundary" | "tesselating"
-    corner: int | None
-    strength: int | None
-    final_strength: int | None
-    edges: list
-    endpoints: tuple
+class Line(Record):
+    __slots__ = ("u", "plus", "minus", "character", "kind", "corner", "strength",
+                 "final_strength", "edges", "endpoints")
+
+    def __init__(self, u, plus, minus, character, kind, corner, strength, final_strength,
+                 edges, endpoints):
+        self.u = u
+        self.plus = plus
+        self.minus = minus
+        self.character = character
+        self.kind = kind  # "corner" | "boundary" | "tesselating"
+        self.corner = corner  # or None, as are the strengths
+        self.strength = strength
+        self.final_strength = final_strength
+        self.edges = edges
+        self.endpoints = endpoints
 
 
-@dataclass
-class Edge:
-    a: tuple
-    b: tuple
-    line: int
-    interior: bool
-    triangles: list
+class Edge(Record):
+    __slots__ = ("a", "b", "line", "interior", "triangles")
+
+    def __init__(self, a, b, line, interior, triangles):
+        self.a = a
+        self.b = b
+        self.line = line
+        self.interior = interior
+        self.triangles = triangles
 
 
-@dataclass
-class Triangle:
-    vertices: tuple  # lex-sorted
-    orientation: str  # "up" | "down" within its regular triangle
-    regular: int
-    edges: tuple = ()  # edge ids, descending; edges[i] is the side opposite vertices[i]
+class Triangle(Record):
+    __slots__ = ("vertices", "orientation", "regular", "edges")
+
+    def __init__(self, vertices, orientation, regular, edges=()):
+        self.vertices = vertices  # lex-sorted
+        self.orientation = orientation  # "up" | "down" within its regular triangle
+        self.regular = regular
+        self.edges = edges  # edge ids, descending; edges[i] is the side opposite vertices[i]
 
 
 class Triangulation:

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 from .errors import InputError, InvariantViolationError, ResourceLimitError
 from . import intmat
+from .record import Record
 
 # x^i y^j z^k as a plain exponent triple
 Monomial = tuple[int, int, int]
@@ -36,11 +36,22 @@ DEFAULT_MAX_ORDER = 10**6
 _GEN_RE = re.compile(r"^\s*1\s*/\s*(\d+)\s*\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*$")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Generator list; each entry is (order, (a1, a2, a3))."""
+class GroupSpec(Record):
+    """Generator list; each entry is (order, (a1, a2, a3)).  Immutable and hashable."""
 
-    generators: tuple[tuple[int, tuple[int, int, int]], ...]
+    __slots__ = ("generators",)
+
+    def __init__(self, generators):
+        object.__setattr__(self, "generators", generators)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a GroupSpec")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a GroupSpec")
+
+    def __hash__(self):
+        return hash((self.generators,))
 
     def validate(self):
         for order, w in self.generators:

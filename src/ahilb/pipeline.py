@@ -29,7 +29,6 @@ that `completeness`, `duality` and `h2_basis` proved and checks nothing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from . import intmat
 from .charts import ChartSet
@@ -45,6 +44,7 @@ from .errors import AHilbError, CorrespondenceError, InputError, InvariantViolat
 from .fan import simplex_corners, triangulate
 from .group import DEFAULT_MAX_ORDER, MONO_ONE, build_group, least_multiple, parse_group_spec
 from .recipe import champion_identities, corner_region_characters, decorate, quiver_embedding
+from .record import Record
 from .relations import (
     check_bundle_degrees,
     completeness_check,
@@ -61,13 +61,15 @@ CHECK_GROUPS = {
 }
 
 
-@dataclass
-class RunReport:
-    spec: str
-    counts: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)  # console only, never serialized
-    failure: dict | None = None
+class RunReport(Record):
+    __slots__ = ("spec", "counts", "checks", "timings", "failure")
+
+    def __init__(self, spec, counts=None, checks=None, timings=None, failure=None):
+        self.spec = spec
+        self.counts = {} if counts is None else counts
+        self.checks = {} if checks is None else checks
+        self.timings = {} if timings is None else timings  # console only, never serialized
+        self.failure = failure  # or the failing check's record
 
     @property
     def passed(self):
@@ -76,21 +78,26 @@ class RunReport:
         )
 
 
-@dataclass
-class Artifacts:
-    spec_text: str
-    group: object
-    triangulation: object = None
-    charts: object = None
-    decoration: object = None
-    quiver: object = None
-    relations: list = None
-    surfaces: dict = None  # interior vertex -> CompactSurface
-    bundles: list = None
-    duality: int = None  # b4: the pairing is the b4 x b4 identity
-    h2: dict = None
-    certificate: dict = None
-    report: RunReport = None
+class Artifacts(Record):
+    __slots__ = ("spec_text", "group", "triangulation", "charts", "decoration", "quiver",
+                 "relations", "surfaces", "bundles", "duality", "h2", "certificate", "report")
+
+    def __init__(self, spec_text, group, triangulation=None, charts=None, decoration=None,
+                 quiver=None, relations=None, surfaces=None, bundles=None, duality=None,
+                 h2=None, certificate=None, report=None):
+        self.spec_text = spec_text
+        self.group = group
+        self.triangulation = triangulation
+        self.charts = charts
+        self.decoration = decoration
+        self.quiver = quiver
+        self.relations = relations
+        self.surfaces = surfaces  # interior vertex -> CompactSurface
+        self.bundles = bundles
+        self.duality = duality  # b4: the pairing is the b4 x b4 identity
+        self.h2 = h2
+        self.certificate = certificate
+        self.report = report
 
 
 def checks_for(which):

@@ -17,12 +17,11 @@ whose coordinates place the simplex barycentre in its triangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import intmat
 from .errors import InvariantViolationError, CorrespondenceError
 from .fan import simplex_corners
 from .group import MONO_ONE, monomial_mul
+from .record import Record
 
 CASE_P2 = "P2"
 CASE_SCROLL = "scroll"
@@ -50,14 +49,16 @@ _MISSES = {
 }
 
 
-@dataclass
-class VertexMark:
-    vertex: tuple
-    valency: int
-    case: str
-    marks: tuple  # one character, or the (type-iii, type-ii) ordered pair
-    through: dict  # character -> sorted incident edge ids
-    rhs: tuple  # the relation's right side: the characters marking two edges
+class VertexMark(Record):
+    __slots__ = ("vertex", "valency", "case", "marks", "through", "rhs")
+
+    def __init__(self, vertex, valency, case, marks, through, rhs):
+        self.vertex = vertex
+        self.valency = valency
+        self.case = case
+        self.marks = marks  # one character, or the (type-iii, type-ii) ordered pair
+        self.through = through  # character -> sorted incident edge ids
+        self.rhs = rhs  # the relation's right side: the characters marking two edges
 
     @property
     def case_number(self):
@@ -68,11 +69,13 @@ class VertexMark:
         return self.marks[-1]
 
 
-@dataclass
-class Decoration:
-    line_marks: dict  # line index -> character (interior lines only)
-    vertex_marks: dict  # vertex -> VertexMark
-    partition: dict  # "line" | "vertex" | "second" -> sorted character lists
+class Decoration(Record):
+    __slots__ = ("line_marks", "vertex_marks", "partition")
+
+    def __init__(self, line_marks, vertex_marks, partition):
+        self.line_marks = line_marks  # line index -> character (interior lines only)
+        self.vertex_marks = vertex_marks  # vertex -> VertexMark
+        self.partition = partition  # "line" | "vertex" | "second" -> sorted character lists
 
 
 def mark_lines(triangulation):
@@ -375,10 +378,12 @@ def champion_identities(triangulation, regular_index):
 # quiver fundamental domain
 
 
-@dataclass
-class QuiverEmbedding:
-    chart: int  # triangle whose monomial basis supplies the representatives
-    placements: dict  # character -> exponent representative
+class QuiverEmbedding(Record):
+    __slots__ = ("chart", "placements")
+
+    def __init__(self, chart, placements):
+        self.chart = chart  # triangle whose monomial basis supplies the representatives
+        self.placements = placements  # character -> exponent representative
 
 
 def quiver_embedding(chart_set) -> QuiverEmbedding:

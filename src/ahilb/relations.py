@@ -15,17 +15,18 @@ one {id: q} dict per edge, keyed by character id).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CorrespondenceError, InvariantViolationError
+from .record import Record
 
 
-@dataclass
-class Relation:
-    vertex: tuple
-    case: int  # 1..4
-    lhs: tuple  # characters (canonical representatives)
-    rhs: tuple
+class Relation(Record):
+    __slots__ = ("vertex", "case", "lhs", "rhs")
+
+    def __init__(self, vertex, case, lhs, rhs):
+        self.vertex = vertex
+        self.case = case  # 1..4
+        self.lhs = lhs  # characters (canonical representatives)
+        self.rhs = rhs
 
 
 def derive_relations(triangulation, decoration):

@@ -1,3 +1,4 @@
+import copy
 import os
 from pathlib import Path
 
@@ -25,6 +26,20 @@ def run30():
 @pytest.fixture(scope="session")
 def run_trivial():
     return run_pipeline("1")
+
+
+def replaced(record, **changes):
+    """A shallow copy of a record with the given fields changed.
+
+    Unknown field names raise TypeError, as `dataclasses.replace` does.
+    """
+    unknown = sorted(set(changes) - set(type(record).__slots__))
+    if unknown:
+        raise TypeError(f"{type(record).__qualname__} has no field {unknown}")
+    out = copy.copy(record)
+    for name, value in changes.items():
+        setattr(out, name, value)
+    return out
 
 
 def chi(group, index):

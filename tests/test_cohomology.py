@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import random
@@ -26,7 +25,7 @@ from ahilb.errors import CorrespondenceError, InvariantViolationError
 from ahilb.fan import triangulate
 from ahilb.group import MONO_ONE, build_group
 from ahilb.pipeline import run_pipeline
-from conftest import chi, surface_calculators
+from conftest import chi, replaced, surface_calculators
 from test_acceptance import _cyclic_family_runs
 from test_fan import _differential_specs, _oracle_lift
 
@@ -206,7 +205,7 @@ def test_virtual_bundle_names_sides_of_different_ranks(run11):
     # negative control: the valency-3 relation with one more character on its right
     g = run11.group
     r = next(r for r in run11.relations if r.vertex == (3, 6, 2))
-    grown = dataclasses.replace(r, rhs=r.rhs + (chi(g, 1),))
+    grown = replaced(r, rhs=r.rhs + (chi(g, 1),))
     with pytest.raises(InvariantViolationError) as err:
         virtual_bundle(g, run11.decoration.vertex_marks[r.vertex], grown)
     assert str(err.value) == "virtual bundle sides have different ranks"

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 from collections import Counter
@@ -15,6 +14,7 @@ from ahilb.errors import InputError, InvariantViolationError
 from ahilb.fan import QuotientMap, corner_fan, knockout, monomial_knockout, triangulate
 from ahilb.group import _scaled_lattice, build_group
 from ahilb.pipeline import run_pipeline
+from conftest import replaced
 from test_acceptance import _cyclic_family_up_to_30
 
 
@@ -828,7 +828,7 @@ def _named(*lines):
 def test_parallel_lines_are_named(monkeypatch):
     g = build_group("1/11(1,2,8)")
     line = corner_fan(g, 0)[0]
-    twin = dataclasses.replace(line, corner=1, origin=fan.simplex_corners(g.order)[1])
+    twin = replaced(line, corner=1, origin=fan.simplex_corners(g.order)[1])
     _stand_in_fans(monkeypatch, [line, twin])
     with pytest.raises(InvariantViolationError) as err:
         knockout(g)
@@ -839,7 +839,7 @@ def test_parallel_lines_are_named(monkeypatch):
 def test_lines_crossing_outside_are_named(monkeypatch):
     g = build_group("1/11(1,2,8)")
     line, other = corner_fan(g, 0)[0], corner_fan(g, 1)[0]
-    away = dataclasses.replace(other, step=intmat.vec_neg(other.step))
+    away = replaced(other, step=intmat.vec_neg(other.step))
     _stand_in_fans(monkeypatch, [line, away])
     with pytest.raises(InvariantViolationError) as err:
         knockout(g)
@@ -877,7 +877,7 @@ def test_survivor_off_the_lattice_is_named(monkeypatch):
     """A lone line of twice a real step: 2 does not divide 11 steps of the corner."""
     g = build_group("1/11(1,2,8)")
     line = corner_fan(g, 0)[0]
-    doubled = dataclasses.replace(line, step=intmat.vec_scale(2, line.step))
+    doubled = replaced(line, step=intmat.vec_scale(2, line.step))
     _stand_in_fans(monkeypatch, [doubled])
     with pytest.raises(InvariantViolationError) as err:
         knockout(g)
@@ -918,7 +918,7 @@ def test_battle_with_repeated_corners_is_named():
 def test_defeated_line_that_runs_on_is_named():
     """A real battle resolved with no line dead: both losers are named."""
     part = knockout(build_group("1/11(1,2,8)"))
-    lines = [dataclasses.replace(ln, battles=[]) for ln in part.corner_lines]
+    lines = [replaced(ln, battles=[]) for ln in part.corner_lines]
     battle = next(b for b in part.battles if b.winner is not None)
     pt = battle.lattice_point
     parts = {pt: {k: intmat.content(intmat.vec_sub(pt, lines[k].origin))

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import traceback
 from pathlib import Path
@@ -12,6 +11,7 @@ from ahilb.errors import CorrespondenceError, InputError
 from ahilb.fan import simplex_corners, triangulate
 from ahilb.group import AbelianGroup, build_group
 from ahilb.pipeline import ALL_CHECKS, CHECK_GROUPS, checks_for, run_pipeline
+from conftest import replaced
 
 
 def test_check_families_are_ordered_slices_of_the_stage_table():
@@ -248,7 +248,7 @@ def test_partition_names_a_repeated_vertex_mark(monkeypatch):
         if vm.case == recipe.CASE_DP6:
             return vm
         seen.append(vm.marks)
-        return dataclasses.replace(vm, marks=seen[0]) if len(seen) == 2 else vm
+        return replaced(vm, marks=seen[0]) if len(seen) == 2 else vm
 
     monkeypatch.setattr(recipe, "mark_vertex", repeated)
     art = run_pipeline("1/30(25,2,3)", which="recipe")

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import random
 from collections import Counter
@@ -25,7 +24,7 @@ from ahilb.recipe import (
     quiver_embedding,
 )
 from ahilb.relations import Relation
-from conftest import chi
+from conftest import chi, replaced
 from test_acceptance import _cyclic_family_runs
 from test_fan import _differential_specs
 from test_group import _SWEEP_PRODUCTS
@@ -322,7 +321,7 @@ def test_side_ratios_are_the_line_ratios_of_the_sides():
 def _with_regular(T, regular_index, **changes):
     """T's group, regular triangles and edge index, with one regular triangle changed."""
     regs = list(T.regular_triangles)
-    regs[regular_index] = dataclasses.replace(regs[regular_index], **changes)
+    regs[regular_index] = replaced(regs[regular_index], **changes)
     return SimpleNamespace(group=T.group, regular_triangles=regs, edges=T.edges,
                            lines=T.lines, vertex_edge_map=T.vertex_edge_map)
 
@@ -415,7 +414,7 @@ def test_wrong_regular_side_fails_the_ratios_check(monkeypatch):
 
     def lengthened(group):
         T = real_triangulate(group)
-        T.regular_triangles[7] = dataclasses.replace(T.regular_triangles[7], side=3)
+        T.regular_triangles[7] = replaced(T.regular_triangles[7], side=3)
         return T
 
     monkeypatch.setattr(pipeline, "triangulate", lengthened)
@@ -583,7 +582,7 @@ def _with_lines(T, **changes):
     fake.lines = list(T.lines)
     for field, by_line in changes.items():
         for li, value in by_line.items():
-            fake.lines[li] = dataclasses.replace(fake.lines[li], **{field: value})
+            fake.lines[li] = replaced(fake.lines[li], **{field: value})
     return fake
 
 

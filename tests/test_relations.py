@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -15,7 +14,7 @@ from ahilb.relations import (
     derive_relations,
     verify_all_relations,
 )
-from conftest import chi, verify_relation_chartwise
+from conftest import chi, replaced, verify_relation_chartwise
 from test_cohomology import DIFFERENTIAL_SPECS
 
 
@@ -54,8 +53,8 @@ def test_dp6_marks_off_the_line_sum_are_named(run30):
     T, D = run30.triangulation, run30.decoration
     v = next(v for v, vm in D.vertex_marks.items() if vm.case == "dP6")
     vm = D.vertex_marks[v]
-    doctored = dataclasses.replace(D, vertex_marks={
-        **D.vertex_marks, v: dataclasses.replace(vm, marks=(vm.marks[0], vm.marks[0]))})
+    doctored = replaced(D, vertex_marks={
+        **D.vertex_marks, v: replaced(vm, marks=(vm.marks[0], vm.marks[0]))})
     with pytest.raises(InvariantViolationError) as err:
         derive_relations(T, doctored)
     assert str(err.value) == "relation sides have different character sums"
