@@ -29,7 +29,7 @@ tables'.  So the ChartSet keeps the degree table and table 0 but not the
 characters up by id, never by exponent triple.  `ChartSet.agraphs` is a
 read-only view that rebuilds the tables: reading it in order costs one
 replay per table, and indexing replays along the walk tree.  `ahilb check` at
-`1/1601(1,7,1593)` peaks at 39 MB, against 79 MB with every table kept.
+`1/1601(1,7,1593)` peaks at 37 MB, against 79 MB with every table kept.
 A ChartSet is read-only once built.
 """
 
@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cache
 from heapq import heappop, heappush
+from itertools import count
 
 from . import intmat
 from .errors import InvariantViolationError
@@ -336,30 +337,41 @@ class ChartSet:
     its line and minimal, so the signed ratios are the dual basis of the
     vertices (Fulton, *Introduction to Toric Varieties*, 2.1).
 
-    Triangle 0's table comes from `build_agraph`; a breadth-first walk
-    crosses every interior edge once, from whichever of its triangles it
-    built first (`_transition_table`), taking each triangle's sides in
-    ascending edge id.  Across a tree edge of the walk the transitioned
-    table becomes the neighbour's, checked for division closure and
-    minimality, and its socle found, only around the generators that moved
-    (`_moves_checker`, by lookups by weight from the parent's socle ids);
-    across any other edge it must equal the neighbour's table, built and
-    not yet walked from.  Either way the crossing gives the edge's column
-    of the degree table, {id: q} for the character ids of nonzero degree q
-    on the edge's curve, each key the group's shared id object
-    (`group.char_ids`); `_degree` holds these columns by edge id, with an
-    empty column for each boundary edge.  A triangle the walk cannot reach
-    is an error.
+    Triangle 0's table comes from `build_agraph`, and a walk crosses every
+    interior edge once (`_transition_table`).  Once a triangle's table is
+    built, the walk crosses at once each of its sides whose neighbour is
+    built, where the transitioned table must equal the neighbour's, and
+    queues the others.  The next tree edge is the lightest queued side
+    whose edge is not crossed yet: sides on tesselating lines (no zero in
+    the ratio u) before sides on corner lines, then the larger |u|_1
+    first, then in the order queued.  Few generators move across a light
+    edge, and the heavy ones lie on the corner lines of the corner with
+    the large weight (Craw-Reid, math/9909085), so at `1/401(1,7,393)` the
+    tree edges move 6,108 generators (52,721 at 1601) where a breadth-first
+    tree moved 21,290 (296,245).  Across a tree edge the transitioned table
+    becomes the neighbour's, checked for division closure and minimality,
+    and its socle found, only around the generators that moved
+    (`_moves_checker`, by lookups by weight from the parent's socle ids).
+    Either way the crossing gives the edge's column of the degree table,
+    {id: q} for the character ids of nonzero degree q on the edge's curve,
+    each key the group's shared id object (`group.char_ids`); `_degree`
+    holds these columns by edge id, with an empty column for each boundary
+    edge.  The tables are canonical, so the order of the walk changes no
+    table, socle or column.  A triangle the walk cannot reach is an error.
 
-    A table is dropped once the walk has crossed its sides, so only the
-    walk's frontier is alive (at most 57 tables at |A| = 1601).  What is
-    kept is table 0, the character ids of each socle (`socle_ids`), each
-    triangle's walk parent and the edge crossed from it, and the degree
-    columns.  Those say every table: each generator m whose id is in a
-    column moves to m - q*v across the edge, with v the edge ratio
-    oriented toward the new triangle's far vertex, whichever side the walk
-    crossed from, and every other generator stays.  `agraphs` rebuilds the
-    tables that way (`_AGraphs`).
+    A table is dropped once all its sides are crossed, so only the walk's
+    frontier is alive: at most 56 tables at |A| = 401 and 206 at 1601
+    (breadth-first: 31 and 56), and 801 on `1/1601(1,1,1599)`.  Crossing
+    the sides between built tables at once is what keeps the frontier that
+    small: left to the heap, a table waits for its heavy sides, and 173
+    tables were alive at 401, 692 at 1601 and all 1,600 on
+    `1/1601(1,1,1599)`.  What is kept is table 0, the character ids of
+    each socle (`socle_ids`), each triangle's walk parent and the edge
+    crossed from it, and the degree columns.  Those say every table: each
+    generator m whose id is in a column moves to m - q*v across the edge,
+    with v the edge ratio oriented toward the new triangle's far vertex,
+    whichever side the walk crossed from, and every other generator stays.
+    `agraphs` rebuilds the tables that way (`_AGraphs`).
     """
 
     def __init__(self, triangulation):
@@ -386,11 +398,18 @@ class ChartSet:
         parent = [None] * len(tris)  # walk parent, and the edge crossed from it
         # per edge: character id -> nonzero degree, filled as the walk crosses it
         columns = [None if e.interior else {} for e in edges]
-        live = {0: root}  # the tables built and not yet walked from
-        queue = [0]
-        for ti in queue:
+        # per line: tesselating lines (no zero in u) first, then the larger |u|_1
+        norms = [sum(map(abs, ln.u)) for ln in lines]
+        top = 1 + max(norms, default=0)
+        rank = [(0 in ln.u) * top - n for ln, n in zip(lines, norms)]
+        live = {}  # the tables built with a side not yet crossed
+        left = [0] * len(tris)  # the sides queued from each table and not yet crossed
+        heap = []  # (rank, push order, triangle, side) toward a triangle not built then
+        order = count()
+
+        def settle(ti, table):
+            """Cross triangle ti's sides to built tables, and queue the others."""
             tri = tris[ti]
-            table = live.pop(ti)
             for i in (2, 1, 0):  # ascending edge id
                 ei = tri.edges[i]
                 if columns[ei] is not None:
@@ -398,19 +417,44 @@ class ChartSet:
                 e = edges[ei]
                 t1, t2 = e.triangles
                 tj = t2 if t1 == ti else t1
+                if socles[tj] is None:
+                    heappush(heap, (rank[e.line], next(order), ti, i))
+                    left[ti] += 1
+                    continue
                 nbr = tris[tj]
                 u = lines[e.line].u
-                walked, columns[ei], moved = _transition_table(
+                walked, columns[ei], _ = _transition_table(
                     table, u, e, tri.vertices[i], nbr.vertices[nbr.edges.index(ei)], ids
                 )
-                if tj in live:
-                    _check_same_table(walked, live[tj], u, e, chars)
-                    continue
-                socles[tj] = check(tj, walked, table, moved, socles[ti], self.charts[tj].coords)
-                parent[tj] = (ti, ei)
-                live[tj] = walked
-                queue.append(tj)
-        if len(queue) != len(tris):
+                _check_same_table(walked, live[tj], u, e, chars)
+                left[tj] -= 1
+                if not left[tj]:
+                    del live[tj]
+            if left[ti]:
+                live[ti] = table
+
+        settle(0, root)
+        while heap:
+            _, _, ti, i = heappop(heap)
+            tri = tris[ti]
+            ei = tri.edges[i]
+            if columns[ei] is not None:
+                continue  # crossed when its other triangle was built
+            e = edges[ei]
+            t1, t2 = e.triangles
+            tj = t2 if t1 == ti else t1
+            nbr = tris[tj]
+            table = live[ti]
+            left[ti] -= 1
+            if not left[ti]:
+                del live[ti]
+            walked, columns[ei], moved = _transition_table(
+                table, lines[e.line].u, e, tri.vertices[i], nbr.vertices[nbr.edges.index(ei)], ids
+            )
+            socles[tj] = check(tj, walked, table, moved, socles[ti], self.charts[tj].coords)
+            parent[tj] = (ti, ei)
+            settle(tj, walked)
+        if None in socles:
             raise InvariantViolationError(
                 "triangle not reachable across interior edges",
                 detail={"triangle": socles.index(None)},
@@ -431,11 +475,10 @@ class ChartSet:
 class _AGraphs(Sequence):
     """`ChartSet.agraphs`: each triangle's AGraph, rebuilt from table 0 and the degree columns.
 
-    Indexing replays the walk tree's edges from triangle 0, or from the
-    deepest ancestor on the last path indexed (the tree is breadth-first,
-    45 edges deep at |A| = 1601).  That path is replaced whole, never
-    changed in place, so concurrent readers get correct tables.  Iteration
-    goes in triangle order, one replay per table (`replayed`).
+    Indexing moves one copy of table 0 across the walk tree's edges up
+    from the triangle indexed (the tree is 84 edges deep at |A| = 401 and
+    255 at 1601, against 24 and 45 breadth-first), and keeps no table.
+    Iteration goes in triangle order, one replay per table (`replayed`).
     """
 
     def __init__(self, triangulation, root, parent, socle_ids, columns):
@@ -443,7 +486,7 @@ class _AGraphs(Sequence):
         self._parent = parent
         self._socle_ids = socle_ids
         self._columns = columns
-        self._path = {0: root}  # the tables from triangle 0 down to the last one indexed
+        self._root = root
 
     def __len__(self):
         return len(self._parent)
@@ -498,31 +541,31 @@ class _AGraphs(Sequence):
 
     def _replay(self, table, ei, ti):
         """Triangle ti's table from its neighbour's `table` across edge ei."""
+        out = list(table)
+        self._move(out, ei, ti)
+        return tuple(out)
+
+    def _move(self, out, ei, ti):
+        """Move the generators in list `out` across edge ei, toward triangle ti."""
         T = self._triangulation
         tri = T.triangles[ti]
         u = T.lines[T.edges[ei].line].u
         far = tri.vertices[tri.edges.index(ei)]
         v0, v1, v2 = u if intmat.vec_dot(u, far) > 0 else intmat.vec_neg(u)
-        out = list(table)
         for k, q in self._columns[ei].items():
             m = out[k]
             out[k] = (m[0] - q * v0, m[1] - q * v1, m[2] - q * v2)
-        return tuple(out)
 
     def _table(self, ti):
-        """Triangle ti's table, replayed down the walk tree from its deepest
-        ancestor on the last path indexed, which then ends at ti."""
-        path = self._path
-        down = []
-        while ti not in path:
-            down.append(ti)
-            ti = self._parent[ti][0]
-        kept = {}
-        for t, table in path.items():
-            kept[t] = table
-            if t == ti:
-                break
-        for t in reversed(down):
-            kept[t] = table = self._replay(table, self._parent[t][1], t)
-        self._path = kept
-        return table
+        """Triangle ti's table, table 0 moved across every edge of ti's walk-tree path.
+
+        Each crossing adds -q*v to the generators of its column, and these
+        moves add up in any order, so they are made up the path into one
+        copy of table 0: one copy and the path's moves, however deep the tree.
+        """
+        out = list(self._root)
+        while ti:
+            parent, ei = self._parent[ti]
+            self._move(out, ei, ti)
+            ti = parent
+        return tuple(out)

@@ -30,10 +30,16 @@ def _simplex_layout(order):
         (_MARGIN + side / 2.0, _MARGIN),  # e3 top
     ]
 
+    (x0, y0), (x1, y1), (x2, y2) = corners
+    cached = {}  # a vertex is the end of several edges and lines
+
     def pos(p):
-        x = sum(p[i] * corners[i][0] for i in range(3)) / order
-        y = sum(p[i] * corners[i][1] for i in range(3)) / order
-        return x, y
+        xy = cached.get(p)
+        if xy is None:
+            a, b, c = p
+            xy = cached[p] = ((a * x0 + b * x1 + c * x2) / order,
+                              (a * y0 + b * y1 + c * y2) / order)
+        return xy
 
     return pos, height
 
@@ -104,12 +110,13 @@ def _hex_center(cell):
     )
 
 
+# corner k of a hexagon lies at 60k + 30 degrees from its centre
+_HEX_ANGLES = [(60.0 * k + 30.0) * pi / 180.0 for k in range(6)]
+_HEX_OFFSETS = [(_HEX_R * cos(ang), _HEX_R * sin(ang)) for ang in _HEX_ANGLES]
+
+
 def _hex_corners(cx, cy):
-    pts = []
-    for k in range(6):
-        ang = (60.0 * k + 30.0) * pi / 180.0
-        pts.append((cx + _HEX_R * cos(ang), cy + _HEX_R * sin(ang)))
-    return pts
+    return [(cx + dx, cy + dy) for dx, dy in _HEX_OFFSETS]
 
 
 def quiver_svg(art) -> str:

@@ -648,6 +648,29 @@ def test_svg_deterministic(run11):
     assert quiver_svg(run11) == quiver_svg(run11)
 
 
+_SVG_SHA256 = {
+    "1/30(25,2,3)": (
+        "b6076b0401d1bdb1b11221a0c2bb944c1ca118d6d9729e11cf1bcc7da4c022af",
+        "2d37f0536177e31ba2aa58eb302dd9d0c2a89542b5e87c04d9b9b1ca25f520e5",
+    ),
+    "1/401(1,7,393)": (
+        "b5e7c406746aad92d8ca09b4a73b958984b6aa00ab6e36de9adaa2e549edda1f",
+        "5bd836498c5d400c3804455835606e661a44cde6cc1f19e4610efbc33cba0562",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_SVG_SHA256))
+def test_svg_bytes_are_pinned(spec, run30):
+    """Both drawings keep their bytes: the cached simplex positions and the
+    hexagon corner offsets computed once give the floats computed per point."""
+    art = run30 if spec == "1/30(25,2,3)" else run_pipeline(spec)
+    digests = tuple(
+        hashlib.sha256(svg.encode()).hexdigest() for svg in (triangulation_svg(art), quiver_svg(art))
+    )
+    assert digests == _SVG_SHA256[spec]
+
+
 def test_report_failure_is_none_on_success(run11):
     assert run11.report.failure is None
     assert run11.report.passed
