@@ -9,7 +9,7 @@ from .errors import (
 )
 from .group import AbelianGroup, GroupSpec, build_group, parse_group_spec
 from .fan import Triangulation, corner_fan, knockout, monomial_knockout, triangulate
-from .charts import AGraph, Chart, ChartSet, build_agraph
+from .charts import AGraph, ChartSet, build_agraph
 from .recipe import (
     Decoration,
     VertexMark,
@@ -53,7 +53,6 @@ __all__ = [
     "monomial_knockout",
     "triangulate",
     "AGraph",
-    "Chart",
     "ChartSet",
     "build_agraph",
     "Decoration",

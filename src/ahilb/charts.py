@@ -46,14 +46,6 @@ from .group import MONO_ONE
 from .record import Record
 
 
-class Chart(Record):
-    __slots__ = ("triangle", "coords")
-
-    def __init__(self, triangle, coords):
-        self.triangle = triangle
-        self.coords = coords  # three (numerator, denominator) monomial pairs, dual order
-
-
 class AGraph(Record):
     __slots__ = ("table", "socle")
 
@@ -177,12 +169,13 @@ def _weight_steps(group):
 def _moves_checker(group):
     """The walk's check of a table derived across a tree edge, around its moved generators.
 
-    `check(tj, walked, table, moved, socle, coords)` returns the socle ids
+    `check(tj, walked, table, column, socle, coords)` returns the socle ids
     of triangle tj's table `walked`, which `_transition_table` made from
     the checked `table` (socle ids `socle`) by moving the generators at
-    ids `moved`; `coords` are tj's chart coordinates.  It checks what
-    `_checked_socle` checks, by lookups by weight (`_weight_steps`) at a
-    few ids, with no set of the table's generators built:
+    the ids of its degree column `column`, the moved ids; `coords` are
+    tj's chart coordinates.  It checks what `_checked_socle` checks, by
+    lookups by weight (`_weight_steps`) at a few ids, with no set of the
+    table's generators built:
     - Division closure.  A generator that did not move has its parent's
       divisors, each still there unless it was vacated.  So `walked` is
       closed exactly when every moved generator's new monomial has its
@@ -201,12 +194,12 @@ def _moves_checker(group):
     (u0, u1, u2), (d0, d1, d2) = _weight_steps(group)
     char_id = cache(group.char_id)  # a chart numerator is a side of a line, shared by many charts
 
-    def check(tj, walked, table, moved, socle, coords):
+    def check(tj, walked, table, column, socle, coords):
         W = walked
-        gone = set(moved)  # and the divisors of new monomials: out of the socle or decided here
+        gone = set(column)  # and the divisors of new monomials: out of the socle or decided here
         joins = []  # the moved ids in the socle
         below = []  # the divisors of vacated monomials
-        for k in moved:
+        for k in column:
             a, b, c = W[k]
             x, y, z = table[k]
             w0, w1, w2 = W[u0[k]], W[u1[k]], W[u2[k]]
@@ -265,11 +258,10 @@ def _transition_table(table, u, edge, near, far, ids):
     largest q the octant allows: q = min over v_i > 0 of m_i // v_i,
     which is the degree of the weight-chi bundle on the edge's curve.
     This side's far vertex `near` must pair negatively with v, or the
-    support function is not convex across the edge.  Returns the table,
-    {id: q} for the generators that move (q > 0), keyed by the shared
-    character ids `ids` (`group.char_ids`), and the ids of those generators
-    in ascending order; the generators that do not move are shared with
-    this table.
+    support function is not convex across the edge.  Returns the table
+    and its degree column, {id: q} for the generators that move (q > 0),
+    keyed by the shared character ids `ids` (`group.char_ids`) in ascending
+    order; the generators that do not move are shared with this table.
 
     Since m >= 0, q > 0 exactly when m_i >= v_i for each v_i > 0, so the
     scan compares first and divides only at the generators that move
@@ -291,7 +283,6 @@ def _transition_table(table, u, edge, near, far, ids):
     (i, vi), (j, vj) = pos[0], pos[-1]
     out = list(table)
     column = {}
-    moved = []
     for k, m in zip(ids, table):
         if m[i] >= vi and m[j] >= vj:
             q = m[i] // vi
@@ -300,8 +291,7 @@ def _transition_table(table, u, edge, near, far, ids):
                 q = r
             out[k] = (m[0] - q * v0, m[1] - q * v1, m[2] - q * v2)
             column[k] = q
-            moved.append(k)
-    return tuple(out), column, moved
+    return tuple(out), column
 
 
 def _check_same_table(walked, table, u, edge, chars):
@@ -329,13 +319,15 @@ def _check_same_table(walked, table, u, edge, chars):
 class ChartSet:
     """Charts, monomial bases and curve degrees for a whole triangulation.
 
-    Chart coordinate i of a triangle is the line table's ratio of its side
-    opposite vertex i (`Triangle.edges[i]`), signed positive at that vertex,
-    where it must pair to exactly |A|; given the line table, that holds
-    exactly when the triangle is basic.  The `basic` stage proves |det| =
-    |A|^2 and the `ratios` stage proves each ratio invariant, vanishing on
-    its line and minimal, so the signed ratios are the dual basis of the
-    vertices (Fulton, *Introduction to Toric Varieties*, 2.1).
+    `coords[ti]` holds triangle ti's three chart coordinates, each a
+    (numerator, denominator) pair of monomials.  Coordinate i is the line
+    table's ratio of the side opposite vertex i (`Triangle.edges[i]`),
+    signed positive at that vertex, where it must pair to exactly |A|;
+    given the line table, that holds exactly when the triangle is basic.
+    The `basic` stage proves |det| = |A|^2 and the `ratios` stage proves
+    each ratio invariant, vanishing on its line and minimal, so the signed
+    ratios are the dual basis of the vertices (Fulton, *Introduction to
+    Toric Varieties*, 2.1).
 
     Triangle 0's table comes from `build_agraph`, and a walk crosses every
     interior edge once (`_transition_table`).  Once a triangle's table is
@@ -380,8 +372,8 @@ class ChartSet:
         chars, ids = g.characters(), g.char_ids()
         check = _moves_checker(g)
         tris, edges, lines = T.triangles, T.edges, T.lines
-        self.charts = []
-        for ti, tri in enumerate(tris):
+        self.coords = []
+        for tri in tris:
             coords = []
             for p, ei in zip(tri.vertices, tri.edges):
                 ln = lines[edges[ei].line]
@@ -390,8 +382,8 @@ class ChartSet:
                     raise InvariantViolationError("chart requested for a non-basic triangle",
                                                   detail={"vertices": tri.vertices})
                 coords.append((ln.plus, ln.minus) if s > 0 else (ln.minus, ln.plus))
-            self.charts.append(Chart(ti, tuple(coords)))
-        graph = build_agraph(g, 0, tris[0].vertices, self.charts[0].coords)
+            self.coords.append(tuple(coords))
+        graph = build_agraph(g, 0, tris[0].vertices, self.coords[0])
         root = graph.table
         self.socle_ids = socles = [None] * len(tris)
         socles[0] = tuple(k for k, m in enumerate(root) if m in graph.socle)
@@ -407,26 +399,35 @@ class ChartSet:
         heap = []  # (rank, push order, triangle, side) toward a triangle not built then
         order = count()
 
+        def cross(ti, i, table):
+            """Cross side i of triangle ti from its `table` and store the edge's column.
+
+            Returns the triangle across the side and its transitioned table.
+            """
+            tri = tris[ti]
+            ei = tri.edges[i]
+            e = edges[ei]
+            tj = sum(e.triangles) - ti
+            nbr = tris[tj]
+            walked, columns[ei] = _transition_table(
+                table, lines[e.line].u, e, tri.vertices[i], nbr.vertices[nbr.edges.index(ei)], ids
+            )
+            return tj, walked
+
         def settle(ti, table):
             """Cross triangle ti's sides to built tables, and queue the others."""
-            tri = tris[ti]
             for i in (2, 1, 0):  # ascending edge id
-                ei = tri.edges[i]
+                ei = tris[ti].edges[i]
                 if columns[ei] is not None:
                     continue
                 e = edges[ei]
-                t1, t2 = e.triangles
-                tj = t2 if t1 == ti else t1
+                tj = sum(e.triangles) - ti
                 if socles[tj] is None:
                     heappush(heap, (rank[e.line], next(order), ti, i))
                     left[ti] += 1
                     continue
-                nbr = tris[tj]
-                u = lines[e.line].u
-                walked, columns[ei], _ = _transition_table(
-                    table, u, e, tri.vertices[i], nbr.vertices[nbr.edges.index(ei)], ids
-                )
-                _check_same_table(walked, live[tj], u, e, chars)
+                _, walked = cross(ti, i, table)
+                _check_same_table(walked, live[tj], lines[e.line].u, e, chars)
                 left[tj] -= 1
                 if not left[tj]:
                     del live[tj]
@@ -436,22 +437,15 @@ class ChartSet:
         settle(0, root)
         while heap:
             _, _, ti, i = heappop(heap)
-            tri = tris[ti]
-            ei = tri.edges[i]
+            ei = tris[ti].edges[i]
             if columns[ei] is not None:
                 continue  # crossed when its other triangle was built
-            e = edges[ei]
-            t1, t2 = e.triangles
-            tj = t2 if t1 == ti else t1
-            nbr = tris[tj]
             table = live[ti]
             left[ti] -= 1
             if not left[ti]:
                 del live[ti]
-            walked, columns[ei], moved = _transition_table(
-                table, lines[e.line].u, e, tri.vertices[i], nbr.vertices[nbr.edges.index(ei)], ids
-            )
-            socles[tj] = check(tj, walked, table, moved, socles[ti], self.charts[tj].coords)
+            tj, walked = cross(ti, i, table)
+            socles[tj] = check(tj, walked, table, columns[ei], socles[ti], self.coords[tj])
             parent[tj] = (ti, ei)
             settle(tj, walked)
         if None in socles:

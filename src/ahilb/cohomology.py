@@ -133,7 +133,7 @@ def surface_star(triangulation, vertex) -> CompactSurface:
         )
     qm = QuotientMap(g, vertex)
     rays = []
-    for ei in T.vertex_edge_map()[vertex]:
+    for ei in T.vertex_edges[vertex]:
         e = T.edges[ei]
         # a basic triangle's edge is one primitive lattice step (the `basic` check)
         rays.append((qm.proj(intmat.vec_sub(e.b if e.a == vertex else e.a, vertex)), ei))

@@ -602,7 +602,12 @@ class Triangulation:
     Construction checks how many triangles each edge borders and builds
     every incidence index (a triangle's sides, an edge's triangles and line,
     a line's edges, a vertex's edges and triangles), so the object is not
-    written to after it.  The pipeline checks the vertex set and Euler
+    written to after it.  Each index is an attribute, read directly:
+    `points`, `edges`, `lines` and `triangles`; `interior_vertices` and
+    `boundary_vertices` (the points with no zero coordinate, and the rest,
+    each in `points` order); `interior_edges` (ids, ascending); and
+    `vertex_edges` and `vertex_triangles`, which map each point to the ids
+    of its edges and of its triangles, ascending.  The pipeline checks the vertex set and Euler
     counts (`euler`), unimodularity (`basic`), and the line table that chart
     coordinates and side ratios are read from (`ratios`).
     """
@@ -697,36 +702,17 @@ class Triangulation:
                 self.edges[ei].line = li
 
     def _build_indices(self):
-        self._interior_vertices = [p for p in self.points if min(p) > 0]
-        self._boundary_vertices = [p for p in self.points if min(p) == 0]
-        self._interior_edges = [ei for ei, e in enumerate(self.edges) if e.interior]
-        self._vertex_edges = {}
+        self.interior_vertices = [p for p in self.points if min(p) > 0]
+        self.boundary_vertices = [p for p in self.points if min(p) == 0]
+        self.interior_edges = [ei for ei, e in enumerate(self.edges) if e.interior]
+        self.vertex_edges = {}  # vertex -> ids of its incident edges, ascending
         for ei, e in enumerate(self.edges):
-            self._vertex_edges.setdefault(e.a, []).append(ei)
-            self._vertex_edges.setdefault(e.b, []).append(ei)
-        self._vertex_triangles = {}
+            self.vertex_edges.setdefault(e.a, []).append(ei)
+            self.vertex_edges.setdefault(e.b, []).append(ei)
+        self.vertex_triangles = {}  # vertex -> ids of the triangles with it, ascending
         for ti, t in enumerate(self.triangles):
             for p in t.vertices:
-                self._vertex_triangles.setdefault(p, []).append(ti)
-
-    # -- queries ----------------------------------------------------------------
-
-    def interior_vertices(self):
-        return self._interior_vertices
-
-    def boundary_vertices(self):
-        return self._boundary_vertices
-
-    def vertex_edge_map(self):
-        """vertex -> ids of its incident edges, ascending."""
-        return self._vertex_edges
-
-    def interior_edges(self):
-        return self._interior_edges
-
-    def triangles_at(self, v):
-        """Ids of the triangles with vertex v, ascending."""
-        return self._vertex_triangles.get(v, [])
+                self.vertex_triangles.setdefault(p, []).append(ti)
 
 
 def triangulate(group) -> Triangulation:

@@ -139,8 +139,8 @@ def _counts(art):
     T = art.triangulation
     if T is not None:
         counts["triangles"] = len(T.triangles)
-        counts["interior_vertices"] = len(T.interior_vertices())
-        counts["boundary_vertices"] = len(T.boundary_vertices())
+        counts["interior_vertices"] = len(T.interior_vertices)
+        counts["boundary_vertices"] = len(T.boundary_vertices)
         counts["edges"] = len(T.edges)
         counts["lines"] = len(T.lines)
         counts["regular_triangles"] = len(T.regular_triangles)
@@ -161,8 +161,8 @@ def _build_fan(art):
             "fan vertices differ from the simplex lattice points",
             detail={"missing": sorted(expected - points), "extra": sorted(points - expected)},
         )
-    I = len(T.interior_vertices())
-    B = len(T.boundary_vertices())
+    I = len(T.interior_vertices)
+    B = len(T.boundary_vertices)
     counts = {"triangles": len(T.triangles), "interior": I, "boundary": B}
     if len(T.triangles) != order or 2 * I + B - 2 != order:
         raise InvariantViolationError("euler counts failed", detail=counts)
@@ -242,7 +242,7 @@ def _check_chart_properties(art):
     """
     T = art.triangulation
     C = art.charts
-    interior = T.interior_edges()
+    interior = T.interior_edges
     for ei in interior:
         e = T.edges[ei]
         if C.degree_on_curve(T.lines[e.line].character, ei) != 1:

@@ -151,7 +151,7 @@ def mark_vertex(triangulation, chart_set, vertex, edge_ids):
     else:
         marks = (g.char_sum(rhs),)
         k = g.char_id(marks[0])
-        for ti in T.triangles_at(vertex):
+        for ti in T.vertex_triangles[vertex]:
             if k not in chart_set.socle_ids[ti]:
                 raise InvariantViolationError(
                     "vertex mark generator missing from a socle",
@@ -170,7 +170,7 @@ def _dp6_marks(T, chart_set, vertex, line_chars):
     """
     g = T.group
     chars = g.characters()
-    common = set.intersection(*(set(chart_set.socle_ids[ti]) for ti in T.triangles_at(vertex)))
+    common = set.intersection(*(set(chart_set.socle_ids[ti]) for ti in T.vertex_triangles[vertex]))
     cands = {chars[k] for k in common} - set(line_chars) - {g.reduce(MONO_ONE)}
     if len(cands) != 2:
         raise InvariantViolationError(
@@ -198,7 +198,7 @@ def projection_pair(T, chart_set, vertex):
     maps to the plane.  Their common weights are the two marks.
     """
     g = T.group
-    lines = sorted({T.edges[ei].line for ei in T.vertex_edge_map()[vertex]})
+    lines = sorted({T.edges[ei].line for ei in T.vertex_edges[vertex]})
     pure = {}
     mixed = {}
     for li in lines:
@@ -251,9 +251,9 @@ def projection_pair(T, chart_set, vertex):
 def decorate(triangulation, chart_set) -> Decoration:
     T = triangulation
     line_marks = mark_lines(T)
-    vmap = T.vertex_edge_map()
     # an interior vertex has no zero coordinate, so none of its edges lies on a simplex side
-    vertex_marks = {v: mark_vertex(T, chart_set, v, vmap[v]) for v in T.interior_vertices()}
+    vertex_marks = {v: mark_vertex(T, chart_set, v, T.vertex_edges[v])
+                    for v in T.interior_vertices}
     partition = classify_characters(line_marks, vertex_marks)
     return Decoration(line_marks, vertex_marks, partition)
 
@@ -306,7 +306,7 @@ def _side_ratios(T, regular_index, kind):
         raise InvariantViolationError(
             "corner triangle without its corner as a vertex", detail={**where, "corner": reg.corner}
         )
-    vmap, v = T.vertex_edge_map(), reg.vertices
+    vmap, v = T.vertex_edges, reg.vertices
     ratios = []
     for p, q, opposite in zip(v, v[1:] + v[:1], v[2:] + v[:2]):
         # from the end with fewer edges: a simplex corner has one per corner line
@@ -399,11 +399,11 @@ def quiver_embedding(chart_set) -> QuiverEmbedding:
     Only the charts, their tables and their group are read.
     """
     g = chart_set.group
-    chosen = next((ti for ti, chart in enumerate(chart_set.charts)
-                   if all(sum(num) >= sum(den) for num, den in chart.coords)), None)
+    chosen = next((ti for ti, coords in enumerate(chart_set.coords)
+                   if all(sum(num) >= sum(den) for num, den in coords)), None)
     if chosen is None:
         raise InvariantViolationError("no chart contains the barycentre",
-                                      detail={"order": g.order, "charts": len(chart_set.charts)})
+                                      detail={"order": g.order, "charts": len(chart_set.coords)})
     placements = dict(zip(g.characters(), chart_set.agraphs[chosen].table))
     _check_embedding(g, placements)
     return QuiverEmbedding(chosen, placements)

@@ -53,15 +53,18 @@ def verify_all_relations(chart_set, relations):
     """Each relation is a literal monomial identity on triangle 0's chart.
 
     With `check_bundle_degrees` this is the identity on every chart.
-    `ChartSet` crosses each interior edge once, from the triangle it built
-    first, and moves the generator of each character to m - q*v: one v
-    (the edge ratio, oriented toward the other triangle) for the whole
-    edge, and q >= 0 the stored degree.  So the degrees add up like the
-    moves, and when the two sides of a relation have equal degree rows,
-    their products move by the same multiple of v across every interior
-    edge.  The identity then passes from triangle 0 to each neighbour, and
-    the walk reaches every triangle from triangle 0.  Conversely, an
-    identity on both charts of an edge forces equal degree sums there.
+    `ChartSet` crosses each interior edge once: a tree edge from the
+    triangle built first, any other edge from the one built later.  It
+    moves the generator of each character to m - q*v: one v (the edge
+    ratio, oriented toward the triangle across) for the whole edge, and
+    q >= 0 the stored degree.  The argument needs only that one
+    orientation of v per edge, whichever side the walk crossed from.  So
+    the degrees add up like the moves, and when the two sides of a
+    relation have equal degree rows, their products move by the same
+    multiple of v across every interior edge.  The identity then passes
+    from triangle 0 to each neighbour, and the walk reaches every triangle
+    from triangle 0.  Conversely, an identity on both charts of an edge
+    forces equal degree sums there.
     """
     cid = chart_set.group.char_id
     table = chart_set.agraphs[0].table
@@ -119,7 +122,7 @@ def completeness_check(triangulation, decoration, relations):
     """
     g = triangulation.group
     ages = g.age_counts()
-    interior = len(triangulation.interior_vertices())
+    interior = len(triangulation.interior_vertices)
     b4 = ages[2]
     b2 = ages[1]
     survivors = len(decoration.partition["line"]) + len(decoration.partition["second"])

@@ -62,15 +62,19 @@ def build_document(art) -> dict:
     return doc
 
 
-def _record(t, chart, graph) -> dict:
-    """One triangle's entry; `chart` and `graph` are None in a run without charts."""
+def _record(t, coords, graph) -> dict:
+    """One triangle's entry.
+
+    `coords` is the triangle's row of `ChartSet.coords` and `graph` its
+    AGraph; both are None in a run without charts.
+    """
     entry = {
         "vertices": [list(v) for v in t.vertices],
         "orientation": t.orientation,
         "regular": t.regular,
     }
-    if chart is not None:
-        entry["chart"] = [[list(n), list(d)] for n, d in chart.coords]
+    if coords is not None:
+        entry["chart"] = [[list(n), list(d)] for n, d in coords]
         entry["agraph"] = {str(k): list(m) for k, m in enumerate(graph.table)}
         entry["socle"] = sorted(list(m) for m in graph.socle)
     return entry
@@ -219,7 +223,7 @@ def _document(art, text=False):
         if text:
             records = _record_layout(art)
         elif C is not None:
-            records = map(_record, T.triangles, C.charts, C.agraphs)
+            records = map(_record, T.triangles, C.coords, C.agraphs)
         else:
             records = (_record(t, None, None) for t in T.triangles)
         yield "triangles", records
@@ -393,7 +397,7 @@ def _record_layout(art):
     at = [0] * n  # where character k's text goes among the agraph slot texts
     for i, k in enumerate(ids):
         at[k] = i
-    tris, charts, socle_ids = T.triangles, C.charts, C.socle_ids
+    tris, coords, socle_ids = T.triangles, C.coords, C.socle_ids
 
     def fill(ti, table, prev, column):
         """Lays triangle ti's record out in `parts`; returns its agraph slot texts."""
@@ -407,7 +411,7 @@ def _record_layout(art):
         socle = sorted(map(table.__getitem__, socle_ids[ti]))
         parts[1:2 * n:2] = texts
         parts[2 * n + 1::2] = (
-            *map(deep, chain.from_iterable(charts[ti].coords)),
+            *map(deep, chain.from_iterable(coords[ti])),
             _encode_str(t.orientation),
             str(t.regular),
             socle_of_length(len(socle)) % tuple(map(vec, socle)),

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from ahilb import charts, intmat
-from ahilb.charts import AGraph, Chart, ChartSet, build_agraph
+from ahilb.charts import AGraph, ChartSet, build_agraph
 from ahilb.errors import InvariantViolationError
 from ahilb.fan import triangulate
 from ahilb.group import MONO_ONE, build_group, ratio_split
@@ -55,7 +55,7 @@ def _far(tri, ei):
 
 def test_trivial_chart_is_xyz(run_trivial):
     C = run_trivial.charts
-    coords = {c for c in C.charts[0].coords}
+    coords = {c for c in C.coords[0]}
     assert coords == {((1, 0, 0), (0, 0, 0)), ((0, 1, 0), (0, 0, 0)), ((0, 0, 1), (0, 0, 0))}
 
 
@@ -63,8 +63,8 @@ def test_trivial_chart_is_xyz(run_trivial):
 def test_dual_basis_property(spec):
     g = build_group(spec)
     C = ChartSet(triangulate(g))
-    for t, chart in zip(C.triangulation.triangles, C.charts):
-        for i, (num, den) in enumerate(chart.coords):
+    for t, coords in zip(C.triangulation.triangles, C.coords):
+        for i, (num, den) in enumerate(coords):
             u = intmat.vec_sub(num, den)
             assert g.is_invariant(u)
             for j, P in enumerate(t.vertices):
@@ -78,8 +78,8 @@ def test_coordinates_match_the_adjugate():
     for spec in _differential_specs():
         C = runs[spec].charts if spec in runs else ChartSet(triangulate(build_group(spec)))
         for ti, tri in enumerate(C.triangulation.triangles):
-            assert C.charts[ti].coords == chart_coords(C.group, tri.vertices), (spec, ti)
-        triangles += len(C.charts)
+            assert C.coords[ti] == chart_coords(C.group, tri.vertices), (spec, ti)
+        triangles += len(C.coords)
     assert triangles > 10000
 
 
@@ -100,7 +100,7 @@ def test_explicit_chart_11(run11):
         i for i, t in enumerate(T.triangles)
         if t.vertices == ((6, 1, 4), (7, 3, 1), (11, 0, 0))
     )
-    assert set(C.charts[ti].coords) == {
+    assert set(C.coords[ti]) == {
         ((0, 0, 3), (0, 1, 0)),   # z^3 / y
         ((0, 4, 0), (0, 0, 1)),   # y^4 / z
         ((1, 0, 0), (0, 2, 1)),   # x / y^2 z
@@ -223,12 +223,12 @@ def test_degree_three_on_y_z3_curve(run11):
 def test_degree_zero_for_trivial_character(run11):
     g, T, C = run11.group, run11.triangulation, run11.charts
     triv = g.reduce(MONO_ONE)
-    assert all(C.degree_on_curve(triv, ei) == 0 for ei in T.interior_edges())
+    assert all(C.degree_on_curve(triv, ei) == 0 for ei in T.interior_edges)
 
 
 def test_marked_line_degree_one(run30):
     g, T, C = run30.group, run30.triangulation, run30.charts
-    for ei in T.interior_edges():
+    for ei in T.interior_edges:
         line = T.lines[T.edges[ei].line]
         assert C.degree_on_curve(line.character, ei) == 1
 
@@ -260,7 +260,7 @@ def _transition_exponent_oracle(C, chi, edge_index):
 def test_degree_table_matches_transition_rule(spec):
     C = ChartSet(triangulate(build_group(spec)))
     T = C.triangulation
-    interior = T.interior_edges()
+    interior = T.interior_edges
     assert interior
     for chi in C.group.characters():
         expected = [_transition_exponent_oracle(C, chi, ei) for ei in interior]
@@ -334,13 +334,13 @@ def _shift_first_cross_edge(monkeypatch, shift, chars):
     shifted = []
 
     def corrupt(table, u, edge, near, far, ids):
-        out, column, moved = original(table, u, edge, near, far, ids)
+        out, column = original(table, u, edge, near, far, ids)
         if not shifted and built.issuperset(edge.triangles):
             c = sorted(chars)[1]
             out = _shifted(out, chars.index(c), shift(u))
             shifted.append(((edge.a, edge.b), c))
         built.update(edge.triangles)
-        return out, column, moved
+        return out, column
 
     monkeypatch.setattr(charts, "_transition_table", corrupt)
     return shifted
@@ -379,14 +379,14 @@ def test_transition_along_the_edge_ratio_is_not_convex(monkeypatch, sign):
 
 def test_far_vertices_on_one_side_of_an_edge_are_not_convex(run11):
     T, C = run11.triangulation, run11.charts
-    for ei in T.interior_edges():
+    for ei in T.interior_edges:
         e = T.edges[ei]
         t1, t2 = e.triangles
         w1 = _far(T.triangles[t1], ei)
         w2 = _far(T.triangles[t2], ei)
         u = T.lines[e.line].u
         ids = C.group.char_ids()
-        table, _, _ = charts._transition_table(C.agraphs[t1].table, u, e, w1, w2, ids)
+        table, _ = charts._transition_table(C.agraphs[t1].table, u, e, w1, w2, ids)
         assert table == C.agraphs[t2].table
         # the other far vertex on the same side, or on the edge's plane
         for near in (w2, e.a):
@@ -404,7 +404,7 @@ def test_socle_y2_at_valency3_vertex(run11):
     chi4 = chi(g, 4)
     v = (3, 6, 2)
     gens = set()
-    for ti in T.triangles_at(v):
+    for ti in T.vertex_triangles[v]:
         graph = C.agraphs[ti]
         m = graph.table[g.char_id(chi4)]
         assert m in graph.socle
@@ -415,7 +415,7 @@ def test_socle_y2_at_valency3_vertex(run11):
 def test_vertex_mark_in_socle_everywhere(run30):
     g, T, C, D = run30.group, run30.triangulation, run30.charts, run30.decoration
     for v, vm in D.vertex_marks.items():
-        for ti in T.triangles_at(v):
+        for ti in T.vertex_triangles[v]:
             graph = C.agraphs[ti]
             for m in vm.marks:
                 assert graph.table[g.char_id(m)] in graph.socle
@@ -429,7 +429,7 @@ def test_corner_membership_iff_variable_absent():
         art = run_pipeline(spec, which="recipe")
         g, T, C = art.group, art.triangulation, art.charts
         corner_tris = [
-            set(T.triangles_at(tuple(g.order if i == c else 0 for i in range(3))))
+            set(T.vertex_triangles[tuple(g.order if i == c else 0 for i in range(3))])
             for c in range(3)
         ]
         for c in g.characters():
@@ -478,7 +478,7 @@ def test_wedge_divisibility(run11):
             for ti in tis:
                 gen_at[ti] = m
         for v in T.points:
-            tis = T.triangles_at(v)
+            tis = T.vertex_triangles[v]
             pairs = [
                 (gen_at[t1], gen_at[t2])
                 for t1 in tis
@@ -569,7 +569,7 @@ def _support_convexity_violations(C, chi):
     k = C.group.char_id(chi)
     T = C.triangulation
     bad = []
-    for ei in T.interior_edges():
+    for ei in T.interior_edges:
         t1, t2 = T.edges[ei].triangles
         for a, b in ((t1, t2), (t2, t1)):
             ra = C.agraphs[a].table[k]
@@ -697,7 +697,7 @@ def _stored_walk(C):
     T, g = C.triangulation, C.group
     tris, ids = T.triangles, g.char_ids()
     graphs = [None] * len(tris)
-    graphs[0] = build_agraph(g, 0, tris[0].vertices, C.charts[0].coords)
+    graphs[0] = build_agraph(g, 0, tris[0].vertices, C.coords[0])
     columns = [None if e.interior else {} for e in T.edges]
     queue = [0]
     for ti in queue:
@@ -708,13 +708,13 @@ def _stored_walk(C):
                 continue
             e = T.edges[ei]
             tj = next(t for t in e.triangles if t != ti)
-            walked, columns[ei], _ = charts._transition_table(
+            walked, columns[ei] = charts._transition_table(
                 graphs[ti].table, T.lines[e.line].u, e, tri.vertices[i], _far(tris[tj], ei), ids
             )
             if graphs[tj] is not None:
                 assert walked == graphs[tj].table
                 continue
-            socle = charts._checked_socle(tj, walked, C.charts[tj].coords)
+            socle = charts._checked_socle(tj, walked, C.coords[tj])
             graphs[tj] = AGraph(walked, frozenset(walked[k] for k in socle))
             queue.append(tj)
     assert len(queue) == len(tris)
@@ -765,16 +765,16 @@ def test_each_column_is_the_same_from_either_side_of_its_edge():
     for spec, C in _view_chart_sets():
         T, ids = C.triangulation, C.group.char_ids()
         tables = [graph.table for graph in C.agraphs]
-        for ei in T.interior_edges():
+        for ei in T.interior_edges:
             e = T.edges[ei]
             t1, t2 = e.triangles
             u = T.lines[e.line].u
             w1, w2 = _far(T.triangles[t1], ei), _far(T.triangles[t2], ei)
-            to2, column12, _ = charts._transition_table(tables[t1], u, e, w1, w2, ids)
-            to1, column21, _ = charts._transition_table(tables[t2], u, e, w2, w1, ids)
+            to2, column12 = charts._transition_table(tables[t1], u, e, w1, w2, ids)
+            to1, column21 = charts._transition_table(tables[t2], u, e, w2, w1, ids)
             assert to2 == tables[t2] and to1 == tables[t1], (spec, ei)
             assert column12 == column21 == C._degree[ei], (spec, ei)
-        edges += len(T.interior_edges())
+        edges += len(T.interior_edges)
     assert edges > 10000
 
 
@@ -797,34 +797,35 @@ def _divide_first_transition_table(table, u, edge, near, far, ids):
     (i, vi), (j, vj) = pos[0], pos[-1]
     out = list(table)
     column = {}
-    moved = []
     for k, m in enumerate(table):
         q = min(m[i] // vi, m[j] // vj)
         if q:
             out[k] = intmat.vec_sub(m, intmat.vec_scale(q, v))
             column[ids[k]] = q
-            moved.append(k)
-    return tuple(out), column, moved
+    return tuple(out), column
 
 
 def test_comparison_scan_matches_the_divide_first_scan():
-    """On every crossing, in both directions, the table, the degree column
-    and the moved ids equal the divide-first scan's."""
+    """On every crossing, in both directions, the table and the degree
+    column equal the divide-first scan's, and the column's keys are
+    exactly the ids whose generator differs between the two tables, in
+    ascending order: the ids `_moves_checker` checks around."""
     crossings = 0
     trivial = ChartSet(triangulate(build_group("1")))
     for spec, C in _view_chart_sets() + [("1", trivial)]:
         T, ids = C.triangulation, C.group.char_ids()
         tables = [graph.table for graph in C.agraphs]
-        for ei in T.interior_edges():
+        for ei in T.interior_edges:
             e = T.edges[ei]
             u = T.lines[e.line].u
             for t1, t2 in (e.triangles, e.triangles[::-1]):
                 args = (tables[t1], u, e, _far(T.triangles[t1], ei), _far(T.triangles[t2], ei), ids)
-                assert charts._transition_table(*args) == _divide_first_transition_table(*args), (
-                    spec, ei, t1
-                )
+                walked, column = charts._transition_table(*args)
+                assert (walked, column) == _divide_first_transition_table(*args), (spec, ei, t1)
+                differ = [k for k, m in enumerate(walked) if m != tables[t1][k]]
+                assert list(column) == differ, (spec, ei, t1)
                 crossings += 1
-    assert not trivial.triangulation.interior_edges()
+    assert not trivial.triangulation.interior_edges
     assert crossings > 20000
 
 
@@ -842,7 +843,7 @@ def test_a_run_keeps_no_table_past_the_walk():
     assert live <= 4.0e6, live
 
 
-def _check_minimality_step(chart, graph):
+def _check_minimality_step(ti, coords, graph):
     """Every generator against every chart coordinate: the oracle of the membership test.
 
     A generator shifted down by one chart coordinate must leave the
@@ -850,7 +851,7 @@ def _check_minimality_step(chart, graph):
     the triangle cannot have been basic.
     """
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = [
-        intmat.vec_sub(den, num) for num, den in chart.coords
+        intmat.vec_sub(den, num) for num, den in coords
     ]
     for m in graph.table:
         x, y, z = m
@@ -859,7 +860,7 @@ def _check_minimality_step(chart, graph):
                 or (x + c0 >= 0 and y + c1 >= 0 and z + c2 >= 0)):
             raise InvariantViolationError(
                 "chart generator is not weight-minimal",
-                detail={"triangle": chart.triangle, "monomial": m},
+                detail={"triangle": ti, "monomial": m},
             )
 
 
@@ -880,15 +881,13 @@ def test_minimality_membership_test_agrees_with_the_generator_scan():
         T, C = art.triangulation, art.charts
         graphs = list(C.agraphs)
         pairs = [(ti, ti) for ti in range(len(T.triangles))]
-        for ei in T.interior_edges():
+        for ei in T.interior_edges:
             t1, t2 = T.edges[ei].triangles
             pairs += [(t1, t2), (t2, t1)]
         for ti, tj in pairs:
-            chart, graph = C.charts[tj], graphs[ti]
-            scan = _is_weight_minimal(lambda: _check_minimality_step(chart, graph))
-            member = _is_weight_minimal(
-                lambda: charts._checked_socle(tj, graph.table, chart.coords)
-            )
+            coords, graph = C.coords[tj], graphs[ti]
+            scan = _is_weight_minimal(lambda: _check_minimality_step(tj, coords, graph))
+            member = _is_weight_minimal(lambda: charts._checked_socle(tj, graph.table, coords))
             assert scan == member, (spec, ti, tj)
             assert scan == (ti == tj), (spec, ti, tj)
             rejected += not scan
@@ -902,12 +901,12 @@ def test_table_holding_a_coordinate_numerator_is_not_weight_minimal(monkeypatch)
     reached = []  # the triangles the walk reaches, in order
 
     def unmoved(table, u, edge, near, far, chars):
-        _, column, moved = original(table, u, edge, near, far, chars)
+        _, column = original(table, u, edge, near, far, chars)
         if not built.issuperset(edge.triangles):
             tj = next(t for t in edge.triangles if t not in built)
             built.add(tj)
             reached.append(tj)
-        return table, column, moved
+        return table, column
 
     monkeypatch.setattr(charts, "_transition_table", unmoved)
     g = build_group("1/11(1,2,8)")
@@ -923,7 +922,7 @@ def test_table_holding_a_coordinate_numerator_is_not_weight_minimal(monkeypatch)
     num = next(n for n, _ in coords if n in root.table)
     assert err.value.detail == {"triangle": tj, "monomial": num}
     with pytest.raises(InvariantViolationError, match="not weight-minimal"):
-        _check_minimality_step(Chart(tj, coords), AGraph(root.table, root.socle))
+        _check_minimality_step(tj, coords, AGraph(root.table, root.socle))
 
 
 def test_full_run_builds_one_heap_table_per_chart_set(monkeypatch):
@@ -948,14 +947,14 @@ def test_corrupted_derived_table_fails_decoration(monkeypatch, sign):
     corrupted = []
 
     def corrupt(table, u, edge, near, far, chars):
-        out, column, moved = original(table, u, edge, near, far, chars)
+        out, column = original(table, u, edge, near, far, chars)
         if not corrupted:
             chi = sorted(chars)[1]
-            k = chars.index(chi)
-            out = _shifted(out, k, tuple(sign * b for b in u))
-            moved = sorted({*moved, k})  # the shifted generator differs from its parent's
+            out = _shifted(out, chars.index(chi), tuple(sign * b for b in u))
+            # the shifted generator differs from its parent's, so its id is a key of the column
+            column = dict(sorted({**column, chi: column.get(chi, 1)}.items()))
             corrupted.append(chi)
-        return out, column, moved
+        return out, column
 
     monkeypatch.setattr(charts, "_transition_table", corrupt)
     art = run_pipeline("1/30(25,2,3)", which="recipe")
@@ -1004,8 +1003,8 @@ def test_moved_generator_check_matches_the_full_check(monkeypatch, run_trivial):
     def checker(group):
         check = made(group)
 
-        def both(tj, walked, table, moved, socle, coords):
-            got = check(tj, walked, table, moved, socle, coords)
+        def both(tj, walked, table, column, socle, coords):
+            got = check(tj, walked, table, column, socle, coords)
             assert got == charts._checked_socle(tj, walked, coords), tj
             compared.append(tj)
             return got
@@ -1031,9 +1030,9 @@ def test_the_walk_crosses_light_edges_first(monkeypatch):
     def checker(group):
         check = made(group)
 
-        def counted(tj, walked, table, moved, socle, coords):
-            handed.append(len(moved))
-            return check(tj, walked, table, moved, socle, coords)
+        def counted(tj, walked, table, column, socle, coords):
+            handed.append(len(column))
+            return check(tj, walked, table, column, socle, coords)
 
         return counted
 
@@ -1043,10 +1042,37 @@ def test_the_walk_crosses_light_edges_first(monkeypatch):
     assert sum(handed) <= 7000, sum(handed)
 
 
+@pytest.mark.parametrize("spec", ["1/30(25,2,3)", "1/401(1,7,393)", "1/6(1,2,3);1/3(1,1,1)"])
+def test_the_walk_crosses_each_interior_edge_once(monkeypatch, spec):
+    """One crossing per interior edge: a tree edge from a built triangle to a
+    new one, and any other edge from the triangle built last to an earlier
+    one, the orientations `relations.verify_all_relations` allows."""
+    original = charts._transition_table
+    T = triangulate(build_group(spec))
+    built = [0]  # the triangles in the order the walk builds them
+    crossed = []
+
+    def walk(table, u, edge, near, far, ids):
+        t1, t2 = edge.triangles
+        ti, tj = (t1, t2) if near in T.triangles[t1].vertices else (t2, t1)
+        crossed.append(T.edges.index(edge))
+        if tj in built:
+            assert ti == built[-1], (ti, tj)
+        else:
+            assert ti in built, (ti, tj)
+            built.append(tj)
+        return original(table, u, edge, near, far, ids)
+
+    monkeypatch.setattr(charts, "_transition_table", walk)
+    ChartSet(T)
+    assert sorted(crossed) == T.interior_edges
+    assert sorted(built) == list(range(len(T.triangles)))
+
+
 def _spoil_first_tree_edge(monkeypatch, spoil):
     """Make the walk's first tree edge that `spoil` can spoil give a spoiled table.
 
-    `spoil(tj, table, out, column, moved, chars)` gets the parent's table
+    `spoil(tj, table, out, column, chars)` gets the parent's table
     and what `_transition_table` returned for triangle tj, and returns it
     spoiled, or None to leave this edge alone.  Returns a list that
     receives tj and its spoiled table.
@@ -1071,38 +1097,37 @@ def _spoil_first_tree_edge(monkeypatch, spoil):
     return spoiled
 
 
-def _kept(j, table, out, column, moved, chars):
+def _kept(j, table, out, column, chars):
     """The transition with the generator at id j left as the parent's."""
     kept = list(out)
     kept[j] = table[j]
-    column = {chi: q for chi, q in column.items() if chi != chars[j]}
-    return tuple(kept), column, [k for k in moved if k != j]
+    return tuple(kept), {k: q for k, q in column.items() if k != chars[j]}
 
 
-def _step_further(tj, table, out, column, moved, chars):
+def _step_further(tj, table, out, column, chars):
     """A moved generator taken one more unit along the edge, out of the octant."""
-    k = moved[0]
-    q = column[chars[k]]
-    return _shifted(out, k, tuple((n - m) // q for n, m in zip(out[k], table[k]))), column, moved
+    k = next(iter(column))
+    q = column[k]
+    return _shifted(out, k, tuple((n - m) // q for n, m in zip(out[k], table[k]))), column
 
 
-def _keep_a_vacated_multiple(tj, table, out, column, moved, chars):
+def _keep_a_vacated_multiple(tj, table, out, column, chars):
     """A moved generator left as the parent's, where it is a multiple of a
     vacated monomial; its new monomial divides no other, so no new monomial
     misses a divisor."""
-    vacated = {table[k] for k in moved}
+    vacated = {table[k] for k in column}
     new = set(out)
-    for j in moved:
+    for j in column:
         if (any(intmat.vec_sub(table[j], e) in vacated for e in _UNITS)
                 and all(intmat.vec_add(out[j], e) not in new for e in _UNITS)):
-            return _kept(j, table, out, column, moved, chars)
+            return _kept(j, table, out, column, chars)
     return None
 
 
-def _keep_every_generator(tj, table, out, column, moved, chars):
+def _keep_every_generator(tj, table, out, column, chars):
     """The parent's table with nothing moved: closed, but holding a numerator
     of the new chart (`test_table_holding_a_coordinate_numerator_is_not_weight_minimal`)."""
-    return table, {}, []
+    return table, {}
 
 
 @pytest.mark.parametrize(
@@ -1142,7 +1167,7 @@ def test_moved_ids_that_keep_their_generator_are_reported():
     k = next(k for k, m in enumerate(table) if any(intmat.vec_add(m, e) in members for e in _UNITS))
     check = charts._moves_checker(C.group)
     with pytest.raises(InvariantViolationError) as err:
-        check(0, table, table, [k], C.socle_ids[0], C.charts[0].coords)
+        check(0, table, table, {k: 1}, C.socle_ids[0], C.coords[0])
     assert str(err.value) == "moved generators do not account for the walked table"
     assert err.value.detail == {"triangle": 0}
 

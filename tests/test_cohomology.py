@@ -226,7 +226,7 @@ def test_star_cycles_satisfy_what_surface_star_proves():
     lengths = Counter()
     for spec in _differential_specs():
         T = triangulate(build_group(spec))
-        for v in T.interior_vertices():
+        for v in T.interior_vertices:
             cycle = surface_star(T, v).self_intersections
             n = len(cycle)
             lengths[n] += 1
@@ -267,7 +267,7 @@ def test_surface_star_passes_its_vertex_to_the_shape_check(run11):
     edges = [SimpleNamespace(a=vertex, b=intmat.vec_add(vertex, _oracle_lift(g, vertex, r)))
              for r in rays]
     star = SimpleNamespace(
-        group=g, edges=edges, vertex_edge_map=lambda: {vertex: list(range(len(edges)))}
+        group=g, edges=edges, vertex_edges={vertex: list(range(len(edges)))}
     )
     with pytest.raises(InvariantViolationError) as err:
         surface_star(star, vertex)
@@ -297,7 +297,7 @@ def test_h2_smith_oracle(run11):
 
     g, T, C, D = run11.group, run11.triangulation, run11.charts, run11.decoration
     basis_chars = sorted(set(D.partition["line"]) | set(D.partition["second"]))
-    edges = T.interior_edges()
+    edges = T.interior_edges
     M = sympy.Matrix(
         [[C.degree_on_curve(c, e) for e in edges] for c in basis_chars]
     )
@@ -308,7 +308,7 @@ def test_h2_smith_oracle(run11):
 
 def test_relation_rows_are_integer_combinations(run30):
     g, T, C = run30.group, run30.triangulation, run30.charts
-    edges = T.interior_edges()
+    edges = T.interior_edges
     for rel in run30.relations:
         lhs = [sum(C.degree_on_curve(c, e) for c in rel.lhs) for e in edges]
         rhs = [sum(C.degree_on_curve(c, e) for c in rel.rhs) for e in edges]

@@ -118,10 +118,37 @@ def test_triangle_count_and_euler(spec):
     g = build_group(spec)
     T = triangulate(g)
     assert len(T.triangles) == g.order
-    I = len(T.interior_vertices())
-    B = len(T.boundary_vertices())
+    I = len(T.interior_vertices)
+    B = len(T.boundary_vertices)
     assert 2 * I + B - 2 == g.order
     assert I == g.age_counts()[2]
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [_cyclic_family_up_to_30(), ["1/3(1,2,0);1/3(0,1,2)"], ["1/6(1,2,3);1/3(1,1,1)"]],
+    ids=["family-to-30", "3x3", "6x3"],
+)
+def test_incidence_attributes_match_their_definitions(specs):
+    """Each incidence index of a triangulation equals its definition, recomputed
+    from `points`, `edges` and `triangles`."""
+    for spec in specs:
+        T = triangulate(build_group(spec))
+        tris, edges = T.triangles, T.edges
+        assert T.interior_vertices == [p for p in T.points if all(p)], spec
+        assert T.boundary_vertices == [p for p in T.points if not all(p)], spec
+        # an interior edge is a side of two triangles, a boundary edge of one
+        bordering = [[ti for ti, t in enumerate(tris) if e.a in t.vertices and e.b in t.vertices]
+                     for e in edges]
+        assert [e.triangles for e in edges] == bordering, spec
+        assert [len(b) for b in bordering] == [1 + e.interior for e in edges], spec
+        assert T.interior_edges == [ei for ei, b in enumerate(bordering) if len(b) == 2], spec
+        assert T.vertex_edges == {
+            p: [ei for ei, e in enumerate(edges) if p in (e.a, e.b)] for p in T.points
+        }, spec
+        assert T.vertex_triangles == {
+            p: [ti for ti, t in enumerate(tris) if p in t.vertices] for p in T.points
+        }, spec
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,9 @@ and every attribute it stores is read in the package.
 A helper that only the tests call belongs in the tests, and one that
 nothing calls is dead.  A function counts as used when some `Name` or
 `Attribute` in the package spells its name, or when `ahilb.__all__` lists it.
-An attribute stored by `self.X = ...` counts as read when some `Name` or
-loaded `Attribute` in the package spells X.
+An attribute stored by `self.X = ...` counts as read when some loaded
+`Attribute` in the package spells X; a bare name X, such as the argument
+in `self.X = X`, does not read it.
 """
 
 import ast
@@ -19,6 +20,11 @@ ALLOWED = {
     # argparse calls it on a usage error
     "_Parser.error",
 }
+
+# Stored attributes that only the tests read.  `tests/test_fan.py` pins the
+# paper's worked examples by them: each corner line's direction in the
+# corner's quotient lattice, and the knock-out's champion point.
+ONLY_TESTS_READ = {"fan.py:self.dir2", "fan.py:self.champion_point"}
 
 
 def _package_trees():
@@ -83,13 +89,8 @@ def _stored_attributes(tree):
 
 
 def unread_attributes(trees):
-    read = set()
-    for _, tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    read = {node.attr for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     return sorted({f"{filename}:self.{name}" for filename, tree in trees
                    for name in _stored_attributes(tree) if name not in read})
 
@@ -104,7 +105,7 @@ def test_every_allowed_name_is_still_defined():
 
 
 def test_every_stored_attribute_is_read_in_the_package():
-    assert unread_attributes(list(_package_trees())) == []
+    assert unread_attributes(list(_package_trees())) == sorted(ONLY_TESTS_READ)
 
 
 def test_an_attribute_only_stored_is_reported():
@@ -120,4 +121,7 @@ def test_an_attribute_only_stored_is_reported():
         "        return len(self.elements) + b\n"
     )
     trees = [("m.py", ast.parse(source))]
-    assert unread_attributes(trees) == ["m.py:self.a", "m.py:self.count", "m.py:self.element_set"]
+    # `self.b` is read only as the bare name `b`
+    assert unread_attributes(trees) == [
+        "m.py:self.a", "m.py:self.b", "m.py:self.count", "m.py:self.element_set"
+    ]

@@ -193,8 +193,8 @@ def test_euler_names_the_counts(monkeypatch):
     assert art.report.failure == {
         "check": "euler",
         "error": "euler counts failed",
-        "detail": {"triangles": 10, "interior": len(T.interior_vertices()),
-                   "boundary": len(T.boundary_vertices())},
+        "detail": {"triangles": 10, "interior": len(T.interior_vertices),
+                   "boundary": len(T.boundary_vertices)},
     }
 
 

@@ -323,7 +323,7 @@ def _with_regular(T, regular_index, **changes):
     regs = list(T.regular_triangles)
     regs[regular_index] = replaced(regs[regular_index], **changes)
     return SimpleNamespace(group=T.group, regular_triangles=regs, edges=T.edges,
-                           lines=T.lines, vertex_edge_map=T.vertex_edge_map)
+                           lines=T.lines, vertex_edges=T.vertex_edges)
 
 
 def _doctoring(rng, T, reg):
@@ -465,7 +465,7 @@ def test_mark_vertex_rejects_boundary(run11):
     for ei, e in enumerate(T.edges):
         vmap.setdefault(e.a, []).append(ei)
         vmap.setdefault(e.b, []).append(ei)
-    boundary_vertex = next(p for p in T.boundary_vertices() if min(p) == 0)
+    boundary_vertex = next(p for p in T.boundary_vertices if min(p) == 0)
     with pytest.raises(InvariantViolationError):
         mark_vertex(T, C, boundary_vertex, vmap[boundary_vertex][:3])
 
@@ -610,7 +610,7 @@ def test_a_vertex_matching_no_case_is_named(request, run, vertex, characters, va
     T, g = art.triangulation, art.group
     fake = _with_lines(T, character={li: chi(g, k) for li, k in characters.items()})
     with pytest.raises(InvariantViolationError) as err:
-        mark_vertex(fake, art.charts, vertex, T.vertex_edge_map()[vertex][:valency])
+        mark_vertex(fake, art.charts, vertex, T.vertex_edges[vertex][:valency])
     assert str(err.value) == message
     assert err.value.detail == {"vertex": vertex, "pattern": pattern}
 
@@ -643,7 +643,7 @@ def _dp6_lines(art):
     """A dP6 vertex and its three lines, ascending."""
     T = art.triangulation
     v = next(v for v, vm in art.decoration.vertex_marks.items() if vm.case == CASE_DP6)
-    return v, sorted({T.edges[ei].line for ei in T.vertex_edge_map()[v]})
+    return v, sorted({T.edges[ei].line for ei in T.vertex_edges[v]})
 
 
 def test_a_straight_line_without_a_pure_side_is_named(run30):
@@ -672,8 +672,8 @@ def test_two_lines_with_one_pure_variable_are_named(run30):
 def test_charts_missing_the_barycentre_are_named(run11):
     # the charts left once every one containing the barycentre is dropped
     C = copy.copy(run11.charts)
-    C.charts = [c for c in C.charts if any(sum(num) < sum(den) for num, den in c.coords)]
+    C.coords = [c for c in C.coords if any(sum(num) < sum(den) for num, den in c)]
     with pytest.raises(InvariantViolationError) as err:
         quiver_embedding(C)
     assert str(err.value) == "no chart contains the barycentre"
-    assert err.value.detail == {"order": 11, "charts": len(C.charts)}
+    assert err.value.detail == {"order": 11, "charts": len(C.coords)}

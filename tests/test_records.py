@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import ahilb
-from ahilb.charts import AGraph, Chart
+from ahilb.charts import AGraph
 from ahilb.cohomology import CompactSurface, VirtualBundle
 from ahilb.fan import Battle, CornerLine, Edge, Line, Partition, RegularTriangle, Triangle
 from ahilb.group import GroupSpec
@@ -26,7 +26,6 @@ from conftest import replaced
 
 # The field lists of the former dataclasses, in declaration order.
 FIELDS = {
-    Chart: ("triangle", "coords"),
     AGraph: ("table", "socle"),
     VirtualBundle: ("index", "vertex", "plus", "minus"),
     CompactSurface: ("vertex", "rays", "edge_ids", "self_intersections", "surface_type"),

@@ -192,7 +192,7 @@ def test_relation_broken_off_the_root_chart_names_a_curve(monkeypatch):
         return tuple(a - b for a, b in zip(lhs, rhs))
 
     # the first interior edge across which the identity's gap changes
-    e = next(T.edges[ei] for ei in T.interior_edges()
+    e = next(T.edges[ei] for ei in T.interior_edges
              if gap(T.edges[ei].triangles[0]) != gap(T.edges[ei].triangles[1]))
     assert art.report.failure == {
         "check": "relations",
@@ -214,7 +214,7 @@ def test_relation_count_matches_age2_on_many_groups():
                  "1/2(1,1,0);1/2(0,1,1)"]:
         art = run_pipeline(spec)
         assert len(art.relations) == art.group.age_counts()[2]
-        assert len(art.relations) == len(art.triangulation.interior_vertices())
+        assert len(art.relations) == len(art.triangulation.interior_vertices)
 
 
 def test_trivial_group_no_relations(run_trivial):
