@@ -42,11 +42,16 @@ multiples of one fibre adds 0 however many it holds, the same character
 held twice included; a non-fibre character held twice still adds its
 self-intersection, so sides are counted with multiplicity.
 
-The duality matrix is checked column by column, one surface at a time:
-its `SurfaceCalculus` (support and restriction memo, by character id) is
-built, paired with its own bundle and with the bundles having a side of
-two support characters not all on one ruling, and dropped before the
-next surface's is built.
+The duality matrix is checked in three passes over the surfaces, each
+building one `SurfaceCalculus` (support and restriction memo, by
+character id) at a time and dropping it before the next: a support pass
+that pairs the diagonal and sets, per character id, a bitmask of the
+surfaces whose support holds it; a ruling pass over only the surfaces
+where some bundle side holds two support characters; and a pairing pass
+over only the columns with such a side not all on one ruling
+(`duality_matrix`).  The masks take |A| * b4 bits, against the degree
+table's tens of bytes per nonzero, and the error reported is still the
+first failing entry in row-major order.
 The degree-2 lattice is certified by a unitriangular peel of the degree
 matrix where one exists, and by `intmat.ZSpan` otherwise.
 """
@@ -55,7 +60,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
+import operator
 from collections.abc import Mapping
 
 from . import intmat
@@ -255,8 +260,10 @@ class SurfaceCalculus:
 class SurfaceCalculators(Mapping):
     """Vertex -> a new `SurfaceCalculus` of its surface at each lookup; none is kept.
 
-    `duality_matrix` looks each vertex up once, for its column, so through
-    this map one calculator is alive at a time.
+    `duality_matrix` looks a vertex up once in each pass that needs it (every
+    vertex in the support pass, then only crowded surfaces and columns with
+    rows to pair) and drops each calculator before the next lookup, so
+    through this map one calculator is alive at a time.
     """
 
     def __init__(self, chart_set, surfaces, decoration):
@@ -304,25 +311,44 @@ def by_id(group, bundle):
 
 def duality_matrix(group, bundles, calculators):
     """Check that the pairing of the virtual bundles against the compact
-    surfaces is the identity, column by column; its size b4 when it is.
+    surfaces is the identity; its size b4 when it is.
 
     Row i is the bundle of the i-th vertex in order and column j the
     surface of the j-th, so the diagonal pairs each bundle with its own
-    surface.  `calculators` maps each vertex to its `SurfaceCalculus` and
-    is read once per column, so `SurfaceCalculators` keeps one calculator
-    alive at a time.  A side of a bundle pairs to 0 on a surface when it
-    has fewer than two characters in the surface's support (`_pair_sum`),
-    or when those it has all restrict to multiples of one ruling's fibre
-    (`SurfaceCalculus.rulings`); so `c2_pairing` runs on the diagonal,
-    and off it only where some side has two support characters, counted
-    with multiplicity, not all on one ruling.  Every other entry
-    is 0, which the identity expects off the diagonal.  Such an entry
-    cannot fail either: `c2_pairing` would restrict nothing on a short
-    side, and only realisable fibre multiples on a ruled one.  Once the
-    walk is done the failing entry that comes first in row-major order is
-    reported by its characters.  No matrix is kept: the document writes
-    the b4 identity rows.  The bundles' sides are mapped to character ids
-    once, here (`by_id`).
+    surface.  A side of a bundle pairs to 0 on a surface when it has fewer
+    than two characters in the surface's support (`_pair_sum`), or when
+    those it has all restrict to multiples of one ruling's fibre
+    (`SurfaceCalculus.rulings`); so `c2_pairing` runs on the diagonal, and
+    off it only where some side has two support characters, counted with
+    multiplicity, not all on one ruling.  Every other entry is 0, which the
+    identity expects off the diagonal, and cannot fail: `c2_pairing` would
+    restrict nothing on a short side, and only realisable fibre multiples
+    on a ruled one.
+
+    `calculators` maps each vertex to its `SurfaceCalculus`; through
+    `SurfaceCalculators` each lookup builds a new one, and the walk drops it
+    before the next, in three passes:
+
+    - support: every calculator, once.  Bit j of `supp[k]` marks the j-th
+      surface whose support holds id k, and the diagonal is paired;
+    - rulings: a few AND/ORs of `supp` over each side's ids (a repeated id
+      counted twice, the side's own row left out) give the surfaces where
+      it holds two support ids.  Only their calculators are built, each
+      read once into masks of the ids off every ruling and of the fibres
+      of each ruling after the first; a side is ruled on a surface with a
+      ruling where none of its support ids is off it and, for each later
+      ruling, all or none are its fibres;
+    - pairing: the calculators of the columns with a crowded, unruled row,
+      those rows paired in ascending order.
+
+    The masks are bitsets over the b4 surfaces, at most |A| * b4 bits each
+    (0.72 MB for `supp` at `1/3203(1,7,3195)`); the ruling masks hold only
+    the rare ids off a ruling and the fibres of surfaces with two or three.
+    A column stops at its first failure, and the failure with the least
+    (row, column), the first in row-major order, is reported by its
+    characters.  No matrix is kept: the document writes the b4 identity
+    rows.  The bundles' sides are mapped to character ids once, here
+    (`by_id`).
     """
     verts = sorted(calculators)
     rows = [b.vertex for b in bundles]
@@ -332,51 +358,90 @@ def duality_matrix(group, bundles, calculators):
             detail={"bundle_vertices": rows, "surface_vertices": verts},
         )
     bundles = [by_id(group, b) for b in bundles]
-    holders = {}  # character id -> 2 * row + side (0 plus, 1 minus), once per occurrence
-    for i, b in enumerate(bundles):
-        for side, ids in enumerate((b.plus, b.minus)):
-            for k in ids:
-                holders.setdefault(k, []).append(2 * i + side)
-    first = None  # (row, error) of the first failing entry in row-major order
+    fails = {}  # column -> (row, error) of its first failure
+    supp = [0] * group.order  # by character id: bit j set when surface j's support holds it
     for j, v in enumerate(verts):
-        fail = _pair_column(group, bundles, calculators[v], holders, j)
-        if fail is not None and (first is None or fail[0] < first[0]):
-            first = fail
-    if first is not None:
-        raise first[1]
+        calc, bit = calculators[v], 1 << j
+        for k in calc.support:
+            supp[k] |= bit
+        _pair_rows(group, bundles, calc, j, (j,), fails)
+        del calc  # before the next one is built
+    sides = [ids for b in bundles for ids in (b.plus, b.minus)]  # key 2i + 0 plus, 2i + 1 minus
+    crowded = []  # by side key: the surfaces but its own where it holds two support ids
+    for key, ids in enumerate(sides):
+        once = twice = 0
+        for k in ids:
+            twice |= once & supp[k]
+            once |= supp[k]
+        crowded.append(twice & ~(1 << (key >> 1)))
+    # the rulings of the crowded surfaces, each read once: `has` marks the
+    # surfaces with a ruling, `off[k]` those whose support holds id k on no
+    # ruling, and `fib[r - 1][k]` those where k is a fibre multiple of slot r >= 1
+    has, off, fib = 0, {}, []
+    for j in _bits(functools.reduce(operator.or_, crowded, 0)):
+        calc, bit = calculators[verts[j]], 1 << j
+        slots = list(calc.rulings().values())
+        if slots:
+            has |= bit
+            for k in calc.support.difference(*slots):
+                off[k] = off.get(k, 0) | bit
+        for r, fibres in enumerate(slots[1:]):
+            if r == len(fib):
+                fib.append({})
+            for k in fibres:
+                fib[r][k] = fib[r].get(k, 0) | bit
+        del calc
+    columns = {}  # column -> the rows to pair off the diagonal
+    for key, (ids, mask) in enumerate(zip(sides, crowded)):
+        if mask:
+            # ruled where none of its support ids is off every ruling and, for
+            # each slot r >= 1, all or none are fibres of r: all on one ruling
+            ruled = has
+            for k in ids:
+                ruled &= ~off.get(k, 0)
+            for slot in fib:
+                every, some = -1, 0
+                for k in ids:
+                    m = slot.get(k, 0)
+                    every &= m | ~supp[k]
+                    some |= m
+                ruled &= every | ~some
+            for j in _bits(mask & ~ruled):
+                columns.setdefault(j, set()).add(key >> 1)
+    for j in sorted(columns):
+        _pair_rows(group, bundles, calculators[verts[j]], j, sorted(columns[j]), fails)
+    if fails:
+        raise min((i, j, exc) for j, (i, exc) in fails.items())[2]
     return len(verts)
 
 
-def _pair_column(group, bundles, calc, holders, j):
-    """Check column j from its surface's calculator; (row, error) of its first failure, or None.
+def _bits(mask):
+    """The positions of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    `bundles` hold their sides as character ids (`by_id`), and `holders`
-    is keyed by them.
 
-    A side with two support characters is skipped when they all lie in
-    one of the calculator's `rulings`: its count of them, with
-    multiplicity, equals its count of support characters.  The rulings
-    are found only on a column with such a side off the diagonal.
+def _pair_rows(group, bundles, calc, j, rows, fails):
+    """Pair `rows`, ascending, with column j's calculator, and record the
+    column's first failure in `fails` as column -> (row, error).
+
+    `bundles` hold their sides as character ids (`by_id`).  A failure the
+    column already has (its diagonal's, paired first) ends the rows after it.
     """
-    live = holders.keys() & calc.support
-    touching = Counter(itertools.chain.from_iterable(map(holders.get, live)))  # per side
-    crowded = [key for key, n in touching.items() if n > 1 and key >> 1 != j]
-    rows = {j}
-    if crowded:
-        ruled = set()  # the sides whose support characters all lie on one ruling
-        for fibres in calc.rulings().values():
-            on = Counter(itertools.chain.from_iterable(map(holders.get, live & fibres)))
-            ruled.update(key for key, n in on.items() if n == touching[key])
-        rows.update(key >> 1 for key in crowded if key not in ruled)
-    for i in sorted(rows):
+    for i in rows:
+        if j in fails and fails[j][0] < i:
+            return
         b = bundles[i]
         expected = 1 if i == j else 0
         try:
             entry = calc.c2_pairing(b)
         except InvariantViolationError as exc:
-            return i, exc
+            fails[j] = i, exc
+            return
         if entry != expected:
-            return i, CorrespondenceError(
+            fails[j] = i, CorrespondenceError(
                 "duality pairing is not the identity",
                 detail={
                     "m": group.char_label(b.index),
@@ -385,7 +450,7 @@ def _pair_column(group, bundles, calc, holders, j):
                     "expected": expected,
                 },
             )
-    return None
+            return
 
 
 def unitriangular_peel(chart_set, basis_chars):

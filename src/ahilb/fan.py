@@ -53,7 +53,9 @@ class QuotientMap:
     unimodular with c @ V = e_1 (`intmat.complete_unimodular`), `proj` keeps
     the last two coordinates of (p in the basis B) @ V.  V is unimodular, so
     the map is onto Z^2, and its kernel is the multiples of c @ V = e_1,
-    that is, Z*w.
+    that is, Z*w.  p in the basis B is p @ adj / den, so the map keeps the
+    two columns of adj @ V, stored as two integer triples when the map is
+    built: a projection is two dot products and two exact divisions.
     """
 
     def __init__(self, group, w):
@@ -66,13 +68,16 @@ class QuotientMap:
             raise InvariantViolationError(
                 f"{w} is not primitive in the lattice", detail={"point": w}
             )
-        # p in the basis B is p @ adj / den; keep the last two columns of that @ V
         self._den = den
         _, v1, v2 = zip(*intmat.complete_unimodular(coords))
-        self._adj = [(intmat.vec_dot(row, v1), intmat.vec_dot(row, v2)) for row in adj]
+        # the last two columns of adj @ V
+        self._cols = tuple(tuple(intmat.vec_dot(row, v) for row in adj) for v in (v1, v2))
 
     def proj(self, p):
-        (q0, r0), (q1, r1) = (divmod(x, self._den) for x in intmat.vec_mat(p, self._adj))
+        (a0, a1, a2), (b0, b1, b2) = self._cols
+        x, y, z = p
+        q0, r0 = divmod(x * a0 + y * a1 + z * a2, self._den)
+        q1, r1 = divmod(x * b0 + y * b1 + z * b2, self._den)
         if r0 or r1:
             raise InvariantViolationError("point is not in the lattice", detail={"point": p})
         return (q0, q1)

@@ -317,8 +317,11 @@ def _layout(o, level):
 
 
 def _identity_layout(n, level):
-    """`_layout` of the n x n identity matrix, one row of zeros and a 1 at a time."""
-    return _join((_join(["0"] * i + ["1"] + ["0"] * (n - 1 - i), level + 1) for i in range(n)), level)
+    """`_layout` of the n x n identity matrix, each row built by repeating one separator."""
+    inner = "\n" + " " * (level + 2)
+    before, after = "0," + inner, "," + inner + "0"
+    close = "\n" + " " * (level + 1) + "]"
+    return _join((f"[{inner}{before * i}1{after * (n - 1 - i)}{close}" for i in range(n)), level)
 
 
 def _template(value, level):

@@ -788,6 +788,98 @@ def test_skipped_entries_are_zero_on_both_oracles():
     assert skipped > 50000
 
 
+def _pair_column(group, bundles, calc, holders, j):
+    """The column step that `duality_matrix`'s surface bitmasks replaced,
+    kept as the oracle of which entries are paired: (row, error) of the
+    column's first failure, or None.
+
+    `bundles` hold their sides as character ids (`by_id`), and `holders`
+    maps each id to 2 * row + side (0 plus, 1 minus), once per occurrence.
+    A side with two support characters is skipped when they all lie in
+    one of the calculator's `rulings`: its count of them, with
+    multiplicity, equals its count of support characters.
+    """
+    live = holders.keys() & calc.support
+    touching = Counter(itertools.chain.from_iterable(map(holders.get, live)))  # per side
+    crowded = [key for key, n in touching.items() if n > 1 and key >> 1 != j]
+    rows = {j}
+    if crowded:
+        ruled = set()  # the sides whose support characters all lie on one ruling
+        for fibres in calc.rulings().values():
+            on = Counter(itertools.chain.from_iterable(map(holders.get, live & fibres)))
+            ruled.update(key for key, n in on.items() if n == touching[key])
+        rows.update(key >> 1 for key in crowded if key not in ruled)
+    for i in sorted(rows):
+        b = bundles[i]
+        expected = 1 if i == j else 0
+        try:
+            entry = calc.c2_pairing(b)
+        except InvariantViolationError as exc:
+            return i, exc
+        if entry != expected:
+            return i, CorrespondenceError(
+                "duality pairing is not the identity",
+                detail={
+                    "m": group.char_label(b.index),
+                    "n": group.char_label(calc.mark_char),
+                    "entry": entry,
+                    "expected": expected,
+                },
+            )
+    return None
+
+
+def _column_walk(group, bundles, calcs):
+    """Run `_pair_column` on every column; True when no entry fails."""
+    bundles = [by_id(group, b) for b in bundles]
+    holders = {}
+    for i, b in enumerate(bundles):
+        for side, ids in enumerate((b.plus, b.minus)):
+            for k in ids:
+                holders.setdefault(k, []).append(2 * i + side)
+    return all(_pair_column(group, bundles, calcs[v], holders, j) is None
+               for j, v in enumerate(sorted(calcs)))
+
+
+def _mixed_ruling_entries(group, bundles, calcs):
+    """(surface vertex, bundle vertex) off the diagonal where a side's support
+    characters, two or more, are all fibres but of two different rulings."""
+    out = set()
+    for v, calc in calcs.items():
+        slot = {k: r for r, ids in enumerate(calc.rulings().values()) for k in ids}
+        for b in map(functools.partial(by_id, group), bundles):
+            for side in (b.plus, b.minus):
+                live = [k for k in side if k in calc.support]
+                if b.vertex != v and len(live) > 1 and all(k in slot for k in live) \
+                        and len({slot[k] for k in live}) > 1:
+                    out.add((v, b.vertex))
+    return out
+
+
+def test_pairing_calls_match_both_oracles_on_every_ruling_run(monkeypatch):
+    """On every spec of `_ruling_runs`, the stage's `c2_pairing` calls are
+    the entries of `_paired_entries(..., ruled=True)` and the rows of the
+    column walk it replaced, each once: a side's own row is paired only on
+    the diagonal.  A side whose support characters are fibres of two
+    different rulings of a surface is paired there."""
+    mixed = 0
+    for spec, art in _ruling_runs():
+        g, calcs = art.group, surface_calculators(art)
+        calls = _pairing_calls(monkeypatch)
+        assert duality_matrix(g, art.bundles, calcs) == len(calcs), spec
+        walked = list(calls)
+        calls.clear()
+        assert _column_walk(g, art.bundles, calcs), spec
+        assert sorted(walked) == sorted(calls), spec
+        monkeypatch.undo()
+        assert len(set(walked)) == len(walked), spec
+        assert set(walked) == _paired_entries(art.charts, art.bundles, calcs, ruled=True), spec
+        entries = _mixed_ruling_entries(g, art.bundles, calcs)
+        assert entries <= set(walked), spec
+        mixed += len(entries)
+    assert mixed > 0
+
+
 def test_a_non_fibre_character_held_twice_is_still_paired(run30, monkeypatch):
     """A side holding one support character twice is paired, unless that
     character is a fibre multiple; the outcome is the oracles'."""

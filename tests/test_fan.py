@@ -720,6 +720,35 @@ def test_projection_rejects_an_off_lattice_point():
     assert err.value.detail == {"point": (1, 0, -1)}
 
 
+def _oracle_proj(g, w, p):
+    """`QuotientMap(g, w).proj(p)` in the form it replaced: adj @ V's two kept
+    columns held as rows of pairs, p multiplied through them, then divided."""
+    adj, den = g.lattice_inverse
+    coords = [x // den for x in intmat.vec_mat(w, adj)]
+    _, v1, v2 = zip(*intmat.complete_unimodular(coords))
+    kept = [(intmat.vec_dot(row, v1), intmat.vec_dot(row, v2)) for row in adj]
+    (q0, r0), (q1, r1) = (divmod(x, den) for x in intmat.vec_mat(p, kept))
+    return (q0, q1) if not (r0 or r1) else None
+
+
+def test_projection_matches_the_transposed_form_on_every_star():
+    """Every interior vertex's rays project as in the transpose-and-divide
+    form, on the order-30 family and the six compute-large groups."""
+    specs = _cyclic_family_up_to_30() + [f"1/401(1,{b},{400 - b})" for b in (7, 11, 13, 17, 19, 23)]
+    rays = 0
+    for spec in specs:
+        g = build_group(spec)
+        T = triangulate(g)
+        for v in T.interior_vertices:
+            qm = QuotientMap(g, v)
+            for ei in T.vertex_edges[v]:
+                e = T.edges[ei]
+                p = intmat.vec_sub(e.b if e.a == v else e.a, v)
+                assert qm.proj(p) == _oracle_proj(g, v, p), (spec, v, p)
+                rays += 1
+    assert rays > 5000
+
+
 # ---------------------------------------------------------------------------
 # negative controls: the raises of the corner fans and of `line_ratio`
 
