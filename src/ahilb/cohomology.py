@@ -42,13 +42,13 @@ multiples of one fibre adds 0 however many it holds, the same character
 held twice included; a non-fibre character held twice still adds its
 self-intersection, so sides are counted with multiplicity.
 
-The duality matrix is checked in three passes over the surfaces, each
+The duality matrix is checked in two passes over the surfaces, each
 building one `SurfaceCalculus` (support and restriction memo, by
 character id) at a time and dropping it before the next: a support pass
 that pairs the diagonal and sets, per character id, a bitmask of the
-surfaces whose support holds it; a ruling pass over only the surfaces
-where some bundle side holds two support characters; and a pairing pass
-over only the columns with such a side not all on one ruling
+surfaces whose support holds it; then a pass over only the surfaces
+where some bundle side holds two support characters, which reads their
+rulings and pairs there the sides not all on one ruling
 (`duality_matrix`).  The masks take |A| * b4 bits, against the degree
 table's tens of bytes per nonzero, and the error reported is still the
 first failing entry in row-major order.
@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from collections.abc import Mapping
 
 from . import intmat
@@ -261,9 +260,9 @@ class SurfaceCalculators(Mapping):
     """Vertex -> a new `SurfaceCalculus` of its surface at each lookup; none is kept.
 
     `duality_matrix` looks a vertex up once in each pass that needs it (every
-    vertex in the support pass, then only crowded surfaces and columns with
-    rows to pair) and drops each calculator before the next lookup, so
-    through this map one calculator is alive at a time.
+    vertex in the support pass, then only the crowded surfaces) and drops
+    each calculator before the next lookup, so through this map one
+    calculator is alive at a time.
     """
 
     def __init__(self, chart_set, surfaces, decoration):
@@ -327,24 +326,25 @@ def duality_matrix(group, bundles, calculators):
 
     `calculators` maps each vertex to its `SurfaceCalculus`; through
     `SurfaceCalculators` each lookup builds a new one, and the walk drops it
-    before the next, in three passes:
+    before the next, in two passes:
 
-    - support: every calculator, once.  Bit j of `supp[k]` marks the j-th
-      surface whose support holds id k, and the diagonal is paired;
-    - rulings: a few AND/ORs of `supp` over each side's ids (a repeated id
-      counted twice, the side's own row left out) give the surfaces where
-      it holds two support ids.  Only their calculators are built, each
-      read once into masks of the ids off every ruling and of the fibres
-      of each ruling after the first; a side is ruled on a surface with a
-      ruling where none of its support ids is off it and, for each later
-      ruling, all or none are its fibres;
-    - pairing: the calculators of the columns with a crowded, unruled row,
-      those rows paired in ascending order.
+    - support: every calculator, once, in vertex order.  Bit j of `supp[k]`
+      marks the j-th surface whose support holds id k, and the diagonal is
+      paired.  A few AND/ORs of `supp` over each side's ids (a repeated id
+      counted twice, the side's own row left out) then give the crowded
+      surfaces, where some side holds two support ids, and `supp` is
+      dropped;
+    - crowded: only those surfaces' calculators, ascending, each read once
+      for its rulings.  A side is ruled on a surface when its support ids
+      all lie in one ruling, so a crowded side left unruled there holds an
+      id outside the largest ruling: the rows of such sides, found from
+      those ids through `holders` (id -> side keys), are paired in
+      ascending order with the same calculator.
 
-    The masks are bitsets over the b4 surfaces, at most |A| * b4 bits each
-    (0.72 MB for `supp` at `1/3203(1,7,3195)`); the ruling masks hold only
-    the rare ids off a ruling and the fibres of surfaces with two or three.
-    A column stops at its first failure, and the failure with the least
+    The masks are bitsets over the b4 surfaces, |A| * b4 bits in all (0.76
+    MB at `1/3203(1,7,3195)`), and are dropped before the second pass;
+    `holders` has one entry per character of a side.  A column stops at its
+    first failure, and the failure with the least
     (row, column), the first in row-major order, is reported by its
     characters.  No matrix is kept: the document writes the b4 identity
     rows.  The bundles' sides are mapped to character ids once, here
@@ -358,6 +358,7 @@ def duality_matrix(group, bundles, calculators):
             detail={"bundle_vertices": rows, "surface_vertices": verts},
         )
     bundles = [by_id(group, b) for b in bundles]
+    sides = [ids for b in bundles for ids in (b.plus, b.minus)]  # key 2i + 0 plus, 2i + 1 minus
     fails = {}  # column -> (row, error) of its first failure
     supp = [0] * group.order  # by character id: bit j set when surface j's support holds it
     for j, v in enumerate(verts):
@@ -366,50 +367,33 @@ def duality_matrix(group, bundles, calculators):
             supp[k] |= bit
         _pair_rows(group, bundles, calc, j, (j,), fails)
         del calc  # before the next one is built
-    sides = [ids for b in bundles for ids in (b.plus, b.minus)]  # key 2i + 0 plus, 2i + 1 minus
-    crowded = []  # by side key: the surfaces but its own where it holds two support ids
+    crowded = 0  # the surfaces where a side, off its own row, holds two support ids
     for key, ids in enumerate(sides):
         once = twice = 0
         for k in ids:
             twice |= once & supp[k]
             once |= supp[k]
-        crowded.append(twice & ~(1 << (key >> 1)))
-    # the rulings of the crowded surfaces, each read once: `has` marks the
-    # surfaces with a ruling, `off[k]` those whose support holds id k on no
-    # ruling, and `fib[r - 1][k]` those where k is a fibre multiple of slot r >= 1
-    has, off, fib = 0, {}, []
-    for j in _bits(functools.reduce(operator.or_, crowded, 0)):
-        calc, bit = calculators[verts[j]], 1 << j
-        slots = list(calc.rulings().values())
-        if slots:
-            has |= bit
-            for k in calc.support.difference(*slots):
-                off[k] = off.get(k, 0) | bit
-        for r, fibres in enumerate(slots[1:]):
-            if r == len(fib):
-                fib.append({})
-            for k in fibres:
-                fib[r][k] = fib[r].get(k, 0) | bit
-        del calc
-    columns = {}  # column -> the rows to pair off the diagonal
-    for key, (ids, mask) in enumerate(zip(sides, crowded)):
-        if mask:
-            # ruled where none of its support ids is off every ruling and, for
-            # each slot r >= 1, all or none are fibres of r: all on one ruling
-            ruled = has
-            for k in ids:
-                ruled &= ~off.get(k, 0)
-            for slot in fib:
-                every, some = -1, 0
-                for k in ids:
-                    m = slot.get(k, 0)
-                    every &= m | ~supp[k]
-                    some |= m
-                ruled &= every | ~some
-            for j in _bits(mask & ~ruled):
-                columns.setdefault(j, set()).add(key >> 1)
-    for j in sorted(columns):
-        _pair_rows(group, bundles, calculators[verts[j]], j, sorted(columns[j]), fails)
+        crowded |= twice & ~(1 << (key >> 1))
+    del supp
+    holders = [[] for _ in range(group.order)]  # by character id: the keys of the sides holding it
+    for key, ids in enumerate(sides):
+        for k in ids:
+            holders[k].append(key)
+    for j in _bits(crowded):
+        calc = calculators[verts[j]]
+        support, slots = calc.support, list(calc.rulings().values())
+        # a side is ruled when its support ids all lie in one slot, so a crowded,
+        # unruled side holds an id outside the largest slot
+        rows = set()
+        for k in support.difference(max(slots, key=len, default=())):
+            for key in holders[k]:
+                i, ids = key >> 1, sides[key]
+                if i != j and i not in rows:
+                    live = support.intersection(ids)  # k is in it; k held twice counts twice
+                    if (len(live) > 1 or ids.count(k) > 1) and not any(map(live.issubset, slots)):
+                        rows.add(i)
+        _pair_rows(group, bundles, calc, j, sorted(rows), fails)
+        del calc  # before the next one is built
     if fails:
         raise min((i, j, exc) for j, (i, exc) in fails.items())[2]
     return len(verts)

@@ -317,11 +317,10 @@ def _layout(o, level):
 
 
 def _identity_layout(n, level):
-    """`_layout` of the n x n identity matrix, each row built by repeating one separator."""
-    inner = "\n" + " " * (level + 2)
-    before, after = "0," + inner, "," + inner + "0"
-    close = "\n" + " " * (level + 1) + "]"
-    return _join((f"[{inner}{before * i}1{after * (n - 1 - i)}{close}" for i in range(n)), level)
+    """`_layout` of the n x n identity matrix: `_join`'s row of n zeros, laid
+    out once, with its i-th 0 made 1 in row i."""
+    zeros = _join(["0"] * n, level + 1)
+    return _join((zeros[:p] + "1" + zeros[p + 1 :] for p, c in enumerate(zeros) if c == "0"), level)
 
 
 def _template(value, level):
