@@ -344,11 +344,10 @@ def duality_matrix(group, bundles, calculators):
     The masks are bitsets over the b4 surfaces, |A| * b4 bits in all (0.76
     MB at `1/3203(1,7,3195)`), and are dropped before the second pass;
     `holders` has one entry per character of a side.  A column stops at its
-    first failure, and the failure with the least
-    (row, column), the first in row-major order, is reported by its
-    characters.  No matrix is kept: the document writes the b4 identity
-    rows.  The bundles' sides are mapped to character ids once, here
-    (`by_id`).
+    first failure, and the failure with the least (row, column), the first
+    in row-major order, is reported by its characters.  No matrix is kept:
+    the document writes the b4 identity rows.  The bundles' sides are
+    mapped to character ids once, here (`by_id`).
     """
     verts = sorted(calculators)
     rows = [b.vertex for b in bundles]
