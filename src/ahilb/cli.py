@@ -11,20 +11,29 @@ JSON line on stderr and inside the report of any written document.
 passing run for `--quiver-svg` when F stops before the quiver is an
 input error.  `render` runs up to the `recipe` family, the last one whose
 artifacts the SVG views read.
+
+A run imports `serialize` and `render` only for the views it writes, and
+`serialize`'s `jsonable` only to print a failure, so `check` loads
+neither.  The views stay module globals, bound by `main` before the run,
+because the benchmark's tracer patches them on this module by `getattr`
+and then `setattr`; the binding keeps a name that is set already.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
+from . import _bind, _getattr_from
 from .errors import AHilbError, InputError
 from .group import DEFAULT_MAX_ORDER
 from .pipeline import CHECK_GROUPS, run_pipeline
-from .render import quiver_svg, triangulation_svg
-from .serialize import jsonable, to_json
+
+# The writers of `--json` (serialize) and `--svg`/`--quiver-svg` (render),
+# bound by `main` for the requested views only.
+VIEW_NAMES = {"serialize": ("to_json",), "render": ("triangulation_svg", "quiver_svg")}
+__getattr__ = _getattr_from(globals(), VIEW_NAMES)
 
 ENV_MAX_ORDER = "AHILB_MAX_ORDER"
 WRITE_SLICE = 1 << 16  # characters per `write`, see `_write_sliced`
@@ -99,9 +108,22 @@ def _write_sliced(fh, text):
         fh.write(text[start:start + WRITE_SLICE])
 
 
+def _print_failure(failure):
+    """The one JSON line on stderr that reports a failed check."""
+    import json
+
+    from .serialize import jsonable
+
+    print(json.dumps({"failure": jsonable(failure)}, sort_keys=True), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        # bound before the run: compiled after it, the views' modules take
+        # fresh pages on top of the run's heap
+        views = {"serialize": args.json, "render": args.svg or args.quiver_svg}
+        _bind(globals(), {home: VIEW_NAMES[home] for home, want in views.items() if want})
         # render builds only what its views read: the recipe family ends at the quiver
         which = getattr(args, "check", "recipe")
         art = run_pipeline(args.spec, which=which, max_order=_max_order(args))
@@ -109,8 +131,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except AHilbError as exc:
-        record = {"failure": {"error": str(exc), "detail": jsonable(exc.detail)}}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        _print_failure({"error": str(exc), "detail": exc.detail})
         return 2
 
     if args.quiver_svg and art.quiver is None and art.report.passed:
@@ -150,7 +171,7 @@ def main(argv=None) -> int:
         if wrote:
             print("  wrote " + ", ".join(wrote))
     if not report.passed:
-        print(json.dumps({"failure": jsonable(report.failure)}, sort_keys=True), file=sys.stderr)
+        _print_failure(report.failure)
         return 2
     return 0
 

@@ -233,7 +233,8 @@ class SurfaceCalculus:
             x, y = rays[k]
             if rays[l] == (-x, -y):
                 ck, cl = columns[k], columns[l]
-                on = {i for i in ck.keys() & cl.keys() if ck[i] == cl[i]}
+                # an id missing from cl reads None, which equals no degree
+                on = {i for i, q in ck.items() if cl.get(i) == q}
                 on.difference_update(*(c for m, c in enumerate(columns) if m != k and m != l))
                 out[k, l] = on
         return out

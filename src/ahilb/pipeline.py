@@ -24,33 +24,36 @@ characters), its monomial identity on triangle 0's chart and its degree
 rows (its virtual bundle's degree zero on every curve) in `relations`,
 which together give the identity on every chart.  `certificate` states the result
 that `completeness`, `duality` and `h2_basis` proved and checks nothing.
+
+The stages call the functions of `charts`, `cohomology` and `relations`
+through module globals (`LATE_NAMES`), bound once a run goes past the fan
+family, so a fan-only run neither imports nor compiles those modules.
+They stay globals, looked up at each call, because the benchmark's tracer
+and the tests patch them on this module by `getattr` and then `setattr`;
+the binding keeps a name that is set already, so a run calls the patch.
 """
 
 from __future__ import annotations
 
 import time
 
-from . import intmat
-from .charts import ChartSet
-from .cohomology import (
-    SurfaceCalculators,
-    build_surfaces,
-    build_virtual_bundles,
-    duality_matrix,
-    h2_basis_check,
-    mckay_certificate,
-)
+from . import _bind, _getattr_from, intmat
 from .errors import AHilbError, CorrespondenceError, InputError, InvariantViolationError
 from .fan import simplex_corners, triangulate
 from .group import DEFAULT_MAX_ORDER, MONO_ONE, build_group, least_multiple, parse_group_spec
 from .recipe import champion_identities, corner_region_characters, decorate, quiver_embedding
 from .record import Record
-from .relations import (
-    check_bundle_degrees,
-    completeness_check,
-    derive_relations,
-    verify_all_relations,
-)
+
+# The stages after the fan family read these; `run_pipeline` binds them
+# before a run that goes past it, so a fan-only run never imports them.
+LATE_NAMES = {
+    "charts": ("ChartSet",),
+    "cohomology": ("SurfaceCalculators", "build_surfaces", "build_virtual_bundles",
+                   "duality_matrix", "h2_basis_check", "mckay_certificate"),
+    "relations": ("check_bundle_degrees", "completeness_check", "derive_relations",
+                  "verify_all_relations"),
+}
+__getattr__ = _getattr_from(globals(), LATE_NAMES)
 
 # Each family is a contiguous slice of ALL_CHECKS, in table order (see STAGES).
 CHECK_GROUPS = {
@@ -117,7 +120,10 @@ def run_pipeline(spec, which="all", max_order=DEFAULT_MAX_ORDER) -> Artifacts:
     )
     group = build_group(spec, max_order=max_order)
     art = Artifacts(spec.text(), group, report=report)
-    for name, fn in STAGES[: ALL_CHECKS.index(requested[-1]) + 1]:
+    stages = STAGES[: ALL_CHECKS.index(requested[-1]) + 1]
+    if len(stages) > len(CHECK_GROUPS["fan"]):
+        _bind(globals(), LATE_NAMES)
+    for name, fn in stages:
         t0 = time.perf_counter()
         try:
             detail = fn(art)

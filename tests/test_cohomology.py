@@ -765,6 +765,34 @@ def test_characters_on_one_ruling_pair_to_zero():
     assert rulings > 1000 and pairs > 10**6
 
 
+def _intersected_rulings(calc):
+    """`SurfaceCalculus.rulings` with each fibre set built from the shared
+    keys of the two opposite columns: the form it replaced."""
+    rays, columns = calc.surface.rays, calc._columns
+    out = {}
+    for k, l in itertools.combinations(range(len(rays)), 2):
+        x, y = rays[k]
+        if rays[l] == (-x, -y):
+            ck, cl = columns[k], columns[l]
+            on = {i for i in ck.keys() & cl.keys() if ck[i] == cl[i]}
+            on.difference_update(*(c for m, c in enumerate(columns) if m != k and m != l))
+            out[k, l] = on
+    return out
+
+
+def test_rulings_match_the_intersected_keys_oracle():
+    """One pass over a column gives the fibre sets of the shared-keys form
+    on the goldens, the order-30 family and the six 1/401(1,b,400-b)."""
+    fibres = 0
+    for spec, art in _ruling_runs():
+        for v, calc in surface_calculators(art).items():
+            assert all(q > 0 for column in calc._columns for q in column.values()), (spec, v)
+            on = calc.rulings()
+            assert on == _intersected_rulings(calc), (spec, v)
+            fibres += sum(map(len, on.values()))
+    assert fibres > 10**5
+
+
 def test_skipped_entries_are_zero_on_both_oracles():
     """Every entry the ruling rule skips, and the rule without rulings
     would pair, is 0 in the row-major and the dense oracles' matrices.  On
