@@ -26,8 +26,9 @@ which together give the identity on every chart.  `certificate` states the resul
 that `completeness`, `duality` and `h2_basis` proved and checks nothing.
 
 The stages call the functions of `charts`, `cohomology` and `relations`
-through module globals (`LATE_NAMES`), bound once a run goes past the fan
-family, so a fan-only run neither imports nor compiles those modules.
+through module globals (`LATE_NAMES`), bound at the start of a run that
+goes past the fan family, so a fan-only run neither imports nor compiles
+those modules.
 They stay globals, looked up at each call, because the benchmark's tracer
 and the tests patch them on this module by `getattr` and then `setattr`;
 the binding keeps a name that is set already, so a run calls the patch.
@@ -44,8 +45,7 @@ from .group import DEFAULT_MAX_ORDER, MONO_ONE, build_group, least_multiple, par
 from .recipe import champion_identities, corner_region_characters, decorate, quiver_embedding
 from .record import Record
 
-# The stages after the fan family read these; `run_pipeline` binds them
-# before a run that goes past it, so a fan-only run never imports them.
+# What the stages after the fan family call, by home module (see above).
 LATE_NAMES = {
     "charts": ("ChartSet",),
     "cohomology": ("SurfaceCalculators", "build_surfaces", "build_virtual_bundles",
@@ -115,14 +115,16 @@ def run_pipeline(spec, which="all", max_order=DEFAULT_MAX_ORDER) -> Artifacts:
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     requested = checks_for(which)
+    stages = STAGES[: ALL_CHECKS.index(requested[-1]) + 1]
+    if len(stages) > len(CHECK_GROUPS["fan"]):
+        # bound before the group is built: compiled after it, the late
+        # modules take fresh pages on top of the run's heap
+        _bind(globals(), LATE_NAMES)
     report = RunReport(
         spec.text(), checks={name: {"status": "skipped", "detail": {}} for name in ALL_CHECKS}
     )
     group = build_group(spec, max_order=max_order)
     art = Artifacts(spec.text(), group, report=report)
-    stages = STAGES[: ALL_CHECKS.index(requested[-1]) + 1]
-    if len(stages) > len(CHECK_GROUPS["fan"]):
-        _bind(globals(), LATE_NAMES)
     for name, fn in stages:
         t0 = time.perf_counter()
         try:
