@@ -182,10 +182,11 @@ def _moves_checker(group):
       divisors, and no multiple of a vacated monomial stays.  Each moved
       id vacates its old monomial, since that weight's one slot now holds
       the new one.
-    - The socle.  Whether id k is in it reads slots k and up[a][k] only,
-      so only the moved ids, the divisors of new monomials (which leave
-      it) and the unmoved divisors of vacated monomials (which may join
-      it) are decided again; the rest keep the parent's status.
+    - The socle.  Whether id j is in it reads slots j and up[a][j] only,
+      and a crossing changes only the moved ids' slots; up[a][j] is a
+      moved id k exactly when j = dn[a][k].  So the moved ids and their
+      dn[a] ids are decided again by the socle's definition, and every
+      other id keeps the parent's status.
     - Minimality, one lookup W[id(num)] == num per chart coordinate.
     On any fault it runs `_checked_socle` on the whole table, which
     raises the first failure in table order.  Should that pass, a moved
@@ -196,43 +197,23 @@ def _moves_checker(group):
 
     def check(tj, walked, table, column, socle, coords):
         W = walked
-        gone = set(column)  # and the divisors of new monomials: out of the socle or decided here
-        joins = []  # the moved ids in the socle
-        below = []  # the divisors of vacated monomials
+        near = set(column)  # the ids whose socle status the crossing can change
         for k in column:
             a, b, c = W[k]
             x, y, z = table[k]
-            w0, w1, w2 = W[u0[k]], W[u1[k]], W[u2[k]]
-            if w0 == (x + 1, y, z) or w1 == (x, y + 1, z) or w2 == (x, y, z + 1):
+            if (W[u0[k]] == (x + 1, y, z) or W[u1[k]] == (x, y + 1, z)
+                    or W[u2[k]] == (x, y, z + 1)):
                 break  # a multiple of the vacated monomial stays
-            if a:
-                j = d0[k]
-                if W[j] != (a - 1, b, c):
-                    break  # a divisor of the new monomial is missing
-                gone.add(j)
-            if b:
-                j = d1[k]
-                if W[j] != (a, b - 1, c):
-                    break
-                gone.add(j)
-            if c:
-                j = d2[k]
-                if W[j] != (a, b, c - 1):
-                    break
-                gone.add(j)
-            if w0 != (a + 1, b, c) and w1 != (a, b + 1, c) and w2 != (a, b, c + 1):
-                joins.append(k)
-            if x:
-                below.append(d0[k])
-            if y:
-                below.append(d1[k])
-            if z:
-                below.append(d2[k])
+            if ((a and W[d0[k]] != (a - 1, b, c)) or (b and W[d1[k]] != (a, b - 1, c))
+                    or (c and W[d2[k]] != (a, b, c - 1))):
+                break  # a divisor of the new monomial is missing
+            near.add(d0[k])
+            near.add(d1[k])
+            near.add(d2[k])
         else:
             if all(W[char_id(num)] != num for num, _ in coords):
-                out = [k for k in socle if k not in gone]
-                out += joins
-                for k in set(below).difference(gone):
+                out = [k for k in socle if k not in near]
+                for k in near:
                     a, b, c = W[k]
                     if (W[u0[k]] != (a + 1, b, c) and W[u1[k]] != (a, b + 1, c)
                             and W[u2[k]] != (a, b, c + 1)):

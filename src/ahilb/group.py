@@ -214,9 +214,12 @@ class AbelianGroup:
         return f"AbelianGroup({self.spec.text()!r}, order={self.order})"
 
 
-def build_group(spec, max_order=DEFAULT_MAX_ORDER) -> AbelianGroup:
-    if isinstance(spec, str):
-        spec = parse_group_spec(spec)
+def check_spec(spec, max_order=DEFAULT_MAX_ORDER):
+    """Raise unless `spec` is valid and its declared orders multiply to at most `max_order`.
+
+    The product bounds |A|, so a run can refuse a group before it builds
+    or loads anything for it.
+    """
     spec.validate()
     bound = prod(r for r, _ in spec.generators)
     if bound > max_order:
@@ -224,6 +227,12 @@ def build_group(spec, max_order=DEFAULT_MAX_ORDER) -> AbelianGroup:
             f"generator orders multiply to {bound}, above the cap {max_order}",
             detail={"bound": bound, "max_order": max_order},
         )
+
+
+def build_group(spec, max_order=DEFAULT_MAX_ORDER) -> AbelianGroup:
+    if isinstance(spec, str):
+        spec = parse_group_spec(spec)
+    check_spec(spec, max_order)
     # |A| = [N : Z^3] = L^3 / det(L*N), at the lcm L of the declared orders;
     # a generator's true order may be a proper divisor of its declared one,
     # so L need not divide |A| and the group's own lattice is built anew

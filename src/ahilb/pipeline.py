@@ -27,7 +27,8 @@ that `completeness`, `duality` and `h2_basis` proved and checks nothing.
 
 The stages call the functions of `charts`, `cohomology` and `relations`
 through module globals (`LATE_NAMES`), bound at the start of a run that
-goes past the fan family, so a fan-only run neither imports nor compiles
+goes past the fan family, once `check_spec` has accepted its spec, so a
+fan-only run and a spec the order cap refuses neither import nor compile
 those modules.
 They stay globals, looked up at each call, because the benchmark's tracer
 and the tests patch them on this module by `getattr` and then `setattr`;
@@ -41,7 +42,8 @@ import time
 from . import _bind, _getattr_from, intmat
 from .errors import AHilbError, CorrespondenceError, InputError, InvariantViolationError
 from .fan import simplex_corners, triangulate
-from .group import DEFAULT_MAX_ORDER, MONO_ONE, build_group, least_multiple, parse_group_spec
+from .group import (DEFAULT_MAX_ORDER, MONO_ONE, build_group, check_spec, least_multiple,
+                    parse_group_spec)
 from .recipe import champion_identities, corner_region_characters, decorate, quiver_embedding
 from .record import Record
 
@@ -116,6 +118,7 @@ def run_pipeline(spec, which="all", max_order=DEFAULT_MAX_ORDER) -> Artifacts:
         spec = parse_group_spec(spec)
     requested = checks_for(which)
     stages = STAGES[: ALL_CHECKS.index(requested[-1]) + 1]
+    check_spec(spec, max_order)  # so a spec the cap refuses loads no late module
     if len(stages) > len(CHECK_GROUPS["fan"]):
         # bound before the group is built: compiled after it, the late
         # modules take fresh pages on top of the run's heap

@@ -178,7 +178,7 @@ def _dp6_marks(T, chart_set, vertex, line_chars):
             detail={"vertex": vertex, "candidates": sorted(cands)},
         )
     a, b = sorted(cands)
-    proj = projection_pair(T, chart_set, vertex)
+    proj = projection_pair(T, vertex)
     if proj != (a, b):
         raise InvariantViolationError(
             "socle method disagrees with the projection-monomial method",
@@ -189,7 +189,7 @@ def _dp6_marks(T, chart_set, vertex, line_chars):
     return (a, b)
 
 
-def projection_pair(T, chart_set, vertex):
+def projection_pair(T, vertex):
     """Marks of a triple intersection from the two plane-projection maps.
 
     Each of the three straight lines has a pure power of one variable on

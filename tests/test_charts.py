@@ -996,17 +996,25 @@ def test_weight_steps_are_inverse_permutations_that_find_neighbours():
 def test_moved_generator_check_matches_the_full_check(monkeypatch, run_trivial):
     """Every walked table's socle ids, checked around its moved generators,
     are `_checked_socle`'s on the whole table, and every degree column is
-    the one found by comparing the two tables of its edge."""
+    the one found by comparing the two tables of its edge.  Ids just below
+    a moved id, which did not move themselves, both enter and leave the
+    socle, so the check's re-decided ids are exercised both ways."""
     made = charts._moves_checker
     compared = []
+    entered = left = 0
 
     def checker(group):
         check = made(group)
+        _, dn = charts._weight_steps(group)
 
         def both(tj, walked, table, column, socle, coords):
+            nonlocal entered, left
             got = check(tj, walked, table, column, socle, coords)
             assert got == charts._checked_socle(tj, walked, coords), tj
             compared.append(tj)
+            below = {step[k] for step in dn for k in column}.difference(column)
+            entered += len(below.difference(socle).intersection(got))
+            left += len(below.intersection(socle).difference(got))
             return got
 
         return both
@@ -1018,6 +1026,7 @@ def test_moved_generator_check_matches_the_full_check(monkeypatch, run_trivial):
         assert C._degree == _by_id(C.group, _pairwise_degrees(C)), spec
     # every table but each root is walked across a tree edge
     assert len(compared) == sum(len(C.socle_ids) - 1 for _, C in chart_sets)
+    assert entered > 0 and left > 0, (entered, left)
 
 
 def test_the_walk_crosses_light_edges_first(monkeypatch):

@@ -160,3 +160,19 @@ def test_failing_fan_check_exits_2_with_one_json_line(where, line):
     assert code == 0, err
     assert out.strip() == "2 []"
     assert err == json.dumps(line, sort_keys=True) + "\n"
+
+
+CAPPED_RUN = """
+import sys
+import ahilb.cli
+code = ahilb.cli.main(["check", "1/101(1,2,98)", "--max-order", "50"])
+print(code, [m for m in ("charts", "cohomology", "relations") if "ahilb." + m in sys.modules])
+"""
+
+
+def test_a_spec_over_the_order_cap_loads_no_late_stage():
+    """The cap refuses the spec before the late stages are bound."""
+    code, out, err = _fresh(CAPPED_RUN)
+    assert code == 0, err
+    assert out.strip() == "1 []"
+    assert err == "input error: generator orders multiply to 101, above the cap 50\n"

@@ -90,10 +90,10 @@ def test_dp6_split_in_partition(run30):
 
 
 def test_dp6_socle_equals_projection(run30):
-    T, C, D = run30.triangulation, run30.charts, run30.decoration
+    T, D = run30.triangulation, run30.decoration
     for v, vm in D.vertex_marks.items():
         if vm.case == CASE_DP6:
-            assert projection_pair(T, C, v) == tuple(sorted(vm.marks))
+            assert projection_pair(T, v) == tuple(sorted(vm.marks))
 
 
 def test_dp6_detection_is_three_straight_lines(run30):
@@ -651,7 +651,7 @@ def test_a_straight_line_without_a_pure_side_is_named(run30):
     v, (first, *_) = _dp6_lines(run30)
     fake = _with_lines(T, plus={first: (1, 1, 0)}, minus={first: (0, 1, 1)})
     with pytest.raises(InvariantViolationError) as err:
-        projection_pair(fake, run30.charts, v)
+        projection_pair(fake, v)
     assert str(err.value) == "straight line without a pure ratio side"
     assert err.value.detail == {"vertex": v, "line": first}
 
@@ -663,7 +663,7 @@ def test_two_lines_with_one_pure_variable_are_named(run30):
     pure = ln.plus if sum(map(bool, ln.plus)) == 1 else ln.minus
     fake = _with_lines(T, plus={second: pure}, minus={second: (1, 1, 1)})
     with pytest.raises(InvariantViolationError) as err:
-        projection_pair(fake, run30.charts, v)
+        projection_pair(fake, v)
     assert str(err.value) == "two lines share a pure variable"
     assert err.value.detail == {"vertex": v, "line": second,
                                 "variable": next(i for i in range(3) if pure[i])}
